@@ -34,7 +34,6 @@ from .hamiltonian import (
     PRESET_A_SPLIT,
     PRESET_E_RAISED,
     SectorSpec,
-    SparseHermitian,
     assemble,
     build_correlation,
     build_pjt,

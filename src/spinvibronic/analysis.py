@@ -20,6 +20,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .eigensolver import (
+    DENSE_THRESHOLD_DEFAULT,
     ConvergenceResult,
     EigResult,
     cluster_degeneracies,
@@ -30,7 +31,6 @@ from .hamiltonian import (
     PRESET_E_RAISED,
     SIGMA_Y,
     SectorSpec,
-    SparseHermitian,
     assemble,
     op_on_g,
     op_on_u,
@@ -64,12 +64,11 @@ class SolverOptions:
     k: int = 10
     tol: float = 1e-10
     seed: int = 0
-    dense_threshold: int = 4000
+    dense_threshold: int = DENSE_THRESHOLD_DEFAULT
     method: str = "auto"
-    max_basis: int | None = None
     cluster_tol: float = 1e-6
 
-    def solve(self, h: SparseHermitian, k: int | None = None) -> EigResult:
+    def solve(self, h: sp.csr_matrix, k: int | None = None) -> EigResult:
         return solve_lowest(
             h,
             k=self.k if k is None else k,
@@ -77,7 +76,6 @@ class SolverOptions:
             seed=self.seed,
             dense_threshold=self.dense_threshold,
             method=self.method,
-            max_basis=self.max_basis,
         )
 
 
@@ -204,7 +202,7 @@ class SocLevels:
 
 def _soc_hamiltonian(
     sol: SectorSolution, lambda_u0: float, lambda_g0: float, m_s: int
-) -> SparseHermitian:
+) -> sp.csr_matrix:
     spec = replace(
         sol.spec, soc=SocParams(lambda_u0=lambda_u0, lambda_g0=lambda_g0, m_s=m_s)
     )

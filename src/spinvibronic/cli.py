@@ -9,7 +9,9 @@ Subcommands:
 
 Exit codes: 0 success, 2 configuration problems, 3 solver or fit failures.
 All outputs are deterministic for a fixed seed; the output directory can be
-overridden with --out or the SPINVIB_OUT environment variable.
+overridden with --out or the SPINVIB_OUT environment variable.  The BLAS
+thread count is set through the environment (OPENBLAS_NUM_THREADS,
+OMP_NUM_THREADS) before the interpreter starts.
 """
 
 from __future__ import annotations
@@ -54,17 +56,6 @@ def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
         outdir = args.out
     output = dataclasses.replace(output, directory=str(outdir))
     return dataclasses.replace(cfg, solver=solver, model=model, output=output)
-
-
-def _limit_threads(n: int | None) -> None:
-    if n is None:
-        return
-    try:
-        from threadpoolctl import threadpool_limits
-
-        threadpool_limits(limits=n)
-    except ImportError:
-        print("threadpoolctl not available; --threads ignored", file=sys.stderr)
 
 
 def cmd_solve(args) -> int:
@@ -203,7 +194,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="spinvib",
         description="Vibronic and spin-orbit level structure of dual Jahn-Teller color centers",
     )
-    parser.add_argument("--threads", type=int, default=None, help="limit BLAS thread count")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--cutoff", type=int, default=None, help="force a fixed oscillator cutoff")
     common.add_argument("--order", type=int, choices=(1, 2), default=None)
@@ -236,7 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    _limit_threads(args.threads)
     try:
         return args.func(args)
     except (ConfigError, ParameterError, FileNotFoundError, ValueError) as exc:

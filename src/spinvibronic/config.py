@@ -13,6 +13,7 @@ import io
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .eigensolver import DENSE_THRESHOLD_DEFAULT
 from .hamiltonian import PRESETS, PRESET_E_RAISED
 from .params import DefectParams, ParameterError
 
@@ -43,7 +44,7 @@ class SolverConfig:
     k: int = 10
     residual_tol: float = 1e-10
     cluster_tol_mev: float = 1e-6
-    dense_threshold: int = 4000
+    dense_threshold: int = DENSE_THRESHOLD_DEFAULT
     seed: int = 0
     converge: bool = False
     converge_observable: str = "gamma2"
@@ -184,7 +185,7 @@ def parse_config_text(text: str) -> RunConfig:
         k=_get(s, "k", int, default=10),
         residual_tol=_get(s, "residual_tol", float, default=1e-10),
         cluster_tol_mev=_get(s, "cluster_tol_mev", float, default=1e-6),
-        dense_threshold=_get(s, "dense_threshold", int, default=4000),
+        dense_threshold=_get(s, "dense_threshold", int, default=DENSE_THRESHOLD_DEFAULT),
         seed=_get(s, "seed", int, default=0),
         converge=_get(s, "converge", bool, default=False),
         converge_observable=_get(s, "converge_observable", str, default="gamma2"),

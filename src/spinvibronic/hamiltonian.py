@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
@@ -111,58 +110,6 @@ class SectorSpec:
         return not self.soc.active
 
 
-class SparseHermitian:
-    """Hermitian matrix stored as triplets with a CSR view for products."""
-
-    def __init__(self, dim: int, rows, cols, vals, real_only: bool):
-        vals = np.asarray(vals)
-        if real_only:
-            vals = vals.real.astype(float)
-        self.dim = dim
-        self.real_only = real_only
-        coo = sp.coo_matrix((vals, (rows, cols)), shape=(dim, dim))
-        self._csr = coo.tocsr()
-        self._csr.sum_duplicates()
-
-    @classmethod
-    def from_sparse(cls, m: sp.spmatrix, real_only: bool) -> "SparseHermitian":
-        coo = m.tocoo()
-        return cls(m.shape[0], coo.row, coo.col, coo.data, real_only)
-
-    @property
-    def csr(self) -> sp.csr_matrix:
-        return self._csr
-
-    @property
-    def nnz(self) -> int:
-        return self._csr.nnz
-
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        return self._csr @ v
-
-    def to_dense(self) -> np.ndarray:
-        return self._csr.toarray()
-
-    def hermiticity_defect(self) -> float:
-        return float(abs(self._csr - self._csr.getH()).max())
-
-    def max_row_nnz(self) -> int:
-        return int(np.diff(self._csr.indptr).max())
-
-    def norm_bound(self) -> float:
-        """Gershgorin-type bound max_i sum_j |H_ij| on the spectral radius."""
-        return float(abs(self._csr).sum(axis=1).max())
-
-    def dump_triplets(self, path: str | Path) -> None:
-        """Write (row, col, re, im) lines for external verification."""
-        coo = self._csr.tocoo()
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(f"# dim {self.dim} nnz {coo.nnz}\n")
-            for r, c, v in zip(coo.row, coo.col, coo.data):
-                z = complex(v)
-                fh.write(f"{r} {c} {z.real:.17g} {z.imag:.17g}\n")
-
-
 def build_correlation(lambda_corr: float, preset: str = PRESET_E_RAISED) -> np.ndarray:
     """Static correlation term W, diagonal in the symmetry-adapted basis.
 
@@ -203,7 +150,7 @@ def _electronic_vertex_terms(c: Couplings):
     ]
 
 
-def build_pjt(spec: SectorSpec, basis: OscBasis) -> SparseHermitian:
+def build_pjt(spec: SectorSpec, basis: OscBasis) -> sp.csr_matrix:
     """Electron-phonon interaction alone (no oscillator, W or SOC terms)."""
     x = position_operator(basis, "x")
     y = position_operator(basis, "y")
@@ -222,14 +169,17 @@ def build_pjt(spec: SectorSpec, basis: OscBasis) -> SparseHermitian:
         total = term if total is None else total + term
     if total is None:
         total = sp.csr_matrix((4 * basis.dim, 4 * basis.dim))
-    return SparseHermitian.from_sparse(total, real_only=True)
+    return total
 
 
-def assemble(spec: SectorSpec, basis: OscBasis | None = None) -> SparseHermitian:
-    """Full sector Hamiltonian H_osc + pJT + W + m_s * SOC as one sparse matrix."""
+def assemble(spec: SectorSpec, basis: OscBasis | None = None) -> sp.csr_matrix:
+    """Full sector Hamiltonian H_osc + pJT + W + m_s * SOC as one CSR matrix.
+
+    The dtype is float64 for real sectors (spec.real_only) and complex128
+    when the spin-orbit term is active.
+    """
     if basis is None:
         basis = build_basis(spec.cutoff)
-    dim = 4 * basis.dim
     k = spec.couplings.hbar_omega_e
 
     osc_diag = k * (basis.n_x + basis.n_y + 1).astype(float)
@@ -242,9 +192,8 @@ def assemble(spec: SectorSpec, basis: OscBasis | None = None) -> SparseHermitian
     if np.any(elec_static):
         h = h + sp.kron(sp.identity(basis.dim), sp.csr_matrix(elec_static), format="csr")
 
-    h = h + build_pjt(spec, basis).csr
-
-    return SparseHermitian.from_sparse(h, real_only=spec.real_only)
+    h = h + build_pjt(spec, basis)
+    return sp.csr_matrix(h, dtype=float if spec.real_only else complex)
 
 
 def total_rotation(basis: OscBasis, osc_c3: sp.spmatrix) -> sp.csr_matrix:

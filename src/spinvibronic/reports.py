@@ -185,7 +185,7 @@ def _diagram_rows(report: SpectrumReport, sol: SectorSolution, soc: SocLevels | 
     return rows
 
 
-def run_report(cfg: RunConfig, solve_both_sectors: bool = True) -> SpectrumReport:
+def run_report(cfg: RunConfig) -> SpectrumReport:
     """Execute the full analysis pipeline for one configuration."""
     opts = solver_options(cfg)
     cutoff, history = _resolve_cutoff(cfg, opts)
@@ -225,7 +225,7 @@ def run_report(cfg: RunConfig, solve_both_sectors: bool = True) -> SpectrumRepor
                 opts=opts,
                 p_guess=(p_u, p_g),
             )
-        soc = soc_levels(sol, lu, lg, opts, solve_both_sectors=solve_both_sectors)
+        soc = soc_levels(sol, lu, lg, opts)
         report.lambda_u0 = lu
         report.lambda_g0 = lg
         report.lambda_eff = soc.lambda_eff

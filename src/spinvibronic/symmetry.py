@@ -8,7 +8,8 @@ chi(C3) = -1 are Eu.  Characters are basis independent inside a cluster, so
 the arbitrary mixing returned for degenerate eigenvectors is harmless.
 Accidentally merged clusters (for example A1u + A2u pairs of the uncoupled
 oscillator) are recognized by their composite characters and resolved by
-diagonalizing the projected C2' operator.
+diagonalizing the projected C2' operator; their vectors are rotated into that
+eigenbasis, so each per-state label belongs to the vector it is attached to.
 """
 
 from __future__ import annotations
@@ -75,13 +76,14 @@ def irrep_label(
     vectors: np.ndarray,
     ops: SymmetryOperators,
     tol: float = CHARACTER_TOL,
-) -> tuple[str, list[str]]:
+) -> tuple[str, list[str], np.ndarray]:
     """Label one degeneracy cluster (columns of `vectors`).
 
-    Returns (cluster label, per-state labels).  Composite clusters of two
-    accidentally degenerate singlets are resolved through the projected C2'
-    operator; anything not matching an irrep character within tol is flagged
-    as mixed.
+    Returns (cluster label, per-state labels, the vectors those labels belong
+    to).  Composite clusters of two accidentally degenerate singlets are
+    resolved through the projected C2' operator and come back rotated into
+    its eigenbasis; every other cluster comes back as given.  Anything not
+    matching an irrep character within tol is flagged as mixed.
     """
     d = vectors.shape[1]
     chi3 = cluster_characters(vectors, ops.r_c3)
@@ -89,13 +91,13 @@ def irrep_label(
     if d == 1:
         if abs(chi3 - 1.0) < tol:
             if abs(chi2 - 1.0) < tol:
-                return LABEL_A1U, [LABEL_A1U]
+                return LABEL_A1U, [LABEL_A1U], vectors
             if abs(chi2 + 1.0) < tol:
-                return LABEL_A2U, [LABEL_A2U]
-        return LABEL_MIXED, [LABEL_MIXED]
+                return LABEL_A2U, [LABEL_A2U], vectors
+        return LABEL_MIXED, [LABEL_MIXED], vectors
     if d == 2:
         if abs(chi3 + 1.0) < tol and abs(chi2) < tol:
-            return LABEL_EU, [LABEL_EU, LABEL_EU]
+            return LABEL_EU, [LABEL_EU, LABEL_EU], vectors
         if abs(chi3 - 2.0) < tol and abs(chi2) < tol:
             # accidental A1u + A2u pair: split along the C2' eigenvectors
             c2_block = vectors.conj().T @ (ops.r_c2 @ vectors)
@@ -108,8 +110,8 @@ def irrep_label(
                     labels.append(LABEL_A2U)
                 else:
                     labels.append(LABEL_MIXED)
-            return "A1u+A2u", labels
-    return LABEL_MIXED, [LABEL_MIXED] * d
+            return "A1u+A2u", labels, vectors @ u
+    return LABEL_MIXED, [LABEL_MIXED] * d, vectors
 
 
 def electronic_composition(vector: np.ndarray) -> dict[str, float]:
@@ -145,10 +147,9 @@ def analyze_states(
     """Label, decompose and measure every eigenstate of a real-sector solve."""
     states: list[VibronicState] = []
     for ci, cluster in enumerate(clusters):
-        vecs = result.eigenvectors[:, cluster]
-        _, labels = irrep_label(vecs, ops, tol=tol)
+        _, labels, vecs = irrep_label(result.eigenvectors[:, cluster], ops, tol=tol)
         for j, idx in enumerate(cluster):
-            v = result.eigenvectors[:, idx]
+            v = vecs[:, j]
             disp, disp_raw = mean_displacement(v, ops)
             states.append(
                 VibronicState(

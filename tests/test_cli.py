@@ -79,8 +79,12 @@ def test_solve_cutoff_and_out_overrides(tmp_path):
 
 
 def test_thread_limit_flag(tmp_path):
+    # BLAS threads come from OPENBLAS_NUM_THREADS / OMP_NUM_THREADS; the CLI
+    # has no thread flag
     cfg = write_config(tmp_path, FAST_OFF)
-    assert main(["--threads", "1", "solve", str(cfg)]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["--threads", "1", "solve", str(cfg)])
+    assert exc.value.code == 2
 
 
 def test_output_env_override(tmp_path, monkeypatch):

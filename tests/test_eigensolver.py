@@ -13,16 +13,13 @@ from spinvibronic import (
     solve_lowest,
 )
 from spinvibronic.defaults import DEFECTS
-from spinvibronic.hamiltonian import SectorSpec, SparseHermitian
+from spinvibronic.analysis import SolverOptions, solve_sector
+from spinvibronic.hamiltonian import SectorSpec
 from spinvibronic.params import Couplings
 
 
-def wrap(matrix, real_only=True):
-    return SparseHermitian.from_sparse(sp.csr_matrix(matrix), real_only=real_only)
-
-
-def snv0_h(cutoff, m_s=0, lam=0.0):
-    p = DEFECTS["SnV0"]
+def sector_h(name, cutoff, m_s=0, lam=0.0):
+    p = DEFECTS[name]
     spec = SectorSpec(
         couplings=pes_to_couplings(p),
         lambda_corr=p.lambda_corr,
@@ -32,8 +29,12 @@ def snv0_h(cutoff, m_s=0, lam=0.0):
     return assemble(spec)
 
 
+def snv0_h(cutoff, m_s=0, lam=0.0):
+    return sector_h("SnV0", cutoff, m_s, lam)
+
+
 def test_diagonal_matrix():
-    h = wrap(np.diag(np.arange(1.0, 101.0)))
+    h = sp.csr_matrix(np.diag(np.arange(1.0, 101.0)))
     res = solve_lowest(h, k=3, method="lanczos", dense_threshold=0)
     assert np.allclose(res.eigenvalues, [1.0, 2.0, 3.0], atol=1e-9)
     assert res.residual_norms.max() < 1e-8
@@ -68,18 +69,50 @@ def test_eigenvector_orthonormality_and_residuals():
     res = solve_lowest(h, k=6, method="lanczos", dense_threshold=0)
     gram = res.eigenvectors.conj().T @ res.eigenvectors
     assert np.abs(gram - np.eye(6)).max() < 1e-10
-    assert res.residual_norms.max() < 1e-10 * h.norm_bound()
+    assert res.residual_norms.max() < 1e-10 * max(1.0, np.abs(res.eigenvalues).max())
 
 
-def test_nonconvergence_raises():
+def test_nonconvergence_raises(monkeypatch):
+    import scipy.sparse.linalg
+
     h = snv0_h(10)
+    exact = solve_lowest(h, k=6, method="dense")
+
+    def no_convergence(*args, **kwargs):
+        raise scipy.sparse.linalg.ArpackNoConvergence(
+            "no convergence", exact.eigenvalues[:2], exact.eigenvectors[:, :2]
+        )
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
     with pytest.raises(SolverError) as err:
-        solve_lowest(h, k=6, method="lanczos", dense_threshold=0, max_basis=12)
+        solve_lowest(h, k=6, method="lanczos", dense_threshold=0)
     assert err.value.residuals is not None
+    assert err.value.residuals.shape == (2,)
+    assert err.value.residuals.max() < 1e-9
+
+
+def test_residual_above_tol_raises(monkeypatch):
+    import scipy.sparse.linalg
+
+    h = snv0_h(10)
+    exact = solve_lowest(h, k=6, method="dense")
+    vecs = exact.eigenvectors.copy()
+    vecs[:, 0] = vecs[:, 0] + 1e-3 * vecs[:, 5]
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", lambda *a, **kw: (exact.eigenvalues, vecs))
+    with pytest.raises(SolverError) as err:
+        solve_lowest(h, k=6, method="lanczos", dense_threshold=0)
+    assert err.value.residuals[0] > 1e-3
+
+
+def test_k_near_dim_goes_dense():
+    # ARPACK cannot return dim - 1 or dim pairs; LAPACK serves them
+    h = snv0_h(1)
+    res = solve_lowest(h, k=h.shape[0] - 1, method="lanczos")
+    assert np.allclose(res.eigenvalues, np.linalg.eigvalsh(h.toarray())[:-1], atol=1e-10)
 
 
 def test_k_larger_than_dim_rejected():
-    h = wrap(np.eye(4))
+    h = sp.csr_matrix(np.eye(4))
     with pytest.raises(ValueError):
         solve_lowest(h, k=5)
 
@@ -142,3 +175,36 @@ def test_comparative_convergence_histories():
         print(f"{name}: converged at N={res.cutoff}; history {res.history}")
     assert DEFECTS["SiV0"].coupling_strength > DEFECTS["PbV0"].coupling_strength
     assert errors["SiV0"] > errors["PbV0"]
+
+
+@pytest.mark.parametrize("name", ["PbV0", "SnV0"])
+@pytest.mark.parametrize("cutoff", [20, 28])
+def test_arpack_matches_lapack_oracle_ms0_labels(name, cutoff):
+    p = DEFECTS[name]
+    c = pes_to_couplings(p)
+    dense = solve_sector(c, p.lambda_corr, cutoff, opts=SolverOptions(k=10, method="dense"))
+    dense_labels = [s.irrep for s in dense.states]
+    assert "mixed" not in dense_labels
+    for seed in range(5):
+        opts = SolverOptions(k=10, method="lanczos", dense_threshold=0, seed=seed)
+        sol = solve_sector(c, p.lambda_corr, cutoff, opts=opts)
+        assert np.abs(sol.energies - dense.energies).max() < 1e-9
+        assert [s.irrep for s in sol.states] == dense_labels
+        # every Eu doublet comes back with both partners
+        for cluster in sol.clusters:
+            if sol.states[cluster[0]].irrep == "Eu":
+                assert len(cluster) == 2
+
+
+@pytest.mark.parametrize("name", ["PbV0", "SnV0"])
+@pytest.mark.parametrize("cutoff", [20, 28])
+def test_arpack_matches_lapack_oracle_ms_plus_one(name, cutoff):
+    h = sector_h(name, cutoff, m_s=1, lam=40.0)
+    assert h.dtype == complex
+    dense = solve_lowest(h, k=10, method="dense")
+    for seed in range(5):
+        res = solve_lowest(h, k=10, method="lanczos", dense_threshold=0, seed=seed)
+        assert np.abs(res.eigenvalues - dense.eigenvalues).max() < 1e-9
+        # same eigenspaces: each ARPACK vector lies in the span of its LAPACK partner
+        overlap = np.abs(dense.eigenvectors.conj().T @ res.eigenvectors) ** 2
+        assert np.allclose(overlap.sum(axis=0), 1.0, atol=1e-8)

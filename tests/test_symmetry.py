@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from spinvibronic import Couplings, SolverOptions, solve_sector
 from spinvibronic.defaults import DEFECTS
 from spinvibronic.hamiltonian import CHANNELS, symmetry_adapted_states
 from spinvibronic.oscillator import build_basis
 from spinvibronic.symmetry import (
+    CHARACTER_TOL,
     SymmetryOperators,
     cluster_characters,
     electronic_composition,
@@ -33,12 +35,12 @@ def test_pure_channel_vectors_labeled(ops6):
     basis = ops6.basis
     for channel, expected in (("A1u", "A1u"), ("A2u", "A2u")):
         v = channel_vector(channel, basis)[:, None]
-        label, labels = irrep_label(v, ops6)
+        label, labels, _ = irrep_label(v, ops6)
         assert label == expected == labels[0]
     pair = np.column_stack(
         [channel_vector("Eu1", basis), channel_vector("Eu2", basis)]
     )
-    label, labels = irrep_label(pair, ops6)
+    label, labels, _ = irrep_label(pair, ops6)
     assert label == "Eu"
 
 
@@ -60,9 +62,28 @@ def test_accidental_a_pair_resolved(ops6):
     # mix the pair to mimic arbitrary degenerate eigenvectors
     theta = 0.7
     rot = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
-    label, labels = irrep_label(pair @ rot, ops6)
+    label, labels, vectors = irrep_label(pair @ rot, ops6)
     assert label == "A1u+A2u"
     assert sorted(labels) == ["A1u", "A2u"]
+    # the labels belong to the returned (rotated) vectors, not the mixed input
+    for j, name in enumerate(labels):
+        comp = electronic_composition(vectors[:, j])
+        assert comp[name] == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_composite_cluster_states_are_c2_eigenvectors(seed):
+    # uncoupled model: A1u and A2u are exactly degenerate, so the solver
+    # returns an arbitrary mix of the two; each labelled state must still be
+    # a C2' eigenvector with the character its label claims
+    opts = SolverOptions(k=10, method="lanczos", dense_threshold=0, seed=seed)
+    sol = solve_sector(Couplings(0.0, 0.0, 0.0, 0.0, 70.0), 50.0, cutoff=4, opts=opts)
+    labelled = [s for s in sol.states if s.irrep in ("A1u", "A2u")]
+    assert sorted(s.irrep for s in labelled) == ["A1u", "A2u"]
+    for s in labelled:
+        c2 = cluster_characters(s.coefficients[:, None], sol.ops.r_c2)
+        expected = 1.0 if s.irrep == "A1u" else -1.0
+        assert abs(c2 - expected) < CHARACTER_TOL
 
 
 def test_character_trace_invariance(ops6):
