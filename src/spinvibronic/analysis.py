@@ -126,9 +126,7 @@ def solve_sector(
     ops = SymmetryOperators(basis)
     clusters = cluster_degeneracies(result, opts.cluster_tol)
     states = analyze_states(result, clusters, ops)
-    return SectorSolution(
-        spec=spec, result=result, clusters=clusters.clusters, states=states, ops=ops
-    )
+    return SectorSolution(spec=spec, result=result, clusters=clusters, states=states, ops=ops)
 
 
 def gamma_splitting(
@@ -144,16 +142,18 @@ def gamma_splitting(
     quadratic one.  Fails loudly if the lowest state is not A-type.
     """
     couplings = couplings_for_order(defect, order)
-    sol = solve_sector(couplings, defect.lambda_corr, cutoff, preset, opts)
+    return solution_gamma(solve_sector(couplings, defect.lambda_corr, cutoff, preset, opts))
+
+
+def solution_gamma(sol: SectorSolution) -> float:
+    """gamma of an already solved sector; fails loudly unless the lowest state is A-type."""
     lowest = sol.states[0]
     if lowest.irrep not in ("A1u", "A2u"):
         raise AnalysisError(
             f"lowest state is {lowest.irrep}, not an A-type singlet; "
             f"characters are outside tolerance or the model is misconfigured"
         )
-    e_a2u = sol.lowest(LABEL_A2U).energy
-    e_eu = sol.lowest(LABEL_EU).energy
-    return e_eu - e_a2u
+    return sol.lowest(LABEL_EU).energy - sol.lowest(LABEL_A2U).energy
 
 
 def _soc_unit_operators(basis_dim: int) -> tuple[sp.csr_matrix, sp.csr_matrix]:

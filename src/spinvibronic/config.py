@@ -13,7 +13,6 @@ import io
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .eigensolver import DENSE_THRESHOLD_DEFAULT
 from .hamiltonian import PRESETS, PRESET_E_RAISED
 from .params import DefectParams, ParameterError
 
@@ -44,7 +43,6 @@ class SolverConfig:
     k: int = 10
     residual_tol: float = 1e-10
     cluster_tol_mev: float = 1e-6
-    dense_threshold: int = DENSE_THRESHOLD_DEFAULT
     seed: int = 0
     converge: bool = False
     converge_observable: str = "gamma2"
@@ -185,7 +183,6 @@ def parse_config_text(text: str) -> RunConfig:
         k=_get(s, "k", int, default=10),
         residual_tol=_get(s, "residual_tol", float, default=1e-10),
         cluster_tol_mev=_get(s, "cluster_tol_mev", float, default=1e-6),
-        dense_threshold=_get(s, "dense_threshold", int, default=DENSE_THRESHOLD_DEFAULT),
         seed=_get(s, "seed", int, default=0),
         converge=_get(s, "converge", bool, default=False),
         converge_observable=_get(s, "converge_observable", str, default="gamma2"),
@@ -250,7 +247,6 @@ def serialize_config(cfg: RunConfig) -> str:
     buf.write(f"k = {s.k}\n")
     buf.write(f"residual_tol = {s.residual_tol:.12g}\n")
     buf.write(f"cluster_tol_mev = {s.cluster_tol_mev:.12g}\n")
-    buf.write(f"dense_threshold = {s.dense_threshold}\n")
     buf.write(f"seed = {s.seed}\n")
     buf.write(f"converge = {str(s.converge).lower()}\n")
     buf.write(f"converge_observable = {s.converge_observable}\n")

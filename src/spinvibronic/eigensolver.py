@@ -57,20 +57,6 @@ class EigResult:
         return self.eigenvalues.size
 
 
-@dataclass
-class DegeneracyClusters:
-    """Contiguous index ranges of near-degenerate eigenvalues."""
-
-    clusters: list[list[int]]
-    cluster_tol: float
-
-    def __iter__(self):
-        return iter(self.clusters)
-
-    def __len__(self):
-        return len(self.clusters)
-
-
 def _residuals(h: sp.csr_matrix, vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     return np.linalg.norm(h @ vecs - vecs * vals, axis=0)
 
@@ -134,8 +120,8 @@ def solve_lowest(
 
 def cluster_degeneracies(
     res: EigResult | Sequence[float], cluster_tol: float = CLUSTER_TOL_DEFAULT
-) -> DegeneracyClusters:
-    """Greedy ascending scan: a gap >= cluster_tol starts a new cluster."""
+) -> list[list[int]]:
+    """Index lists of near-degenerate eigenvalues; a gap >= cluster_tol starts a new one."""
     vals = np.asarray(res.eigenvalues if isinstance(res, EigResult) else res, dtype=float)
     clusters: list[list[int]] = []
     current: list[int] = []
@@ -146,7 +132,7 @@ def cluster_degeneracies(
         current.append(i)
     if current:
         clusters.append(current)
-    return DegeneracyClusters(clusters=clusters, cluster_tol=cluster_tol)
+    return clusters
 
 
 @dataclass

@@ -196,11 +196,11 @@ def assemble(spec: SectorSpec, basis: OscBasis | None = None) -> sp.csr_matrix:
     return sp.csr_matrix(h, dtype=float if spec.real_only else complex)
 
 
-def total_rotation(basis: OscBasis, osc_c3: sp.spmatrix) -> sp.csr_matrix:
+def total_rotation(osc_c3: sp.spmatrix) -> sp.csr_matrix:
     """Simultaneous 2*pi/3 rotation of modes and both electronic doublets."""
     return sp.kron(osc_c3, sp.csr_matrix(electronic_rotation()), format="csr")
 
 
-def total_reflection(basis: OscBasis, osc_c2: sp.spmatrix) -> sp.csr_matrix:
+def total_reflection(osc_c2: sp.spmatrix) -> sp.csr_matrix:
     """Simultaneous C2' reflection of modes and electronic factor."""
     return sp.kron(osc_c2, sp.csr_matrix(electronic_reflection()), format="csr")

@@ -7,8 +7,9 @@ the only truncation effect is the missing coupling out of the top shells;
 there are no O(1/N) artifacts from squaring truncated matrices.
 
 The point-group operations on the mode plane are also provided: the rotation
-by 2*pi/3 (built per shell in the circular, angular-momentum basis where it
-is diagonal, hence exactly unitary) and the reflection Q_y -> -Q_y, which is
+by 2*pi/3, built per shell as the exponential of the in-shell
+angular-momentum operator (diagonalized numerically, with its integer
+eigenvalues restored exactly), and the reflection Q_y -> -Q_y, which is
 diagonal with entries (-1)**n_y.
 """
 
@@ -16,9 +17,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 
 # total spin-vibronic dimension 4*dim(basis) must stay below this by default
@@ -134,59 +135,27 @@ def number_operator(basis: OscBasis) -> sp.csr_matrix:
     return sp.diags((basis.n_x + basis.n_y).astype(float)).tocsr()
 
 
-def _circular_block(n: int) -> np.ndarray:
-    """Unitary <n_x, n_y | n_+, n_-> within the shell of total quanta n.
-
-    The circular states are (a_+^dag)^{n_+} (a_-^dag)^{n_-} |0> with
-    a_+/-^dag = (a_x^dag +/- i a_y^dag)/sqrt(2); the binomial coefficients are
-    accumulated in exact integer arithmetic before normalization so the block
-    is unitary to machine precision at any shell.
-    """
-    u = np.zeros((n + 1, n + 1), dtype=complex)
-    for col, n_plus in enumerate(range(n, -1, -1)):
-        n_minus = n - n_plus
-        # integer accumulators for the real/imag parts per power of a_x^dag
-        re = [0] * (n + 1)
-        im = [0] * (n + 1)
-        for p in range(n_plus + 1):
-            cp = math.comb(n_plus, p)
-            for q in range(n_minus + 1):
-                cq = math.comb(n_minus, q)
-                # i^(n_plus - p) * (-i)^(n_minus - q)
-                phase = ((n_plus - p) - (n_minus - q)) % 4
-                term = cp * cq
-                j = p + q  # power of a_x^dag
-                if phase == 0:
-                    re[j] += term
-                elif phase == 1:
-                    im[j] += term
-                elif phase == 2:
-                    re[j] -= term
-                else:
-                    im[j] -= term
-        norm = Fraction(math.factorial(n_plus) * math.factorial(n_minus)) * 2**n
-        for j in range(n + 1):
-            # row index: |n_x = j, n_y = n - j>
-            amp = math.sqrt(
-                float(Fraction(math.factorial(j) * math.factorial(n - j)) / norm)
-            )
-            u[j, col] = complex(re[j], im[j]) * amp
-    return u
-
-
 def c3_rotation(basis: OscBasis) -> sp.csr_matrix:
     """Rotation of the mode plane by 2*pi/3, block diagonal in total quanta.
 
-    Within each shell the rotation is diagonal in the circular basis with
-    phases exp(-i * 2*pi/3 * ell), ell = n_+ - n_-; transforming back to the
-    Cartesian basis gives a real orthogonal block.
+    The rotation is exp(-i * 2*pi/3 * L) with L = X P_y - Y P_x the angular
+    momentum, which conserves the total quanta n.  Within a shell L is the
+    Hermitian tridiagonal matrix with <n_x+1, n_y-1| L |n_x, n_y> =
+    -i sqrt((n_x+1) n_y).  The gauge D = diag(i**n_x) makes it real,
+    L = D T D^dag with T tridiagonal and off-diagonal -sqrt((n_x+1) n_y), so
+    the eigenvectors of L are D times those of T.  The eigenvalues are the
+    integers ell = -n, -n+2, ..., n and are rounded before exponentiating, so
+    the real orthogonal block is exact to machine precision at any shell.
     """
     blocks = []
     for n in range(basis.cutoff + 1):
-        u = _circular_block(n)
-        ell = np.arange(n, -n - 1, -2)
-        phases = np.exp(-1j * (2.0 * np.pi / 3.0) * ell)
-        block = (u * phases) @ u.conj().T
+        nx = np.arange(n + 1)
+        s = np.sqrt((nx[:-1] + 1.0) * (n - nx[:-1]))
+        # real tridiagonal solver: a dense complex eigh of these small blocks
+        # stalls intermittently under multithreaded OpenBLAS
+        ell, v = scipy.linalg.eigh_tridiagonal(np.zeros(n + 1), -s)
+        u = (1j**nx)[:, None] * v
+        block = (u * np.exp(-1j * (2.0 * np.pi / 3.0) * np.rint(ell))) @ u.conj().T
         if np.max(np.abs(block.imag)) > 1e-12:
             raise AssertionError("rotation block acquired a spurious imaginary part")
         blocks.append(block.real)

@@ -23,6 +23,7 @@ from .analysis import (
     gamma_splitting,
     reduction_factors,
     soc_levels,
+    solution_gamma,
     solve_sector,
 )
 from .config import RunConfig, SOC_CALIBRATE, SOC_EXPLICIT, SOC_OFF
@@ -115,7 +116,6 @@ def solver_options(cfg: RunConfig) -> SolverOptions:
         k=s.k,
         tol=s.residual_tol,
         seed=s.seed,
-        dense_threshold=s.dense_threshold,
         cluster_tol=s.cluster_tol_mev,
     )
 
@@ -192,21 +192,23 @@ def run_report(cfg: RunConfig) -> SpectrumReport:
     defect = cfg.defect
     preset = cfg.model.preset
 
-    gamma1 = gamma_splitting(defect, 1, cutoff, preset, opts)
-    gamma2 = gamma_splitting(defect, 2, cutoff, preset, opts)
-
-    couplings = couplings_for_order(defect, cfg.model.order)
+    # the other order first, so its solve is freed before the model's own
+    # order is solved; that one serves gamma, p_u/p_g and spin-orbit
+    order, other = cfg.model.order, 3 - cfg.model.order
+    gammas = {other: gamma_splitting(defect, other, cutoff, preset, opts)}
+    couplings = couplings_for_order(defect, order)
     sol = solve_sector(couplings, defect.lambda_corr, cutoff, preset, opts)
+    gammas[order] = solution_gamma(sol)
     p_u, p_g = reduction_factors(sol, opts)
 
     report = SpectrumReport(
         defect=defect.name,
         preset=preset,
-        order=cfg.model.order,
+        order=order,
         cutoff=cutoff,
         coupling_strength=defect.coupling_strength,
-        gamma1=gamma1,
-        gamma2=gamma2,
+        gamma1=gammas[1],
+        gamma2=gammas[2],
         p_u=p_u,
         p_g=p_g,
         zpl_baseline_ev=defect.zpl_baseline_ev,

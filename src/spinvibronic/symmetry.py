@@ -19,8 +19,14 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .eigensolver import DegeneracyClusters, EigResult
-from .hamiltonian import CHANNELS, ELEC_DIM, symmetry_adapted_states
+from .eigensolver import EigResult
+from .hamiltonian import (
+    CHANNELS,
+    ELEC_DIM,
+    symmetry_adapted_states,
+    total_reflection,
+    total_rotation,
+)
 from .oscillator import OscBasis, build_operators
 
 LABEL_A1U = "A1u"
@@ -56,12 +62,10 @@ class SymmetryOperators:
     """Total-space symmetry operators and analysis matrices for one basis."""
 
     def __init__(self, basis: OscBasis):
-        from .hamiltonian import total_reflection, total_rotation
-
         self.basis = basis
         ops = build_operators(basis)
-        self.r_c3 = total_rotation(basis, ops["C3"])
-        self.r_c2 = total_reflection(basis, ops["C2prime"])
+        self.r_c3 = total_rotation(ops["C3"])
+        self.r_c2 = total_reflection(ops["C2prime"])
         self.r2_total = sp.kron(ops["X2"] + ops["Y2"], sp.identity(ELEC_DIM), format="csr")
         # projector columns onto electronic symmetry channels
         self.channel_states = symmetry_adapted_states()
@@ -140,7 +144,7 @@ def mean_displacement(vector: np.ndarray, ops: SymmetryOperators) -> tuple[float
 
 def analyze_states(
     result: EigResult,
-    clusters: DegeneracyClusters,
+    clusters: list[list[int]],
     ops: SymmetryOperators,
     tol: float = CHARACTER_TOL,
 ) -> list[VibronicState]:

@@ -350,8 +350,8 @@ def test_criterion_10_symmetry_commutators(name):
         SectorSpec(couplings=pes_to_couplings(p), lambda_corr=p.lambda_corr, cutoff=10), basis
     )
     scale = np.abs(h).max()
-    r3 = total_rotation(basis, ops["C3"])
-    r2 = total_reflection(basis, ops["C2prime"])
+    r3 = total_rotation(ops["C3"])
+    r2 = total_reflection(ops["C2prime"])
     c3_norm = np.abs(h @ r3 - r3 @ h).max() / scale
     c2_norm = np.abs(h @ r2 - r2 @ h).max() / scale
     ok = c3_norm < 1e-10 and c2_norm < 1e-10

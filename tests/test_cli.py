@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from spinvibronic import adiabatic_surfaces, parse_config, pes_to_couplings, read_pes_csv, write_pes_csv
+from spinvibronic import analysis, reports
 from spinvibronic.cli import main
 from spinvibronic.defaults import DEFECTS
 
@@ -60,6 +61,26 @@ def test_solve_outputs_and_determinism(tmp_path, capsys):
     assert main(["solve", str(cfg)]) == 0
     second = {p.name: p.read_bytes() for p in out.iterdir()}
     assert first == second
+
+
+def test_report_solves_its_own_order_once(tmp_path, monkeypatch):
+    cfg = parse_config(write_config(tmp_path, FAST_SOLVE))
+    assert not cfg.solver.converge
+    original, calls = analysis.solve_sector, []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "solve_sector", counting)
+    monkeypatch.setattr(reports, "solve_sector", counting)
+    report = reports.run_report(cfg)
+    # one solve per order: the model's own order also serves p_u/p_g and spin-orbit
+    assert len(calls) == 2
+    monkeypatch.undo()
+    opts = reports.solver_options(cfg)
+    for order, gamma in ((1, report.gamma1), (2, report.gamma2)):
+        assert gamma == analysis.gamma_splitting(cfg.defect, order, 12, opts=opts)
 
 
 def test_solve_soc_off_omits_soc_fields(tmp_path):

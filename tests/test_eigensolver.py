@@ -131,15 +131,15 @@ def test_variational_monotonicity_in_cutoff():
 
 def test_cluster_examples():
     cl = cluster_degeneracies([0.0, 1e-7, 5.0], cluster_tol=1e-3)
-    assert cl.clusters == [[0, 1], [2]]
+    assert cl == [[0, 1], [2]]
     cl = cluster_degeneracies([1.0, 2.0, 3.0], cluster_tol=0.0)
-    assert cl.clusters == [[0], [1], [2]]
+    assert cl == [[0], [1], [2]]
 
 
 def test_snv0_cluster_structure():
     res = solve_lowest(snv0_h(16), k=6)
     cl = cluster_degeneracies(res, cluster_tol=1e-3)
-    assert [len(c) for c in cl.clusters[:2]] == [1, 2]
+    assert [len(c) for c in cl[:2]] == [1, 2]
 
 
 def test_converge_cutoff_trivial_case():

@@ -203,8 +203,8 @@ def test_symmetry_commutators():
     ops = build_operators(basis)
     h = assemble(snv0_spec(10), basis)
     scale = np.abs(h).max()
-    r3 = total_rotation(basis, ops["C3"])
-    r2 = total_reflection(basis, ops["C2prime"])
+    r3 = total_rotation(ops["C3"])
+    r2 = total_reflection(ops["C2prime"])
     assert np.abs((h @ r3 - r3 @ h)).max() < 1e-10 * scale
     assert np.abs((h @ r2 - r2 @ h)).max() < 1e-10 * scale
 

@@ -95,6 +95,11 @@ def test_operator_identities_across_cutoffs(cutoff):
     # dihedral relation and quanta conservation
     assert abs(c2 @ c3 @ c2 - c3.T).max() < 1e-12
     assert abs(c3 @ ops["N"] - ops["N"] @ c3).max() == 0.0
+    # (X, Y) transforms as a vector rotated by +2*pi/3, which pins the sense
+    c, s = math.cos(2 * math.pi / 3), math.sin(2 * math.pi / 3)
+    x, y = ops["X"], ops["Y"]
+    assert abs(c3 @ x @ c3.T - (c * x + s * y)).max() < 1e-12
+    assert abs(c3 @ y @ c3.T - (-s * x + c * y)).max() < 1e-12
 
 
 def test_c3_on_ground_state():
