@@ -15,6 +15,7 @@ mislabeled level.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
@@ -122,7 +123,6 @@ def solve_sector(
     basis = build_basis(cutoff)
     h = assemble(spec, basis)
     result = opts.solve(h)
-    result.cutoff_used = cutoff
     ops = SymmetryOperators(basis)
     clusters = cluster_degeneracies(result, opts.cluster_tol)
     states = analyze_states(result, clusters, ops)
@@ -213,14 +213,14 @@ def _tracked_soc_levels(
     sol: SectorSolution,
     result: EigResult,
     min_overlap: float = 0.5,
-) -> tuple[float, np.ndarray, dict[str, float]]:
-    """(A2u-derived energy, sorted Eu-derived pair energies, overlaps)."""
+) -> tuple[int, np.ndarray, dict[str, float]]:
+    """(A2u-derived index, Eu-derived pair indices by energy, overlaps)."""
     a2u_vec = sol.lowest(LABEL_A2U).coefficients[:, None]
     doublet, _ = sol.eu_doublet()
     w_a2u = (np.abs(a2u_vec.conj().T @ result.eigenvectors) ** 2).sum(axis=0)
     w_eu = (np.abs(doublet.conj().T @ result.eigenvectors) ** 2).sum(axis=0)
     i_a2u = int(np.argmax(w_a2u))
-    idx_eu = np.argsort(-w_eu)[:2]
+    idx_eu = np.sort(np.argsort(-w_eu)[:2])
     overlaps = {
         "a2u": float(w_a2u[i_a2u]),
         "eu_lower": float(w_eu[idx_eu].min()),
@@ -230,7 +230,47 @@ def _tracked_soc_levels(
             f"state tracking across spin-orbit switch-on failed: overlaps {overlaps} "
             f"below {min_overlap}; increase k or reduce the coupling"
         )
-    return float(result.eigenvalues[i_a2u]), np.sort(result.eigenvalues[idx_eu]), overlaps
+    return i_a2u, idx_eu, overlaps
+
+
+def _levels_from_solve(
+    sol: SectorSolution,
+    lambda_u0: float,
+    lambda_g0: float,
+    r_plus: EigResult,
+    e_minus: np.ndarray | None = None,
+) -> tuple[SocLevels, np.ndarray]:
+    """Observables of an m_s = +1 solve, plus its Eu-derived eigenvector pair.
+
+    m_s = 0 is the reference solve, and m_s = -1 repeats +1 unless its
+    eigenvalues are given.
+    """
+    e_a2u_0 = sol.lowest(LABEL_A2U).energy
+    _, e_eu_0 = sol.eu_doublet()
+    i_a2u, idx_eu, overlaps = _tracked_soc_levels(sol, r_plus)
+    e_a2u_soc = float(r_plus.eigenvalues[i_a2u])
+    e_eu_pair = r_plus.eigenvalues[idx_eu]
+
+    sectors = {0: sol.result.eigenvalues.copy(), +1: r_plus.eigenvalues.copy()}
+    sectors[-1] = (r_plus.eigenvalues if e_minus is None else e_minus).copy()
+
+    e_eu_lowest_soc = min(float(e_eu_pair[0]), e_eu_0)  # m_s = 0 Eu stays at e_eu_0
+    e_a2u_lowest_soc = min(e_a2u_soc, e_a2u_0)
+    levels = SocLevels(
+        lambda_u0=lambda_u0,
+        lambda_g0=lambda_g0,
+        lambda_eff=float(e_eu_pair[1] - e_eu_pair[0]),
+        gamma2_soc=float(e_eu_lowest_soc - e_a2u_lowest_soc),
+        gamma2_soc_ms0=float(e_eu_lowest_soc - e_a2u_0),
+        a2u_ms_split=float(e_a2u_soc - e_a2u_0),
+        zpl_shift_ev=float(e_eu_lowest_soc - e_eu_0) / MEV_PER_EV,
+        e_a2u_soc=e_a2u_soc,
+        e_eu_lower_soc=float(e_eu_pair[0]),
+        e_eu_upper_soc=float(e_eu_pair[1]),
+        sector_energies=sectors,
+        tracking_overlaps=overlaps,
+    )
+    return levels, r_plus.eigenvectors[:, idx_eu]
 
 
 def soc_levels(
@@ -247,41 +287,15 @@ def soc_levels(
     are taken from the reference solve.  m_s = -1 duplicates +1 by complex
     conjugation; solve_both_sectors forces the explicit computation.
     """
-    e_a2u_0 = sol.lowest(LABEL_A2U).energy
-    _, e_eu_0 = sol.eu_doublet()
-
-    h_plus = _soc_hamiltonian(sol, lambda_u0, lambda_g0, +1)
-    r_plus = opts.solve(h_plus)
-    e_a2u_soc, e_eu_pair, overlaps = _tracked_soc_levels(sol, r_plus)
-
-    sectors = {0: sol.result.eigenvalues.copy(), +1: r_plus.eigenvalues.copy()}
+    r_plus = opts.solve(_soc_hamiltonian(sol, lambda_u0, lambda_g0, +1))
+    e_minus = None
     if solve_both_sectors:
-        h_minus = _soc_hamiltonian(sol, lambda_u0, lambda_g0, -1)
-        sectors[-1] = opts.solve(h_minus).eigenvalues.copy()
-    else:
-        sectors[-1] = sectors[+1].copy()
-
-    lambda_eff = float(e_eu_pair[1] - e_eu_pair[0])
-    e_eu_lowest_soc = min(float(e_eu_pair[0]), e_eu_0)  # m_s = 0 Eu stays at e_eu_0
-    e_a2u_lowest_soc = min(e_a2u_soc, e_a2u_0)
-    return SocLevels(
-        lambda_u0=lambda_u0,
-        lambda_g0=lambda_g0,
-        lambda_eff=lambda_eff,
-        gamma2_soc=float(e_eu_lowest_soc - e_a2u_lowest_soc),
-        gamma2_soc_ms0=float(e_eu_lowest_soc - e_a2u_0),
-        a2u_ms_split=float(e_a2u_soc - e_a2u_0),
-        zpl_shift_ev=float(e_eu_lowest_soc - e_eu_0) / MEV_PER_EV,
-        e_a2u_soc=e_a2u_soc,
-        e_eu_lower_soc=float(e_eu_pair[0]),
-        e_eu_upper_soc=float(e_eu_pair[1]),
-        sector_energies=sectors,
-        tracking_overlaps=overlaps,
-    )
+        e_minus = opts.solve(_soc_hamiltonian(sol, lambda_u0, lambda_g0, -1)).eigenvalues
+    return _levels_from_solve(sol, lambda_u0, lambda_g0, r_plus, e_minus)[0]
 
 
 class CalibrationError(RuntimeError):
-    """Root bracketing or monotonicity of the calibration response failed."""
+    """The Newton iteration of the calibration failed; carries its (s, lambda_eff) scan."""
 
     def __init__(self, message: str, scan: list[tuple[float, float]]):
         super().__init__(message + f"; scan: {scan}")
@@ -294,71 +308,49 @@ def calibrate_soc(
     ratio: float = 1.0,
     opts: SolverOptions = SolverOptions(),
     p_guess: tuple[float, float] | None = None,
-) -> tuple[float, float]:
-    """Bare couplings (lambda_u0, lambda_g0) reproducing a target Eu splitting.
+) -> SocLevels:
+    """Spin-orbit levels whose Eu splitting matches a target, at the calibrated couplings.
 
-    Scalar root-find in s with (lambda_u0, lambda_g0) = (ratio * s, s).  The
-    response is scanned for monotonicity over the bracket before the solve;
-    failures carry the scan for diagnosis.
+    Newton iteration in s with (lambda_u0, lambda_g0) = (ratio * s, s), started
+    from the first-order guess s = target / (ratio * p_u + p_g) (Ham, Phys. Rev.
+    138, A1727 (1965)).  The slope d lambda_eff / ds is the Hellmann-Feynman
+    difference <Eu+| dH/ds |Eu+> - <Eu-| dH/ds |Eu-> with dH/ds = ratio * S_u + S_g
+    (Feynman, Phys. Rev. 56, 340 (1939)), taken from the eigenvectors of the
+    solve in hand.  The levels of the last solve are returned; a tracking
+    breakdown (scanned as lambda_eff = nan), a non-positive slope, a step to
+    s <= 0 or 20 steps without convergence raise CalibrationError with the scan.
     """
-    if target_lambda_eff == 0.0:
-        return 0.0, 0.0
     if target_lambda_eff < 0.0:
         raise ValueError("target splitting must be nonnegative")
-    from scipy.optimize import brentq
+    if target_lambda_eff == 0.0:
+        # at zero coupling every m_s sector is the reference sector
+        return _levels_from_solve(sol, 0.0, 0.0, sol.result)[0]
+    p_u, p_g = reduction_factors(sol, opts) if p_guess is None else p_guess
+    su, sg = _soc_unit_operators(sol.ops.basis.dim)
+    dh_ds = ratio * su + sg
 
-    if p_guess is None:
-        p_guess = reduction_factors(sol, opts)
-    p_u, p_g = p_guess
-    s0 = target_lambda_eff / max(p_u * ratio + p_g, 1e-12)
-
-    def response(s: float) -> float:
-        h = _soc_hamiltonian(sol, ratio * s, s, +1)
-        r = opts.solve(h)
-        _, e_pair, _ = _tracked_soc_levels(sol, r)
-        return float(e_pair[1] - e_pair[0])
-
-    # geometric march upward from a quarter of the first-order guess until
-    # the target is bracketed; state-tracking breakdown marks the usable
-    # ceiling of the response curve
     scan: list[tuple[float, float]] = []
-    s = 0.25 * s0
-    for _ in range(24):
+    s = target_lambda_eff / max(ratio * p_u + p_g, 1e-12)
+    for _ in range(20):
+        r = opts.solve(_soc_hamiltonian(sol, ratio * s, s, +1))
         try:
-            v = response(s)
+            levels, eu_pair = _levels_from_solve(sol, ratio * s, s, r)
         except AnalysisError as exc:
-            raise CalibrationError(
-                f"state tracking broke down at s={s:g} meV before the target "
-                f"{target_lambda_eff:g} meV was bracketed ({exc})",
-                scan,
-            )
-        scan.append((s, v))
-        if v >= target_lambda_eff:
-            break
-        s *= 1.7
-    else:
-        raise CalibrationError(f"could not bracket target {target_lambda_eff:g} meV", scan)
-
-    values = [v for _, v in scan]
-    if any(b <= a for a, b in zip(values, values[1:])):
-        raise CalibrationError("spin-orbit response is not monotonic over the bracket", scan)
-
-    if len(scan) == 1:
-        lo_b, hi_b = scan[0][0] / 4.0, scan[0][0]
-        if response(lo_b) > target_lambda_eff:
-            raise CalibrationError(
-                f"target {target_lambda_eff:g} meV lies below the scanned range", scan
-            )
-    else:
-        lo_b, hi_b = scan[-2][0], scan[-1][0]
-    s_star = brentq(
-        lambda x: response(x) - target_lambda_eff,
-        lo_b,
-        hi_b,
-        xtol=max(1e-9, 1e-8 * s0),
-        rtol=1e-12,
-    )
-    return ratio * s_star, float(s_star)
+            scan.append((s, float("nan")))
+            raise CalibrationError(f"state tracking broke down at s={s:g} meV ({exc})", scan)
+        scan.append((s, levels.lambda_eff))
+        miss = levels.lambda_eff - target_lambda_eff
+        if abs(miss) < 1e-7:
+            return levels
+        lower, upper = np.real(np.sum(eu_pair.conj() * (dh_ds @ eu_pair), axis=0))
+        slope = float(upper - lower)
+        if not slope > 0.0:
+            raise CalibrationError(f"spin-orbit response has slope {slope:g} at s={s:g} meV", scan)
+        step = miss / slope
+        if s - step <= 0.0:
+            raise CalibrationError(f"Newton step from s={s:g} meV reaches s <= 0", scan)
+        s -= step
+    raise CalibrationError(f"no convergence to {target_lambda_eff:g} meV in 20 Newton steps", scan)
 
 
 def second_order_shift(
@@ -381,35 +373,14 @@ def second_order_shift(
     return float(e2 - e1)
 
 
-# registered report quantities for the cutoff-convergence driver
-def _obs_gamma(order: int):
-    def f(defect, cutoff, preset, opts):
-        return gamma_splitting(defect, order, cutoff, preset, opts)
-
-    return f
-
-
-def _obs_p(index: int):
-    def f(defect, cutoff, preset, opts):
-        sol = solve_sector(pes_to_couplings(defect), defect.lambda_corr, cutoff, preset, opts)
-        return reduction_factors(sol, opts)[index]
-
-    return f
-
-
-def _obs_e0(defect, cutoff, preset, opts):
-    return float(
-        solve_sector(pes_to_couplings(defect), defect.lambda_corr, cutoff, preset, opts)
-        .energies[0]
-    )
-
-
-OBSERVABLES = {
-    "gamma1": _obs_gamma(1),
-    "gamma2": _obs_gamma(2),
-    "p_u": _obs_p(0),
-    "p_g": _obs_p(1),
-    "e0": _obs_e0,
+# registered report quantities for the cutoff-convergence driver: the
+# electron-phonon order of the sector each one is read from, and the reader
+OBSERVABLES: dict[str, tuple[int, Callable[[SectorSolution], float]]] = {
+    "gamma1": (1, solution_gamma),
+    "gamma2": (2, solution_gamma),
+    "p_u": (2, lambda sol: reduction_factors(sol)[0]),
+    "p_g": (2, lambda sol: reduction_factors(sol)[1]),
+    "e0": (2, lambda sol: float(sol.energies[0])),
 }
 
 
@@ -423,14 +394,24 @@ def converge_observable(
     preset: str = PRESET_E_RAISED,
     opts: SolverOptions = SolverOptions(),
 ) -> ConvergenceResult:
-    """Run the cutoff-convergence driver on a registered observable."""
+    """Run the cutoff-convergence driver on a registered observable.
+
+    Each cutoff's sector is solved once; the result carries the solution at
+    the reported cutoff, and no more than the previous cutoff's solution is
+    kept alive during the sweep.
+    """
     if name not in OBSERVABLES:
         raise KeyError(f"unknown observable {name!r}; registered: {sorted(OBSERVABLES)}")
-    fn = OBSERVABLES[name]
-    return converge_cutoff(
-        lambda n: fn(defect, n, preset, opts),
-        rel_tol=rel_tol,
-        n_start=n_start,
-        n_step=n_step,
-        n_max=n_max,
-    )
+    order, read = OBSERVABLES[name]
+    couplings = couplings_for_order(defect, order)
+    kept: dict[int, SectorSolution] = {}
+
+    def value(n: int) -> float:
+        for old in list(kept)[:-1]:
+            del kept[old]
+        kept[n] = solve_sector(couplings, defect.lambda_corr, n, preset, opts)
+        return read(kept[n])
+
+    res = converge_cutoff(value, rel_tol=rel_tol, n_start=n_start, n_step=n_step, n_max=n_max)
+    res.solution = kept[res.cutoff]
+    return res

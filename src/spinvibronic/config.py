@@ -3,13 +3,15 @@
 The format is plain INI (diffable, hand-editable).  All energies are meV
 except the transition baseline, which is eV.  The [soc] section must select
 exactly one of the three modes: off (or the section absent), explicit bare
-couplings, or calibration against a target Eu doublet splitting.
+couplings, or calibration against a target Eu doublet splitting.  Unknown
+sections and keys are errors; retired keys are ignored with a warning.
 """
 
 from __future__ import annotations
 
 import configparser
 import io
+import logging
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -105,21 +107,28 @@ class RunConfig:
     output: OutputConfig = field(default_factory=OutputConfig)
 
 
-def _read_parser(text: str) -> configparser.ConfigParser:
+# keys that older files may still carry; they are ignored with a warning
+RETIRED_KEYS = {("solver", "dense_threshold")}
+
+log = logging.getLogger(__name__)
+
+
+def _read_sections(text: str) -> dict[str, dict[str, str]]:
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
     try:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse config: {exc}") from exc
-    return parser
+    return {name: dict(parser[name]) for name in parser.sections()}
 
 
 def _get(section, key, cast, default=None, required=False):
+    """Take a key out of its section; what is left over afterwards is unknown."""
     if key not in section:
         if required:
             raise ConfigError(f"missing required key {key!r}")
         return default
-    raw = section[key].strip()
+    raw = section.pop(key).strip()
     try:
         if cast is bool:
             if raw.lower() in ("true", "yes", "1", "on"):
@@ -141,10 +150,11 @@ def parse_config(source: str | Path) -> RunConfig:
 
 
 def parse_config_text(text: str) -> RunConfig:
-    parser = _read_parser(text)
-    if "defect" not in parser:
+    """Parse and validate a configuration; unknown sections and keys are errors."""
+    sections = _read_sections(text)
+    if "defect" not in sections:
         raise ConfigError("missing [defect] section")
-    d = parser["defect"]
+    d = sections.pop("defect")
     rho0 = None
     if "rho0_1_angstrom" in d or "rho0_2_angstrom" in d:
         rho0 = (
@@ -171,13 +181,13 @@ def parse_config_text(text: str) -> RunConfig:
     except ParameterError as exc:
         raise ConfigError(str(exc)) from exc
 
-    m = parser["model"] if "model" in parser else {}
+    m = sections.pop("model", {})
     model = ModelConfig(
         preset=_get(m, "preset", str, default=PRESET_E_RAISED),
         order=_get(m, "order", int, default=2),
     )
 
-    s = parser["solver"] if "solver" in parser else {}
+    s = sections.pop("solver", {})
     solver = SolverConfig(
         cutoff=_get(s, "cutoff", int, default=36),
         k=_get(s, "k", int, default=10),
@@ -192,29 +202,28 @@ def parse_config_text(text: str) -> RunConfig:
         converge_n_max=_get(s, "converge_n_max", int, default=56),
     )
 
-    if "soc" in parser:
-        c = parser["soc"]
-        soc = SocConfig(
-            mode=_get(c, "mode", str, default=SOC_OFF),
-            lambda_u0_mev=_get(c, "lambda_u0_mev", float),
-            lambda_g0_mev=_get(c, "lambda_g0_mev", float),
-            target_lambda_eff_mev=_get(c, "target_lambda_eff_mev", float),
-            ratio=_get(c, "ratio", float, default=1.0),
-        )
-    else:
-        soc = SocConfig()
+    c = sections.pop("soc", {})
+    soc = SocConfig(
+        mode=_get(c, "mode", str, default=SOC_OFF),
+        lambda_u0_mev=_get(c, "lambda_u0_mev", float),
+        lambda_g0_mev=_get(c, "lambda_g0_mev", float),
+        target_lambda_eff_mev=_get(c, "target_lambda_eff_mev", float),
+        ratio=_get(c, "ratio", float, default=1.0),
+    )
 
-    if "output" in parser:
-        o = parser["output"]
-        formats = tuple(
-            f.strip() for f in _get(o, "formats", str, default="json,csv").split(",") if f.strip()
-        )
-        output = OutputConfig(
-            directory=_get(o, "directory", str, default="out"), formats=formats
-        )
-    else:
-        output = OutputConfig()
+    o = sections.pop("output", {})
+    formats = tuple(
+        f.strip() for f in _get(o, "formats", str, default="json,csv").split(",") if f.strip()
+    )
+    output = OutputConfig(directory=_get(o, "directory", str, default="out"), formats=formats)
 
+    if sections:
+        raise ConfigError(f"unknown section [{next(iter(sections))}]")
+    for name, section in (("defect", d), ("model", m), ("solver", s), ("soc", c), ("output", o)):
+        for key in section:
+            if (name, key) not in RETIRED_KEYS:
+                raise ConfigError(f"unknown key {key!r} in [{name}]")
+            log.warning("config key %r in [%s] is retired and ignored", key, name)
     return RunConfig(defect=defect, model=model, solver=solver, soc=soc, output=output)
 
 

@@ -50,7 +50,6 @@ class EigResult:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     residual_norms: np.ndarray
-    cutoff_used: int | None = None
 
     @property
     def k(self) -> int:
@@ -140,6 +139,7 @@ class ConvergenceResult:
     value: float
     cutoff: int
     history: list[tuple[int, float]] = field(default_factory=list)
+    solution: object = None  # what the caller solved at the reported cutoff, if it keeps it
 
 
 def converge_cutoff(

@@ -131,10 +131,6 @@ def quadratic_operators(basis: OscBasis) -> dict[str, sp.csr_matrix]:
     }
 
 
-def number_operator(basis: OscBasis) -> sp.csr_matrix:
-    return sp.diags((basis.n_x + basis.n_y).astype(float)).tocsr()
-
-
 def c3_rotation(basis: OscBasis) -> sp.csr_matrix:
     """Rotation of the mode plane by 2*pi/3, block diagonal in total quanta.
 
@@ -173,7 +169,6 @@ def build_operators(basis: OscBasis) -> dict[str, sp.csr_matrix]:
     ops = {
         "X": position_operator(basis, "x"),
         "Y": position_operator(basis, "y"),
-        "N": number_operator(basis),
         "C3": c3_rotation(basis),
         "C2prime": c2prime_reflection(basis),
     }

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .analysis import (
+    OBSERVABLES,
     SectorSolution,
     SocLevels,
     SolverOptions,
@@ -26,7 +27,7 @@ from .analysis import (
     solution_gamma,
     solve_sector,
 )
-from .config import RunConfig, SOC_CALIBRATE, SOC_EXPLICIT, SOC_OFF
+from .config import RunConfig, SOC_CALIBRATE, SOC_EXPLICIT
 from .params import couplings_for_order
 from .symmetry import composition_table_rows
 
@@ -121,9 +122,10 @@ def solver_options(cfg: RunConfig) -> SolverOptions:
 
 
 def _resolve_cutoff(cfg: RunConfig, opts: SolverOptions):
+    """(cutoff, history, the swept solution when it is the model's own order)."""
     s = cfg.solver
     if not s.converge:
-        return s.cutoff, []
+        return s.cutoff, [], None
     res = converge_observable(
         cfg.defect,
         s.converge_observable,
@@ -134,7 +136,8 @@ def _resolve_cutoff(cfg: RunConfig, opts: SolverOptions):
         preset=cfg.model.preset,
         opts=opts,
     )
-    return res.cutoff, res.history
+    own = OBSERVABLES[s.converge_observable][0] == cfg.model.order
+    return res.cutoff, res.history, res.solution if own else None
 
 
 def _level_rows(sol: SectorSolution, soc: SocLevels | None) -> list[dict]:
@@ -188,16 +191,18 @@ def _diagram_rows(report: SpectrumReport, sol: SectorSolution, soc: SocLevels | 
 def run_report(cfg: RunConfig) -> SpectrumReport:
     """Execute the full analysis pipeline for one configuration."""
     opts = solver_options(cfg)
-    cutoff, history = _resolve_cutoff(cfg, opts)
+    cutoff, history, sol = _resolve_cutoff(cfg, opts)
     defect = cfg.defect
     preset = cfg.model.preset
 
     # the other order first, so its solve is freed before the model's own
-    # order is solved; that one serves gamma, p_u/p_g and spin-orbit
+    # order is solved (unless the cutoff sweep already did); that one serves
+    # gamma, p_u/p_g and spin-orbit
     order, other = cfg.model.order, 3 - cfg.model.order
     gammas = {other: gamma_splitting(defect, other, cutoff, preset, opts)}
-    couplings = couplings_for_order(defect, order)
-    sol = solve_sector(couplings, defect.lambda_corr, cutoff, preset, opts)
+    if sol is None:
+        couplings = couplings_for_order(defect, order)
+        sol = solve_sector(couplings, defect.lambda_corr, cutoff, preset, opts)
     gammas[order] = solution_gamma(sol)
     p_u, p_g = reduction_factors(sol, opts)
 
@@ -216,20 +221,15 @@ def run_report(cfg: RunConfig) -> SpectrumReport:
     )
 
     soc = None
-    if cfg.soc.mode != SOC_OFF:
-        if cfg.soc.mode == SOC_EXPLICIT:
-            lu, lg = cfg.soc.lambda_u0_mev, cfg.soc.lambda_g0_mev
-        elif cfg.soc.mode == SOC_CALIBRATE:
-            lu, lg = calibrate_soc(
-                sol,
-                cfg.soc.target_lambda_eff_mev,
-                ratio=cfg.soc.ratio,
-                opts=opts,
-                p_guess=(p_u, p_g),
-            )
-        soc = soc_levels(sol, lu, lg, opts)
-        report.lambda_u0 = lu
-        report.lambda_g0 = lg
+    if cfg.soc.mode == SOC_EXPLICIT:
+        soc = soc_levels(sol, cfg.soc.lambda_u0_mev, cfg.soc.lambda_g0_mev, opts)
+    elif cfg.soc.mode == SOC_CALIBRATE:
+        soc = calibrate_soc(
+            sol, cfg.soc.target_lambda_eff_mev, ratio=cfg.soc.ratio, opts=opts, p_guess=(p_u, p_g)
+        )
+    if soc is not None:
+        report.lambda_u0 = soc.lambda_u0
+        report.lambda_g0 = soc.lambda_g0
         report.lambda_eff = soc.lambda_eff
         report.gamma2_soc = soc.gamma2_soc
         report.gamma2_soc_ms0 = soc.gamma2_soc_ms0

@@ -12,7 +12,7 @@ from spinvibronic import (
     soc_levels,
     solve_sector,
 )
-from spinvibronic.analysis import OBSERVABLES
+from spinvibronic.analysis import OBSERVABLES, CalibrationError
 from spinvibronic.defaults import DEFECTS
 from spinvibronic.params import Couplings, DefectParams
 
@@ -78,21 +78,45 @@ def test_soc_sector_symmetries():
 
 def test_calibrate_round_trip():
     sol = cached_sector("SnV0", 16)
-    lu, lg = calibrate_soc(sol, 3.15, ratio=1.0, opts=OPTS)
-    assert lu == pytest.approx(lg)
-    lev = soc_levels(sol, lu, lg, OPTS)
-    assert lev.lambda_eff == pytest.approx(3.15, abs=1e-5)
+    cal = calibrate_soc(sol, 3.15, ratio=1.0, opts=OPTS)
+    assert cal.lambda_u0 == pytest.approx(cal.lambda_g0)
+    assert cal.lambda_eff == pytest.approx(3.15, abs=1e-5)
+    # the returned levels are those of a fresh solve at the calibrated couplings
+    lev = soc_levels(sol, cal.lambda_u0, cal.lambda_g0, OPTS)
+    assert lev.lambda_eff == cal.lambda_eff
+    assert np.array_equal(lev.sector_energies[+1], cal.sector_energies[+1])
 
 
 def test_calibrate_zero_target():
     sol = cached_sector("SnV0", 12)
-    assert calibrate_soc(sol, 0.0, opts=OPTS) == (0.0, 0.0)
+    cal = calibrate_soc(sol, 0.0, opts=OPTS)
+    assert (cal.lambda_u0, cal.lambda_g0) == (0.0, 0.0)
+    assert cal.lambda_eff == pytest.approx(0.0, abs=1e-9)
+    lev = soc_levels(sol, 0.0, 0.0, OPTS)
+    assert cal.gamma2_soc == pytest.approx(lev.gamma2_soc, abs=1e-9)
 
 
 def test_calibrate_respects_ratio():
     sol = cached_sector("SnV0", 16)
-    lu, lg = calibrate_soc(sol, 1.0, ratio=2.5, opts=OPTS)
-    assert lu == pytest.approx(2.5 * lg, rel=1e-9)
+    cal = calibrate_soc(sol, 1.0, ratio=2.5, opts=OPTS)
+    assert cal.lambda_u0 == pytest.approx(2.5 * cal.lambda_g0, rel=1e-9)
+
+
+def test_calibrate_past_the_old_bracket_march():
+    # a geometric bracket march overshoots this target into the region where
+    # state tracking breaks down; Newton stays on the tracked branch
+    sol = cached_sector("SnV0", 20, k=10)
+    cal = calibrate_soc(sol, 20.0, ratio=3.5, opts=SolverOptions(k=10))
+    assert abs(cal.lambda_eff - 20.0) < 1e-5
+    assert min(cal.tracking_overlaps.values()) >= 0.5
+
+
+def test_calibrate_out_of_reach_raises_with_scan():
+    # the tracked Eu pair loses its identity before the splitting reaches 40 meV
+    sol = cached_sector("PbV0", 20, k=10)
+    with pytest.raises(CalibrationError) as err:
+        calibrate_soc(sol, 40.0, ratio=3.5, opts=SolverOptions(k=10))
+    assert err.value.scan and np.isnan(err.value.scan[-1][1])
 
 
 def test_second_order_shift_snv0():

@@ -41,6 +41,15 @@ FAST_OFF = FAST_SOLVE.replace(
 )
 
 
+FAST_CONVERGE_CALIBRATE = FAST_SOLVE.replace(
+    "cutoff = 12",
+    "converge = true\nconverge_n_start = 12\nconverge_n_step = 4\nconverge_rel_tol = 0.05",
+).replace(
+    "mode = explicit\nlambda_u0_mev = 30.0\nlambda_g0_mev = 10.0",
+    "mode = calibrate\ntarget_lambda_eff_mev = 3.15\nratio = 3.5",
+)
+
+
 def write_config(tmp_path, text, name="run.conf", out="out"):
     path = tmp_path / name
     path.write_text(text.format(out=tmp_path / out))
@@ -81,6 +90,30 @@ def test_report_solves_its_own_order_once(tmp_path, monkeypatch):
     opts = reports.solver_options(cfg)
     for order, gamma in ((1, report.gamma1), (2, report.gamma2)):
         assert gamma == analysis.gamma_splitting(cfg.defect, order, 12, opts=opts)
+
+    # a converged, calibrated run: the sweep hands back its solution at the
+    # reported cutoff, and calibration hands back its last spin-orbit solve
+    cfg = parse_config(write_config(tmp_path, FAST_CONVERGE_CALIBRATE, name="conv.conf"))
+    calls.clear()
+    soc_calls = []
+    original_soc = analysis.soc_levels
+
+    def counting_soc(*args, **kwargs):
+        soc_calls.append(args)
+        return original_soc(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "solve_sector", counting)
+    monkeypatch.setattr(reports, "solve_sector", counting)
+    monkeypatch.setattr(analysis, "soc_levels", counting_soc)
+    monkeypatch.setattr(reports, "soc_levels", counting_soc)
+    report = reports.run_report(cfg)
+    assert len(report.convergence_history) >= 2
+    assert len(calls) == len(report.convergence_history) + 1
+    assert soc_calls == []
+    assert report.lambda_eff == pytest.approx(3.15, abs=1e-5)
+    monkeypatch.undo()
+    for order, gamma in ((1, report.gamma1), (2, report.gamma2)):
+        assert gamma == analysis.gamma_splitting(cfg.defect, order, report.cutoff, opts=opts)
 
 
 def test_solve_soc_off_omits_soc_fields(tmp_path):

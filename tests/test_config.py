@@ -1,9 +1,23 @@
+import dataclasses
 import importlib.resources
+import logging
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinvibronic import parse_config, parse_config_text, serialize_config
-from spinvibronic.config import ConfigError
+from spinvibronic.analysis import OBSERVABLES
+from spinvibronic.cli import main
+from spinvibronic.config import (
+    ConfigError,
+    ModelConfig,
+    OutputConfig,
+    RunConfig,
+    SocConfig,
+    SolverConfig,
+)
+from spinvibronic.hamiltonian import PRESETS
 from spinvibronic.defaults import DEFECTS, LAMBDA_EFF_TARGETS_MEV
 
 MINIMAL = """
@@ -82,15 +96,104 @@ def test_nonexistent_file():
         parse_config("/nonexistent/path.conf")
 
 
-@pytest.mark.parametrize("name", ["siv0", "gev0", "snv0", "pbv0"])
-def test_bundled_configs_match_builtin_table(name):
-    text = (
+def _bundled_text(name: str) -> str:
+    return (
         importlib.resources.files("spinvibronic.data")
         .joinpath(f"configs/{name}.conf")
         .read_text(encoding="utf-8")
     )
-    cfg = parse_config_text(text)
+
+
+@pytest.mark.parametrize("name", ["siv0", "gev0", "snv0", "pbv0"])
+def test_bundled_configs_match_builtin_table(name):
+    cfg = parse_config_text(_bundled_text(name))
     assert cfg.defect == DEFECTS[cfg.defect.name]
     assert cfg.soc.mode == "calibrate"
     assert cfg.soc.target_lambda_eff_mev == LAMBDA_EFF_TARGETS_MEV[cfg.defect.name]
     assert cfg.solver.converge
+
+
+def test_misspelled_key_is_rejected_by_name(tmp_path, capsys):
+    text = _bundled_text("snv0").replace("cutoff = 32", "cutof = 32")
+    with pytest.raises(ConfigError, match="'cutof'"):
+        parse_config_text(text)
+    path = tmp_path / "snv0.conf"
+    path.write_text(text)
+    assert main(["solve", str(path)]) == 2
+    assert "'cutof'" in capsys.readouterr().err
+
+
+def test_misspelled_section_is_rejected_by_name(tmp_path, capsys):
+    text = MINIMAL + "\n[sovler]\ncutoff = 12\n"
+    with pytest.raises(ConfigError, match="sovler"):
+        parse_config_text(text)
+    path = tmp_path / "run.conf"
+    path.write_text(text)
+    assert main(["solve", str(path)]) == 2
+    assert "sovler" in capsys.readouterr().err
+
+
+def test_retired_key_warns_and_is_ignored(caplog):
+    text = _bundled_text("snv0")
+    old = text.replace("k = 10\n", "k = 10\ndense_threshold = 1500\n")
+    with caplog.at_level(logging.WARNING, logger="spinvibronic"):
+        assert parse_config_text(old) == parse_config_text(text)
+    assert "dense_threshold" in caplog.text
+
+
+_decimal = st.floats(0.5, 500.0, allow_nan=False).map(lambda x: float(f"{x:.12g}"))
+
+_soc = st.one_of(
+    st.just(SocConfig()),
+    st.builds(SocConfig, mode=st.just("explicit"), lambda_u0_mev=_decimal, lambda_g0_mev=_decimal),
+    st.builds(
+        SocConfig, mode=st.just("calibrate"), target_lambda_eff_mev=_decimal, ratio=_decimal
+    ),
+)
+
+_configs = st.builds(
+    lambda name, omega, lam, model, solver, soc, output: RunConfig(
+        defect=dataclasses.replace(DEFECTS[name], hbar_omega_e=omega, lambda_corr=lam),
+        model=model,
+        solver=solver,
+        soc=soc,
+        output=output,
+    ),
+    st.sampled_from(sorted(DEFECTS)),
+    _decimal,
+    _decimal,
+    st.builds(ModelConfig, preset=st.sampled_from(PRESETS), order=st.sampled_from([1, 2])),
+    st.builds(
+        SolverConfig,
+        cutoff=st.integers(0, 60),
+        k=st.integers(1, 40),
+        residual_tol=st.sampled_from([1e-8, 1e-10, 1e-12]),
+        seed=st.integers(0, 2**31),
+        converge=st.booleans(),
+        converge_observable=st.sampled_from(sorted(OBSERVABLES)),
+        converge_rel_tol=_decimal,
+        converge_n_start=st.integers(0, 40),
+        converge_n_step=st.integers(1, 16),
+        converge_n_max=st.integers(0, 80),
+    ),
+    _soc,
+    st.builds(
+        OutputConfig,
+        directory=st.from_regex(r"[A-Za-z0-9_./-]{1,20}", fullmatch=True),
+        formats=st.sampled_from([("json",), ("csv",), ("json", "csv"), ("csv", "json")]),
+    ),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    cfg=_configs,
+    section=st.sampled_from(["defect", "model", "solver", "soc", "output"]),
+    key=st.from_regex(r"x_[a-z0-9_]{0,12}", fullmatch=True),
+)
+def test_serialize_round_trip_and_unknown_key_rejection(cfg, section, key):
+    text = serialize_config(cfg)
+    assert parse_config_text(text) == cfg
+    injected = text.replace(f"[{section}]\n", f"[{section}]\n{key} = 1\n")
+    with pytest.raises(ConfigError, match=repr(key)):
+        parse_config_text(injected)
