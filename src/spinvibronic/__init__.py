@@ -26,7 +26,6 @@ from .eigensolver import (
     ConvergenceError,
     EigResult,
     SolverError,
-    cluster_degeneracies,
     converge_cutoff,
     solve_lowest,
 )

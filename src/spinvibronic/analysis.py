@@ -24,7 +24,6 @@ from .eigensolver import (
     DENSE_THRESHOLD_DEFAULT,
     ConvergenceResult,
     EigResult,
-    cluster_degeneracies,
     converge_cutoff,
     solve_lowest,
 )
@@ -51,6 +50,7 @@ from .symmetry import (
     SymmetryOperators,
     VibronicState,
     analyze_states,
+    character,
 )
 
 MEV_PER_EV = 1000.0
@@ -67,7 +67,6 @@ class SolverOptions:
     seed: int = 0
     dense_threshold: int = DENSE_THRESHOLD_DEFAULT
     method: str = "auto"
-    cluster_tol: float = 1e-6
 
     def solve(self, h: sp.csr_matrix, k: int | None = None) -> EigResult:
         return solve_lowest(
@@ -86,7 +85,6 @@ class SectorSolution:
 
     spec: SectorSpec
     result: EigResult
-    clusters: list[list[int]]
     states: list[VibronicState]
     ops: SymmetryOperators
 
@@ -101,14 +99,18 @@ class SectorSolution:
         raise AnalysisError(f"no state labeled {label} among the lowest {len(self.states)}")
 
     def eu_doublet(self) -> tuple[np.ndarray, float]:
-        """Eigenvector pair and energy of the lowest Eu cluster."""
-        for ci, cluster in enumerate(self.clusters):
-            members = [s for s in self.states if s.cluster_index == ci]
-            if len(cluster) == 2 and all(s.irrep == LABEL_EU for s in members):
-                return self.result.eigenvectors[:, cluster], float(
-                    self.result.eigenvalues[cluster[0]]
-                )
-        raise AnalysisError("lowest Eu doublet not found (not twofold degenerate?)")
+        """Eigenvector pair and energy of the first two Eu states, one of each C2' parity."""
+        pair = [s for s in self.states if s.irrep == LABEL_EU][:2]
+        if len(pair) < 2:
+            raise AnalysisError(f"fewer than two Eu states among the lowest {len(self.states)}")
+        vectors = np.column_stack([s.coefficients for s in pair])
+        parities = [character(v[:, None], self.ops.r_c2) for v in vectors.T]
+        if parities[0] * parities[1] > 0:
+            raise AnalysisError(
+                f"the first two Eu states at {pair[0].energy:.6f} and {pair[1].energy:.6f} meV "
+                f"have the same C2' parity, so they are not partners of one doublet"
+            )
+        return vectors, pair[0].energy
 
 
 def solve_sector(
@@ -124,9 +126,7 @@ def solve_sector(
     h = assemble(spec, basis)
     result = opts.solve(h)
     ops = SymmetryOperators(basis)
-    clusters = cluster_degeneracies(result, opts.cluster_tol)
-    states = analyze_states(result, clusters, ops)
-    return SectorSolution(spec=spec, result=result, clusters=clusters, states=states, ops=ops)
+    return SectorSolution(spec=spec, result=result, states=analyze_states(result, ops), ops=ops)
 
 
 def gamma_splitting(

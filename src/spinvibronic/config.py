@@ -15,6 +15,7 @@ import logging
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .analysis import OBSERVABLES
 from .hamiltonian import PRESETS, PRESET_E_RAISED
 from .params import DefectParams, ParameterError
 
@@ -44,7 +45,6 @@ class SolverConfig:
     cutoff: int = 36
     k: int = 10
     residual_tol: float = 1e-10
-    cluster_tol_mev: float = 1e-6
     seed: int = 0
     converge: bool = False
     converge_observable: str = "gamma2"
@@ -56,6 +56,11 @@ class SolverConfig:
     def __post_init__(self):
         if self.cutoff < 0 or self.k < 1:
             raise ConfigError("cutoff must be >= 0 and k >= 1")
+        if self.converge_observable not in OBSERVABLES:
+            raise ConfigError(
+                f"unknown converge_observable {self.converge_observable!r}; "
+                f"choose from {sorted(OBSERVABLES)}"
+            )
 
 
 @dataclass(frozen=True)
@@ -108,7 +113,7 @@ class RunConfig:
 
 
 # keys that older files may still carry; they are ignored with a warning
-RETIRED_KEYS = {("solver", "dense_threshold")}
+RETIRED_KEYS = {("solver", "dense_threshold"), ("solver", "cluster_tol_mev")}
 
 log = logging.getLogger(__name__)
 
@@ -192,7 +197,6 @@ def parse_config_text(text: str) -> RunConfig:
         cutoff=_get(s, "cutoff", int, default=36),
         k=_get(s, "k", int, default=10),
         residual_tol=_get(s, "residual_tol", float, default=1e-10),
-        cluster_tol_mev=_get(s, "cluster_tol_mev", float, default=1e-6),
         seed=_get(s, "seed", int, default=0),
         converge=_get(s, "converge", bool, default=False),
         converge_observable=_get(s, "converge_observable", str, default="gamma2"),
@@ -255,7 +259,6 @@ def serialize_config(cfg: RunConfig) -> str:
     buf.write(f"cutoff = {s.cutoff}\n")
     buf.write(f"k = {s.k}\n")
     buf.write(f"residual_tol = {s.residual_tol:.12g}\n")
-    buf.write(f"cluster_tol_mev = {s.cluster_tol_mev:.12g}\n")
     buf.write(f"seed = {s.seed}\n")
     buf.write(f"converge = {str(s.converge).lower()}\n")
     buf.write(f"converge_observable = {s.converge_observable}\n")

@@ -1,6 +1,13 @@
-"""Lowest eigenpairs of sparse Hermitian matrices.
+"""Lowest eigenpairs of sparse Hermitian matrices, solved block by block.
 
-Matrices with dim <= dense_threshold go to LAPACK (scipy.linalg.eigh), which
+A sector Hamiltonian that commutes with a diagonal symmetry splits into
+blocks with no matrix elements between them: the m_s = 0 sectors are two
+real blocks, one per C2' parity, and the m_s = +/-1 sectors are one block.
+solve_lowest finds the blocks as the connected components of the sparsity
+pattern, solves each, and merges the block spectra, so every eigenvector it
+returns lies in one block and exact degeneracies across blocks cannot mix.
+
+Blocks with dim <= dense_threshold go to LAPACK (scipy.linalg.eigh), which
 also serves as the independent oracle for the iterative path in the test
 suite.  Larger ones go to ARPACK (scipy.sparse.linalg.eigsh, which="SA"), an
 implicitly restarted Lanczos method (Lehoucq, Sorensen & Yang, ARPACK Users'
@@ -9,24 +16,23 @@ reproducible.  Residuals ||H v - theta v|| are recomputed from the returned
 pairs, and the iterative path fails loudly rather than return a pair above
 tol * max(1, max |theta|).
 
-The default threshold of 400 is the measured crossover (k = 10, SnV0 and
-PbV0 sectors, two OpenBLAS threads on a 2-core x86-64 host): complex sectors
-break even near dim 312 and real ones between 544 and 612, so one real plus
-one complex solve, the unit of a spin-orbit run, ties at dim 364 and favours
-ARPACK from dim 420 up.
+The default threshold of 400 is the measured crossover (k = 10, whole SnV0
+and PbV0 sectors before the split into blocks, two OpenBLAS threads on a
+2-core x86-64 host): complex sectors break even near dim 312 and real ones
+between 544 and 612, so one real plus one complex solve, the unit of a
+spin-orbit run, ties at dim 364 and favours ARPACK from dim 420 up.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
 DENSE_THRESHOLD_DEFAULT = 400
-CLUSTER_TOL_DEFAULT = 1e-6  # meV
 
 
 class SolverError(RuntimeError):
@@ -89,6 +95,16 @@ def _arpack_lowest(h: sp.csr_matrix, k: int, tol: float, seed: int) -> EigResult
     return EigResult(eigenvalues=vals, eigenvectors=vecs, residual_norms=res)
 
 
+def _blocks(h: sp.csr_matrix) -> list[np.ndarray]:
+    """Ascending index sets of the decoupled blocks, from the sparsity pattern alone."""
+    from scipy.sparse.csgraph import connected_components
+
+    pattern = sp.csr_matrix((np.ones(h.nnz), h.indices, h.indptr), shape=h.shape)
+    _, labels = connected_components(pattern, directed=False)
+    order = np.argsort(labels, kind="stable")
+    return np.split(order, np.cumsum(np.bincount(labels))[:-1])
+
+
 def solve_lowest(
     h: sp.csr_matrix,
     k: int,
@@ -99,11 +115,13 @@ def solve_lowest(
 ) -> EigResult:
     """Algebraically smallest k eigenpairs of a Hermitian matrix, ascending.
 
-    method: "auto" uses LAPACK for dim <= dense_threshold and ARPACK
-    (implicitly restarted Lanczos) otherwise; "dense" / "lanczos" force a
-    path, except that k >= dim - 1 always goes to LAPACK, which ARPACK cannot
-    serve.  tol is ARPACK's relative tolerance.  Results are deterministic for
-    a fixed seed.
+    Each decoupled block gives its lowest min(k, dim_b) pairs; the block
+    spectra are merged by a stable sort and the lowest k kept, with the
+    eigenvectors embedded in the full space.  method: "auto" uses LAPACK for
+    blocks with dim_b <= dense_threshold and ARPACK (implicitly restarted
+    Lanczos) otherwise; "dense" / "lanczos" force a path, except that
+    k_b >= dim_b - 1 always goes to LAPACK, which ARPACK cannot serve.  tol is
+    ARPACK's relative tolerance.  Results are deterministic for a fixed seed.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -112,26 +130,24 @@ def solve_lowest(
         raise ValueError(f"k={k} exceeds matrix dimension {n}")
     if method not in ("auto", "dense", "lanczos"):
         raise ValueError(f"unknown method {method!r}")
-    if method == "dense" or (method == "auto" and n <= dense_threshold) or k >= n - 1:
-        return _dense_lowest(h, k)
-    return _arpack_lowest(h, k, tol, seed)
-
-
-def cluster_degeneracies(
-    res: EigResult | Sequence[float], cluster_tol: float = CLUSTER_TOL_DEFAULT
-) -> list[list[int]]:
-    """Index lists of near-degenerate eigenvalues; a gap >= cluster_tol starts a new one."""
-    vals = np.asarray(res.eigenvalues if isinstance(res, EigResult) else res, dtype=float)
-    clusters: list[list[int]] = []
-    current: list[int] = []
-    for i, v in enumerate(vals):
-        if current and (v - vals[current[-1]]) >= cluster_tol:
-            clusters.append(current)
-            current = []
-        current.append(i)
-    if current:
-        clusters.append(current)
-    return clusters
+    blocks = _blocks(h)
+    parts = []
+    for idx in blocks:
+        hb = h if len(blocks) == 1 else h[idx][:, idx]
+        nb, kb = idx.size, min(k, idx.size)
+        if method == "dense" or (method == "auto" and nb <= dense_threshold) or kb >= nb - 1:
+            parts.append(_dense_lowest(hb, kb))
+        else:
+            parts.append(_arpack_lowest(hb, kb, tol, seed))
+    vals = np.concatenate([r.eigenvalues for r in parts])
+    vecs = np.zeros((n, vals.size), dtype=h.dtype)
+    col = 0
+    for idx, r in zip(blocks, parts):
+        vecs[idx, col : col + r.k] = r.eigenvectors
+        col += r.k
+    keep = np.argsort(vals, kind="stable")[:k]
+    res = np.concatenate([r.residual_norms for r in parts])
+    return EigResult(eigenvalues=vals[keep], eigenvectors=vecs[:, keep], residual_norms=res[keep])
 
 
 @dataclass

@@ -113,12 +113,7 @@ def _r(x: float | None, digits: int = 10) -> float | None:
 
 def solver_options(cfg: RunConfig) -> SolverOptions:
     s = cfg.solver
-    return SolverOptions(
-        k=s.k,
-        tol=s.residual_tol,
-        seed=s.seed,
-        cluster_tol=s.cluster_tol_mev,
-    )
+    return SolverOptions(k=s.k, tol=s.residual_tol, seed=s.seed)
 
 
 def _resolve_cutoff(cfg: RunConfig, opts: SolverOptions):

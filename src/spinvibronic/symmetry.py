@@ -1,15 +1,14 @@
 """Irrep labels, electronic composition and displacement of vibronic states.
 
-Labels are assigned from point-group characters: for a degeneracy cluster
-{v_a}, chi(R) = trace of the cluster-projected symmetry operator R.  With the
-proper rotations of the defect (a 2*pi/3 rotation and a C2' axis), singlet
-clusters split into A1u (chi(C2') = +1) and A2u (-1), and doublets with
-chi(C3) = -1 are Eu.  Characters are basis independent inside a cluster, so
-the arbitrary mixing returned for degenerate eigenvectors is harmless.
-Accidentally merged clusters (for example A1u + A2u pairs of the uncoupled
-oscillator) are recognized by their composite characters and resolved by
-diagonalizing the projected C2' operator; their vectors are rotated into that
-eigenbasis, so each per-state label belongs to the vector it is attached to.
+Every eigenvector the solver returns lies in one exact C2' block (see
+eigensolver), so each state is labelled from its own vector.  With the
+proper rotations of the defect, a 2*pi/3 rotation C3 and the C2' axis, such
+a vector v has <v|C2'|v> = +1 or -1, and Re<v|C3|v> = 1 if it is an A state
+and -1/2 if it is any vector of an E doublet.  An A state with C2' = +1 is
+A1u and one with -1 is A2u; an E vector is Eu, and its C2' parity tells the
+two partners of a doublet apart.  A vector that matches none of these within
+tol is flagged mixed; from an exact block that happens only at an accidental
+degeneracy of an A and an E level of the same C2' parity.
 """
 
 from __future__ import annotations
@@ -55,7 +54,6 @@ class VibronicState:
     composition: dict[str, float]
     displacement: float
     displacement_raw: float
-    cluster_index: int = 0
 
 
 class SymmetryOperators:
@@ -71,51 +69,21 @@ class SymmetryOperators:
         self.channel_states = symmetry_adapted_states()
 
 
-def cluster_characters(vectors: np.ndarray, op: sp.spmatrix) -> float:
-    """Real part of the trace of the cluster-projected symmetry operator."""
+def character(vectors: np.ndarray, op: sp.spmatrix) -> float:
+    """Real part of the trace of op projected onto the columns of vectors."""
     return float(np.real(np.einsum("ij,ij->", vectors.conj(), op @ vectors)))
 
 
-def irrep_label(
-    vectors: np.ndarray,
-    ops: SymmetryOperators,
-    tol: float = CHARACTER_TOL,
-) -> tuple[str, list[str], np.ndarray]:
-    """Label one degeneracy cluster (columns of `vectors`).
-
-    Returns (cluster label, per-state labels, the vectors those labels belong
-    to).  Composite clusters of two accidentally degenerate singlets are
-    resolved through the projected C2' operator and come back rotated into
-    its eigenbasis; every other cluster comes back as given.  Anything not
-    matching an irrep character within tol is flagged as mixed.
-    """
-    d = vectors.shape[1]
-    chi3 = cluster_characters(vectors, ops.r_c3)
-    chi2 = cluster_characters(vectors, ops.r_c2)
-    if d == 1:
+def irrep_label(vector: np.ndarray, ops: SymmetryOperators, tol: float = CHARACTER_TOL) -> str:
+    """Label one eigenvector by its C3 and C2' expectation values."""
+    chi3 = character(vector[:, None], ops.r_c3)
+    chi2 = character(vector[:, None], ops.r_c2)
+    if abs(abs(chi2) - 1.0) < tol:
         if abs(chi3 - 1.0) < tol:
-            if abs(chi2 - 1.0) < tol:
-                return LABEL_A1U, [LABEL_A1U], vectors
-            if abs(chi2 + 1.0) < tol:
-                return LABEL_A2U, [LABEL_A2U], vectors
-        return LABEL_MIXED, [LABEL_MIXED], vectors
-    if d == 2:
-        if abs(chi3 + 1.0) < tol and abs(chi2) < tol:
-            return LABEL_EU, [LABEL_EU, LABEL_EU], vectors
-        if abs(chi3 - 2.0) < tol and abs(chi2) < tol:
-            # accidental A1u + A2u pair: split along the C2' eigenvectors
-            c2_block = vectors.conj().T @ (ops.r_c2 @ vectors)
-            w, u = np.linalg.eigh(0.5 * (c2_block + c2_block.conj().T))
-            labels = []
-            for val in w:
-                if abs(val - 1.0) < tol:
-                    labels.append(LABEL_A1U)
-                elif abs(val + 1.0) < tol:
-                    labels.append(LABEL_A2U)
-                else:
-                    labels.append(LABEL_MIXED)
-            return "A1u+A2u", labels, vectors @ u
-    return LABEL_MIXED, [LABEL_MIXED] * d, vectors
+            return LABEL_A1U if chi2 > 0 else LABEL_A2U
+        if abs(chi3 + 0.5) < tol:
+            return LABEL_EU
+    return LABEL_MIXED
 
 
 def electronic_composition(vector: np.ndarray) -> dict[str, float]:
@@ -143,29 +111,22 @@ def mean_displacement(vector: np.ndarray, ops: SymmetryOperators) -> tuple[float
 
 
 def analyze_states(
-    result: EigResult,
-    clusters: list[list[int]],
-    ops: SymmetryOperators,
-    tol: float = CHARACTER_TOL,
+    result: EigResult, ops: SymmetryOperators, tol: float = CHARACTER_TOL
 ) -> list[VibronicState]:
     """Label, decompose and measure every eigenstate of a real-sector solve."""
     states: list[VibronicState] = []
-    for ci, cluster in enumerate(clusters):
-        _, labels, vecs = irrep_label(result.eigenvectors[:, cluster], ops, tol=tol)
-        for j, idx in enumerate(cluster):
-            v = vecs[:, j]
-            disp, disp_raw = mean_displacement(v, ops)
-            states.append(
-                VibronicState(
-                    energy=float(result.eigenvalues[idx]),
-                    coefficients=v,
-                    irrep=labels[j],
-                    composition=electronic_composition(v),
-                    displacement=disp,
-                    displacement_raw=disp_raw,
-                    cluster_index=ci,
-                )
+    for energy, v in zip(result.eigenvalues, result.eigenvectors.T):
+        disp, disp_raw = mean_displacement(v, ops)
+        states.append(
+            VibronicState(
+                energy=float(energy),
+                coefficients=v,
+                irrep=irrep_label(v, ops, tol),
+                composition=electronic_composition(v),
+                displacement=disp,
+                displacement_raw=disp_raw,
             )
+        )
     return states
 
 

@@ -135,10 +135,23 @@ def test_misspelled_section_is_rejected_by_name(tmp_path, capsys):
 
 def test_retired_key_warns_and_is_ignored(caplog):
     text = _bundled_text("snv0")
-    old = text.replace("k = 10\n", "k = 10\ndense_threshold = 1500\n")
-    with caplog.at_level(logging.WARNING, logger="spinvibronic"):
-        assert parse_config_text(old) == parse_config_text(text)
-    assert "dense_threshold" in caplog.text
+    for line in ("dense_threshold = 1500", "cluster_tol_mev = 1e-6"):
+        old = text.replace("k = 10\n", f"k = 10\n{line}\n")
+        with caplog.at_level(logging.WARNING, logger="spinvibronic"):
+            assert parse_config_text(old) == parse_config_text(text)
+        assert line.split()[0] in caplog.text
+
+
+def test_misspelled_observable_is_rejected_by_name(tmp_path, capsys):
+    text = _bundled_text("siv0")
+    assert "converge_observable = gamma2" in text
+    text = text.replace("converge_observable = gamma2", "converge_observable = gama2")
+    with pytest.raises(ConfigError, match="'gama2'"):
+        parse_config_text(text)
+    path = tmp_path / "siv0.conf"
+    path.write_text(text)
+    assert main(["solve", str(path)]) == 2
+    assert "'gama2'" in capsys.readouterr().err
 
 
 _decimal = st.floats(0.5, 500.0, allow_nan=False).map(lambda x: float(f"{x:.12g}"))

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 
 from spinvibronic import (
@@ -7,13 +8,13 @@ from spinvibronic import (
     SocParams,
     SolverError,
     assemble,
-    cluster_degeneracies,
     converge_cutoff,
     pes_to_couplings,
     solve_lowest,
 )
 from spinvibronic.defaults import DEFECTS
 from spinvibronic.analysis import SolverOptions, solve_sector
+from spinvibronic.eigensolver import _blocks
 from spinvibronic.hamiltonian import SectorSpec
 from spinvibronic.params import Couplings
 
@@ -75,7 +76,7 @@ def test_eigenvector_orthonormality_and_residuals():
 def test_nonconvergence_raises(monkeypatch):
     import scipy.sparse.linalg
 
-    h = snv0_h(10)
+    h = snv0_h(10, m_s=1, lam=40.0)  # one block, so eigsh sees the whole matrix
     exact = solve_lowest(h, k=6, method="dense")
 
     def no_convergence(*args, **kwargs):
@@ -94,7 +95,7 @@ def test_nonconvergence_raises(monkeypatch):
 def test_residual_above_tol_raises(monkeypatch):
     import scipy.sparse.linalg
 
-    h = snv0_h(10)
+    h = snv0_h(10, m_s=1, lam=40.0)  # one block, so eigsh sees the whole matrix
     exact = solve_lowest(h, k=6, method="dense")
     vecs = exact.eigenvectors.copy()
     vecs[:, 0] = vecs[:, 0] + 1e-3 * vecs[:, 5]
@@ -129,17 +130,31 @@ def test_variational_monotonicity_in_cutoff():
     assert all(b <= a + 1e-12 for a, b in zip(lowest, lowest[1:]))
 
 
-def test_cluster_examples():
-    cl = cluster_degeneracies([0.0, 1e-7, 5.0], cluster_tol=1e-3)
-    assert cl == [[0, 1], [2]]
-    cl = cluster_degeneracies([1.0, 2.0, 3.0], cluster_tol=0.0)
-    assert cl == [[0], [1], [2]]
-
-
 def test_snv0_cluster_structure():
-    res = solve_lowest(snv0_h(16), k=6)
-    cl = cluster_degeneracies(res, cluster_tol=1e-3)
-    assert [len(c) for c in cl[:2]] == [1, 2]
+    # a singlet, then a doublet whose partners come from the two C2' blocks
+    e = solve_lowest(snv0_h(16), k=6).eigenvalues
+    assert e[1] - e[0] >= 1e-3
+    assert e[2] - e[1] < 1e-3
+    assert e[3] - e[2] >= 1e-3
+
+
+@pytest.mark.parametrize("name", sorted(DEFECTS))
+@pytest.mark.parametrize("cutoff", [8, 16, 28])
+@pytest.mark.parametrize("m_s", [0, 1])
+def test_blocks_reproduce_the_full_spectrum(name, cutoff, m_s):
+    # m_s = 0 splits into two C2' blocks, m_s = +1 is one block; the block
+    # spectra together are the spectrum of the whole matrix
+    h = sector_h(name, cutoff, m_s=m_s, lam=40.0)
+    blocks = _blocks(h)
+    assert [b.size for b in blocks] == ([h.shape[0] // 2] * 2 if m_s == 0 else [h.shape[0]])
+    assert np.array_equal(np.sort(np.concatenate(blocks)), np.arange(h.shape[0]))
+
+    if len(blocks) == 1:
+        # a single block is h itself, so its eigenvalues are those of h
+        assert (h[blocks[0]][:, blocks[0]] != h).nnz == 0
+        return
+    blocked = np.concatenate([scipy.linalg.eigvalsh(h[b][:, b].toarray()) for b in blocks])
+    assert np.abs(np.sort(blocked) - scipy.linalg.eigvalsh(h.toarray())).max() < 1e-9
 
 
 def test_converge_cutoff_trivial_case():
@@ -164,7 +179,7 @@ def test_comparative_convergence_histories():
     from spinvibronic.analysis import converge_observable
     from spinvibronic.defaults import DEFECTS
 
-    opts = SolverOptions(k=4, dense_threshold=1500)
+    opts = SolverOptions(k=4)
     errors = {}
     for name in ("SiV0", "PbV0"):
         res = converge_observable(
@@ -190,10 +205,10 @@ def test_arpack_matches_lapack_oracle_ms0_labels(name, cutoff):
         sol = solve_sector(c, p.lambda_corr, cutoff, opts=opts)
         assert np.abs(sol.energies - dense.energies).max() < 1e-9
         assert [s.irrep for s in sol.states] == dense_labels
-        # every Eu doublet comes back with both partners
-        for cluster in sol.clusters:
-            if sol.states[cluster[0]].irrep == "Eu":
-                assert len(cluster) == 2
+        # the lowest Eu doublet comes back with both partners
+        sol.eu_doublet()  # raises unless the first two Eu states are C2' partners
+        energies = [s.energy for s in sol.states if s.irrep == "Eu"][:2]
+        assert abs(energies[1] - energies[0]) < 1e-9
 
 
 @pytest.mark.parametrize("name", ["PbV0", "SnV0"])

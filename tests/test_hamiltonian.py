@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinvibronic import (
     Couplings,
@@ -225,6 +227,36 @@ def test_kramers_conjugation_identity():
         ]
         assert np.abs(solved[0].eigenvalues - solved[1].eigenvalues).max() < 1e-10
         assert np.abs(solved[0].eigenvalues - e_plus[:8]).max() < 1e-10
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    f=st.tuples(*[st.floats(-200.0, 200.0)] * 2),
+    g=st.tuples(*[st.floats(-0.24, 0.24)] * 2),
+    lambda_corr=st.floats(0.0, 150.0),
+    lam=st.tuples(*[st.floats(0.0, 100.0)] * 2),
+    preset=st.sampled_from(["e-raised", "a-split"]),
+    cutoff=st.integers(1, 5),
+)
+def test_kramers_pairs_have_equal_spectra(f, g, lambda_corr, lam, preset, cutoff):
+    # g is drawn in units of hbar_omega_e, inside |2(g_u +/- g_g)| < hbar_omega_e
+    c = Couplings(f[0], f[1], 80.0 * g[0], 80.0 * g[1], 80.0)
+    spectra = [
+        solve_lowest(
+            assemble(
+                SectorSpec(
+                    couplings=c,
+                    lambda_corr=lambda_corr,
+                    soc=SocParams(lambda_u0=lam[0], lambda_g0=lam[1], m_s=m_s),
+                    cutoff=cutoff,
+                    preset=preset,
+                )
+            ),
+            k=8,
+        ).eigenvalues
+        for m_s in (+1, -1)
+    ]
+    assert np.abs(spectra[0] - spectra[1]).max() < 1e-9 * max(1.0, np.abs(spectra[0]).max())
 
 
 def test_ms0_equals_zero_coupling_matrix():

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinvibronic import (
     Couplings,
@@ -68,6 +70,32 @@ def test_round_trip_randomized():
         assert back.e_jt[1] == pytest.approx(e[1], rel=1e-12)
         assert back.delta_jt[0] == pytest.approx(d[0], rel=1e-12, abs=1e-12)
         assert back.delta_jt[1] == pytest.approx(d[1], rel=1e-12, abs=1e-12)
+
+
+@st.composite
+def _couplings_in_domain(draw):
+    """Couplings with F1 > 0, G1, G2 >= 0 and |2G| < K, the domain of the map.
+
+    F2 = 0 is left out: the branch then has no well, and its G is not
+    recoverable from the surfaces.
+    """
+    k = draw(st.floats(30.0, 150.0))
+    g1, g2 = (draw(st.floats(0.0, 0.49)) * k for _ in range(2))
+    f1 = draw(st.floats(0.1, 300.0))
+    f2 = draw(st.floats(0.1, 300.0)) * draw(st.sampled_from([-1.0, 1.0]))
+    return Couplings(
+        f_u=0.5 * (f1 + f2), f_g=0.5 * (f1 - f2), g_u=0.5 * (g1 + g2), g_g=0.5 * (g1 - g2),
+        hbar_omega_e=k,
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(c=_couplings_in_domain())
+def test_couplings_to_pes_round_trip_property(c):
+    back = pes_to_couplings(couplings_to_pes(c))
+    assert back.hbar_omega_e == c.hbar_omega_e
+    for name in ("f_u", "f_g", "g_u", "g_g"):
+        assert getattr(back, name) == pytest.approx(getattr(c, name), rel=1e-9, abs=1e-9)
 
 
 def test_branch_ratio_identity():

@@ -1,14 +1,24 @@
 import numpy as np
 import pytest
 
-from spinvibronic import Couplings, SolverOptions, solve_sector
+from dataclasses import replace
+
+from spinvibronic import (
+    AnalysisError,
+    Couplings,
+    SolverOptions,
+    assemble,
+    solve_lowest,
+    solve_sector,
+)
 from spinvibronic.defaults import DEFECTS
-from spinvibronic.hamiltonian import CHANNELS, symmetry_adapted_states
+from spinvibronic.hamiltonian import CHANNELS, SectorSpec, symmetry_adapted_states
 from spinvibronic.oscillator import build_basis
 from spinvibronic.symmetry import (
     CHARACTER_TOL,
     SymmetryOperators,
-    cluster_characters,
+    analyze_states,
+    character,
     electronic_composition,
     irrep_label,
     mean_displacement,
@@ -33,55 +43,47 @@ def ops6():
 
 def test_pure_channel_vectors_labeled(ops6):
     basis = ops6.basis
-    for channel, expected in (("A1u", "A1u"), ("A2u", "A2u")):
-        v = channel_vector(channel, basis)[:, None]
-        label, labels, _ = irrep_label(v, ops6)
-        assert label == expected == labels[0]
-    pair = np.column_stack(
-        [channel_vector("Eu1", basis), channel_vector("Eu2", basis)]
-    )
-    label, labels, _ = irrep_label(pair, ops6)
-    assert label == "Eu"
+    for channel, expected in (("A1u", "A1u"), ("A2u", "A2u"), ("Eu1", "Eu"), ("Eu2", "Eu")):
+        assert irrep_label(channel_vector(channel, basis), ops6) == expected
 
 
 def test_uncoupled_ground_cluster_characters(ops6):
     basis = ops6.basis
-    cluster = np.column_stack([channel_vector(c, basis) for c in CHANNELS])
-    chi3 = cluster_characters(cluster, ops6.r_c3)
-    chi2 = cluster_characters(cluster, ops6.r_c2)
+    ground = np.column_stack([channel_vector(c, basis) for c in CHANNELS])
+    chi3 = character(ground, ops6.r_c3)
+    chi2 = character(ground, ops6.r_c2)
     # A1 + A2 + E decomposition: 1 + 1 + 2 cos(2 pi / 3) = 1 and 1 - 1 + 0 = 0
     assert chi3 == pytest.approx(1.0, abs=1e-10)
     assert chi2 == pytest.approx(0.0, abs=1e-10)
 
 
 def test_accidental_a_pair_resolved(ops6):
-    basis = ops6.basis
-    pair = np.column_stack(
-        [channel_vector("A1u", basis), channel_vector("A2u", basis)]
-    )
-    # mix the pair to mimic arbitrary degenerate eigenvectors
+    # uncoupled model: A1u and A2u are exactly degenerate, but they lie in
+    # different C2' blocks, so each comes back pure and labelled from itself
+    spec = SectorSpec(couplings=Couplings(0.0, 0.0, 0.0, 0.0, 70.0), lambda_corr=50.0, cutoff=6)
+    states = analyze_states(solve_lowest(assemble(spec), k=2), ops6)
+    assert sorted(s.irrep for s in states) == ["A1u", "A2u"]
+    for s in states:
+        assert s.composition[s.irrep] == pytest.approx(1.0, abs=1e-12)
+    # a mix of the two, which no block can return, is not given either label
     theta = 0.7
-    rot = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
-    label, labels, vectors = irrep_label(pair @ rot, ops6)
-    assert label == "A1u+A2u"
-    assert sorted(labels) == ["A1u", "A2u"]
-    # the labels belong to the returned (rotated) vectors, not the mixed input
-    for j, name in enumerate(labels):
-        comp = electronic_composition(vectors[:, j])
-        assert comp[name] == pytest.approx(1.0, abs=1e-12)
+    mixed = np.cos(theta) * channel_vector("A1u", ops6.basis) + np.sin(theta) * channel_vector(
+        "A2u", ops6.basis
+    )
+    assert irrep_label(mixed, ops6) == "mixed"
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_composite_cluster_states_are_c2_eigenvectors(seed):
-    # uncoupled model: A1u and A2u are exactly degenerate, so the solver
-    # returns an arbitrary mix of the two; each labelled state must still be
-    # a C2' eigenvector with the character its label claims
+    # uncoupled model: A1u and A2u are exactly degenerate; on every ARPACK
+    # start vector each labelled state must be a C2' eigenvector with the
+    # character its label claims
     opts = SolverOptions(k=10, method="lanczos", dense_threshold=0, seed=seed)
     sol = solve_sector(Couplings(0.0, 0.0, 0.0, 0.0, 70.0), 50.0, cutoff=4, opts=opts)
     labelled = [s for s in sol.states if s.irrep in ("A1u", "A2u")]
     assert sorted(s.irrep for s in labelled) == ["A1u", "A2u"]
     for s in labelled:
-        c2 = cluster_characters(s.coefficients[:, None], sol.ops.r_c2)
+        c2 = character(s.coefficients[:, None], sol.ops.r_c2)
         expected = 1.0 if s.irrep == "A1u" else -1.0
         assert abs(c2 - expected) < CHARACTER_TOL
 
@@ -92,13 +94,13 @@ def test_character_trace_invariance(ops6):
         [channel_vector("Eu1", basis), channel_vector("Eu2", basis)]
     )
     rng = np.random.default_rng(11)
-    chi_ref = cluster_characters(pair, ops6.r_c3)
+    chi_ref = character(pair, ops6.r_c3)
     for _ in range(5):
         theta = rng.uniform(0, 2 * np.pi)
         rot = np.array(
             [[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]]
         )
-        chi = cluster_characters(pair @ rot, ops6.r_c3)
+        chi = character(pair @ rot, ops6.r_c3)
         assert chi == pytest.approx(chi_ref, abs=1e-10)
 
 
@@ -107,7 +109,34 @@ def test_snv0_level_labels():
     assert sol.states[0].irrep == "A2u"
     assert sol.states[1].irrep == "Eu"
     assert sol.states[2].irrep == "Eu"
-    assert len(sol.clusters[1]) == 2
+    # the second level is a doublet: degenerate, and well above the first
+    assert abs(sol.states[2].energy - sol.states[1].energy) < 1e-6
+    assert sol.states[1].energy - sol.states[0].energy > 1.0
+
+
+def test_eu_partner_cut_by_k_is_labelled():
+    # the partner of the last doublet lies beyond k = 8; labelled from its own
+    # vector it is still Eu
+    sol = cached_sector("SnV0", 20)
+    assert len(sol.states) == 8
+    assert sol.states[7].irrep == "Eu"
+
+
+def test_eu_doublet_requires_opposite_c2_parities():
+    sol = cached_sector("SnV0", 20)
+
+    def parity(state):
+        return round(character(state.coefficients[:, None], sol.ops.r_c2))
+
+    doublet, energy = sol.eu_doublet()
+    assert sorted(parity(s) for s in sol.states[1:3]) == [-1, 1]
+    assert np.array_equal(doublet, np.column_stack([s.coefficients for s in sol.states[1:3]]))
+    assert energy == sol.states[1].energy
+    # keep one partner of each of the two lowest doublets, both of one parity
+    eu = [s for s in sol.states if s.irrep == "Eu"]
+    same = [s for s in eu if parity(s) == parity(eu[0])][:2]
+    with pytest.raises(AnalysisError):
+        replace(sol, states=[sol.states[0]] + same).eu_doublet()
 
 
 @pytest.mark.parametrize("name", sorted(DEFECTS))
