@@ -36,16 +36,15 @@ from .hamiltonian import (
     assemble,
     build_correlation,
     build_pjt,
-    build_soc,
     op_on_g,
     op_on_u,
+    soc_operators,
 )
 from .oscillator import OscBasis, build_basis, build_operators
 from .params import (
     Couplings,
     DefectParams,
     ParameterError,
-    SocParams,
     couplings_for_order,
     couplings_to_pes,
     dimensionless_length_scale,

@@ -7,6 +7,10 @@ operators inside the Eu doublet, the effective spin-orbit splittings of the
 m_s-resolved levels, and the inverse problem of calibrating bare spin-orbit
 constants to a target Eu splitting.
 
+The longitudinal spin-orbit term is one added term: each m_s = +/-1 sector
+is the solved m_s = 0 matrix H0 plus m_s (lambda_u0 S_u + lambda_g0 S_g), and
+the same S_u and S_g give p_u / p_g and the calibration slope.
+
 Spin-orbit eigenstates are matched to their zero-coupling parents by maximum
 overlap; an overlap below 0.5 aborts the analysis rather than reporting a
 mislabeled level.
@@ -14,7 +18,8 @@ mislabeled level.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -27,19 +32,11 @@ from .eigensolver import (
     converge_cutoff,
     solve_lowest,
 )
-from .hamiltonian import (
-    PRESET_E_RAISED,
-    SIGMA_Y,
-    SectorSpec,
-    assemble,
-    op_on_g,
-    op_on_u,
-)
+from .hamiltonian import PRESET_E_RAISED, SectorSpec, assemble, soc_operators
 from .oscillator import build_basis
 from .params import (
     Couplings,
     DefectParams,
-    SocParams,
     couplings_for_order,
     depth_preserving_linear_couplings,
     pes_to_couplings,
@@ -81,12 +78,23 @@ class SolverOptions:
 
 @dataclass
 class SectorSolution:
-    """One labeled zero-spin-orbit sector solve."""
+    """One labeled zero-spin-orbit sector solve, with its assembled matrix h0."""
 
     spec: SectorSpec
     result: EigResult
     states: list[VibronicState]
     ops: SymmetryOperators
+    h0: sp.csr_matrix
+
+    @cached_property
+    def soc_ops(self) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+        """(S_u, S_g) over this sector's basis."""
+        return soc_operators(self.ops.basis.dim)
+
+    def soc_sector(self, lambda_u0: float, lambda_g0: float, m_s: int) -> sp.csr_matrix:
+        """The m_s sector H0 + m_s (lambda_u0 S_u + lambda_g0 S_g)."""
+        s_u, s_g = self.soc_ops
+        return self.h0 + m_s * (lambda_u0 * s_u + lambda_g0 * s_g)
 
     @property
     def energies(self) -> np.ndarray:
@@ -123,10 +131,12 @@ def solve_sector(
     """Solve and label the spin-orbit-free sector at the given cutoff."""
     spec = SectorSpec(couplings=couplings, lambda_corr=lambda_corr, cutoff=cutoff, preset=preset)
     basis = build_basis(cutoff)
-    h = assemble(spec, basis)
-    result = opts.solve(h)
+    h0 = assemble(spec, basis)
+    result = opts.solve(h0)
     ops = SymmetryOperators(basis)
-    return SectorSolution(spec=spec, result=result, states=analyze_states(result, ops), ops=ops)
+    return SectorSolution(
+        spec=spec, result=result, states=analyze_states(result, ops), ops=ops, h0=h0
+    )
 
 
 def gamma_splitting(
@@ -156,17 +166,7 @@ def solution_gamma(sol: SectorSolution) -> float:
     return sol.lowest(LABEL_EU).energy - sol.lowest(LABEL_A2U).energy
 
 
-def _soc_unit_operators(basis_dim: int) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    """Spin-orbit operators at unit coupling for the u and g doublets."""
-    eye = sp.identity(basis_dim)
-    su = sp.kron(eye, sp.csr_matrix(0.5 * op_on_u(SIGMA_Y)), format="csr")
-    sg = sp.kron(eye, sp.csr_matrix(0.5 * op_on_g(SIGMA_Y)), format="csr")
-    return su, sg
-
-
-def reduction_factors(
-    sol: SectorSolution, opts: SolverOptions = SolverOptions()
-) -> tuple[float, float]:
+def reduction_factors(sol: SectorSolution) -> tuple[float, float]:
     """Quenching factors p_u, p_g of the orbital operators in the Eu doublet.
 
     The doublet-projected operators are traceless Hermitian 2x2 matrices with
@@ -174,9 +174,9 @@ def reduction_factors(
     coupling drives p toward zero.
     """
     doublet, _ = sol.eu_doublet()
-    su, sg = _soc_unit_operators(sol.ops.basis.dim)
-    u = doublet.conj().T @ (su @ doublet)
-    v = doublet.conj().T @ (sg @ doublet)
+    s_u, s_g = sol.soc_ops
+    u = doublet.conj().T @ (s_u @ doublet)
+    v = doublet.conj().T @ (s_g @ doublet)
     p_u = float(np.max(np.linalg.eigvalsh(2.0 * u)))
     p_g = float(np.max(np.linalg.eigvalsh(2.0 * v)))
     return p_u, p_g
@@ -198,15 +198,6 @@ class SocLevels:
     e_eu_upper_soc: float
     sector_energies: dict[int, np.ndarray] = field(default_factory=dict)
     tracking_overlaps: dict[str, float] = field(default_factory=dict)
-
-
-def _soc_hamiltonian(
-    sol: SectorSolution, lambda_u0: float, lambda_g0: float, m_s: int
-) -> sp.csr_matrix:
-    spec = replace(
-        sol.spec, soc=SocParams(lambda_u0=lambda_u0, lambda_g0=lambda_g0, m_s=m_s)
-    )
-    return assemble(spec, sol.ops.basis)
 
 
 def _tracked_soc_levels(
@@ -285,12 +276,17 @@ def soc_levels(
     The m_s = 0 sector is unaffected by the longitudinal spin-orbit term (its
     Hamiltonian is identical to the zero-coupling one), so the m_s = 0 levels
     are taken from the reference solve.  m_s = -1 duplicates +1 by complex
-    conjugation; solve_both_sectors forces the explicit computation.
+    conjugation; solve_both_sectors forces the explicit computation.  Bare
+    splittings must be nonnegative.
     """
-    r_plus = opts.solve(_soc_hamiltonian(sol, lambda_u0, lambda_g0, +1))
+    if lambda_u0 < 0.0 or lambda_g0 < 0.0:
+        raise ValueError(
+            f"bare spin-orbit splittings must be nonnegative (got {lambda_u0}, {lambda_g0})"
+        )
+    r_plus = opts.solve(sol.soc_sector(lambda_u0, lambda_g0, +1))
     e_minus = None
     if solve_both_sectors:
-        e_minus = opts.solve(_soc_hamiltonian(sol, lambda_u0, lambda_g0, -1)).eigenvalues
+        e_minus = opts.solve(sol.soc_sector(lambda_u0, lambda_g0, -1)).eigenvalues
     return _levels_from_solve(sol, lambda_u0, lambda_g0, r_plus, e_minus)[0]
 
 
@@ -316,23 +312,24 @@ def calibrate_soc(
     138, A1727 (1965)).  The slope d lambda_eff / ds is the Hellmann-Feynman
     difference <Eu+| dH/ds |Eu+> - <Eu-| dH/ds |Eu-> with dH/ds = ratio * S_u + S_g
     (Feynman, Phys. Rev. 56, 340 (1939)), taken from the eigenvectors of the
-    solve in hand.  The levels of the last solve are returned; a tracking
-    breakdown (scanned as lambda_eff = nan), a non-positive slope, a step to
-    s <= 0 or 20 steps without convergence raise CalibrationError with the scan.
+    solve in hand; each step solves the m_s = +1 sector H0 + s dH/ds.  The
+    levels of the last solve are returned; a tracking breakdown (scanned as
+    lambda_eff = nan), a non-positive slope, a step to s <= 0 or 20 steps
+    without convergence raise CalibrationError with the scan.
     """
     if target_lambda_eff < 0.0:
         raise ValueError("target splitting must be nonnegative")
     if target_lambda_eff == 0.0:
         # at zero coupling every m_s sector is the reference sector
         return _levels_from_solve(sol, 0.0, 0.0, sol.result)[0]
-    p_u, p_g = reduction_factors(sol, opts) if p_guess is None else p_guess
-    su, sg = _soc_unit_operators(sol.ops.basis.dim)
-    dh_ds = ratio * su + sg
+    p_u, p_g = reduction_factors(sol) if p_guess is None else p_guess
+    s_u, s_g = sol.soc_ops
+    dh_ds = ratio * s_u + s_g
 
     scan: list[tuple[float, float]] = []
     s = target_lambda_eff / max(ratio * p_u + p_g, 1e-12)
     for _ in range(20):
-        r = opts.solve(_soc_hamiltonian(sol, ratio * s, s, +1))
+        r = opts.solve(sol.h0 + s * dh_ds)
         try:
             levels, eu_pair = _levels_from_solve(sol, ratio * s, s, r)
         except AnalysisError as exc:

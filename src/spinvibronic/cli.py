@@ -136,16 +136,8 @@ def cmd_table1(args) -> int:
             continue
         row = {"defect": report.defect, "status": "ok"}
         ref = reference.get(report.defect, {})
-        computed = {
-            "gamma1": report.gamma1,
-            "gamma2": report.gamma2,
-            "p_u": report.p_u,
-            "p_g": report.p_g,
-            "lambda_eff": report.lambda_eff,
-            "zpl_shift_ev": report.zpl_shift_ev,
-        }
         for q in TABLE1_QUANTITIES:
-            value = computed.get(q)
+            value = getattr(report, q)
             row[q] = value
             row[q + "_ref"] = ref.get(q)
             if value is not None and ref.get(q) not in (None, 0.0):
@@ -154,7 +146,7 @@ def cmd_table1(args) -> int:
                 row[q + "_dev"] = None
         rows.append(row)
 
-    outdir = Path(cfg.output.directory if configs else ".")
+    outdir = Path(cfg.output.directory)
     outdir.mkdir(parents=True, exist_ok=True)
     out = outdir / "table1.csv"
     columns = ["defect", "status"]

@@ -81,6 +81,9 @@ class SocConfig:
         if self.mode == SOC_EXPLICIT:
             if self.lambda_u0_mev is None or self.lambda_g0_mev is None:
                 raise ConfigError("soc mode = explicit requires lambda_u0_mev and lambda_g0_mev")
+            for key in ("lambda_u0_mev", "lambda_g0_mev"):
+                if getattr(self, key) < 0:
+                    raise ConfigError(f"{key} must be nonnegative (got {getattr(self, key)})")
             if has_target:
                 raise ConfigError("soc mode = explicit conflicts with a calibration target")
         if self.mode == SOC_CALIBRATE:

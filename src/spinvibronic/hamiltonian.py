@@ -18,29 +18,33 @@ matrices (|xx> + |yy>)/sqrt(2) is odd under C2' and therefore A2u; it is also
 the combination driven by the strong constructive coupling f_u + f_g, which
 is what puts the dark A2u vibronic level below the bright Eu doublet.
 
-The assembled operator is
+assemble builds the spin-orbit-free (m_s = 0) sector, a real symmetric matrix:
 
-    H = hbar_omega_e (n_x + n_y + 1)
-      + f_u (X sz(u) - Y sx(u)) + f_g (X sz(g) - Y sx(g))
-      + g_u ((X^2 - Y^2) sz(u) + 2 X Y sx(u)) + g_g (same on g)
-      + W(lambda_corr, preset)
-      + m_s (lambda_u0/2 sy(u) + lambda_g0/2 sy(g))
+    H0 = hbar_omega_e (n_x + n_y + 1)
+       + f_u (X sz(u) - Y sx(u)) + f_g (X sz(g) - Y sx(g))
+       + g_u ((X^2 - Y^2) sz(u) + 2 X Y sx(u)) + g_g (same on g)
+       + W(lambda_corr, preset)
 
-with sz/sx/sy the Pauli matrices on the named orbital doublet.  Everything is
-real symmetric unless the spin-orbit term is active, in which case the matrix
-is complex Hermitian.  m_s is conserved, so each spin projection is one block.
+with sz/sx the Pauli matrices on the named orbital doublet.  The longitudinal
+spin-orbit term conserves m_s and is one added term per spin projection:
+
+    H(m_s) = H0 + m_s (lambda_u0 S_u + lambda_g0 S_g),   S = sy / 2 on each doublet,
+
+a complex Hermitian matrix for m_s = +/-1.  soc_operators builds S_u and S_g;
+their entries are oscillator-diagonal and share no position with any entry of
+H0, so the sum adds nothing to H0's entries.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
 from .oscillator import OscBasis, build_basis, position_operator, quadratic_operators
-from .params import Couplings, SocParams
+from .params import Couplings
 
 ELEC_DIM = 4
 
@@ -91,11 +95,10 @@ def electronic_reflection() -> np.ndarray:
 
 @dataclass(frozen=True)
 class SectorSpec:
-    """Everything needed to assemble one m_s block."""
+    """Everything needed to assemble the spin-orbit-free sector."""
 
     couplings: Couplings
     lambda_corr: float
-    soc: SocParams = field(default_factory=SocParams)
     cutoff: int = 20
     preset: str = PRESET_E_RAISED
 
@@ -104,10 +107,6 @@ class SectorSpec:
             raise ValueError("cutoff must be >= 0")
         if self.preset not in PRESETS:
             raise ValueError(f"unknown correlation preset {self.preset!r}")
-
-    @property
-    def real_only(self) -> bool:
-        return not self.soc.active
 
 
 def build_correlation(lambda_corr: float, preset: str = PRESET_E_RAISED) -> np.ndarray:
@@ -131,13 +130,17 @@ def build_correlation(lambda_corr: float, preset: str = PRESET_E_RAISED) -> np.n
     raise ValueError(f"unknown correlation preset {preset!r}")
 
 
-def build_soc(soc: SocParams) -> np.ndarray:
-    """Longitudinal spin-orbit term for one m_s sector (4x4, complex)."""
-    if soc.m_s == 0:
-        return np.zeros((ELEC_DIM, ELEC_DIM), dtype=complex)
-    return soc.m_s * (
-        0.5 * soc.lambda_u0 * op_on_u(SIGMA_Y) + 0.5 * soc.lambda_g0 * op_on_g(SIGMA_Y)
-    )
+def soc_operators(basis_dim: int) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """S_u and S_g, sigma_y / 2 on the u and g doublets, over the whole sector.
+
+    The m_s sector is H0 + m_s (lambda_u0 S_u + lambda_g0 S_g).  The doublet
+    matrix elements of the same operators give the Ham reduction factors and
+    the Hellmann-Feynman slope of a spin-orbit sector.
+    """
+    eye = sp.identity(basis_dim)
+    s_u = sp.kron(eye, sp.csr_matrix(0.5 * op_on_u(SIGMA_Y)), format="csr")
+    s_g = sp.kron(eye, sp.csr_matrix(0.5 * op_on_g(SIGMA_Y)), format="csr")
+    return s_u, s_g
 
 
 def _electronic_vertex_terms(c: Couplings):
@@ -151,7 +154,7 @@ def _electronic_vertex_terms(c: Couplings):
 
 
 def build_pjt(spec: SectorSpec, basis: OscBasis) -> sp.csr_matrix:
-    """Electron-phonon interaction alone (no oscillator, W or SOC terms)."""
+    """Electron-phonon interaction alone (no oscillator or W term)."""
     x = position_operator(basis, "x")
     y = position_operator(basis, "y")
     quad = quadratic_operators(basis)
@@ -173,11 +176,7 @@ def build_pjt(spec: SectorSpec, basis: OscBasis) -> sp.csr_matrix:
 
 
 def assemble(spec: SectorSpec, basis: OscBasis | None = None) -> sp.csr_matrix:
-    """Full sector Hamiltonian H_osc + pJT + W + m_s * SOC as one CSR matrix.
-
-    The dtype is float64 for real sectors (spec.real_only) and complex128
-    when the spin-orbit term is active.
-    """
+    """Spin-orbit-free sector H_osc + W + pJT as one real CSR matrix."""
     if basis is None:
         basis = build_basis(spec.cutoff)
     k = spec.couplings.hbar_omega_e
@@ -185,15 +184,10 @@ def assemble(spec: SectorSpec, basis: OscBasis | None = None) -> sp.csr_matrix:
     osc_diag = k * (basis.n_x + basis.n_y + 1).astype(float)
     h = sp.kron(sp.diags(osc_diag), sp.identity(ELEC_DIM), format="csr")
 
-    elec_static = build_correlation(spec.lambda_corr, spec.preset).astype(complex)
-    elec_static += build_soc(spec.soc)
-    if spec.real_only:
-        elec_static = elec_static.real
-    if np.any(elec_static):
-        h = h + sp.kron(sp.identity(basis.dim), sp.csr_matrix(elec_static), format="csr")
-
-    h = h + build_pjt(spec, basis)
-    return sp.csr_matrix(h, dtype=float if spec.real_only else complex)
+    w = build_correlation(spec.lambda_corr, spec.preset)
+    if np.any(w):
+        h = h + sp.kron(sp.identity(basis.dim), sp.csr_matrix(w), format="csr")
+    return h + build_pjt(spec, basis)
 
 
 def total_rotation(osc_c3: sp.spmatrix) -> sp.csr_matrix:

@@ -66,68 +66,62 @@ def build_basis(cutoff: int, dim_budget: int = DEFAULT_DIM_BUDGET) -> OscBasis:
     return OscBasis(cutoff=cutoff, n_x=n_x, n_y=n_y)
 
 
-def _collect(basis: OscBasis, entries) -> sp.csr_matrix:
+def _symmetric(basis: OscBasis, hops, diagonal: np.ndarray | None = None) -> sp.csr_matrix:
+    """Real symmetric operator from hopping terms and an optional diagonal.
+
+    Each hop (dn_x, dn_y, amplitudes) gives <n_x + dn_x, n_y + dn_y| O |n_x, n_y>
+    = amplitudes[k] for every state k whose target lies in the basis, and the
+    transposed element with it.
+    """
+    k = np.arange(basis.dim)
     rows, cols, vals = [], [], []
-    for r, c, v in entries:
-        rows.append(r)
-        cols.append(c)
-        vals.append(v)
-    m = sp.coo_matrix((vals, (rows, cols)), shape=(basis.dim, basis.dim))
+    if diagonal is not None:
+        rows.append(k)
+        cols.append(k)
+        vals.append(diagonal)
+    for dnx, dny, amplitudes in hops:
+        nx, ny = basis.n_x + dnx, basis.n_y + dny
+        inside = (nx >= 0) & (ny >= 0) & (nx + ny <= basis.cutoff)
+        n = nx[inside] + ny[inside]
+        target = n * (n + 1) // 2 + nx[inside]
+        v = amplitudes[inside]
+        rows += [target, k[inside]]
+        cols += [k[inside], target]
+        vals += [v, v]
+    m = sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(basis.dim, basis.dim),
+    )
     return m.tocsr()
 
 
 def position_operator(basis: OscBasis, axis: str) -> sp.csr_matrix:
     """X or Y, i.e. (a^dag + a)/sqrt(2) along the requested axis."""
-    if axis not in ("x", "y"):
+    if axis == "x":
+        hop = (1, 0, np.sqrt(basis.n_x + 1) / _SQRT2)
+    elif axis == "y":
+        hop = (0, 1, np.sqrt(basis.n_y + 1) / _SQRT2)
+    else:
         raise ValueError("axis must be 'x' or 'y'")
-    quanta = basis.n_x if axis == "x" else basis.n_y
-    entries = []
-    for k in range(basis.dim):
-        nx, ny, n = int(basis.n_x[k]), int(basis.n_y[k]), int(quanta[k])
-        # raising element <n+1|a^dag|n>; the lowering partner comes from symmetry
-        if nx + ny < basis.cutoff:
-            up = basis.index(nx + 1, ny) if axis == "x" else basis.index(nx, ny + 1)
-            v = math.sqrt(n + 1) / _SQRT2
-            entries.append((up, k, v))
-            entries.append((k, up, v))
-    return _collect(basis, entries)
+    # raising elements <n+1|a^dag|n>; the lowering partners are their transposes
+    return _symmetric(basis, [hop])
 
 
 def quadratic_operators(basis: OscBasis) -> dict[str, sp.csr_matrix]:
     """X2, Y2 and XY from exact second-quantized matrix elements.
 
     X^2 = (a^dag^2 + a^2 + 2n + 1)/2 along each axis; XY factorizes into the
-    two commuting single-axis ladder factors.
+    two commuting single-axis ladder factors, one channel raising both quanta
+    and one moving a quantum from y to x within the shell.
     """
-    x2_entries, y2_entries, xy_entries = [], [], []
-    for k in range(basis.dim):
-        nx, ny = int(basis.n_x[k]), int(basis.n_y[k])
-        n_tot = nx + ny
-        x2_entries.append((k, k, nx + 0.5))
-        y2_entries.append((k, k, ny + 0.5))
-        if n_tot <= basis.cutoff - 2:
-            ux = basis.index(nx + 2, ny)
-            v = math.sqrt((nx + 1) * (nx + 2)) / 2.0
-            x2_entries.append((ux, k, v))
-            x2_entries.append((k, ux, v))
-            uy = basis.index(nx, ny + 2)
-            v = math.sqrt((ny + 1) * (ny + 2)) / 2.0
-            y2_entries.append((uy, k, v))
-            y2_entries.append((k, uy, v))
-            uxy = basis.index(nx + 1, ny + 1)
-            v = math.sqrt((nx + 1) * (ny + 1)) / 2.0
-            xy_entries.append((uxy, k, v))
-            xy_entries.append((k, uxy, v))
-        # the (n_x+1, n_y-1) channel of XY stays within the shell
-        if nx + 1 <= basis.cutoff and ny - 1 >= 0:
-            u = basis.index(nx + 1, ny - 1)
-            v = math.sqrt((nx + 1) * ny) / 2.0
-            xy_entries.append((u, k, v))
-            xy_entries.append((k, u, v))
+    nx, ny = basis.n_x, basis.n_y
     return {
-        "X2": _collect(basis, x2_entries),
-        "Y2": _collect(basis, y2_entries),
-        "XY": _collect(basis, xy_entries),
+        "X2": _symmetric(basis, [(2, 0, np.sqrt((nx + 1) * (nx + 2)) / 2.0)], nx + 0.5),
+        "Y2": _symmetric(basis, [(0, 2, np.sqrt((ny + 1) * (ny + 2)) / 2.0)], ny + 0.5),
+        "XY": _symmetric(
+            basis,
+            [(1, 1, np.sqrt((nx + 1) * (ny + 1)) / 2.0), (1, -1, np.sqrt((nx + 1) * ny) / 2.0)],
+        ),
     }
 
 

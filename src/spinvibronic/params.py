@@ -114,26 +114,6 @@ class Couplings:
         return self.g_u - self.g_g
 
 
-@dataclass(frozen=True)
-class SocParams:
-    """Bare spin-orbit splittings (meV, nonnegative) and the spin projection."""
-
-    lambda_u0: float = 0.0
-    lambda_g0: float = 0.0
-    m_s: int = 0
-
-    def __post_init__(self):
-        if self.m_s not in (-1, 0, 1):
-            raise ParameterError(f"m_s must be one of -1, 0, +1 (got {self.m_s})")
-        if self.lambda_u0 < 0 or self.lambda_g0 < 0:
-            raise ParameterError("bare spin-orbit splittings must be nonnegative")
-
-    @property
-    def active(self) -> bool:
-        """True when the spin-orbit term contributes (vanishes for m_s = 0)."""
-        return self.m_s != 0 and (self.lambda_u0 + self.lambda_g0) != 0.0
-
-
 def _branch_constants(e_jt: float, delta_jt: float, k: float) -> tuple[float, float]:
     """Map one branch (E_JT, delta_JT) to unsigned (F, G).
 

@@ -199,7 +199,7 @@ def run_report(cfg: RunConfig) -> SpectrumReport:
         couplings = couplings_for_order(defect, order)
         sol = solve_sector(couplings, defect.lambda_corr, cutoff, preset, opts)
     gammas[order] = solution_gamma(sol)
-    p_u, p_g = reduction_factors(sol, opts)
+    p_u, p_g = reduction_factors(sol)
 
     report = SpectrumReport(
         defect=defect.name,

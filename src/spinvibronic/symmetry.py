@@ -65,8 +65,6 @@ class SymmetryOperators:
         self.r_c3 = total_rotation(ops["C3"])
         self.r_c2 = total_reflection(ops["C2prime"])
         self.r2_total = sp.kron(ops["X2"] + ops["Y2"], sp.identity(ELEC_DIM), format="csr")
-        # projector columns onto electronic symmetry channels
-        self.channel_states = symmetry_adapted_states()
 
 
 def character(vectors: np.ndarray, op: sp.spmatrix) -> float:

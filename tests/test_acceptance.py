@@ -15,7 +15,6 @@ import pytest
 
 from spinvibronic import (
     IdentifiabilityError,
-    SocParams,
     SolverOptions,
     adiabatic_surfaces,
     assemble,
@@ -26,6 +25,7 @@ from spinvibronic import (
     reduction_factors,
     second_order_shift,
     soc_levels,
+    soc_operators,
     solve_lowest,
     solve_sector,
 )
@@ -89,7 +89,7 @@ def labeled_sector(name: str, cutoff: int):
 
 @lru_cache(maxsize=None)
 def quenching(name: str, cutoff: int = 24):
-    return reduction_factors(labeled_sector(name, cutoff), OPTS)
+    return reduction_factors(labeled_sector(name, cutoff))
 
 
 @lru_cache(maxsize=None)
@@ -235,20 +235,16 @@ def test_criterion_6_soc_sector_structure(name):
     p = DEFECTS[name]
     c = pes_to_couplings(p)
     cutoff, lam = 16, 20.0
-    sols = {}
-    for m_s in (-1, 0, 1):
-        spec = SectorSpec(
-            couplings=c,
-            lambda_corr=p.lambda_corr,
-            soc=SocParams(lambda_u0=lam, lambda_g0=lam, m_s=m_s),
-            cutoff=cutoff,
+    h0 = assemble(SectorSpec(couplings=c, lambda_corr=p.lambda_corr, cutoff=cutoff))
+    s_u, s_g = soc_operators(h0.shape[0] // 4)
+    # the spin-orbit term vanishes at m_s = 0, whose sector is the real H0 itself
+    sols = {
+        m_s: solve_lowest(
+            h0 if m_s == 0 else h0 + m_s * (lam * s_u + lam * s_g), k=10, method="dense"
         )
-        sols[m_s] = solve_lowest(assemble(spec), k=10, method="dense")
-    ref = solve_lowest(
-        assemble(SectorSpec(couplings=c, lambda_corr=p.lambda_corr, cutoff=cutoff)),
-        k=10,
-        method="dense",
-    )
+        for m_s in (-1, 0, 1)
+    }
+    ref = solve_lowest(h0, k=10, method="dense")
     d0 = np.abs(sols[0].eigenvalues - ref.eigenvalues).max()
     dpm = np.abs(sols[1].eigenvalues - sols[-1].eigenvalues).max()
     ok = d0 < 1e-10 and dpm < 1e-10
@@ -269,7 +265,7 @@ def test_criterion_6_soc_sector_structure(name):
 def test_criterion_7_ham_limit(name, request):
     cutoff = 20
     sol = labeled_sector(name, cutoff)
-    p_u, p_g = reduction_factors(sol, OPTS)
+    p_u, p_g = reduction_factors(sol)
     lev = soc_levels(sol, 0.1, 0.1, OPTS)
     expected = 0.1 * (p_u + p_g)
     dev = abs(lev.lambda_eff - expected) / expected

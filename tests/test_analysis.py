@@ -40,14 +40,14 @@ def test_gamma_uncoupled_equals_correlation_gap():
 def test_reduction_factors_uncoupled_limit():
     c = Couplings(0.0, 0.0, 0.0, 0.0, 87.7)
     sol = solve_sector(c, 50.0, cutoff=6, opts=OPTS)
-    p_u, p_g = reduction_factors(sol, OPTS)
+    p_u, p_g = reduction_factors(sol)
     assert p_u == pytest.approx(1.0, abs=1e-9)
     assert p_g == pytest.approx(1.0, abs=1e-9)
 
 
 def test_reduction_factors_snv0_quenched():
     sol = cached_sector("SnV0", 24)
-    p_u, p_g = reduction_factors(sol, OPTS)
+    p_u, p_g = reduction_factors(sol)
     assert p_u == pytest.approx(0.032, abs=0.005)
     assert 0.0 < p_g < 0.05
 
@@ -62,9 +62,16 @@ def test_soc_levels_zero_coupling_limits():
     assert lev.gamma2_soc == pytest.approx(g2, abs=1e-9)
 
 
+def test_soc_levels_rejects_negative_couplings():
+    sol = cached_sector("SnV0", 8)
+    for lam in ((-1.0, 1.0), (1.0, -1.0)):
+        with pytest.raises(ValueError, match="nonnegative"):
+            soc_levels(sol, *lam, OPTS)
+
+
 def test_ham_limit_small_coupling():
     sol = cached_sector("SnV0", 20)
-    p_u, p_g = reduction_factors(sol, OPTS)
+    p_u, p_g = reduction_factors(sol)
     lev = soc_levels(sol, 0.1, 0.1, OPTS)
     assert lev.lambda_eff == pytest.approx(0.1 * (p_u + p_g), rel=0.01)
 

@@ -156,6 +156,16 @@ def test_bad_config_exit_2(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+def test_negative_coupling_exit_2_before_any_solve(tmp_path, capsys, monkeypatch):
+    def no_solve(cfg):
+        raise AssertionError("a config with a negative coupling reached the solver")
+
+    monkeypatch.setattr("spinvibronic.cli.run_report", no_solve)
+    cfg = write_config(tmp_path, FAST_SOLVE.replace("lambda_u0_mev = 30.0", "lambda_u0_mev = -5"))
+    assert main(["solve", str(cfg)]) == 2
+    assert "lambda_u0_mev" in capsys.readouterr().err
+
+
 def test_surfaces_command(tmp_path):
     cfg = write_config(tmp_path, FAST_OFF)
     assert main(["surfaces", str(cfg), "--qmin", "-2", "--qmax", "3", "--points", "101"]) == 0

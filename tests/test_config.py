@@ -85,6 +85,16 @@ def test_soc_mode_exclusivity():
     assert cfg.soc.lambda_u0_mev == 5.0
 
 
+@pytest.mark.parametrize("key", ["lambda_u0_mev", "lambda_g0_mev"])
+def test_negative_explicit_coupling_is_rejected_by_name(key):
+    couplings = {"lambda_u0_mev": 5.0, "lambda_g0_mev": 2.0, key: -5.0}
+    text = MINIMAL + "\n[soc]\nmode = explicit\n" + "".join(
+        f"{k} = {v}\n" for k, v in couplings.items()
+    )
+    with pytest.raises(ConfigError, match=key):
+        parse_config_text(text)
+
+
 def test_defect_invariants_surface_as_config_errors():
     bad = MINIMAL.replace("delta_jt1_mev = 63.5", "delta_jt1_mev = 500.0")
     with pytest.raises(ConfigError, match="delta_jt"):

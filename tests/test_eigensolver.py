@@ -5,11 +5,11 @@ import scipy.sparse as sp
 
 from spinvibronic import (
     ConvergenceError,
-    SocParams,
     SolverError,
     assemble,
     converge_cutoff,
     pes_to_couplings,
+    soc_operators,
     solve_lowest,
 )
 from spinvibronic.defaults import DEFECTS
@@ -20,14 +20,14 @@ from spinvibronic.params import Couplings
 
 
 def sector_h(name, cutoff, m_s=0, lam=0.0):
+    """The m_s sector H0 + m_s lam (S_u + S_g); m_s = 0 is the real H0 itself."""
     p = DEFECTS[name]
-    spec = SectorSpec(
-        couplings=pes_to_couplings(p),
-        lambda_corr=p.lambda_corr,
-        soc=SocParams(lambda_u0=lam, lambda_g0=lam, m_s=m_s),
-        cutoff=cutoff,
-    )
-    return assemble(spec)
+    spec = SectorSpec(couplings=pes_to_couplings(p), lambda_corr=p.lambda_corr, cutoff=cutoff)
+    h0 = assemble(spec)
+    if m_s == 0:
+        return h0
+    s_u, s_g = soc_operators(h0.shape[0] // 4)
+    return h0 + m_s * (lam * s_u + lam * s_g)
 
 
 def snv0_h(cutoff, m_s=0, lam=0.0):

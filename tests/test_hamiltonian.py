@@ -7,19 +7,19 @@ from hypothesis import strategies as st
 
 from spinvibronic import (
     Couplings,
-    SocParams,
     assemble,
     solve_lowest,
     build_correlation,
     build_pjt,
-    build_soc,
     op_on_g,
     op_on_u,
     pes_to_couplings,
+    soc_operators,
 )
 from spinvibronic.defaults import DEFECTS
 from spinvibronic.hamiltonian import (
     SIGMA_X,
+    SIGMA_Y,
     SIGMA_Z,
     SectorSpec,
     electronic_reflection,
@@ -31,14 +31,16 @@ from spinvibronic.hamiltonian import (
 from spinvibronic.oscillator import build_basis, build_operators
 
 
-def snv0_spec(cutoff, m_s=0, lam_u=0.0, lam_g=0.0, lambda_corr=None):
+def snv0_spec(cutoff):
     p = DEFECTS["SnV0"]
-    return SectorSpec(
-        couplings=pes_to_couplings(p),
-        lambda_corr=p.lambda_corr if lambda_corr is None else lambda_corr,
-        soc=SocParams(lambda_u0=lam_u, lambda_g0=lam_g, m_s=m_s),
-        cutoff=cutoff,
-    )
+    return SectorSpec(couplings=pes_to_couplings(p), lambda_corr=p.lambda_corr, cutoff=cutoff)
+
+
+def soc_sector(spec, m_s, lam_u, lam_g):
+    """The m_s sector H0 + m_s (lam_u S_u + lam_g S_g) of a spin-orbit-free spec."""
+    basis = build_basis(spec.cutoff)
+    s_u, s_g = soc_operators(basis.dim)
+    return assemble(spec, basis) + m_s * (lam_u * s_u + lam_g * s_g)
 
 
 def test_operator_embeddings():
@@ -73,12 +75,15 @@ def test_correlation_presets():
 
 
 def test_soc_matrix():
-    assert np.allclose(build_soc(SocParams(lambda_u0=5.0, lambda_g0=3.0, m_s=0)), 0.0)
-    m = build_soc(SocParams(lambda_u0=5.0, lambda_g0=0.0, m_s=1))
-    assert np.allclose(np.sort(np.linalg.eigvalsh(m)), [-2.5, -2.5, 2.5, 2.5])
-    m = build_soc(SocParams(lambda_u0=4.0, lambda_g0=4.0, m_s=1))
+    s_u, s_g = (s.toarray() for s in soc_operators(1))
+    assert np.allclose(np.sort(np.linalg.eigvalsh(5.0 * s_u)), [-2.5, -2.5, 2.5, 2.5])
+    m = 4.0 * (s_u + s_g)
     assert np.allclose(np.sort(np.linalg.eigvalsh(m)), [-4.0, 0.0, 0.0, 4.0])
-    assert np.allclose(m.real[np.abs(m) > 0], 0.0)  # purely imaginary entries
+    assert np.allclose(m.real, 0.0)  # purely imaginary entries
+    # the operators act on the electronic factor alone
+    s_u3, s_g3 = soc_operators(3)
+    assert np.array_equal(s_u3.toarray(), np.kron(np.eye(3), s_u))
+    assert np.array_equal(s_g3.toarray(), np.kron(np.eye(3), s_g))
 
 
 def test_pjt_zero_couplings_is_zero():
@@ -111,14 +116,16 @@ def test_pjt_u_only_block_decouples():
     assert np.abs(off).max() == 0.0
 
 
-def brute_force_dense(spec: SectorSpec):
+def brute_force_dense(spec: SectorSpec, m_s=0, lam_u=0.0, lam_g=0.0):
     """Independent dense construction by explicit matrix elements."""
     basis = build_basis(spec.cutoff)
     dim = 4 * basis.dim
     h = np.zeros((dim, dim), dtype=complex)
     c = spec.couplings
     k = c.hbar_omega_e
-    w = build_correlation(spec.lambda_corr, spec.preset) + build_soc(spec.soc)
+    w = build_correlation(spec.lambda_corr, spec.preset) + m_s * (
+        0.5 * lam_u * op_on_u(SIGMA_Y) + 0.5 * lam_g * op_on_g(SIGMA_Y)
+    )
     su_z, su_x = op_on_u(SIGMA_Z), op_on_u(SIGMA_X)
     sg_z, sg_x = op_on_g(SIGMA_Z), op_on_g(SIGMA_X)
 
@@ -161,22 +168,25 @@ def brute_force_dense(spec: SectorSpec):
     return h
 
 
-def test_assembly_matches_brute_force():
-    spec = snv0_spec(2)
+@pytest.mark.parametrize("cutoff", [0, 1, 2, 5])
+def test_assembly_matches_brute_force(cutoff):
+    spec = snv0_spec(cutoff)
     h = assemble(spec)
     ref = brute_force_dense(spec)
-    assert h.shape == (24, 24)
+    dim = 2 * (cutoff + 1) * (cutoff + 2)
+    assert h.shape == (dim, dim)
     assert np.abs(h.toarray() - ref.real).max() < 1e-12
     e = np.linalg.eigvalsh(h.toarray())
     e_ref = np.linalg.eigvalsh(ref)
     assert abs(e[0] - e_ref[0]) < 1e-10
 
 
-def test_assembly_matches_brute_force_with_soc():
-    spec = snv0_spec(2, m_s=1, lam_u=7.0, lam_g=3.0)
-    h = assemble(spec)
+@pytest.mark.parametrize("cutoff", [0, 1, 2, 5])
+def test_assembly_matches_brute_force_with_soc(cutoff):
+    spec = snv0_spec(cutoff)
+    h = soc_sector(spec, 1, 7.0, 3.0)
     assert h.dtype == complex
-    assert np.abs(h.toarray() - brute_force_dense(spec)).max() < 1e-12
+    assert np.abs(h.toarray() - brute_force_dense(spec, 1, 7.0, 3.0)).max() < 1e-12
 
 
 def test_uncoupled_spectrum_degeneracies():
@@ -189,15 +199,20 @@ def test_uncoupled_spectrum_degeneracies():
 
 
 def test_hermiticity_exact():
-    h = assemble(snv0_spec(2, m_s=1, lam_u=5.0, lam_g=2.0))
+    h = soc_sector(snv0_spec(2), 1, 5.0, 2.0)
     assert abs(h - h.conj().T).max() == 0.0
 
 
-def test_real_only_flag():
-    # the CSR dtype carries whether a sector is real
-    assert assemble(snv0_spec(2)).dtype == np.float64
-    assert assemble(snv0_spec(2, m_s=0, lam_u=5.0, lam_g=5.0)).dtype == np.float64
-    assert assemble(snv0_spec(2, m_s=-1, lam_u=5.0, lam_g=5.0)).dtype == np.complex128
+def test_assemble_is_real_and_soc_entries_are_disjoint():
+    h0 = assemble(snv0_spec(3))
+    assert h0.dtype == np.float64
+    assert soc_sector(snv0_spec(3), -1, 5.0, 5.0).dtype == np.complex128
+    # no spin-orbit entry shares a position with H0, so adding the term
+    # leaves every entry of H0 as it is
+    s_u, s_g = soc_operators(h0.shape[0] // 4)
+    h0_pattern = set(zip(*h0.nonzero()))
+    for s in (s_u, s_g):
+        assert h0_pattern.isdisjoint(zip(*s.nonzero()))
 
 
 def test_symmetry_commutators():
@@ -212,8 +227,8 @@ def test_symmetry_commutators():
 
 
 def test_kramers_conjugation_identity():
-    plus = assemble(snv0_spec(4, m_s=1, lam_u=6.0, lam_g=2.5)).toarray()
-    minus = assemble(snv0_spec(4, m_s=-1, lam_u=6.0, lam_g=2.5)).toarray()
+    plus = soc_sector(snv0_spec(4), 1, 6.0, 2.5).toarray()
+    minus = soc_sector(snv0_spec(4), -1, 6.0, 2.5).toarray()
     assert np.abs(np.conj(plus) - minus).max() == 0.0
     e_plus = np.linalg.eigvalsh(plus)
     e_minus = np.linalg.eigvalsh(minus)
@@ -222,7 +237,7 @@ def test_kramers_conjugation_identity():
     # lets the analysis take m_s = -1 from the m_s = +1 solve
     for method in ("dense", "lanczos"):
         solved = [
-            solve_lowest(assemble(snv0_spec(4, m_s=m, lam_u=6.0, lam_g=2.5)), k=8, method=method)
+            solve_lowest(soc_sector(snv0_spec(4), m, 6.0, 2.5), k=8, method=method)
             for m in (+1, -1)
         ]
         assert np.abs(solved[0].eigenvalues - solved[1].eigenvalues).max() < 1e-10
@@ -241,28 +256,35 @@ def test_kramers_conjugation_identity():
 def test_kramers_pairs_have_equal_spectra(f, g, lambda_corr, lam, preset, cutoff):
     # g is drawn in units of hbar_omega_e, inside |2(g_u +/- g_g)| < hbar_omega_e
     c = Couplings(f[0], f[1], 80.0 * g[0], 80.0 * g[1], 80.0)
+    spec = SectorSpec(couplings=c, lambda_corr=lambda_corr, cutoff=cutoff, preset=preset)
     spectra = [
-        solve_lowest(
-            assemble(
-                SectorSpec(
-                    couplings=c,
-                    lambda_corr=lambda_corr,
-                    soc=SocParams(lambda_u0=lam[0], lambda_g0=lam[1], m_s=m_s),
-                    cutoff=cutoff,
-                    preset=preset,
-                )
-            ),
-            k=8,
-        ).eigenvalues
-        for m_s in (+1, -1)
+        solve_lowest(soc_sector(spec, m_s, *lam), k=8).eigenvalues for m_s in (+1, -1)
     ]
     assert np.abs(spectra[0] - spectra[1]).max() < 1e-9 * max(1.0, np.abs(spectra[0]).max())
 
 
-def test_ms0_equals_zero_coupling_matrix():
-    a = assemble(snv0_spec(4, m_s=0, lam_u=6.0, lam_g=2.5)).toarray()
-    b = assemble(snv0_spec(4)).toarray()
-    assert np.abs(a - b).max() == 0.0
+@settings(max_examples=40, deadline=None)
+@given(
+    f=st.tuples(*[st.floats(-200.0, 200.0)] * 2),
+    g=st.tuples(*[st.floats(-0.24, 0.24)] * 2),
+    lambda_corr=st.floats(0.0, 150.0),
+    lam=st.tuples(*[st.floats(0.0, 100.0)] * 2),
+    preset=st.sampled_from(["e-raised", "a-split"]),
+    m_s=st.sampled_from([0, 1]),
+    cutoff=st.integers(0, 5),
+)
+def test_eigenvalues_do_not_increase_with_cutoff(f, g, lambda_corr, lam, preset, m_s, cutoff):
+    # H_N is the leading principal block of H_{N+1} (shell-major basis, exact
+    # ladder elements), so by Cauchy interlacing the i-th eigenvalue at N+1
+    # lies at or below the i-th at N
+    c = Couplings(f[0], f[1], 80.0 * g[0], 80.0 * g[1], 80.0)
+    lows = []
+    for n in (cutoff, cutoff + 1):
+        spec = SectorSpec(couplings=c, lambda_corr=lambda_corr, cutoff=n, preset=preset)
+        h = assemble(spec) if m_s == 0 else soc_sector(spec, m_s, *lam)
+        lows.append(np.linalg.eigvalsh(h.toarray())[:8])
+    e_n, e_next = lows[0], lows[1][: lows[0].size]
+    assert np.all(e_next <= e_n + 1e-9 * np.maximum(1.0, np.abs(e_n)))
 
 
 @pytest.mark.parametrize("cutoffs", [(10, 20)])
@@ -270,7 +292,7 @@ def test_row_occupancy_constant_in_cutoff(cutoffs):
     # interior rows carry a bounded number of nonzeros independent of cutoff
     counts = []
     for n in cutoffs:
-        h = assemble(snv0_spec(n, m_s=1, lam_u=5.0, lam_g=5.0))
+        h = soc_sector(snv0_spec(n), 1, 5.0, 5.0)
         counts.append(int(np.diff(h.indptr).max()))
     assert counts[0] == counts[1]
     assert counts[0] <= 22

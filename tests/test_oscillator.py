@@ -70,6 +70,39 @@ def test_quadratic_matrix_elements():
     assert ops["XY"].toarray()[basis.index(1, 1), i00] == pytest.approx(0.5)
 
 
+def loop_reference(basis):
+    """X, Y, X2, Y2 and XY entry by entry, with the ladder arithmetic of the operators."""
+    dim = basis.dim
+    m = {label: np.zeros((dim, dim)) for label in ("X", "Y", "X2", "Y2", "XY")}
+
+    def put(label, to, frm, v):
+        m[label][to, frm] = m[label][frm, to] = v
+
+    for k in range(dim):
+        nx, ny = int(basis.n_x[k]), int(basis.n_y[k])
+        m["X2"][k, k], m["Y2"][k, k] = nx + 0.5, ny + 0.5
+        if nx + ny < basis.cutoff:
+            put("X", basis.index(nx + 1, ny), k, math.sqrt(nx + 1) / math.sqrt(2.0))
+            put("Y", basis.index(nx, ny + 1), k, math.sqrt(ny + 1) / math.sqrt(2.0))
+        if nx + ny <= basis.cutoff - 2:
+            put("X2", basis.index(nx + 2, ny), k, math.sqrt((nx + 1) * (nx + 2)) / 2.0)
+            put("Y2", basis.index(nx, ny + 2), k, math.sqrt((ny + 1) * (ny + 2)) / 2.0)
+            put("XY", basis.index(nx + 1, ny + 1), k, math.sqrt((nx + 1) * (ny + 1)) / 2.0)
+        if ny >= 1:
+            put("XY", basis.index(nx + 1, ny - 1), k, math.sqrt((nx + 1) * ny) / 2.0)
+    return m
+
+
+@pytest.mark.parametrize("cutoff", [0, 1, 2, 5, 12])
+def test_ladder_operators_equal_the_entry_loop(cutoff):
+    basis = build_basis(cutoff)
+    ops = {"X": position_operator(basis, "x"), "Y": position_operator(basis, "y")}
+    ops.update(quadratic_operators(basis))
+    for label, ref in loop_reference(basis).items():
+        assert ops[label].has_canonical_format
+        assert np.array_equal(ops[label].toarray(), ref), label
+
+
 def test_x2_plus_y2_diagonal_counts_quanta():
     basis = build_basis(6)
     ops = quadratic_operators(basis)
