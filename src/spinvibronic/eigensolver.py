@@ -7,6 +7,20 @@ solve_lowest finds the blocks as the connected components of the sparsity
 pattern, solves each, and merges the block spectra, so every eigenvector it
 returns lies in one block and exact degeneracies across blocks cannot mix.
 
+A complex block is solved in its real form when it has one.  If diagonal
+phases d_i in {1, i} make every stored entry conj(d_i) h_ij d_j exactly
+real, the block is D R D^* with R = D^* h D real symmetric, so R has the
+same spectrum and D r is an eigenvector of h for every eigenvector r of R.
+The phases are a two-colouring of the sparsity pattern: a real entry joins
+two indices of the same phase, an imaginary one two of opposite phase.  In
+an m_s = +/-1 sector the real entries are H0's two C2' blocks and the
+imaginary ones, the spin-orbit term sigma_y / 2, join only those two, so
+d = 1 on the C2' block that holds index 0 and i on the other (the
+time-reversal gauge behind Kramers degeneracy).  The gauged matrix is
+checked exactly (imaginary part == 0, no tolerance); a block that has no
+such gauge is solved as a complex Hermitian matrix.  Eigenvectors come back
+in the caller's basis and residuals are taken against the caller's matrix.
+
 Blocks with dim <= dense_threshold go to LAPACK (scipy.linalg.eigh), which
 also serves as the independent oracle for the iterative path in the test
 suite.  Larger ones go to ARPACK (scipy.sparse.linalg.eigsh, which="SA"), an
@@ -16,15 +30,23 @@ reproducible.  Residuals ||H v - theta v|| are recomputed from the returned
 pairs, and the iterative path fails loudly rather than return a pair above
 tol * max(1, max |theta|).
 
-The default threshold of 400 is the measured crossover (k = 10, whole SnV0
-and PbV0 sectors before the split into blocks, two OpenBLAS threads on a
-2-core x86-64 host): complex sectors break even near dim 312 and real ones
-between 544 and 612, so one real plus one complex solve, the unit of a
-spin-orbit run, ties at dim 364 and favours ARPACK from dim 420 up.
+The default threshold of 400 is the crossover measured before blocks were
+split or gauged (k = 10, whole SnV0 and PbV0 sectors, two OpenBLAS threads
+on a 2-core x86-64 host): complex sectors broke even near dim 312 and real
+ones between 544 and 612, so one real plus one complex solve, the unit of a
+spin-orbit run, tied at dim 364 and favoured ARPACK from dim 420 up.  Every
+spin-orbit block is now solved real, and the threshold is left at 400: on
+the gauged PbV0 m_s = +1 sectors (k = 10, same host) LAPACK still wins at
+dim 364 (10.4 vs 12.2 ms) and ARPACK at dim 420 (11.8 vs 14.4 ms).
+
+Each block solve logs one DEBUG record (dim, the dtype handed to LAPACK or
+ARPACK, path, k, seconds) to the "spinvibronic" logger.
 """
 
 from __future__ import annotations
 
+import logging
+import time
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -33,6 +55,8 @@ import scipy.linalg
 import scipy.sparse as sp
 
 DENSE_THRESHOLD_DEFAULT = 400
+
+log = logging.getLogger("spinvibronic")
 
 
 class SolverError(RuntimeError):
@@ -66,27 +90,72 @@ def _residuals(h: sp.csr_matrix, vals: np.ndarray, vecs: np.ndarray) -> np.ndarr
     return np.linalg.norm(h @ vecs - vecs * vals, axis=0)
 
 
-def _dense_lowest(h: sp.csr_matrix, k: int) -> EigResult:
-    vals, vecs = scipy.linalg.eigh(h.toarray(), subset_by_index=[0, k - 1])
-    return EigResult(eigenvalues=vals, eigenvectors=vecs, residual_norms=_residuals(h, vals, vecs))
+def _dense_lowest(h: sp.csr_matrix, k: int) -> tuple[np.ndarray, np.ndarray]:
+    return scipy.linalg.eigh(h.toarray(), subset_by_index=[0, k - 1])
 
 
-def _arpack_lowest(h: sp.csr_matrix, k: int, tol: float, seed: int) -> EigResult:
-    from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+def _arpack_lowest(
+    h: sp.csr_matrix, k: int, tol: float, seed: int
+) -> tuple[np.ndarray, np.ndarray]:
+    from scipy.sparse.linalg import eigsh
 
     v0 = np.random.default_rng(seed).standard_normal(h.shape[0]).astype(h.dtype)
+    vals, vecs = eigsh(h, k, which="SA", v0=v0, tol=tol)
+    order = np.argsort(vals)
+    return vals[order].real, vecs[:, order]
+
+
+def _real_gauge(h: sp.csr_matrix) -> tuple[sp.csr_matrix, np.ndarray] | None:
+    """(R, d) with R_ij = conj(d_i) h_ij d_j real and every d_i in {1, i}; None if none exists."""
+    if not np.iscomplexobj(h.data):
+        return None
+    from scipy.sparse.csgraph import connected_components
+
+    # node j + c n is index j with phase i^c: a real entry keeps c, an imaginary one flips it
+    n = h.shape[0]
+    flip = np.where(h.data.imag != 0, n, 0).astype(h.indices.dtype)
+    indices = np.concatenate([h.indices + flip, (h.indices + flip + n) % (2 * n)])
+    indptr = np.concatenate([h.indptr, h.nnz + h.indptr[1:]])
+    graph = sp.csr_matrix((np.ones(indices.size), indices, indptr), shape=(2 * n, 2 * n))
+    _, labels = connected_components(graph, directed=False)
+    # a component and its mirror hold the two phases of the same indices; a
+    # component that is its own mirror (a cycle with an odd number of imaginary
+    # entries) or an entry that is neither real nor imaginary fails the check
+    d = np.where(labels[:n] < labels[n:], 1.0 + 0j, 1j)
+    gauged = np.repeat(np.conj(d), np.diff(h.indptr)) * h.data * d[h.indices]
+    if np.any(gauged.imag != 0):
+        return None
+    real = sp.csr_matrix((np.ascontiguousarray(gauged.real), h.indices, h.indptr), shape=h.shape)
+    return real, d
+
+
+def _block_lowest(h: sp.csr_matrix, k: int, dense: bool, tol: float, seed: int) -> EigResult:
+    """Lowest k pairs of one block, solved in its real form when it has one."""
+    from scipy.sparse.linalg import ArpackNoConvergence
+
+    t0 = time.perf_counter()
+    gauge = _real_gauge(h)
+    a, d = gauge if gauge is not None else (h, None)
+
+    def caller_basis(vecs: np.ndarray) -> np.ndarray:
+        return vecs if d is None else d[:, None] * vecs
+
     try:
-        vals, vecs = eigsh(h, k, which="SA", v0=v0, tol=tol)
+        vals, vecs = _dense_lowest(a, k) if dense else _arpack_lowest(a, k, tol, seed)
     except ArpackNoConvergence as exc:
         raise SolverError(
             f"ARPACK did not reach tol={tol:g}: {len(exc.eigenvalues)} of {k} pairs converged",
-            residuals=_residuals(h, exc.eigenvalues.real, exc.eigenvectors),
+            residuals=_residuals(h, exc.eigenvalues.real, caller_basis(exc.eigenvectors)),
         ) from exc
-    order = np.argsort(vals)
-    vals, vecs = vals[order].real, vecs[:, order]
+    vecs = caller_basis(vecs)
     res = _residuals(h, vals, vecs)
+    if log.isEnabledFor(logging.DEBUG):
+        log.debug(
+            "solve_lowest block: dim=%d dtype=%s path=%s k=%d seconds=%.6f",
+            h.shape[0], a.dtype, "dense" if dense else "lanczos", k, time.perf_counter() - t0,
+        )
     bound = tol * max(1.0, float(np.abs(vals).max()))
-    if np.any(res > bound):
+    if not dense and np.any(res > bound):
         raise SolverError(
             f"ARPACK residuals exceed tol * max(1, max|theta|) = {bound:.2e} "
             f"(residuals {np.array2string(res, precision=2)})",
@@ -117,11 +186,13 @@ def solve_lowest(
 
     Each decoupled block gives its lowest min(k, dim_b) pairs; the block
     spectra are merged by a stable sort and the lowest k kept, with the
-    eigenvectors embedded in the full space.  method: "auto" uses LAPACK for
-    blocks with dim_b <= dense_threshold and ARPACK (implicitly restarted
-    Lanczos) otherwise; "dense" / "lanczos" force a path, except that
-    k_b >= dim_b - 1 always goes to LAPACK, which ARPACK cannot serve.  tol is
-    ARPACK's relative tolerance.  Results are deterministic for a fixed seed.
+    eigenvectors embedded in the full space.  A complex block with a diagonal
+    {1, i} gauge is solved as the real symmetric matrix that gauge gives.
+    method: "auto" uses LAPACK for blocks with dim_b <= dense_threshold and
+    ARPACK (implicitly restarted Lanczos) otherwise; "dense" / "lanczos"
+    force a path, except that k_b >= dim_b - 1 always goes to LAPACK, which
+    ARPACK cannot serve.  tol is ARPACK's relative tolerance.  Results are
+    deterministic for a fixed seed.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -135,10 +206,8 @@ def solve_lowest(
     for idx in blocks:
         hb = h if len(blocks) == 1 else h[idx][:, idx]
         nb, kb = idx.size, min(k, idx.size)
-        if method == "dense" or (method == "auto" and nb <= dense_threshold) or kb >= nb - 1:
-            parts.append(_dense_lowest(hb, kb))
-        else:
-            parts.append(_arpack_lowest(hb, kb, tol, seed))
+        dense = method == "dense" or (method == "auto" and nb <= dense_threshold) or kb >= nb - 1
+        parts.append(_block_lowest(hb, kb, dense, tol, seed))
     vals = np.concatenate([r.eigenvalues for r in parts])
     vecs = np.zeros((n, vals.size), dtype=h.dtype)
     col = 0

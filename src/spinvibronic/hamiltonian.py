@@ -30,7 +30,8 @@ spin-orbit term conserves m_s and is one added term per spin projection:
 
     H(m_s) = H0 + m_s (lambda_u0 S_u + lambda_g0 S_g),   S = sy / 2 on each doublet,
 
-a complex Hermitian matrix for m_s = +/-1.  soc_operators builds S_u and S_g;
+a complex Hermitian matrix for m_s = +/-1, diagonally similar to a real one
+(the C2'-odd block times i).  soc_operators builds S_u and S_g;
 their entries are oscillator-diagonal and share no position with any entry of
 H0, so the sum adds nothing to H0's entries.
 """

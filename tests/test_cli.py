@@ -1,4 +1,5 @@
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -70,6 +71,17 @@ def test_solve_outputs_and_determinism(tmp_path, capsys):
     assert main(["solve", str(cfg)]) == 0
     second = {p.name: p.read_bytes() for p in out.iterdir()}
     assert first == second
+
+
+def test_reports_are_byte_identical_with_the_debug_log_on(tmp_path, caplog):
+    cfg = write_config(tmp_path, FAST_SOLVE)
+    out = tmp_path / "out"
+    assert main(["solve", str(cfg)]) == 0
+    quiet = {p.name: p.read_bytes() for p in out.iterdir()}
+    with caplog.at_level(logging.DEBUG, logger="spinvibronic"):
+        assert main(["solve", str(cfg)]) == 0
+    assert [r for r in caplog.records if r.name == "spinvibronic"]
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == quiet
 
 
 def test_report_solves_its_own_order_once(tmp_path, monkeypatch):

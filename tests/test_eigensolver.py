@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -19,15 +21,15 @@ from spinvibronic.hamiltonian import SectorSpec
 from spinvibronic.params import Couplings
 
 
-def sector_h(name, cutoff, m_s=0, lam=0.0):
-    """The m_s sector H0 + m_s lam (S_u + S_g); m_s = 0 is the real H0 itself."""
+def sector_h(name, cutoff, m_s=0, lam=0.0, lam_g=None):
+    """The m_s sector H0 + m_s (lam S_u + lam_g S_g), lam_g = lam by default; m_s = 0 is H0."""
     p = DEFECTS[name]
     spec = SectorSpec(couplings=pes_to_couplings(p), lambda_corr=p.lambda_corr, cutoff=cutoff)
     h0 = assemble(spec)
     if m_s == 0:
         return h0
     s_u, s_g = soc_operators(h0.shape[0] // 4)
-    return h0 + m_s * (lam * s_u + lam * s_g)
+    return h0 + m_s * (lam * s_u + (lam if lam_g is None else lam_g) * s_g)
 
 
 def snv0_h(cutoff, m_s=0, lam=0.0):
@@ -76,13 +78,12 @@ def test_eigenvector_orthonormality_and_residuals():
 def test_nonconvergence_raises(monkeypatch):
     import scipy.sparse.linalg
 
-    h = snv0_h(10, m_s=1, lam=40.0)  # one block, so eigsh sees the whole matrix
-    exact = solve_lowest(h, k=6, method="dense")
+    h = snv0_h(10, m_s=1, lam=40.0)  # one block, so eigsh sees the whole (gauged) matrix
 
-    def no_convergence(*args, **kwargs):
-        raise scipy.sparse.linalg.ArpackNoConvergence(
-            "no convergence", exact.eigenvalues[:2], exact.eigenvectors[:, :2]
-        )
+    def no_convergence(a, k, **kwargs):
+        # partial pairs of the matrix eigsh receives, mapped back by the solver
+        vals, vecs = scipy.linalg.eigh(a.toarray())
+        raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", vals[:2], vecs[:, :2])
 
     monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
     with pytest.raises(SolverError) as err:
@@ -95,14 +96,20 @@ def test_nonconvergence_raises(monkeypatch):
 def test_residual_above_tol_raises(monkeypatch):
     import scipy.sparse.linalg
 
-    h = snv0_h(10, m_s=1, lam=40.0)  # one block, so eigsh sees the whole matrix
-    exact = solve_lowest(h, k=6, method="dense")
-    vecs = exact.eigenvectors.copy()
-    vecs[:, 0] = vecs[:, 0] + 1e-3 * vecs[:, 5]
-    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", lambda *a, **kw: (exact.eigenvalues, vecs))
+    h = snv0_h(10, m_s=1, lam=40.0)  # one block, so eigsh sees the whole (gauged) matrix
+
+    def perturbed(a, k, **kwargs):
+        vals, vecs = scipy.linalg.eigh(a.toarray(), subset_by_index=[0, k - 1])
+        vecs[:, 0] = vecs[:, 0] + 1e-3 * vecs[:, 5]
+        return vals, vecs
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", perturbed)
     with pytest.raises(SolverError) as err:
         solve_lowest(h, k=6, method="lanczos", dense_threshold=0)
-    assert err.value.residuals[0] > 1e-3
+    res = err.value.residuals
+    exact = solve_lowest(h, k=6, method="dense").eigenvalues
+    assert res[0] > 1e-3
+    assert res[1:].max() < 1e-10 * max(1.0, np.abs(exact).max())
 
 
 def test_k_near_dim_goes_dense():
@@ -223,3 +230,96 @@ def test_arpack_matches_lapack_oracle_ms_plus_one(name, cutoff):
         # same eigenspaces: each ARPACK vector lies in the span of its LAPACK partner
         overlap = np.abs(dense.eigenvectors.conj().T @ res.eigenvectors) ** 2
         assert np.allclose(overlap.sum(axis=0), 1.0, atol=1e-8)
+
+
+def _spy(monkeypatch):
+    """Record (path, dtype) of every matrix handed to LAPACK eigh or ARPACK eigsh."""
+    import scipy.sparse.linalg
+
+    seen = []
+    eigh, eigsh = scipy.linalg.eigh, scipy.sparse.linalg.eigsh
+
+    def spy_eigh(a, *args, **kwargs):
+        seen.append(("dense", a.dtype))
+        return eigh(a, *args, **kwargs)
+
+    def spy_eigsh(a, *args, **kwargs):
+        seen.append(("lanczos", a.dtype))
+        return eigsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh", spy_eigh)
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", spy_eigsh)
+    return seen
+
+
+@pytest.mark.parametrize("name", sorted(DEFECTS))
+@pytest.mark.parametrize("cutoff", [4, 12, 20])
+@pytest.mark.parametrize("m_s", [1, -1])
+def test_real_gauge_keeps_the_complex_spectrum(name, cutoff, m_s):
+    # the m_s = +/-1 sectors are solved in their real form; LAPACK on the
+    # complex matrix is the oracle, and residuals are against the complex h
+    h = sector_h(name, cutoff, m_s=m_s, lam=40.0, lam_g=15.0)
+    assert h.dtype == complex
+    exact = scipy.linalg.eigvalsh(h.toarray())[:10]
+    for method in ("dense", "lanczos"):
+        res = solve_lowest(h, k=10, method=method, dense_threshold=0)
+        assert np.abs(res.eigenvalues - exact).max() < 1e-9
+        vecs, vals = res.eigenvectors, res.eigenvalues
+        residuals = np.linalg.norm(h @ vecs - vecs * vals, axis=0)
+        assert residuals.max() < 1e-10 * max(1.0, np.abs(vals).max())
+        assert np.allclose(residuals, res.residual_norms, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("method", ["dense", "lanczos"])
+def test_every_package_sector_reaches_the_solver_real(monkeypatch, method):
+    opts = SolverOptions(k=10, method=method, dense_threshold=0)
+    sectors = []
+    for name in sorted(DEFECTS):
+        p = DEFECTS[name]
+        sol = solve_sector(pes_to_couplings(p), p.lambda_corr, 12, opts=opts)
+        sectors += [sol.h0] + [sol.soc_sector(40.0, 15.0, m_s) for m_s in (1, -1)]
+    seen = _spy(monkeypatch)
+    for h in sectors:
+        opts.solve(h)
+    # two C2' blocks per m_s = 0 sector, one block per m_s = +/-1 sector
+    assert seen == [(method, np.dtype(np.float64))] * (4 * (2 + 1 + 1))
+
+
+def _tridiagonal(n=40, seed=0):
+    rng = np.random.default_rng(seed)
+    off = rng.standard_normal(n - 1)
+    return np.diag(rng.standard_normal(n)) + np.diag(off, 1) + np.diag(off, -1)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        (4, 5, 0.3 + 0.3j),  # neither real nor imaginary, the one link of two real chains
+        (0, 2, 0.3j),  # imaginary, but 0 and 2 are joined by real entries
+    ],
+)
+@pytest.mark.parametrize("method", ["dense", "lanczos"])
+def test_complex_block_without_real_gauge(monkeypatch, entry, method):
+    i, j, v = entry
+    a = _tridiagonal().astype(complex)
+    a[i, j], a[j, i] = v, np.conj(v)
+    h = sp.csr_matrix(a)
+    seen = _spy(monkeypatch)
+    res = solve_lowest(h, k=4, method=method, dense_threshold=0)
+    assert seen == [(method, np.dtype(np.complex128))]
+    assert np.abs(res.eigenvalues - np.linalg.eigvalsh(a)[:4]).max() < 1e-9
+    residuals = np.linalg.norm(h @ res.eigenvectors - res.eigenvectors * res.eigenvalues, axis=0)
+    assert residuals.max() < 1e-10 * max(1.0, np.abs(res.eigenvalues).max())
+
+
+def test_block_solves_are_logged(caplog):
+    h = snv0_h(8, m_s=1, lam=40.0)
+    with caplog.at_level(logging.DEBUG, logger="spinvibronic"):
+        solve_lowest(h, k=4, method="dense")
+        solve_lowest(snv0_h(8), k=4, method="lanczos", dense_threshold=0)
+    messages = [r.getMessage() for r in caplog.records if r.name == "spinvibronic"]
+    assert len(messages) == 3
+    assert "dim=180 dtype=float64 path=dense k=4" in messages[0]
+    assert all("dim=90 dtype=float64 path=lanczos k=4" in m for m in messages[1:])
+    assert all("seconds=" in m for m in messages)
+
