@@ -94,6 +94,12 @@ def electronic_reflection() -> np.ndarray:
     return op_on_u(np.diag([1.0, -1.0])) @ op_on_g(np.diag([-1.0, 1.0]))
 
 
+# projector onto each electronic channel, in CHANNELS order
+CHANNEL_PROJECTORS = {
+    name: np.outer(v, v) for name, v in zip(CHANNELS, symmetry_adapted_states().T)
+}
+
+
 @dataclass(frozen=True)
 class SectorSpec:
     """Everything needed to assemble the spin-orbit-free sector."""
@@ -122,8 +128,7 @@ def build_correlation(lambda_corr: float, preset: str = PRESET_E_RAISED) -> np.n
     splitting and matches the surface structure at Q = 0, where the four
     adiabatic levels form two degenerate pairs separated by lambda_corr.
     """
-    states = symmetry_adapted_states()
-    p = {name: np.outer(states[:, i], states[:, i]) for i, name in enumerate(CHANNELS)}
+    p = CHANNEL_PROJECTORS
     if preset == PRESET_E_RAISED:
         return lambda_corr * (p["Eu1"] + p["Eu2"])
     if preset == PRESET_A_SPLIT:

@@ -8,22 +8,35 @@ what makes fitting one-dimensional surface scans sufficient.
 
 Surface columns are continued through the grid by eigenvector overlap rather
 than by sorting, so degeneracy touchings at Q = 0 do not produce kinks.  The
-fit runs in (K, Lambda, F1, F2, G1, G2, offset) space, where the feasible
-region is a plain box, and converts back to well depths and warpings only at
-the end; a global energy offset of the samples is absorbed by the nuisance
-parameter.
+reference level at Q = 0 is the last point of the same stacked eigensolve as
+the grid.  The fit runs in (K, Lambda, F1, F2, G1, G2, offset) space, where
+the feasible region is a plain box, and converts back to well depths and
+warpings only at the end; a global energy offset of the samples is absorbed
+by the nuisance parameter.  Its Jacobian is exact: the potential is linear in
+every parameter but K of angstrom samples, so each derivative is the
+Hellmann-Feynman expectation of a constant operator (Feynman, Phys. Rev. 56,
+340 (1939)).
 """
 
 from __future__ import annotations
 
+import logging
 import math
+import time
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 from scipy.optimize import least_squares, linear_sum_assignment
 
-from .hamiltonian import SIGMA_Z, build_correlation, op_on_g, op_on_u, PRESET_E_RAISED
+from .hamiltonian import (
+    PRESET_E_RAISED,
+    SIGMA_X,
+    SIGMA_Z,
+    build_correlation,
+    op_on_g,
+    op_on_u,
+)
 from .params import (
     Couplings,
     DefectParams,
@@ -32,8 +45,15 @@ from .params import (
     pes_to_couplings,
 )
 
+log = logging.getLogger("spinvibronic")
+
 QX_UNIT_DIMENSIONLESS = "dimensionless"
 QX_UNIT_ANGSTROM = "angstrom"
+
+# the four coupling operators on the electronic factor
+_U_Z, _U_X = op_on_u(SIGMA_Z), op_on_u(SIGMA_X)
+_G_Z, _G_X = op_on_g(SIGMA_Z), op_on_g(SIGMA_X)
+_EYE = np.eye(4)
 
 
 class PesFitError(RuntimeError):
@@ -72,25 +92,34 @@ def classical_matrix(
     """Stacked 4x4 potential matrices over the grid (shape (n, 4, 4))."""
     qx = np.atleast_1d(np.asarray(qx, dtype=float))
     qy = np.broadcast_to(np.asarray(qy, dtype=float), qx.shape)
-    ou_z, og_z = op_on_u(SIGMA_Z), op_on_g(SIGMA_Z)
-    ou_x, og_x = op_on_u(np.array([[0.0, 1.0], [1.0, 0.0]])), op_on_g(
-        np.array([[0.0, 1.0], [1.0, 0.0]])
-    )
     w = build_correlation(lambda_corr, preset)
     harm = 0.5 * c.hbar_omega_e * (qx**2 + qy**2)
     z_u = c.f_u * qx + c.g_u * (qx**2 - qy**2)
     x_u = -c.f_u * qy + 2.0 * c.g_u * qx * qy
     z_g = c.f_g * qx + c.g_g * (qx**2 - qy**2)
     x_g = -c.f_g * qy + 2.0 * c.g_g * qx * qy
-    mats = (
-        harm[:, None, None] * np.eye(4)
-        + z_u[:, None, None] * ou_z
-        + x_u[:, None, None] * ou_x
-        + z_g[:, None, None] * og_z
-        + x_g[:, None, None] * og_x
+    return (
+        harm[:, None, None] * _EYE
+        + z_u[:, None, None] * _U_Z
+        + x_u[:, None, None] * _U_X
+        + z_g[:, None, None] * _G_Z
+        + x_g[:, None, None] * _G_X
         + w
     )
-    return mats
+
+
+def _dmat_dqx(c: Couplings, qx: np.ndarray) -> np.ndarray:
+    """Stacked derivative of classical_matrix along Q_x on the Q_y = 0 cut."""
+    return (
+        (c.hbar_omega_e * qx)[:, None, None] * _EYE
+        + (c.f_u + 2.0 * c.g_u * qx)[:, None, None] * _U_Z
+        + (c.f_g + 2.0 * c.g_g * qx)[:, None, None] * _G_Z
+    )
+
+
+def _expect(vectors: np.ndarray, op: np.ndarray) -> np.ndarray:
+    """<v_n|op|v_n> for every eigenvector column of a stack, shape (n, 4)."""
+    return np.sum(vectors * (op @ vectors), axis=-2)
 
 
 def _track_columns(energies: np.ndarray, vectors: np.ndarray) -> np.ndarray:
@@ -120,10 +149,11 @@ def adiabatic_surfaces(
     qx_grid = np.asarray(qx_grid, dtype=float)
     if not np.all(np.isfinite(qx_grid)):
         raise ValueError("grid must be finite")
-    mats = classical_matrix(c, lambda_corr, preset, qx_grid, qy)
+    # Q = 0 rides along as the last point of the stack and sets the reference
+    qy_grid = np.append(np.full(qx_grid.shape, float(qy)), 0.0)
+    mats = classical_matrix(c, lambda_corr, preset, np.append(qx_grid, 0.0), qy_grid)
     energies, vectors = np.linalg.eigh(mats)
-    ref = float(np.linalg.eigvalsh(classical_matrix(c, lambda_corr, preset, np.array([0.0]))[0])[0])
-    tracked = _track_columns(energies, vectors) - ref
+    tracked = _track_columns(energies[:-1], vectors[:-1]) - energies[-1, 0]
     return PesCurve(qx=qx_grid, energies=tracked, qx_unit=QX_UNIT_DIMENSIONLESS)
 
 
@@ -146,15 +176,9 @@ def lowest_surface_minimum(
 
     def sheet_gradient(q: float) -> float:
         # Hellmann-Feynman derivative of the sheet along the Q_x axis
-        mat = classical_matrix(c, lambda_corr, preset, np.array([q]))[0]
-        _, vecs = np.linalg.eigh(mat)
-        v = vecs[:, sheet]
-        dmat = (
-            c.hbar_omega_e * q * np.eye(4)
-            + (c.f_u + 2.0 * c.g_u * q) * op_on_u(SIGMA_Z)
-            + (c.f_g + 2.0 * c.g_g * q) * op_on_g(SIGMA_Z)
-        )
-        return float(v @ dmat @ v)
+        qs = np.array([q])
+        _, vecs = np.linalg.eigh(classical_matrix(c, lambda_corr, preset, qs))
+        return float(_expect(vecs, _dmat_dqx(c, qs))[0, sheet])
 
     grid = side * np.linspace(1e-3, 6.0, 2400)
     values = np.array([sheet_energy(q) for q in grid])
@@ -240,15 +264,47 @@ def _theta_to_couplings(theta: np.ndarray) -> tuple[Couplings, float, float]:
     return c, lam, offset
 
 
-def _model_sorted(theta: np.ndarray, qx_sample: np.ndarray, unit: str, preset: str, mass_amu: float):
+def _model_grid(theta: np.ndarray, qx_sample: np.ndarray, unit: str, mass_amu: float):
+    """Couplings, lambda, offset and the dimensionless grid with Q = 0 appended."""
     c, lam, offset = _theta_to_couplings(theta)
     q = qx_sample
     if unit == QX_UNIT_ANGSTROM:
         q = qx_sample / dimensionless_length_scale(c.hbar_omega_e, mass_amu)
-    mats = classical_matrix(c, lam, preset, q)
-    e = np.linalg.eigvalsh(mats)
-    ref = float(np.linalg.eigvalsh(classical_matrix(c, lam, preset, np.array([0.0]))[0])[0])
-    return e - ref + offset
+    return c, lam, offset, np.append(q, 0.0)
+
+
+def _model_sorted(theta: np.ndarray, qx_sample: np.ndarray, unit: str, preset: str, mass_amu: float):
+    c, lam, offset, q = _model_grid(theta, qx_sample, unit, mass_amu)
+    e = np.linalg.eigvalsh(classical_matrix(c, lam, preset, q))
+    return e[:-1] - e[-1, 0] + offset
+
+
+def _model_jacobian(
+    theta: np.ndarray, qx_sample: np.ndarray, unit: str, preset: str, mass_amu: float
+) -> np.ndarray:
+    """d(_model_sorted)/d(theta), shape (n, 4, 7), by Hellmann-Feynman.
+
+    Each entry is <v_n|dM/dtheta|v_n> from one stacked eigh; dM/dtheta is a
+    constant operator times q or q^2 (W(1) for lambda), and the Q = 0 row is
+    subtracted as the reference.  Angstrom samples have q proportional to
+    sqrt(K), which adds <v_n|dM/dq|v_n> q / (2K) to the K column.
+    """
+    c, lam, _, q = _model_grid(theta, qx_sample, unit, mass_amu)
+    _, vecs = np.linalg.eigh(classical_matrix(c, lam, preset, q))
+    z_u, z_g = _expect(vecs, _U_Z), _expect(vecs, _G_Z)
+    lin, quad = 0.5 * q[:, None], 0.5 * q[:, None] ** 2
+    jac = np.empty(q.shape + (4, 7))
+    jac[..., 0] = quad
+    if unit == QX_UNIT_ANGSTROM:
+        jac[..., 0] += _expect(vecs, _dmat_dqx(c, q)) * lin / c.hbar_omega_e
+    jac[..., 1] = _expect(vecs, build_correlation(1.0, preset))
+    jac[..., 2] = lin * (z_u + z_g)
+    jac[..., 3] = lin * (z_u - z_g)
+    jac[..., 4] = quad * (z_u + z_g)
+    jac[..., 5] = quad * (z_u - z_g)
+    jac = jac[:-1] - jac[-1, 0]
+    jac[..., 6] = 1.0
+    return jac
 
 
 def fit_pes(
@@ -264,7 +320,11 @@ def fit_pes(
     samples must cover both sides of Q_x = 0 with at least 20 points; missing
     entries (NaN) are masked.  The sorted model eigenvalues are matched
     positionally to the sample columns, which therefore must be in ascending
-    energy order per point.
+    energy order per point.  Each model call is one stacked eigensolve over
+    the grid with the Q = 0 reference appended, and the Jacobian is the exact
+    Hellmann-Feynman one of _model_jacobian, so its singular values show a
+    rank-deficient fit as such (IdentifiabilityError).  One DEBUG record per
+    fit goes to the "spinvibronic" logger.
     """
     mask = np.isfinite(samples.energies)
     n_pts = samples.qx.size
@@ -279,6 +339,7 @@ def fit_pes(
     if not np.any(mask):
         raise IdentifiabilityError("all surface entries are missing")
 
+    t0 = time.perf_counter()
     weights = np.ones(4) if surface_weights is None else np.asarray(surface_weights, float)
     c0 = pes_to_couplings(initial)
     theta0 = np.array(
@@ -293,12 +354,17 @@ def fit_pes(
         cost_history.append(float(np.dot(r, r)))
         return r
 
+    def jacobian(theta):
+        jac = _model_jacobian(theta, samples.qx, samples.qx_unit, preset, mass_amu)
+        return (jac * weights[:, None])[mask]
+
     lower = [1.0, -2000.0, -3000.0, -3000.0, -43.0, -43.0, -1e5]
     upper = [1000.0, 2000.0, 3000.0, 3000.0, 43.0, 43.0, 1e5]
     theta0 = np.clip(theta0, lower, upper)
     res = least_squares(
         residuals,
         theta0,
+        jac=jacobian,
         bounds=(lower, upper),
         method="trf",
         xtol=1e-14,
@@ -310,7 +376,13 @@ def fit_pes(
         raise PesFitError(f"fit did not converge: {res.message}")
 
     svals = np.linalg.svd(res.jac, compute_uv=False)
-    if svals[0] <= 0 or svals[-1] / svals[0] < 1e-10:
+    ratio = svals[-1] / svals[0] if svals[0] > 0 else 0.0
+    if log.isEnabledFor(logging.DEBUG):
+        log.debug(
+            "fit_pes: nfev=%d njev=%d cost=%.6e status=%d sv_ratio=%.3e seconds=%.6f",
+            res.nfev, res.njev, res.cost, res.status, ratio, time.perf_counter() - t0,
+        )
+    if ratio < 1e-10:
         vt = np.linalg.svd(res.jac)[2]
         names = ["hbar_omega_e", "lambda", "F1", "F2", "G1", "G2", "offset"]
         null_dir = {n: round(float(x), 3) for n, x in zip(names, vt[-1])}

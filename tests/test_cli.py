@@ -187,12 +187,14 @@ def test_surfaces_command(tmp_path):
     assert np.allclose(np.sort(curve.energies[i0]), [0.0, 0.0, 98.2, 98.2], atol=1e-6)
 
 
-def synth_csv(tmp_path, name="SiV0", qgrid=None, sort=True):
+def synth_csv(tmp_path, name="SiV0", qgrid=None, sort=True, missing=None):
     p = DEFECTS[name]
     grid = np.linspace(-2.2, 3.4, 47) if qgrid is None else qgrid
     curve = adiabatic_surfaces(pes_to_couplings(p), p.lambda_corr, "e-raised", grid)
     if sort:
         curve.energies = np.sort(curve.energies, axis=1)
+    if missing is not None:
+        curve.energies[:, missing] = np.nan
     path = tmp_path / "samples.csv"
     write_pes_csv(curve, path)
     return path
@@ -233,6 +235,27 @@ def test_fit_one_branch_exit_3(tmp_path, capsys):
     csv_path = synth_csv(tmp_path, "SnV0", qgrid=np.linspace(0.1, 3.2, 40))
     assert main(["fit", str(csv_path), str(cfg)]) == 3
     assert "branch-2" in capsys.readouterr().err
+
+
+def test_fit_rank_deficient_exit_3(tmp_path, capsys):
+    # surfaces 2-4 missing: the second branch is not identifiable
+    cfg = write_config(tmp_path, FAST_OFF.replace("hbar_omega_e_mev = 87.7", "hbar_omega_e_mev = 92.085"))
+    csv_path = synth_csv(tmp_path, "SnV0", qgrid=np.linspace(-2.0, 3.2, 41), missing=slice(1, 4))
+    assert main(["fit", str(csv_path), str(cfg)]) == 3
+    assert "rank-deficient" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "fitted.conf").exists()
+
+
+def test_fitted_config_is_byte_identical_with_the_debug_log_on(tmp_path, caplog):
+    cfg = write_config(tmp_path, SIV0_GUESS)
+    csv_path = synth_csv(tmp_path, "SiV0")
+    fitted = tmp_path / "out" / "fitted.conf"
+    assert main(["fit", str(csv_path), str(cfg)]) == 0
+    quiet = fitted.read_bytes()
+    with caplog.at_level(logging.DEBUG, logger="spinvibronic"):
+        assert main(["fit", str(csv_path), str(cfg)]) == 0
+    assert any("fit_pes:" in r.getMessage() for r in caplog.records if r.name == "spinvibronic")
+    assert fitted.read_bytes() == quiet
 
 
 def test_table1_single_defect_and_corruption_flag(tmp_path, capsys):

@@ -125,11 +125,19 @@ def test_k_larger_than_dim_rejected():
         solve_lowest(h, k=5)
 
 
-def test_complex_hermitian_path():
+def test_complex_hermitian_path(monkeypatch):
+    # generic phases D leave D* h D with no {1, i} gauge, so both paths solve
+    # the complex matrix; its spectrum is that of h
     h = snv0_h(8, m_s=1, lam=40.0)
-    dense = solve_lowest(h, k=6, method="dense")
-    lanczos = solve_lowest(h, k=6, method="lanczos", dense_threshold=0)
-    assert np.abs(dense.eigenvalues - lanczos.eigenvalues).max() < 1e-8
+    d = sp.diags(np.exp(1j * np.random.default_rng(7).uniform(0.0, 2.0 * np.pi, h.shape[0])))
+    a = (d.conj() @ h @ d).tocsr()
+    expected = scipy.linalg.eigvalsh(h.toarray())[:6]
+    seen = _spy(monkeypatch)
+    dense = solve_lowest(a, k=6, method="dense")
+    lanczos = solve_lowest(a, k=6, method="lanczos", dense_threshold=0)
+    assert seen == [("dense", np.dtype(np.complex128)), ("lanczos", np.dtype(np.complex128))]
+    assert np.abs(dense.eigenvalues - expected).max() < 1e-9
+    assert np.abs(lanczos.eigenvalues - expected).max() < 1e-9
 
 
 def test_variational_monotonicity_in_cutoff():
@@ -221,6 +229,8 @@ def test_arpack_matches_lapack_oracle_ms0_labels(name, cutoff):
 @pytest.mark.parametrize("name", ["PbV0", "SnV0"])
 @pytest.mark.parametrize("cutoff", [20, 28])
 def test_arpack_matches_lapack_oracle_ms_plus_one(name, cutoff):
+    # both paths solve the gauged real form of h; test_complex_hermitian_path
+    # covers the complex one
     h = sector_h(name, cutoff, m_s=1, lam=40.0)
     assert h.dtype == complex
     dense = solve_lowest(h, k=10, method="dense")

@@ -1,5 +1,9 @@
+import logging
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from scipy.optimize._numdiff import approx_derivative
 
 from spinvibronic import (
     IdentifiabilityError,
@@ -11,7 +15,13 @@ from spinvibronic import (
 )
 from spinvibronic.defaults import DEFECTS
 from spinvibronic.params import Couplings, DefectParams, branch_minima_dimensionless
-from spinvibronic.pes import PesCurve, classical_matrix, lowest_surface_minimum
+from spinvibronic.pes import (
+    PesCurve,
+    _model_jacobian,
+    _model_sorted,
+    classical_matrix,
+    lowest_surface_minimum,
+)
 
 
 def sorted_curve(p, grid):
@@ -147,6 +157,49 @@ def test_fit_one_sided_identifiability_failure():
     samples = sorted_curve(p, np.linspace(0.05, 3.2, 40))
     with pytest.raises(IdentifiabilityError, match="branch-2"):
         fit_pes(samples, GUESS)
+
+
+@pytest.mark.parametrize(
+    "missing", [slice(1, 4), slice(0, 3)], ids=["e1-only", "e4-only"]
+)
+def test_fit_single_surface_is_rank_deficient(missing):
+    # one surface cannot pin down the second branch; finite-difference noise
+    # once lifted the two null singular values above the threshold
+    p = DEFECTS["SnV0"]
+    samples = sorted_curve(p, np.linspace(-2.0, 3.2, 41))
+    samples.energies[:, missing] = np.nan
+    guess = replace(p, hbar_omega_e=p.hbar_omega_e * 1.05)
+    with pytest.raises(IdentifiabilityError, match="rank-deficient"):
+        fit_pes(samples, guess)
+
+
+@pytest.mark.parametrize("preset", ["e-raised", "a-split"])
+@pytest.mark.parametrize("unit", ["dimensionless", "angstrom"])
+@pytest.mark.parametrize("lam", [90.0, -60.0])
+def test_model_jacobian_matches_finite_differences(preset, unit, lam):
+    p = DEFECTS["SnV0"]
+    c = pes_to_couplings(p)
+    grid = np.linspace(-2.0, 3.2, 41)
+    if unit == "angstrom":
+        grid = grid * p.length_scale_angstrom()
+    theta = np.array([c.hbar_omega_e, lam, c.f1, c.f2, c.g1, c.g2, 3.0])
+    numeric = approx_derivative(
+        lambda t: _model_sorted(t, grid, unit, preset, 12.0).ravel(), theta, method="3-point"
+    )
+    exact = _model_jacobian(theta, grid, unit, preset, 12.0).reshape(-1, 7)
+    assert np.abs(exact - numeric).max() < 1e-6 * np.abs(numeric).max()
+
+
+def test_fit_logs_one_debug_record(caplog):
+    p = DEFECTS["SnV0"]
+    samples = sorted_curve(p, np.linspace(-2.0, 3.2, 53))
+    with caplog.at_level(logging.DEBUG, logger="spinvibronic"):
+        fit = fit_pes(samples, GUESS)
+    messages = [r.getMessage() for r in caplog.records if r.name == "spinvibronic"]
+    assert len(messages) == 1
+    for field in ("nfev=", "njev=", "cost=", "status=", "sv_ratio=", "seconds="):
+        assert field in messages[0]
+    assert f"nfev={len(fit.cost_history)} " in messages[0]
 
 
 def test_fit_too_few_points():
