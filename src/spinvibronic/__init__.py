@@ -21,7 +21,7 @@ from .analysis import (
     solve_sector,
 )
 from .config import RunConfig, parse_config, parse_config_text, serialize_config
-from .defaults import DEFECTS, LAMBDA_EFF_TARGETS_MEV, get_defect
+from .defaults import DEFECTS, LAMBDA_EFF_TARGETS_MEV
 from .eigensolver import (
     ConvergenceError,
     EigResult,

@@ -8,8 +8,10 @@ m_s-resolved levels, and the inverse problem of calibrating bare spin-orbit
 constants to a target Eu splitting.
 
 The longitudinal spin-orbit term is one added term: each m_s = +/-1 sector
-is the solved m_s = 0 matrix H0 plus m_s (lambda_u0 S_u + lambda_g0 S_g), and
-the same S_u and S_g give p_u / p_g and the calibration slope.
+is the solved m_s = 0 matrix H0 plus lambda_u0 S_u + lambda_g0 S_g, with the
+real C2'-gauged operators of hamiltonian.soc_operators, and the same S_u and
+S_g give p_u / p_g and the calibration slope.  The two sectors are one real
+matrix in their own gauges, so m_s = -1 is taken from the m_s = +1 solve.
 
 Spin-orbit eigenstates are matched to their zero-coupling parents by maximum
 overlap; an overlap below 0.5 aborts the analysis rather than reporting a
@@ -63,7 +65,6 @@ class SolverOptions:
     tol: float = 1e-10
     seed: int = 0
     dense_threshold: int = DENSE_THRESHOLD_DEFAULT
-    method: str = "auto"
 
     def solve(self, h: sp.csr_matrix, k: int | None = None) -> EigResult:
         return solve_lowest(
@@ -72,7 +73,6 @@ class SolverOptions:
             tol=self.tol,
             seed=self.seed,
             dense_threshold=self.dense_threshold,
-            method=self.method,
         )
 
 
@@ -88,13 +88,25 @@ class SectorSolution:
 
     @cached_property
     def soc_ops(self) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-        """(S_u, S_g) over this sector's basis."""
-        return soc_operators(self.ops.basis.dim)
+        """(S_u, S_g) over this sector's basis, in the C2' phase gauge."""
+        return soc_operators(self.ops.basis)
 
     def soc_sector(self, lambda_u0: float, lambda_g0: float, m_s: int) -> sp.csr_matrix:
-        """The m_s sector H0 + m_s (lambda_u0 S_u + lambda_g0 S_g)."""
+        """The m_s sector as one real symmetric matrix.
+
+        m_s = 0 is H0.  m_s = +1 and -1 are both H0 + lambda_u0 S_u +
+        lambda_g0 S_g: the physical sector H0 + m_s (lambda_u0 sy(u) +
+        lambda_g0 sy(g)) / 2 in the phase gauge D for +1 and D^* for -1, so
+        the one matrix is Kramers degeneracy stated exactly.  Its eigenvectors
+        are in that gauge; doublet overlaps and expectation values of S_u and
+        S_g do not see it.
+        """
+        if m_s == 0:
+            return self.h0
+        if m_s not in (1, -1):
+            raise ValueError(f"m_s must be -1, 0 or 1 (got {m_s})")
         s_u, s_g = self.soc_ops
-        return self.h0 + m_s * (lambda_u0 * s_u + lambda_g0 * s_g)
+        return self.h0 + (lambda_u0 * s_u + lambda_g0 * s_g)
 
     @property
     def energies(self) -> np.ndarray:
@@ -200,12 +212,17 @@ class SocLevels:
     tracking_overlaps: dict[str, float] = field(default_factory=dict)
 
 
+MIN_TRACKING_OVERLAP = 0.5
+
+
 def _tracked_soc_levels(
-    sol: SectorSolution,
-    result: EigResult,
-    min_overlap: float = 0.5,
+    sol: SectorSolution, result: EigResult
 ) -> tuple[int, np.ndarray, dict[str, float]]:
-    """(A2u-derived index, Eu-derived pair indices by energy, overlaps)."""
+    """(A2u-derived index, Eu-derived pair indices by energy, overlaps).
+
+    Each parent lies in one C2' block, where the phase gauge is a constant, so
+    the overlaps are those of the physical eigenvectors.
+    """
     a2u_vec = sol.lowest(LABEL_A2U).coefficients[:, None]
     doublet, _ = sol.eu_doublet()
     w_a2u = (np.abs(a2u_vec.conj().T @ result.eigenvectors) ** 2).sum(axis=0)
@@ -216,10 +233,10 @@ def _tracked_soc_levels(
         "a2u": float(w_a2u[i_a2u]),
         "eu_lower": float(w_eu[idx_eu].min()),
     }
-    if overlaps["a2u"] < min_overlap or overlaps["eu_lower"] < min_overlap:
+    if min(overlaps.values()) < MIN_TRACKING_OVERLAP:
         raise AnalysisError(
             f"state tracking across spin-orbit switch-on failed: overlaps {overlaps} "
-            f"below {min_overlap}; increase k or reduce the coupling"
+            f"below {MIN_TRACKING_OVERLAP}; increase k or reduce the coupling"
         )
     return i_a2u, idx_eu, overlaps
 
@@ -275,9 +292,10 @@ def soc_levels(
 
     The m_s = 0 sector is unaffected by the longitudinal spin-orbit term (its
     Hamiltonian is identical to the zero-coupling one), so the m_s = 0 levels
-    are taken from the reference solve.  m_s = -1 duplicates +1 by complex
-    conjugation; solve_both_sectors forces the explicit computation.  Bare
-    splittings must be nonnegative.
+    are taken from the reference solve.  m_s = -1 is the same real matrix as
+    +1 (SectorSolution.soc_sector), so its levels are those of the +1 solve;
+    solve_both_sectors solves it again all the same.  Bare splittings must be
+    nonnegative.
     """
     if lambda_u0 < 0.0 or lambda_g0 < 0.0:
         raise ValueError(

@@ -60,9 +60,3 @@ LAMBDA_EFF_TARGETS_MEV: dict[str, float] = {
     "PbV0": 11.31,
 }
 
-
-def get_defect(name: str) -> DefectParams:
-    try:
-        return DEFECTS[name]
-    except KeyError:
-        raise KeyError(f"unknown built-in defect {name!r}; known: {sorted(DEFECTS)}") from None

@@ -7,19 +7,9 @@ solve_lowest finds the blocks as the connected components of the sparsity
 pattern, solves each, and merges the block spectra, so every eigenvector it
 returns lies in one block and exact degeneracies across blocks cannot mix.
 
-A complex block is solved in its real form when it has one.  If diagonal
-phases d_i in {1, i} make every stored entry conj(d_i) h_ij d_j exactly
-real, the block is D R D^* with R = D^* h D real symmetric, so R has the
-same spectrum and D r is an eigenvector of h for every eigenvector r of R.
-The phases are a two-colouring of the sparsity pattern: a real entry joins
-two indices of the same phase, an imaginary one two of opposite phase.  In
-an m_s = +/-1 sector the real entries are H0's two C2' blocks and the
-imaginary ones, the spin-orbit term sigma_y / 2, join only those two, so
-d = 1 on the C2' block that holds index 0 and i on the other (the
-time-reversal gauge behind Kramers degeneracy).  The gauged matrix is
-checked exactly (imaginary part == 0, no tolerance); a block that has no
-such gauge is solved as a complex Hermitian matrix.  Eigenvectors come back
-in the caller's basis and residuals are taken against the caller's matrix.
+Every sector the package builds is real symmetric, the m_s = +/-1 ones in
+the C2' phase gauge of hamiltonian.soc_operators; a complex Hermitian matrix
+from elsewhere is solved as it is.
 
 Blocks with dim <= dense_threshold go to LAPACK (scipy.linalg.eigh), which
 also serves as the independent oracle for the iterative path in the test
@@ -31,16 +21,16 @@ pairs, and the iterative path fails loudly rather than return a pair above
 tol * max(1, max |theta|).
 
 The default threshold of 400 is the crossover measured before blocks were
-split or gauged (k = 10, whole SnV0 and PbV0 sectors, two OpenBLAS threads
-on a 2-core x86-64 host): complex sectors broke even near dim 312 and real
-ones between 544 and 612, so one real plus one complex solve, the unit of a
-spin-orbit run, tied at dim 364 and favoured ARPACK from dim 420 up.  Every
-spin-orbit block is now solved real, and the threshold is left at 400: on
-the gauged PbV0 m_s = +1 sectors (k = 10, same host) LAPACK still wins at
-dim 364 (10.4 vs 12.2 ms) and ARPACK at dim 420 (11.8 vs 14.4 ms).
+split (k = 10, whole SnV0 and PbV0 sectors, two OpenBLAS threads on a 2-core
+x86-64 host): complex sectors broke even near dim 312 and real ones between
+544 and 612, so one real plus one complex solve, the unit of a spin-orbit
+run, tied at dim 364 and favoured ARPACK from dim 420 up.  Every spin-orbit
+block is now real, and the threshold is left at 400: on the PbV0 m_s = +1
+sectors (k = 10, same host) LAPACK still wins at dim 364 (10.4 vs 12.2 ms)
+and ARPACK at dim 420 (11.8 vs 14.4 ms).
 
-Each block solve logs one DEBUG record (dim, the dtype handed to LAPACK or
-ARPACK, path, k, seconds) to the "spinvibronic" logger.
+Each block solve logs one DEBUG record (dim, dtype, path, k, seconds) to
+the "spinvibronic" logger.
 """
 
 from __future__ import annotations
@@ -105,54 +95,23 @@ def _arpack_lowest(
     return vals[order].real, vecs[:, order]
 
 
-def _real_gauge(h: sp.csr_matrix) -> tuple[sp.csr_matrix, np.ndarray] | None:
-    """(R, d) with R_ij = conj(d_i) h_ij d_j real and every d_i in {1, i}; None if none exists."""
-    if not np.iscomplexobj(h.data):
-        return None
-    from scipy.sparse.csgraph import connected_components
-
-    # node j + c n is index j with phase i^c: a real entry keeps c, an imaginary one flips it
-    n = h.shape[0]
-    flip = np.where(h.data.imag != 0, n, 0).astype(h.indices.dtype)
-    indices = np.concatenate([h.indices + flip, (h.indices + flip + n) % (2 * n)])
-    indptr = np.concatenate([h.indptr, h.nnz + h.indptr[1:]])
-    graph = sp.csr_matrix((np.ones(indices.size), indices, indptr), shape=(2 * n, 2 * n))
-    _, labels = connected_components(graph, directed=False)
-    # a component and its mirror hold the two phases of the same indices; a
-    # component that is its own mirror (a cycle with an odd number of imaginary
-    # entries) or an entry that is neither real nor imaginary fails the check
-    d = np.where(labels[:n] < labels[n:], 1.0 + 0j, 1j)
-    gauged = np.repeat(np.conj(d), np.diff(h.indptr)) * h.data * d[h.indices]
-    if np.any(gauged.imag != 0):
-        return None
-    real = sp.csr_matrix((np.ascontiguousarray(gauged.real), h.indices, h.indptr), shape=h.shape)
-    return real, d
-
-
 def _block_lowest(h: sp.csr_matrix, k: int, dense: bool, tol: float, seed: int) -> EigResult:
-    """Lowest k pairs of one block, solved in its real form when it has one."""
+    """Lowest k pairs of one block."""
     from scipy.sparse.linalg import ArpackNoConvergence
 
     t0 = time.perf_counter()
-    gauge = _real_gauge(h)
-    a, d = gauge if gauge is not None else (h, None)
-
-    def caller_basis(vecs: np.ndarray) -> np.ndarray:
-        return vecs if d is None else d[:, None] * vecs
-
     try:
-        vals, vecs = _dense_lowest(a, k) if dense else _arpack_lowest(a, k, tol, seed)
+        vals, vecs = _dense_lowest(h, k) if dense else _arpack_lowest(h, k, tol, seed)
     except ArpackNoConvergence as exc:
         raise SolverError(
             f"ARPACK did not reach tol={tol:g}: {len(exc.eigenvalues)} of {k} pairs converged",
-            residuals=_residuals(h, exc.eigenvalues.real, caller_basis(exc.eigenvectors)),
+            residuals=_residuals(h, exc.eigenvalues.real, exc.eigenvectors),
         ) from exc
-    vecs = caller_basis(vecs)
     res = _residuals(h, vals, vecs)
     if log.isEnabledFor(logging.DEBUG):
         log.debug(
             "solve_lowest block: dim=%d dtype=%s path=%s k=%d seconds=%.6f",
-            h.shape[0], a.dtype, "dense" if dense else "lanczos", k, time.perf_counter() - t0,
+            h.shape[0], h.dtype, "dense" if dense else "lanczos", k, time.perf_counter() - t0,
         )
     bound = tol * max(1.0, float(np.abs(vals).max()))
     if not dense and np.any(res > bound):
@@ -180,18 +139,16 @@ def solve_lowest(
     tol: float = 1e-10,
     seed: int = 0,
     dense_threshold: int = DENSE_THRESHOLD_DEFAULT,
-    method: str = "auto",
 ) -> EigResult:
     """Algebraically smallest k eigenpairs of a Hermitian matrix, ascending.
 
     Each decoupled block gives its lowest min(k, dim_b) pairs; the block
     spectra are merged by a stable sort and the lowest k kept, with the
-    eigenvectors embedded in the full space.  A complex block with a diagonal
-    {1, i} gauge is solved as the real symmetric matrix that gauge gives.
-    method: "auto" uses LAPACK for blocks with dim_b <= dense_threshold and
-    ARPACK (implicitly restarted Lanczos) otherwise; "dense" / "lanczos"
-    force a path, except that k_b >= dim_b - 1 always goes to LAPACK, which
-    ARPACK cannot serve.  tol is ARPACK's relative tolerance.  Results are
+    eigenvectors embedded in the full space.  Blocks with dim_b <=
+    dense_threshold go to LAPACK and larger ones to ARPACK (implicitly
+    restarted Lanczos), except that k_b >= dim_b - 1 always goes to LAPACK,
+    which ARPACK cannot serve; dense_threshold = 0 therefore sends every
+    other block to ARPACK.  tol is ARPACK's relative tolerance.  Results are
     deterministic for a fixed seed.
     """
     if k < 1:
@@ -199,14 +156,12 @@ def solve_lowest(
     n = h.shape[0]
     if k > n:
         raise ValueError(f"k={k} exceeds matrix dimension {n}")
-    if method not in ("auto", "dense", "lanczos"):
-        raise ValueError(f"unknown method {method!r}")
     blocks = _blocks(h)
     parts = []
     for idx in blocks:
         hb = h if len(blocks) == 1 else h[idx][:, idx]
         nb, kb = idx.size, min(k, idx.size)
-        dense = method == "dense" or (method == "auto" and nb <= dense_threshold) or kb >= nb - 1
+        dense = nb <= dense_threshold or kb >= nb - 1
         parts.append(_block_lowest(hb, kb, dense, tol, seed))
     vals = np.concatenate([r.eigenvalues for r in parts])
     vecs = np.zeros((n, vals.size), dtype=h.dtype)

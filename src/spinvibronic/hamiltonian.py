@@ -26,14 +26,20 @@ assemble builds the spin-orbit-free (m_s = 0) sector, a real symmetric matrix:
        + W(lambda_corr, preset)
 
 with sz/sx the Pauli matrices on the named orbital doublet.  The longitudinal
-spin-orbit term conserves m_s and is one added term per spin projection:
+spin-orbit term conserves m_s and is one added term per spin projection,
+m_s (lambda_u0 sy(u) + lambda_g0 sy(g)) / 2.  That term is imaginary, but it
+joins only states of opposite C2' parity, and H0 joins only states of equal
+parity.  So the diagonal phases D = 1 on the C2' parity of index 0 and i on
+the other turn the m_s = +1 sector into the real symmetric matrix
 
-    H(m_s) = H0 + m_s (lambda_u0 S_u + lambda_g0 S_g),   S = sy / 2 on each doublet,
+    D^* H(+1) D = H0 + lambda_u0 S_u + lambda_g0 S_g,
+    S_u = 1/2 C2'_osc (x) sz(g) sx(u),   S_g = 1/2 C2'_osc (x) sz(u) sx(g),
 
-a complex Hermitian matrix for m_s = +/-1, diagonally similar to a real one
-(the C2'-odd block times i).  soc_operators builds S_u and S_g;
-their entries are oscillator-diagonal and share no position with any entry of
-H0, so the sum adds nothing to H0's entries.
+with C2'_osc = diag((-1)**n_y) the mode reflection, and D^* does the same for
+m_s = -1, D H(-1) D^* = the same matrix: Kramers degeneracy stated exactly.
+soc_operators builds these S_u and S_g; their entries are oscillator-diagonal
+and share no position with any entry of H0, so the sum adds nothing to H0's
+entries.
 """
 
 from __future__ import annotations
@@ -44,7 +50,13 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .oscillator import OscBasis, build_basis, position_operator, quadratic_operators
+from .oscillator import (
+    OscBasis,
+    build_basis,
+    c2prime_reflection,
+    position_operator,
+    quadratic_operators,
+)
 from .params import Couplings
 
 ELEC_DIM = 4
@@ -55,7 +67,6 @@ PRESETS = (PRESET_E_RAISED, PRESET_A_SPLIT)
 
 SIGMA_0 = np.eye(2)
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
-SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
 
 # electronic channel order used throughout the analysis
@@ -136,16 +147,17 @@ def build_correlation(lambda_corr: float, preset: str = PRESET_E_RAISED) -> np.n
     raise ValueError(f"unknown correlation preset {preset!r}")
 
 
-def soc_operators(basis_dim: int) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    """S_u and S_g, sigma_y / 2 on the u and g doublets, over the whole sector.
+def soc_operators(basis: OscBasis) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """S_u and S_g, sigma_y / 2 on the u and g doublets in the C2' phase gauge, as real CSR.
 
-    The m_s sector is H0 + m_s (lambda_u0 S_u + lambda_g0 S_g).  The doublet
-    matrix elements of the same operators give the Ham reduction factors and
-    the Hellmann-Feynman slope of a spin-orbit sector.
+    The m_s = +/-1 sectors are H0 + lambda_u0 S_u + lambda_g0 S_g (see the
+    module docstring).  Doublet matrix elements of the same operators give the
+    Ham reduction factors and the Hellmann-Feynman slope of a spin-orbit
+    sector; their phase does not enter either.
     """
-    eye = sp.identity(basis_dim)
-    s_u = sp.kron(eye, sp.csr_matrix(0.5 * op_on_u(SIGMA_Y)), format="csr")
-    s_g = sp.kron(eye, sp.csr_matrix(0.5 * op_on_g(SIGMA_Y)), format="csr")
+    c2 = c2prime_reflection(basis)
+    s_u = sp.kron(c2, sp.csr_matrix(0.5 * op_on_g(SIGMA_Z) @ op_on_u(SIGMA_X)), format="csr")
+    s_g = sp.kron(c2, sp.csr_matrix(0.5 * op_on_u(SIGMA_Z) @ op_on_g(SIGMA_X)), format="csr")
     return s_u, s_g
 
 

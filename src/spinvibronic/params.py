@@ -153,8 +153,13 @@ def pes_to_couplings(p: DefectParams) -> Couplings:
     )
 
 
-def couplings_to_pes(c: Couplings, name: str = "fitted") -> DefectParams:
-    """Exact inverse of :func:`pes_to_couplings` (rho0 signs preserved)."""
+def couplings_to_pes(
+    c: Couplings, name: str = "fitted", effective_mass_amu: float = 12.0
+) -> DefectParams:
+    """Exact inverse of :func:`pes_to_couplings` (rho0 signs preserved).
+
+    rho0_angstrom is converted with the oscillator length of the given mass.
+    """
     k = c.hbar_omega_e
     e_jt = []
     delta_jt = []
@@ -164,7 +169,7 @@ def couplings_to_pes(c: Couplings, name: str = "fitted") -> DefectParams:
         e_jt.append(f * f / (2.0 * denom))
         delta_jt.append(2.0 * f * f * g / (k * k - 4.0 * g * g))
         rho0.append(f / denom)
-    length = dimensionless_length_scale(k, 12.0)
+    length = dimensionless_length_scale(k, effective_mass_amu)
     return DefectParams(
         name=name,
         hbar_omega_e=k,
@@ -172,6 +177,7 @@ def couplings_to_pes(c: Couplings, name: str = "fitted") -> DefectParams:
         e_jt=(e_jt[0], e_jt[1]),
         delta_jt=(delta_jt[0], delta_jt[1]),
         rho0_angstrom=(rho0[0] * length, rho0[1] * length),
+        effective_mass_amu=effective_mass_amu,
     )
 
 

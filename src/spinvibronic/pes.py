@@ -50,6 +50,9 @@ log = logging.getLogger("spinvibronic")
 QX_UNIT_DIMENSIONLESS = "dimensionless"
 QX_UNIT_ANGSTROM = "angstrom"
 
+# least_squares evaluation budget of one fit
+MAX_NFEV = 4000
+
 # the four coupling operators on the electronic factor
 _U_Z, _U_X = op_on_u(SIGMA_Z), op_on_u(SIGMA_X)
 _G_Z, _G_X = op_on_g(SIGMA_Z), op_on_g(SIGMA_X)
@@ -155,47 +158,6 @@ def adiabatic_surfaces(
     energies, vectors = np.linalg.eigh(mats)
     tracked = _track_columns(energies[:-1], vectors[:-1]) - energies[-1, 0]
     return PesCurve(qx=qx_grid, energies=tracked, qx_unit=QX_UNIT_DIMENSIONLESS)
-
-
-def lowest_surface_minimum(
-    c: Couplings, lambda_corr: float, preset: str, side: int, sheet: int = 0
-) -> tuple[float, float]:
-    """(position, depth) of a surface minimum on the requested side of Q_x = 0.
-
-    sheet selects the surface by ascending energy order at the minimum
-    (0 = lowest); depth is measured below the sheet's value at Q = 0.  Serves
-    as the independent numerical oracle for the closed-form branch relations.
-    """
-    if side not in (-1, 1):
-        raise ValueError("side must be +1 or -1")
-    from scipy.optimize import brentq, minimize_scalar
-
-    def sheet_energy(q: float) -> float:
-        e = np.linalg.eigvalsh(classical_matrix(c, lambda_corr, preset, np.array([q]))[0])
-        return float(e[sheet])
-
-    def sheet_gradient(q: float) -> float:
-        # Hellmann-Feynman derivative of the sheet along the Q_x axis
-        qs = np.array([q])
-        _, vecs = np.linalg.eigh(classical_matrix(c, lambda_corr, preset, qs))
-        return float(_expect(vecs, _dmat_dqx(c, qs))[0, sheet])
-
-    grid = side * np.linspace(1e-3, 6.0, 2400)
-    values = np.array([sheet_energy(q) for q in grid])
-    i = int(np.argmin(values))
-    if i in (0, grid.size - 1):
-        return float(grid[i]), float(sheet_energy(0.0) - values[i])
-    res = minimize_scalar(
-        sheet_energy, bracket=(grid[i - 1], grid[i], grid[i + 1]), options={"xtol": 1e-12}
-    )
-    # polish the stationary point through the gradient, which crosses zero
-    # steeply at the minimum and is computable to machine precision
-    q_min = float(res.x)
-    half_step = abs(grid[1] - grid[0])
-    lo, hi = q_min - half_step, q_min + half_step
-    if sheet_gradient(lo) * sheet_gradient(hi) < 0:
-        q_min = brentq(sheet_gradient, lo, hi, xtol=1e-14, rtol=1e-15)
-    return q_min, float(sheet_energy(0.0) - sheet_energy(q_min))
 
 
 # --- CSV interface ---------------------------------------------------------
@@ -308,22 +270,19 @@ def _model_jacobian(
 
 
 def fit_pes(
-    samples: PesCurve,
-    initial: DefectParams,
-    preset: str = PRESET_E_RAISED,
-    surface_weights: np.ndarray | None = None,
-    mass_amu: float = 12.0,
-    max_nfev: int = 4000,
+    samples: PesCurve, initial: DefectParams, preset: str = PRESET_E_RAISED
 ) -> PesFitResult:
-    """Weighted nonlinear least squares of all four surfaces simultaneously.
+    """Nonlinear least squares of all four surfaces simultaneously.
 
     samples must cover both sides of Q_x = 0 with at least 20 points; missing
     entries (NaN) are masked.  The sorted model eigenvalues are matched
     positionally to the sample columns, which therefore must be in ascending
-    energy order per point.  Each model call is one stacked eigensolve over
-    the grid with the Q = 0 reference appended, and the Jacobian is the exact
-    Hellmann-Feynman one of _model_jacobian, so its singular values show a
-    rank-deficient fit as such (IdentifiabilityError).  One DEBUG record per
+    energy order per point.  Angstrom samples are converted with the
+    oscillator length of initial.effective_mass_amu, which the result keeps.
+    Each model call is one stacked eigensolve over the grid with the Q = 0
+    reference appended, and the Jacobian is the exact Hellmann-Feynman one of
+    _model_jacobian, so its singular values show a rank-deficient fit as such
+    (IdentifiabilityError).  One DEBUG record per
     fit goes to the "spinvibronic" logger.
     """
     mask = np.isfinite(samples.energies)
@@ -340,7 +299,7 @@ def fit_pes(
         raise IdentifiabilityError("all surface entries are missing")
 
     t0 = time.perf_counter()
-    weights = np.ones(4) if surface_weights is None else np.asarray(surface_weights, float)
+    mass_amu = initial.effective_mass_amu
     c0 = pes_to_couplings(initial)
     theta0 = np.array(
         [c0.hbar_omega_e, initial.lambda_corr, c0.f1, c0.f2, c0.g1, c0.g2, 0.0]
@@ -349,14 +308,12 @@ def fit_pes(
 
     def residuals(theta):
         model = _model_sorted(theta, samples.qx, samples.qx_unit, preset, mass_amu)
-        r = (model - samples.energies) * weights
-        r = r[mask]
+        r = (model - samples.energies)[mask]
         cost_history.append(float(np.dot(r, r)))
         return r
 
     def jacobian(theta):
-        jac = _model_jacobian(theta, samples.qx, samples.qx_unit, preset, mass_amu)
-        return (jac * weights[:, None])[mask]
+        return _model_jacobian(theta, samples.qx, samples.qx_unit, preset, mass_amu)[mask]
 
     lower = [1.0, -2000.0, -3000.0, -3000.0, -43.0, -43.0, -1e5]
     upper = [1000.0, 2000.0, 3000.0, 3000.0, 43.0, 43.0, 1e5]
@@ -370,7 +327,7 @@ def fit_pes(
         xtol=1e-14,
         ftol=1e-14,
         gtol=1e-14,
-        max_nfev=max_nfev,
+        max_nfev=MAX_NFEV,
     )
     if res.status <= 0:
         raise PesFitError(f"fit did not converge: {res.message}")
@@ -399,10 +356,9 @@ def fit_pes(
             theta[fi] = -theta[fi]
     c_fit, lam_fit, offset = _theta_to_couplings(theta)
     params = replace(
-        couplings_to_pes(c_fit, name=initial.name),
+        couplings_to_pes(c_fit, name=initial.name, effective_mass_amu=mass_amu),
         lambda_corr=lam_fit,
         zpl_baseline_ev=initial.zpl_baseline_ev,
-        effective_mass_amu=mass_amu,
     )
     model = _model_sorted(theta, samples.qx, samples.qx_unit, preset, mass_amu)
     rms = np.full(4, np.nan)

@@ -235,16 +235,19 @@ def test_criterion_6_soc_sector_structure(name):
     p = DEFECTS[name]
     c = pes_to_couplings(p)
     cutoff, lam = 16, 20.0
-    h0 = assemble(SectorSpec(couplings=c, lambda_corr=p.lambda_corr, cutoff=cutoff))
-    s_u, s_g = soc_operators(h0.shape[0] // 4)
-    # the spin-orbit term vanishes at m_s = 0, whose sector is the real H0 itself
+    basis = build_basis(cutoff)
+    h0 = assemble(SectorSpec(couplings=c, lambda_corr=p.lambda_corr, cutoff=cutoff), basis)
+    s_u, s_g = soc_operators(basis)
+    # the spin-orbit term vanishes at m_s = 0, whose sector is the real H0
+    # itself; H0 + m_s lam (S_u + S_g) is the m_s sector in the phase gauge D
+    lapack = h0.shape[0]
     sols = {
         m_s: solve_lowest(
-            h0 if m_s == 0 else h0 + m_s * (lam * s_u + lam * s_g), k=10, method="dense"
+            h0 if m_s == 0 else h0 + m_s * (lam * s_u + lam * s_g), k=10, dense_threshold=lapack
         )
         for m_s in (-1, 0, 1)
     }
-    ref = solve_lowest(h0, k=10, method="dense")
+    ref = solve_lowest(h0, k=10, dense_threshold=lapack)
     d0 = np.abs(sols[0].eigenvalues - ref.eigenvalues).max()
     dpm = np.abs(sols[1].eigenvalues - sols[-1].eigenvalues).max()
     ok = d0 < 1e-10 and dpm < 1e-10
@@ -327,8 +330,8 @@ def test_criterion_9_oracle_equivalence(name):
     p = DEFECTS[name]
     spec = SectorSpec(couplings=pes_to_couplings(p), lambda_corr=p.lambda_corr, cutoff=12)
     h = assemble(spec)
-    dense = solve_lowest(h, k=8, method="dense")
-    lanczos = solve_lowest(h, k=8, method="lanczos", dense_threshold=0)
+    dense = solve_lowest(h, k=8, dense_threshold=h.shape[0])
+    lanczos = solve_lowest(h, k=8, dense_threshold=0)
     diff = np.abs(dense.eigenvalues - lanczos.eigenvalues).max()
     ok = diff < 1e-8
     record(9, f"iterative vs dense {name}", ok, f"max |dE| = {diff:.2e} meV (tol 1e-8), dim {h.shape[0]}")

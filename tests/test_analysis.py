@@ -83,6 +83,16 @@ def test_soc_sector_symmetries():
     assert np.abs(lev.sector_energies[0] - sol.energies).max() == 0.0
 
 
+def test_soc_sector_is_one_real_matrix_for_both_spins():
+    sol = cached_sector("SnV0", 8)
+    assert sol.soc_sector(20.0, 5.0, 0) is sol.h0
+    plus, minus = (sol.soc_sector(20.0, 5.0, m_s) for m_s in (1, -1))
+    assert plus.dtype == np.float64
+    assert (plus != minus).nnz == 0
+    with pytest.raises(ValueError, match="m_s"):
+        sol.soc_sector(20.0, 5.0, 2)
+
+
 def test_calibrate_round_trip():
     sol = cached_sector("SnV0", 16)
     cal = calibrate_soc(sol, 3.15, ratio=1.0, opts=OPTS)

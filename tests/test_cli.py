@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import logging
 
@@ -8,6 +9,8 @@ from spinvibronic import adiabatic_surfaces, parse_config, pes_to_couplings, rea
 from spinvibronic import analysis, reports
 from spinvibronic.cli import main
 from spinvibronic.defaults import DEFECTS
+from spinvibronic.params import branch_minima_dimensionless
+from spinvibronic.pes import PesCurve
 
 # small fixed cutoff and explicit spin-orbit couplings keep CLI runs fast
 FAST_SOLVE = """
@@ -228,6 +231,32 @@ def test_fit_round_trip_via_cli(tmp_path):
     ref = DEFECTS["SiV0"]
     assert fitted.defect.e_jt[0] == pytest.approx(ref.e_jt[0], rel=1e-6)
     assert fitted.defect.hbar_omega_e == pytest.approx(ref.hbar_omega_e, rel=1e-6)
+
+
+def test_fit_converts_angstrom_scans_with_the_configured_mass(tmp_path):
+    # a noiseless angstrom scan of SnV0 at 28 amu; converting it at any other
+    # mass scales the fitted hbar_omega_e by the square root of the mass ratio
+    truth = dataclasses.replace(DEFECTS["SnV0"], effective_mass_amu=28.0)
+    grid = np.linspace(-2.2, 3.4, 47)
+    curve = adiabatic_surfaces(pes_to_couplings(truth), truth.lambda_corr, "e-raised", grid)
+    length = truth.length_scale_angstrom()
+    energies = np.sort(curve.energies, axis=1)
+    samples = PesCurve(qx=grid * length, energies=energies, qx_unit="angstrom")
+    csv_path = tmp_path / "samples.csv"
+    write_pes_csv(samples, csv_path)
+    cfg = write_config(
+        tmp_path,
+        FAST_OFF.replace("hbar_omega_e_mev = 87.7", "hbar_omega_e_mev = 92.085").replace(
+            "zpl_baseline_ev = 1.833", "zpl_baseline_ev = 1.833\neffective_mass_amu = 28"
+        ),
+    )
+    assert main(["fit", str(csv_path), str(cfg)]) == 0
+    fitted = parse_config(tmp_path / "out" / "fitted.conf").defect
+    assert fitted.effective_mass_amu == 28.0
+    assert fitted.hbar_omega_e == pytest.approx(truth.hbar_omega_e, rel=1e-6)
+    assert fitted.e_jt[0] == pytest.approx(truth.e_jt[0], rel=1e-6)
+    rho = branch_minima_dimensionless(pes_to_couplings(truth))
+    assert fitted.rho0_angstrom == pytest.approx((rho[0] * length, rho[1] * length), rel=1e-6)
 
 
 def test_fit_one_branch_exit_3(tmp_path, capsys):

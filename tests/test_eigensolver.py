@@ -18,18 +18,25 @@ from spinvibronic.defaults import DEFECTS
 from spinvibronic.analysis import SolverOptions, solve_sector
 from spinvibronic.eigensolver import _blocks
 from spinvibronic.hamiltonian import SectorSpec
+from spinvibronic.oscillator import build_basis
 from spinvibronic.params import Couplings
 
+from conftest import c2prime_gauge, cached_sector, gauged, physical_soc_sector
 
-def sector_h(name, cutoff, m_s=0, lam=0.0, lam_g=None):
-    """The m_s sector H0 + m_s (lam S_u + lam_g S_g), lam_g = lam by default; m_s = 0 is H0."""
+# a dense_threshold no block reaches: every solve goes to LAPACK
+LAPACK_ONLY = 10**6
+
+
+def sector_h(name, cutoff, m_s=0, lam=0.0):
+    """The real m_s = +/-1 sector H0 + lam (S_u + S_g); m_s = 0 is H0."""
     p = DEFECTS[name]
     spec = SectorSpec(couplings=pes_to_couplings(p), lambda_corr=p.lambda_corr, cutoff=cutoff)
-    h0 = assemble(spec)
+    basis = build_basis(cutoff)
+    h0 = assemble(spec, basis)
     if m_s == 0:
         return h0
-    s_u, s_g = soc_operators(h0.shape[0] // 4)
-    return h0 + m_s * (lam * s_u + (lam if lam_g is None else lam_g) * s_g)
+    s_u, s_g = soc_operators(basis)
+    return h0 + (lam * s_u + lam * s_g)
 
 
 def snv0_h(cutoff, m_s=0, lam=0.0):
@@ -38,7 +45,7 @@ def snv0_h(cutoff, m_s=0, lam=0.0):
 
 def test_diagonal_matrix():
     h = sp.csr_matrix(np.diag(np.arange(1.0, 101.0)))
-    res = solve_lowest(h, k=3, method="lanczos", dense_threshold=0)
+    res = solve_lowest(h, k=3, dense_threshold=0)
     assert np.allclose(res.eigenvalues, [1.0, 2.0, 3.0], atol=1e-9)
     assert res.residual_norms.max() < 1e-8
 
@@ -54,22 +61,22 @@ def test_uncoupled_ground_state_fourfold():
 
 def test_iterative_matches_dense_oracle():
     h = snv0_h(12)
-    dense = solve_lowest(h, k=8, method="dense")
-    lanczos = solve_lowest(h, k=8, method="lanczos", dense_threshold=0)
+    dense = solve_lowest(h, k=8, dense_threshold=LAPACK_ONLY)
+    lanczos = solve_lowest(h, k=8, dense_threshold=0)
     assert np.abs(dense.eigenvalues - lanczos.eigenvalues).max() < 1e-8
 
 
 def test_deterministic_given_seed():
     h = snv0_h(8)
-    a = solve_lowest(h, k=5, method="lanczos", dense_threshold=0, seed=3)
-    b = solve_lowest(h, k=5, method="lanczos", dense_threshold=0, seed=3)
+    a = solve_lowest(h, k=5, dense_threshold=0, seed=3)
+    b = solve_lowest(h, k=5, dense_threshold=0, seed=3)
     assert np.array_equal(a.eigenvalues, b.eigenvalues)
     assert np.array_equal(a.eigenvectors, b.eigenvectors)
 
 
 def test_eigenvector_orthonormality_and_residuals():
     h = snv0_h(10)
-    res = solve_lowest(h, k=6, method="lanczos", dense_threshold=0)
+    res = solve_lowest(h, k=6, dense_threshold=0)
     gram = res.eigenvectors.conj().T @ res.eigenvectors
     assert np.abs(gram - np.eye(6)).max() < 1e-10
     assert res.residual_norms.max() < 1e-10 * max(1.0, np.abs(res.eigenvalues).max())
@@ -78,16 +85,16 @@ def test_eigenvector_orthonormality_and_residuals():
 def test_nonconvergence_raises(monkeypatch):
     import scipy.sparse.linalg
 
-    h = snv0_h(10, m_s=1, lam=40.0)  # one block, so eigsh sees the whole (gauged) matrix
+    h = snv0_h(10, m_s=1, lam=40.0)  # one block, so eigsh sees the whole matrix
 
     def no_convergence(a, k, **kwargs):
-        # partial pairs of the matrix eigsh receives, mapped back by the solver
+        # partial pairs of the matrix eigsh receives
         vals, vecs = scipy.linalg.eigh(a.toarray())
         raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", vals[:2], vecs[:, :2])
 
     monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
     with pytest.raises(SolverError) as err:
-        solve_lowest(h, k=6, method="lanczos", dense_threshold=0)
+        solve_lowest(h, k=6, dense_threshold=0)
     assert err.value.residuals is not None
     assert err.value.residuals.shape == (2,)
     assert err.value.residuals.max() < 1e-9
@@ -96,7 +103,7 @@ def test_nonconvergence_raises(monkeypatch):
 def test_residual_above_tol_raises(monkeypatch):
     import scipy.sparse.linalg
 
-    h = snv0_h(10, m_s=1, lam=40.0)  # one block, so eigsh sees the whole (gauged) matrix
+    h = snv0_h(10, m_s=1, lam=40.0)  # one block, so eigsh sees the whole matrix
 
     def perturbed(a, k, **kwargs):
         vals, vecs = scipy.linalg.eigh(a.toarray(), subset_by_index=[0, k - 1])
@@ -105,9 +112,9 @@ def test_residual_above_tol_raises(monkeypatch):
 
     monkeypatch.setattr(scipy.sparse.linalg, "eigsh", perturbed)
     with pytest.raises(SolverError) as err:
-        solve_lowest(h, k=6, method="lanczos", dense_threshold=0)
+        solve_lowest(h, k=6, dense_threshold=0)
     res = err.value.residuals
-    exact = solve_lowest(h, k=6, method="dense").eigenvalues
+    exact = solve_lowest(h, k=6).eigenvalues
     assert res[0] > 1e-3
     assert res[1:].max() < 1e-10 * max(1.0, np.abs(exact).max())
 
@@ -115,7 +122,7 @@ def test_residual_above_tol_raises(monkeypatch):
 def test_k_near_dim_goes_dense():
     # ARPACK cannot return dim - 1 or dim pairs; LAPACK serves them
     h = snv0_h(1)
-    res = solve_lowest(h, k=h.shape[0] - 1, method="lanczos")
+    res = solve_lowest(h, k=h.shape[0] - 1, dense_threshold=0)
     assert np.allclose(res.eigenvalues, np.linalg.eigvalsh(h.toarray())[:-1], atol=1e-10)
 
 
@@ -126,15 +133,15 @@ def test_k_larger_than_dim_rejected():
 
 
 def test_complex_hermitian_path(monkeypatch):
-    # generic phases D leave D* h D with no {1, i} gauge, so both paths solve
-    # the complex matrix; its spectrum is that of h
+    # a complex input is solved as it is on both paths: D* h D with generic
+    # phases D has the spectrum of h
     h = snv0_h(8, m_s=1, lam=40.0)
     d = sp.diags(np.exp(1j * np.random.default_rng(7).uniform(0.0, 2.0 * np.pi, h.shape[0])))
     a = (d.conj() @ h @ d).tocsr()
     expected = scipy.linalg.eigvalsh(h.toarray())[:6]
     seen = _spy(monkeypatch)
-    dense = solve_lowest(a, k=6, method="dense")
-    lanczos = solve_lowest(a, k=6, method="lanczos", dense_threshold=0)
+    dense = solve_lowest(a, k=6, dense_threshold=LAPACK_ONLY)
+    lanczos = solve_lowest(a, k=6, dense_threshold=0)
     assert seen == [("dense", np.dtype(np.complex128)), ("lanczos", np.dtype(np.complex128))]
     assert np.abs(dense.eigenvalues - expected).max() < 1e-9
     assert np.abs(lanczos.eigenvalues - expected).max() < 1e-9
@@ -212,11 +219,12 @@ def test_comparative_convergence_histories():
 def test_arpack_matches_lapack_oracle_ms0_labels(name, cutoff):
     p = DEFECTS[name]
     c = pes_to_couplings(p)
-    dense = solve_sector(c, p.lambda_corr, cutoff, opts=SolverOptions(k=10, method="dense"))
+    opts = SolverOptions(k=10, dense_threshold=LAPACK_ONLY)
+    dense = solve_sector(c, p.lambda_corr, cutoff, opts=opts)
     dense_labels = [s.irrep for s in dense.states]
     assert "mixed" not in dense_labels
     for seed in range(5):
-        opts = SolverOptions(k=10, method="lanczos", dense_threshold=0, seed=seed)
+        opts = SolverOptions(k=10, dense_threshold=0, seed=seed)
         sol = solve_sector(c, p.lambda_corr, cutoff, opts=opts)
         assert np.abs(sol.energies - dense.energies).max() < 1e-9
         assert [s.irrep for s in sol.states] == dense_labels
@@ -229,13 +237,12 @@ def test_arpack_matches_lapack_oracle_ms0_labels(name, cutoff):
 @pytest.mark.parametrize("name", ["PbV0", "SnV0"])
 @pytest.mark.parametrize("cutoff", [20, 28])
 def test_arpack_matches_lapack_oracle_ms_plus_one(name, cutoff):
-    # both paths solve the gauged real form of h; test_complex_hermitian_path
-    # covers the complex one
+    # the sector is real; test_complex_hermitian_path covers complex input
     h = sector_h(name, cutoff, m_s=1, lam=40.0)
-    assert h.dtype == complex
-    dense = solve_lowest(h, k=10, method="dense")
+    assert h.dtype == np.float64
+    dense = solve_lowest(h, k=10, dense_threshold=LAPACK_ONLY)
     for seed in range(5):
-        res = solve_lowest(h, k=10, method="lanczos", dense_threshold=0, seed=seed)
+        res = solve_lowest(h, k=10, dense_threshold=0, seed=seed)
         assert np.abs(res.eigenvalues - dense.eigenvalues).max() < 1e-9
         # same eigenspaces: each ARPACK vector lies in the span of its LAPACK partner
         overlap = np.abs(dense.eigenvectors.conj().T @ res.eigenvectors) ** 2
@@ -266,28 +273,39 @@ def _spy(monkeypatch):
 @pytest.mark.parametrize("cutoff", [4, 12, 20])
 @pytest.mark.parametrize("m_s", [1, -1])
 def test_real_gauge_keeps_the_complex_spectrum(name, cutoff, m_s):
-    # the m_s = +/-1 sectors are solved in their real form; LAPACK on the
-    # complex matrix is the oracle, and residuals are against the complex h
-    h = sector_h(name, cutoff, m_s=m_s, lam=40.0, lam_g=15.0)
+    # the package's m_s sector is the physical complex one in the exact phase
+    # gauge D (D^* for m_s = -1), entry for entry; so LAPACK on the complex
+    # matrix is the spectral oracle, and D r is an eigenvector of it
+    sol = cached_sector(name, cutoff)
+    h = physical_soc_sector(sol.h0, m_s, 40.0, 15.0)
     assert h.dtype == complex
+    d = c2prime_gauge(sol.ops.basis, m_s)
+    oracle = gauged(h, d)
+    real = sol.soc_sector(40.0, 15.0, m_s)
+    assert real.dtype == np.float64
+    assert np.array_equal(oracle.indptr, real.indptr)
+    assert np.array_equal(oracle.indices, real.indices)
+    assert not np.any(oracle.data.imag)
+    assert np.array_equal(oracle.data.real, real.data)
+
     exact = scipy.linalg.eigvalsh(h.toarray())[:10]
-    for method in ("dense", "lanczos"):
-        res = solve_lowest(h, k=10, method=method, dense_threshold=0)
+    for threshold in (LAPACK_ONLY, 0):
+        res = solve_lowest(real, k=10, dense_threshold=threshold)
         assert np.abs(res.eigenvalues - exact).max() < 1e-9
-        vecs, vals = res.eigenvectors, res.eigenvalues
+        vecs, vals = d[:, None] * res.eigenvectors, res.eigenvalues
         residuals = np.linalg.norm(h @ vecs - vecs * vals, axis=0)
         assert residuals.max() < 1e-10 * max(1.0, np.abs(vals).max())
-        assert np.allclose(residuals, res.residual_norms, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("method", ["dense", "lanczos"])
 def test_every_package_sector_reaches_the_solver_real(monkeypatch, method):
-    opts = SolverOptions(k=10, method=method, dense_threshold=0)
+    opts = SolverOptions(k=10, dense_threshold=LAPACK_ONLY if method == "dense" else 0)
     sectors = []
     for name in sorted(DEFECTS):
         p = DEFECTS[name]
         sol = solve_sector(pes_to_couplings(p), p.lambda_corr, 12, opts=opts)
         sectors += [sol.h0] + [sol.soc_sector(40.0, 15.0, m_s) for m_s in (1, -1)]
+    assert all(h.dtype == np.float64 for h in sectors)
     seen = _spy(monkeypatch)
     for h in sectors:
         opts.solve(h)
@@ -305,17 +323,18 @@ def _tridiagonal(n=40, seed=0):
     "entry",
     [
         (4, 5, 0.3 + 0.3j),  # neither real nor imaginary, the one link of two real chains
-        (0, 2, 0.3j),  # imaginary, but 0 and 2 are joined by real entries
+        (0, 2, 0.3j),  # imaginary, closing a cycle of real entries
     ],
 )
 @pytest.mark.parametrize("method", ["dense", "lanczos"])
 def test_complex_block_without_real_gauge(monkeypatch, entry, method):
+    # a complex block reaches LAPACK or ARPACK as it is
     i, j, v = entry
     a = _tridiagonal().astype(complex)
     a[i, j], a[j, i] = v, np.conj(v)
     h = sp.csr_matrix(a)
     seen = _spy(monkeypatch)
-    res = solve_lowest(h, k=4, method=method, dense_threshold=0)
+    res = solve_lowest(h, k=4, dense_threshold=LAPACK_ONLY if method == "dense" else 0)
     assert seen == [(method, np.dtype(np.complex128))]
     assert np.abs(res.eigenvalues - np.linalg.eigvalsh(a)[:4]).max() < 1e-9
     residuals = np.linalg.norm(h @ res.eigenvectors - res.eigenvectors * res.eigenvalues, axis=0)
@@ -325,8 +344,8 @@ def test_complex_block_without_real_gauge(monkeypatch, entry, method):
 def test_block_solves_are_logged(caplog):
     h = snv0_h(8, m_s=1, lam=40.0)
     with caplog.at_level(logging.DEBUG, logger="spinvibronic"):
-        solve_lowest(h, k=4, method="dense")
-        solve_lowest(snv0_h(8), k=4, method="lanczos", dense_threshold=0)
+        solve_lowest(h, k=4)
+        solve_lowest(snv0_h(8), k=4, dense_threshold=0)
     messages = [r.getMessage() for r in caplog.records if r.name == "spinvibronic"]
     assert len(messages) == 3
     assert "dim=180 dtype=float64 path=dense k=4" in messages[0]

@@ -19,7 +19,6 @@ from spinvibronic import (
 from spinvibronic.defaults import DEFECTS
 from spinvibronic.hamiltonian import (
     SIGMA_X,
-    SIGMA_Y,
     SIGMA_Z,
     SectorSpec,
     electronic_reflection,
@@ -28,7 +27,9 @@ from spinvibronic.hamiltonian import (
     total_reflection,
     total_rotation,
 )
-from spinvibronic.oscillator import build_basis, build_operators
+from spinvibronic.oscillator import build_basis, build_operators, c2prime_reflection
+
+from conftest import SIGMA_Y, c2prime_gauge, gauged, physical_soc_sector
 
 
 def snv0_spec(cutoff):
@@ -37,10 +38,16 @@ def snv0_spec(cutoff):
 
 
 def soc_sector(spec, m_s, lam_u, lam_g):
-    """The m_s sector H0 + m_s (lam_u S_u + lam_g S_g) of a spin-orbit-free spec."""
+    """The package's real m_s = +/-1 sector H0 + lam_u S_u + lam_g S_g of a spec."""
+    assert m_s in (1, -1)
     basis = build_basis(spec.cutoff)
-    s_u, s_g = soc_operators(basis.dim)
-    return assemble(spec, basis) + m_s * (lam_u * s_u + lam_g * s_g)
+    s_u, s_g = soc_operators(basis)
+    return assemble(spec, basis) + (lam_u * s_u + lam_g * s_g)
+
+
+def physical_sector(spec, m_s, lam_u, lam_g):
+    """The complex m_s sector H0 + m_s (lam_u sy(u) + lam_g sy(g)) / 2 of a spec."""
+    return physical_soc_sector(assemble(spec), m_s, lam_u, lam_g)
 
 
 def test_operator_embeddings():
@@ -75,15 +82,21 @@ def test_correlation_presets():
 
 
 def test_soc_matrix():
-    s_u, s_g = (s.toarray() for s in soc_operators(1))
+    s_u, s_g = (s.toarray() for s in soc_operators(build_basis(0)))
+    assert s_u.dtype == s_g.dtype == np.float64
     assert np.allclose(np.sort(np.linalg.eigvalsh(5.0 * s_u)), [-2.5, -2.5, 2.5, 2.5])
     m = 4.0 * (s_u + s_g)
     assert np.allclose(np.sort(np.linalg.eigvalsh(m)), [-4.0, 0.0, 0.0, 4.0])
-    assert np.allclose(m.real, 0.0)  # purely imaginary entries
-    # the operators act on the electronic factor alone
-    s_u3, s_g3 = soc_operators(3)
-    assert np.array_equal(s_u3.toarray(), np.kron(np.eye(3), s_u))
-    assert np.array_equal(s_g3.toarray(), np.kron(np.eye(3), s_g))
+    # in the ground oscillator state they are sigma_y / 2 in the phase gauge
+    d = np.diag(c2prime_gauge(build_basis(0), 1))
+    assert np.array_equal(s_u, d.conj() @ (0.5 * op_on_u(SIGMA_Y)) @ d)
+    assert np.array_equal(s_g, d.conj() @ (0.5 * op_on_g(SIGMA_Y)) @ d)
+    # and the mode reflection carries them through the oscillator states
+    basis3 = build_basis(3)
+    s_u3, s_g3 = soc_operators(basis3)
+    c2 = c2prime_reflection(basis3).toarray()
+    assert np.array_equal(s_u3.toarray(), np.kron(c2, s_u))
+    assert np.array_equal(s_g3.toarray(), np.kron(c2, s_g))
 
 
 def test_pjt_zero_couplings_is_zero():
@@ -183,10 +196,14 @@ def test_assembly_matches_brute_force(cutoff):
 
 @pytest.mark.parametrize("cutoff", [0, 1, 2, 5])
 def test_assembly_matches_brute_force_with_soc(cutoff):
+    # the complex brute-force sector in the phase gauge D (D^* for m_s = -1)
     spec = snv0_spec(cutoff)
-    h = soc_sector(spec, 1, 7.0, 3.0)
-    assert h.dtype == complex
-    assert np.abs(h.toarray() - brute_force_dense(spec, 1, 7.0, 3.0)).max() < 1e-12
+    for m_s in (1, -1):
+        h = soc_sector(spec, m_s, 7.0, 3.0)
+        assert h.dtype == np.float64
+        d = c2prime_gauge(build_basis(cutoff), m_s)
+        ref = d.conj()[:, None] * brute_force_dense(spec, m_s, 7.0, 3.0) * d
+        assert np.abs(h.toarray() - ref).max() < 1e-12
 
 
 def test_uncoupled_spectrum_degeneracies():
@@ -199,17 +216,17 @@ def test_uncoupled_spectrum_degeneracies():
 
 
 def test_hermiticity_exact():
-    h = soc_sector(snv0_spec(2), 1, 5.0, 2.0)
-    assert abs(h - h.conj().T).max() == 0.0
+    for h in (soc_sector(snv0_spec(2), 1, 5.0, 2.0), physical_sector(snv0_spec(2), 1, 5.0, 2.0)):
+        assert abs(h - h.conj().T).max() == 0.0
 
 
 def test_assemble_is_real_and_soc_entries_are_disjoint():
     h0 = assemble(snv0_spec(3))
     assert h0.dtype == np.float64
-    assert soc_sector(snv0_spec(3), -1, 5.0, 5.0).dtype == np.complex128
+    assert soc_sector(snv0_spec(3), -1, 5.0, 5.0).dtype == np.float64
     # no spin-orbit entry shares a position with H0, so adding the term
     # leaves every entry of H0 as it is
-    s_u, s_g = soc_operators(h0.shape[0] // 4)
+    s_u, s_g = soc_operators(build_basis(3))
     h0_pattern = set(zip(*h0.nonzero()))
     for s in (s_u, s_g):
         assert h0_pattern.isdisjoint(zip(*s.nonzero()))
@@ -227,20 +244,20 @@ def test_symmetry_commutators():
 
 
 def test_kramers_conjugation_identity():
-    plus = soc_sector(snv0_spec(4), 1, 6.0, 2.5).toarray()
-    minus = soc_sector(snv0_spec(4), -1, 6.0, 2.5).toarray()
-    assert np.abs(np.conj(plus) - minus).max() == 0.0
-    e_plus = np.linalg.eigvalsh(plus)
-    e_minus = np.linalg.eigvalsh(minus)
+    plus = physical_sector(snv0_spec(4), 1, 6.0, 2.5)
+    minus = physical_sector(snv0_spec(4), -1, 6.0, 2.5)
+    assert np.abs(np.conj(plus.toarray()) - minus.toarray()).max() == 0.0
+    e_plus = np.linalg.eigvalsh(plus.toarray())
+    e_minus = np.linalg.eigvalsh(minus.toarray())
     assert np.abs(e_plus - e_minus).max() < 1e-10
-    # explicit solves of both sectors agree on either path, which is what
-    # lets the analysis take m_s = -1 from the m_s = +1 solve
-    for method in ("dense", "lanczos"):
-        solved = [
-            solve_lowest(soc_sector(snv0_spec(4), m, 6.0, 2.5), k=8, method=method)
-            for m in (+1, -1)
-        ]
+    # explicit complex solves of both sectors agree on either path with the
+    # one real sector, which is what lets the analysis take m_s = -1 from the
+    # m_s = +1 solve
+    real = soc_sector(snv0_spec(4), 1, 6.0, 2.5)
+    for threshold in (real.shape[0], 0):
+        solved = [solve_lowest(h, k=8, dense_threshold=threshold) for h in (plus, minus, real)]
         assert np.abs(solved[0].eigenvalues - solved[1].eigenvalues).max() < 1e-10
+        assert np.abs(solved[0].eigenvalues - solved[2].eigenvalues).max() < 1e-10
         assert np.abs(solved[0].eigenvalues - e_plus[:8]).max() < 1e-10
 
 
@@ -257,10 +274,14 @@ def test_kramers_pairs_have_equal_spectra(f, g, lambda_corr, lam, preset, cutoff
     # g is drawn in units of hbar_omega_e, inside |2(g_u +/- g_g)| < hbar_omega_e
     c = Couplings(f[0], f[1], 80.0 * g[0], 80.0 * g[1], 80.0)
     spec = SectorSpec(couplings=c, lambda_corr=lambda_corr, cutoff=cutoff, preset=preset)
-    spectra = [
-        solve_lowest(soc_sector(spec, m_s, *lam), k=8).eigenvalues for m_s in (+1, -1)
-    ]
+    physical = {m_s: physical_sector(spec, m_s, *lam) for m_s in (+1, -1)}
+    spectra = [solve_lowest(h, k=8).eigenvalues for h in physical.values()]
     assert np.abs(spectra[0] - spectra[1]).max() < 1e-9 * max(1.0, np.abs(spectra[0]).max())
+    # exactly: both sectors are the one real matrix in the phase gauges D and D^*
+    real = soc_sector(spec, 1, *lam).toarray()
+    basis = build_basis(cutoff)
+    for m_s, h in physical.items():
+        assert np.array_equal(gauged(h, c2prime_gauge(basis, m_s)).toarray(), real)
 
 
 @settings(max_examples=40, deadline=None)

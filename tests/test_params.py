@@ -17,7 +17,8 @@ from spinvibronic import (
 )
 from spinvibronic.defaults import DEFECTS
 from spinvibronic.params import branch_minima_dimensionless
-from spinvibronic.pes import lowest_surface_minimum
+
+from conftest import lowest_surface_minimum
 
 
 def test_snv0_branch1_constants():

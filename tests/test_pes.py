@@ -20,8 +20,9 @@ from spinvibronic.pes import (
     _model_jacobian,
     _model_sorted,
     classical_matrix,
-    lowest_surface_minimum,
 )
+
+from conftest import lowest_surface_minimum
 
 
 def sorted_curve(p, grid):
