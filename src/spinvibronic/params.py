@@ -154,7 +154,7 @@ def pes_to_couplings(p: DefectParams) -> Couplings:
 
 
 def couplings_to_pes(
-    c: Couplings, name: str = "fitted", effective_mass_amu: float = 12.0
+    c: Couplings, effective_mass_amu: float, name: str = "fitted"
 ) -> DefectParams:
     """Exact inverse of :func:`pes_to_couplings` (rho0 signs preserved).
 

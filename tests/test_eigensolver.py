@@ -295,6 +295,9 @@ def test_real_gauge_keeps_the_complex_spectrum(name, cutoff, m_s):
         vecs, vals = d[:, None] * res.eigenvectors, res.eigenvalues
         residuals = np.linalg.norm(h @ vecs - vecs * vals, axis=0)
         assert residuals.max() < 1e-10 * max(1.0, np.abs(vals).max())
+        # D is a unitary diagonal, so the reported residuals of the real
+        # solve are the residuals of D r in the complex sector
+        assert np.allclose(residuals, res.residual_norms, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("method", ["dense", "lanczos"])

@@ -52,7 +52,7 @@ def test_zero_coupling_limit():
                      delta_jt=(0.0, 0.0))
     c = pes_to_couplings(p)
     assert c.f_u == c.f_g == c.g_u == c.g_g == 0.0
-    back = couplings_to_pes(c)
+    back = couplings_to_pes(c, effective_mass_amu=p.effective_mass_amu)
     assert back.e_jt == (0.0, 0.0)
     assert back.delta_jt == (0.0, 0.0)
 
@@ -66,7 +66,7 @@ def test_round_trip_randomized():
         p = DefectParams(name="r", hbar_omega_e=k, lambda_corr=0.0, e_jt=e, delta_jt=d,
                          rho0_angstrom=(0.1, -0.01))
         c = pes_to_couplings(p)
-        back = couplings_to_pes(c)
+        back = couplings_to_pes(c, effective_mass_amu=p.effective_mass_amu)
         assert back.e_jt[0] == pytest.approx(e[0], rel=1e-12)
         assert back.e_jt[1] == pytest.approx(e[1], rel=1e-12)
         assert back.delta_jt[0] == pytest.approx(d[0], rel=1e-12, abs=1e-12)
@@ -93,7 +93,7 @@ def _couplings_in_domain(draw):
 @settings(max_examples=200, deadline=None)
 @given(c=_couplings_in_domain())
 def test_couplings_to_pes_round_trip_property(c):
-    back = pes_to_couplings(couplings_to_pes(c))
+    back = pes_to_couplings(couplings_to_pes(c, effective_mass_amu=12.0))
     assert back.hbar_omega_e == c.hbar_omega_e
     for name in ("f_u", "f_g", "g_u", "g_g"):
         assert getattr(back, name) == pytest.approx(getattr(c, name), rel=1e-9, abs=1e-9)
@@ -113,7 +113,7 @@ def test_branch_ratio_identity():
 def test_worked_inverse_example():
     c = Couplings(f_u=0.5 * 177.6, f_g=0.5 * 177.6, g_u=0.5 * 7.516, g_g=0.5 * 7.516,
                   hbar_omega_e=87.7)
-    back = couplings_to_pes(c)
+    back = couplings_to_pes(c, effective_mass_amu=12.0)
     assert back.e_jt[0] == pytest.approx(217.0, rel=1e-3)
 
 
