@@ -2,8 +2,9 @@
 
 The package builds truncated two-mode oscillator bases, assembles the
 electron-phonon plus correlation plus longitudinal spin-orbit Hamiltonian
-per spin projection, diagonalizes the sparse sectors, labels the vibronic
-eigenstates by point-group irrep, and derives the reported observables:
+per spin projection in a C3 x C2' symmetry-adapted basis, diagonalizes the
+sparse sectors block by block, labels the vibronic eigenstates by the irrep
+of their block, and derives the reported observables:
 singlet-doublet splittings, spin-orbit quenching factors, m_s-resolved level
 shifts and transition-energy changes.
 """
@@ -32,7 +33,9 @@ from .eigensolver import (
 from .hamiltonian import (
     PRESET_A_SPLIT,
     PRESET_E_RAISED,
+    AdaptedBasis,
     SectorSpec,
+    adapted_basis,
     assemble,
     build_correlation,
     build_pjt,

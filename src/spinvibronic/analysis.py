@@ -7,11 +7,13 @@ operators inside the Eu doublet, the effective spin-orbit splittings of the
 m_s-resolved levels, and the inverse problem of calibrating bare spin-orbit
 constants to a target Eu splitting.
 
-The longitudinal spin-orbit term is one added term: each m_s = +/-1 sector
-is the solved m_s = 0 matrix H0 plus lambda_u0 S_u + lambda_g0 S_g, with the
-real C2'-gauged operators of hamiltonian.soc_operators, and the same S_u and
-S_g give p_u / p_g and the calibration slope.  The two sectors are one real
-matrix in their own gauges, so m_s = -1 is taken from the m_s = +1 solve.
+Every sector is assembled in the symmetry-adapted basis of hamiltonian: the
+m_s = 0 sector H0 is four real blocks (Eu from j = 1, Eu from j = 2, A1u,
+A2u), and each m_s = +/-1 sector is H0 plus lambda_u0 S_u + lambda_g0 S_g,
+three real blocks (j = 1, j = 2, j = 0), with S_u and S_g from
+hamiltonian.soc_operators.  The same S_u and S_g give p_u / p_g and the
+calibration slope.  The physical m_s = -1 sector is the m_s = +1 matrix in
+the C2'-image basis, so m_s = -1 is taken from the m_s = +1 solve.
 
 Spin-orbit eigenstates are matched to their zero-coupling parents by maximum
 overlap; an overlap below 0.5 aborts the analysis rather than reporting a
@@ -20,6 +22,7 @@ mislabeled level.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
@@ -34,8 +37,16 @@ from .eigensolver import (
     converge_cutoff,
     solve_lowest,
 )
-from .hamiltonian import PRESET_E_RAISED, SectorSpec, assemble, soc_operators
-from .oscillator import build_basis
+from .hamiltonian import (
+    LABEL_A2U,
+    LABEL_EU,
+    PRESET_E_RAISED,
+    AdaptedBasis,
+    SectorSpec,
+    adapted_basis,
+    assemble,
+    soc_operators,
+)
 from .params import (
     Couplings,
     DefectParams,
@@ -43,16 +54,11 @@ from .params import (
     depth_preserving_linear_couplings,
     pes_to_couplings,
 )
-from .symmetry import (
-    LABEL_A2U,
-    LABEL_EU,
-    SymmetryOperators,
-    VibronicState,
-    analyze_states,
-    character,
-)
+from .symmetry import VibronicState, analyze_states
 
 MEV_PER_EV = 1000.0
+
+log = logging.getLogger("spinvibronic")
 
 
 class AnalysisError(RuntimeError):
@@ -83,23 +89,23 @@ class SectorSolution:
     spec: SectorSpec
     result: EigResult
     states: list[VibronicState]
-    ops: SymmetryOperators
+    basis: AdaptedBasis
     h0: sp.csr_matrix
 
     @cached_property
     def soc_ops(self) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-        """(S_u, S_g) over this sector's basis, in the C2' phase gauge."""
-        return soc_operators(self.ops.basis)
+        """(S_u, S_g) over this sector's basis."""
+        return soc_operators(self.basis)
 
     def soc_sector(self, lambda_u0: float, lambda_g0: float, m_s: int) -> sp.csr_matrix:
         """The m_s sector as one real symmetric matrix.
 
         m_s = 0 is H0.  m_s = +1 and -1 are both H0 + lambda_u0 S_u +
-        lambda_g0 S_g: the physical sector H0 + m_s (lambda_u0 sy(u) +
-        lambda_g0 sy(g)) / 2 in the phase gauge D for +1 and D^* for -1, so
-        the one matrix is Kramers degeneracy stated exactly.  Its eigenvectors
-        are in that gauge; doublet overlaps and expectation values of S_u and
-        S_g do not see it.
+        lambda_g0 S_g: the physical +1 sector, and the physical -1 sector
+        H0 - lambda_u0 S_u - lambda_g0 S_g in the C2'-image basis (j = 1 and
+        j = 2 swapped, A2u signs flipped), so the one matrix is Kramers
+        degeneracy stated exactly.  Doublet overlaps and expectation values
+        of S_u and S_g are read from the +1 eigenvectors.
         """
         if m_s == 0:
             return self.h0
@@ -119,18 +125,16 @@ class SectorSolution:
         raise AnalysisError(f"no state labeled {label} among the lowest {len(self.states)}")
 
     def eu_doublet(self) -> tuple[np.ndarray, float]:
-        """Eigenvector pair and energy of the first two Eu states, one of each C2' parity."""
-        pair = [s for s in self.states if s.irrep == LABEL_EU][:2]
-        if len(pair) < 2:
-            raise AnalysisError(f"fewer than two Eu states among the lowest {len(self.states)}")
-        vectors = np.column_stack([s.coefficients for s in pair])
-        parities = [character(v[:, None], self.ops.r_c2) for v in vectors.T]
-        if parities[0] * parities[1] > 0:
-            raise AnalysisError(
-                f"the first two Eu states at {pair[0].energy:.6f} and {pair[1].energy:.6f} meV "
-                f"have the same C2' parity, so they are not partners of one doublet"
-            )
-        return vectors, pair[0].energy
+        """Eigenvector pair and energy of the lowest Eu doublet: the lowest j = 1 and j = 2 states."""
+        eu = [s for s in self.states if s.irrep == LABEL_EU]
+        pair = []
+        for j, (_, lo, hi) in enumerate(self.basis.blocks[:2], start=1):
+            # an Eu state lies wholly in the j = 1 or the j = 2 block
+            held = next((s for s in eu if np.any(s.coefficients[lo:hi])), None)
+            if held is None:
+                raise AnalysisError(f"no j = {j} Eu partner among the lowest {len(self.states)} states")
+            pair.append(held)
+        return np.column_stack([s.coefficients for s in pair]), pair[0].energy
 
 
 def solve_sector(
@@ -142,12 +146,11 @@ def solve_sector(
 ) -> SectorSolution:
     """Solve and label the spin-orbit-free sector at the given cutoff."""
     spec = SectorSpec(couplings=couplings, lambda_corr=lambda_corr, cutoff=cutoff, preset=preset)
-    basis = build_basis(cutoff)
+    basis = adapted_basis(cutoff)
     h0 = assemble(spec, basis)
     result = opts.solve(h0)
-    ops = SymmetryOperators(basis)
     return SectorSolution(
-        spec=spec, result=result, states=analyze_states(result, ops), ops=ops, h0=h0
+        spec=spec, result=result, states=analyze_states(result, basis), basis=basis, h0=h0
     )
 
 
@@ -173,7 +176,7 @@ def solution_gamma(sol: SectorSolution) -> float:
     if lowest.irrep not in ("A1u", "A2u"):
         raise AnalysisError(
             f"lowest state is {lowest.irrep}, not an A-type singlet; "
-            f"characters are outside tolerance or the model is misconfigured"
+            f"the model is misconfigured"
         )
     return sol.lowest(LABEL_EU).energy - sol.lowest(LABEL_A2U).energy
 
@@ -218,11 +221,7 @@ MIN_TRACKING_OVERLAP = 0.5
 def _tracked_soc_levels(
     sol: SectorSolution, result: EigResult
 ) -> tuple[int, np.ndarray, dict[str, float]]:
-    """(A2u-derived index, Eu-derived pair indices by energy, overlaps).
-
-    Each parent lies in one C2' block, where the phase gauge is a constant, so
-    the overlaps are those of the physical eigenvectors.
-    """
+    """(A2u-derived index, Eu-derived pair indices by energy, overlaps)."""
     a2u_vec = sol.lowest(LABEL_A2U).coefficients[:, None]
     doublet, _ = sol.eu_doublet()
     w_a2u = (np.abs(a2u_vec.conj().T @ result.eigenvectors) ** 2).sum(axis=0)
@@ -354,11 +353,16 @@ def calibrate_soc(
             scan.append((s, float("nan")))
             raise CalibrationError(f"state tracking broke down at s={s:g} meV ({exc})", scan)
         scan.append((s, levels.lambda_eff))
+        lower, upper = np.real(np.sum(eu_pair.conj() * (dh_ds @ eu_pair), axis=0))
+        slope = float(upper - lower)
+        if log.isEnabledFor(logging.DEBUG):
+            log.debug(
+                "calibrate_soc step: s=%.9g lambda_eff=%.9g slope=%.9g",
+                s, levels.lambda_eff, slope,
+            )
         miss = levels.lambda_eff - target_lambda_eff
         if abs(miss) < 1e-7:
             return levels
-        lower, upper = np.real(np.sum(eu_pair.conj() * (dh_ds @ eu_pair), axis=0))
-        slope = float(upper - lower)
         if not slope > 0.0:
             raise CalibrationError(f"spin-orbit response has slope {slope:g} at s={s:g} meV", scan)
         step = miss / slope

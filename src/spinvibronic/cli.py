@@ -9,7 +9,9 @@ Subcommands:
 
 Exit codes: 0 success, 2 configuration problems, 3 solver or fit failures.
 All outputs are deterministic for a fixed seed; the output directory can be
-overridden with --out or the SPINVIB_OUT environment variable.  The BLAS
+overridden with --out or the SPINVIB_OUT environment variable.  -v writes
+the trace records of the "spinvibronic" logger (one per block solve,
+calibration step and fit) to stderr and changes no report byte.  The BLAS
 thread count is set through the environment (OPENBLAS_NUM_THREADS,
 OMP_NUM_THREADS) before the interpreter starts.
 """
@@ -20,6 +22,7 @@ import argparse
 import csv
 import dataclasses
 import importlib.resources
+import logging
 import os
 import sys
 from pathlib import Path
@@ -186,6 +189,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="spinvib",
         description="Vibronic and spin-orbit level structure of dual Jahn-Teller color centers",
     )
+    parser.add_argument(
+        "-v", "--verbose", action="store_true", help="write the solver trace records to stderr"
+    )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--cutoff", type=int, default=None, help="force a fixed oscillator cutoff")
     common.add_argument("--order", type=int, choices=(1, 2), default=None)
@@ -218,6 +224,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    log = logging.getLogger("spinvibronic")
+    handler, level = logging.StreamHandler(sys.stderr), log.level
+    if args.verbose:
+        log.addHandler(handler)
+        log.setLevel(logging.DEBUG)
     try:
         return args.func(args)
     except (ConfigError, ParameterError, FileNotFoundError, ValueError) as exc:
@@ -226,6 +237,9 @@ def main(argv=None) -> int:
     except _SOLVE_ERRORS as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(level)
 
 
 if __name__ == "__main__":

@@ -1,15 +1,18 @@
 """Lowest eigenpairs of sparse Hermitian matrices, solved block by block.
 
-A sector Hamiltonian that commutes with a diagonal symmetry splits into
-blocks with no matrix elements between them: the m_s = 0 sectors are two
-real blocks, one per C2' parity, and the m_s = +/-1 sectors are one block.
-solve_lowest finds the blocks as the connected components of the sparsity
-pattern, solves each, and merges the block spectra, so every eigenvector it
-returns lies in one block and exact degeneracies across blocks cannot mix.
+A sector Hamiltonian that commutes with a symmetry splits into blocks with
+no matrix elements between them.  In the symmetry-adapted basis of
+hamiltonian the m_s = 0 sectors are four real blocks (Eu from j = 1 and
+j = 2, A1u, A2u) and the m_s = +/-1 sectors three (j = 1, 2, 0), each a
+contiguous index range; the linear model, which also conserves J, splits
+further.  solve_lowest finds the blocks as the connected components of the
+sparsity pattern, solves each, and merges the block spectra, so every
+eigenvector it returns lies in one block and exact degeneracies across
+blocks cannot mix.  A block whose indices form one contiguous range is cut
+out by a range slice; any other by index arrays.
 
-Every sector the package builds is real symmetric, the m_s = +/-1 ones in
-the C2' phase gauge of hamiltonian.soc_operators; a complex Hermitian matrix
-from elsewhere is solved as it is.
+Every sector the package builds is real symmetric; a complex Hermitian
+matrix from elsewhere is solved as it is.
 
 Blocks with dim <= dense_threshold go to LAPACK (scipy.linalg.eigh), which
 also serves as the independent oracle for the iterative path in the test
@@ -20,17 +23,17 @@ reproducible.  Residuals ||H v - theta v|| are recomputed from the returned
 pairs, and the iterative path fails loudly rather than return a pair above
 tol * max(1, max |theta|).
 
-The default threshold of 400 is the crossover measured before blocks were
-split (k = 10, whole SnV0 and PbV0 sectors, two OpenBLAS threads on a 2-core
-x86-64 host): complex sectors broke even near dim 312 and real ones between
-544 and 612, so one real plus one complex solve, the unit of a spin-orbit
-run, tied at dim 364 and favoured ARPACK from dim 420 up.  Every spin-orbit
-block is now real, and the threshold is left at 400: on the PbV0 m_s = +1
-sectors (k = 10, same host) LAPACK still wins at dim 364 (10.4 vs 12.2 ms)
-and ARPACK at dim 420 (11.8 vs 14.4 ms).
+The default threshold of 400 was measured on whole real sectors (k = 10,
+PbV0 m_s = +1, two OpenBLAS threads on a 2-core x86-64 host): LAPACK won at
+dim 364 (10.4 vs 12.2 ms) and ARPACK at dim 420 (11.8 vs 14.4 ms).  With the
+blocks a third to a sixth of the sector, the bundled runs solve the
+cutoff-20 blocks (308 and 154) by LAPACK and the cutoff-28 j blocks (580) by
+ARPACK, next to A1u/A2u blocks of 290 by LAPACK; the cutoff-36 large sectors
+are j blocks of 937-938, all ARPACK.
 
-Each block solve logs one DEBUG record (dim, dtype, path, k, seconds) to
-the "spinvibronic" logger.
+Each block solve logs one DEBUG record (dim, dtype, path, k, wall and CPU
+seconds, nnz, and the largest residual against its bound) to the
+"spinvibronic" logger.
 """
 
 from __future__ import annotations
@@ -99,7 +102,7 @@ def _block_lowest(h: sp.csr_matrix, k: int, dense: bool, tol: float, seed: int) 
     """Lowest k pairs of one block."""
     from scipy.sparse.linalg import ArpackNoConvergence
 
-    t0 = time.perf_counter()
+    t0, c0 = time.perf_counter(), time.process_time()
     try:
         vals, vecs = _dense_lowest(h, k) if dense else _arpack_lowest(h, k, tol, seed)
     except ArpackNoConvergence as exc:
@@ -108,12 +111,14 @@ def _block_lowest(h: sp.csr_matrix, k: int, dense: bool, tol: float, seed: int) 
             residuals=_residuals(h, exc.eigenvalues.real, exc.eigenvectors),
         ) from exc
     res = _residuals(h, vals, vecs)
+    bound = tol * max(1.0, float(np.abs(vals).max()))
     if log.isEnabledFor(logging.DEBUG):
         log.debug(
-            "solve_lowest block: dim=%d dtype=%s path=%s k=%d seconds=%.6f",
+            "solve_lowest block: dim=%d dtype=%s path=%s k=%d seconds=%.6f cpu_seconds=%.6f "
+            "nnz=%d residual_max=%.3e bound=%.3e",
             h.shape[0], h.dtype, "dense" if dense else "lanczos", k, time.perf_counter() - t0,
+            time.process_time() - c0, h.nnz, res.max(), bound,
         )
-    bound = tol * max(1.0, float(np.abs(vals).max()))
     if not dense and np.any(res > bound):
         raise SolverError(
             f"ARPACK residuals exceed tol * max(1, max|theta|) = {bound:.2e} "
@@ -156,22 +161,33 @@ def solve_lowest(
     n = h.shape[0]
     if k > n:
         raise ValueError(f"k={k} exceeds matrix dimension {n}")
-    blocks = _blocks(h)
+    # a contiguous block becomes a range slice, which is cheaper than index arrays
+    blocks = [
+        slice(idx[0], idx[-1] + 1) if idx[-1] - idx[0] + 1 == idx.size else idx
+        for idx in _blocks(h)
+    ]
     parts = []
     for idx in blocks:
-        hb = h if len(blocks) == 1 else h[idx][:, idx]
-        nb, kb = idx.size, min(k, idx.size)
+        if len(blocks) == 1:
+            hb = h
+        elif isinstance(idx, slice):
+            hb = h[idx, idx]
+        else:
+            hb = h[idx][:, idx]
+        nb = hb.shape[0]
+        kb = min(k, nb)
         dense = nb <= dense_threshold or kb >= nb - 1
         parts.append(_block_lowest(hb, kb, dense, tol, seed))
     vals = np.concatenate([r.eigenvalues for r in parts])
-    vecs = np.zeros((n, vals.size), dtype=h.dtype)
-    col = 0
-    for idx, r in zip(blocks, parts):
-        vecs[idx, col : col + r.k] = r.eigenvectors
-        col += r.k
     keep = np.argsort(vals, kind="stable")[:k]
+    # embed only the kept pairs: the linear model has dozens of blocks
+    starts = np.cumsum([0] + [r.k for r in parts])
+    vecs = np.zeros((n, keep.size), dtype=h.dtype)
+    for col, i in enumerate(keep):
+        b = np.searchsorted(starts, i, side="right") - 1
+        vecs[blocks[b], col] = parts[b].eigenvectors[:, i - starts[b]]
     res = np.concatenate([r.residual_norms for r in parts])
-    return EigResult(eigenvalues=vals[keep], eigenvectors=vecs[:, keep], residual_norms=res[keep])
+    return EigResult(eigenvalues=vals[keep], eigenvectors=vecs, residual_norms=res[keep])
 
 
 @dataclass

@@ -1,45 +1,52 @@
-"""Assembly of the spin-vibronic Hamiltonian over (electronic x oscillator) space.
+"""Assembly of the spin-vibronic Hamiltonian in a C3 x C2' symmetry-adapted basis.
 
-Electronic basis: four hole configurations ordered with the u index fast,
-e = 2*i_g + i_u, i.e. [ |u_x g_x>, |u_y g_x>, |u_x g_y>, |u_y g_y> ].
-Operators written A (x) B act as <u'g'| A (x) B |ug> = A_{u'u} B_{g'g}.
+Electronic basis: each hole doublet in circular components
+e_+/- = (x +/- i y)/sqrt(2), angular momentum m = +/-1.  The four
+configurations are ordered with the u index fast, e = 2*i_g + i_u (i = 0 for
+e_+, 1 for e_-), i.e. [ |e+ e+>, |e- e+>, |e+ e->, |e- e-> ] (first label u,
+second g).  Operators written A (x) B act as <u'g'| A (x) B |ug> = A_{u'u} B_{g'g}.
 
-Symmetry-adapted combinations (first label u, second g):
+Symmetry content, with the Cartesian names of the defect:
 
-    |A2u>  = (|xx> + |yy>)/sqrt(2)
-    |A1u>  = (|xy> - |yx>)/sqrt(2)
-    |Eu,1> = (|xx> - |yy>)/sqrt(2)
-    |Eu,2> = (|xy> + |yx>)/sqrt(2)
+    |e+ e+>, |e- e->           span Eu
+    (|e+ e-> + |e- e+>)/sqrt(2) = (|xx> + |yy>)/sqrt(2)        A2u
+    (|e+ e-> - |e- e+>)/sqrt(2) = -i (|xy> - |yx>)/sqrt(2)     A1u
 
-The A-state naming follows the C2' characters of the defect: the u orbitals
-reflect like in-plane (x, y) functions, diag(1, -1), while the g orbitals
-reflect like (xz, yz) functions, diag(-1, 1).  With those representation
-matrices (|xx> + |yy>)/sqrt(2) is odd under C2' and therefore A2u; it is also
-the combination driven by the strong constructive coupling f_u + f_g, which
-is what puts the dark A2u vibronic level below the bright Eu doublet.
+The u orbitals reflect under C2' like in-plane (x, y) functions, diag(1, -1),
+and the g orbitals like (xz, yz) functions, diag(-1, 1); so (|xx> + |yy>)/sqrt(2)
+is odd under C2' and therefore A2u.  It is also the combination driven by the
+strong constructive coupling f_u + f_g, which is what puts the dark A2u
+vibronic level below the bright Eu doublet.
 
-assemble builds the spin-orbit-free (m_s = 0) sector, a real symmetric matrix:
+With the circular oscillator basis of oscillator.py every term is a real
+matrix (T is the transpose of the term before it):
 
-    H0 = hbar_omega_e (n_x + n_y + 1)
-       + f_u (X sz(u) - Y sx(u)) + f_g (X sz(g) - Y sx(g))
-       + g_u ((X^2 - Y^2) sz(u) + 2 X Y sx(u)) + g_g (same on g)
+    H0 = hbar_omega_e (n_+ + n_- + 1)
+       + sum over d = u, g of  f_d (Q_+ (x) |e+><e-|_d + T) + g_d (Q_+^2 (x) |e-><e+|_d + T)
        + W(lambda_corr, preset)
 
-with sz/sx the Pauli matrices on the named orbital doublet.  The longitudinal
-spin-orbit term conserves m_s and is one added term per spin projection,
-m_s (lambda_u0 sy(u) + lambda_g0 sy(g)) / 2.  That term is imaginary, but it
-joins only states of opposite C2' parity, and H0 joins only states of equal
-parity.  So the diagonal phases D = 1 on the C2' parity of index 0 and i on
-the other turn the m_s = +1 sector into the real symmetric matrix
+which is f_d (X sz(d) - Y sx(d)) + g_d ((X^2 - Y^2) sz(d) + 2 X Y sx(d)) in
+Cartesian components.  The longitudinal spin-orbit term conserves m_s and is
+one added term per spin projection, m_s (lambda_u0 S_u + lambda_g0 S_g) with
+S = sigma_y / 2 = diag(1/2, -1/2) on (e+, e-).
 
-    D^* H(+1) D = H0 + lambda_u0 S_u + lambda_g0 S_g,
-    S_u = 1/2 C2'_osc (x) sz(g) sx(u),   S_g = 1/2 C2'_osc (x) sz(u) sx(g),
+Every term conserves j = (ell + m_u + m_g) mod 3, the total C3 quantum
+number (ell = n_+ - n_-); the linear terms and W also conserve
+J = ell - (m_u + m_g)/2.  C2' sends |n_+, n_-, s, t> to -|n_-, n_+, -s, -t>: it
+commutes with H0 and flips the sign of S.  AdaptedBasis orders the states as
+j = 1 (by J, then product index), j = 2 as the C2' partners of the j = 1
+states in the same order, then the j = 0 states b paired with their C2' images
+as (b + C2'b)/sqrt(2) (A1u) and (b - C2'b)/sqrt(2) (A2u).  So the m_s = 0
+sector splits exactly into four blocks, Eu (j = 1), Eu (j = 2), A1u and A2u,
+and each m_s = +/-1 sector into three, j = 1, j = 2 and j = 0.  The physical
+m_s = -1 sector is C2' H(+1) C2', which swaps j = 1 with j = 2 and flips the
+sign of the A2u states: it is the m_s = +1 matrix in the C2'-image basis, so
+one matrix serves both, and Kramers degeneracy is stated exactly.
 
-with C2'_osc = diag((-1)**n_y) the mode reflection, and D^* does the same for
-m_s = -1, D H(-1) D^* = the same matrix: Kramers degeneracy stated exactly.
-soc_operators builds these S_u and S_g; their entries are oscillator-diagonal
-and share no position with any entry of H0, so the sum adds nothing to H0's
-entries.
+Operators are built as real kron products of exact factors in the circular
+product basis and then folded into the adapted basis.  An entry and its C2'
+image are the same float, so every cross-block entry of the fold is an exact
+zero (x - x); eliminate_zeros drops those, and no entry is dropped by size.
 """
 
 from __future__ import annotations
@@ -50,13 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .oscillator import (
-    OscBasis,
-    build_basis,
-    c2prime_reflection,
-    position_operator,
-    quadratic_operators,
-)
+from .oscillator import OscBasis, build_basis, build_operators
 from .params import Couplings
 
 ELEC_DIM = 4
@@ -68,9 +69,15 @@ PRESETS = (PRESET_E_RAISED, PRESET_A_SPLIT)
 SIGMA_0 = np.eye(2)
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
+E_RAISE = np.array([[0.0, 1.0], [0.0, 0.0]])  # |e+><e-| on one doublet
 
-# electronic channel order used throughout the analysis
-CHANNELS = ("A1u", "A2u", "Eu1", "Eu2")
+# angular momentum of the u and g hole in each electronic state
+M_U = np.array([1, -1, 1, -1])
+M_G = np.array([1, 1, -1, -1])
+
+LABEL_A1U = "A1u"
+LABEL_A2U = "A2u"
+LABEL_EU = "Eu"
 
 
 def op_on_u(a: np.ndarray) -> np.ndarray:
@@ -83,8 +90,12 @@ def op_on_g(b: np.ndarray) -> np.ndarray:
     return np.kron(b, SIGMA_0)
 
 
+# electronic channel order used by the Cartesian helpers
+CHANNELS = ("A1u", "A2u", "Eu1", "Eu2")
+
+
 def symmetry_adapted_states() -> np.ndarray:
-    """Columns (A1u, A2u, Eu1, Eu2) in the product basis; orthogonal 4x4."""
+    """Columns (A1u, A2u, Eu1, Eu2) over the Cartesian states |u_x g_x>, |u_y g_x>, |u_x g_y>, |u_y g_y>."""
     s = 1.0 / math.sqrt(2.0)
     a1u = np.array([0.0, -s, s, 0.0])  # (|xy> - |yx>)/sqrt(2), |xy> = e2
     a2u = np.array([s, 0.0, 0.0, s])
@@ -93,22 +104,79 @@ def symmetry_adapted_states() -> np.ndarray:
     return np.column_stack([a1u, a2u, eu1, eu2])
 
 
-def electronic_rotation() -> np.ndarray:
-    """Rotation by 2*pi/3 applied to both doublets (real orthogonal 4x4)."""
-    c, s = -0.5, math.sqrt(3.0) / 2.0
-    r = np.array([[c, -s], [s, c]])
-    return op_on_u(r) @ op_on_g(r)
-
-
-def electronic_reflection() -> np.ndarray:
-    """C2' on the electronic factor: diag(1,-1) on u, diag(-1,1) on g."""
-    return op_on_u(np.diag([1.0, -1.0])) @ op_on_g(np.diag([-1.0, 1.0]))
-
-
 # projector onto each electronic channel, in CHANNELS order
 CHANNEL_PROJECTORS = {
     name: np.outer(v, v) for name, v in zip(CHANNELS, symmetry_adapted_states().T)
 }
+
+
+@dataclass(frozen=True)
+class AdaptedBasis:
+    """The C3 x C2' symmetry-adapted spin-vibronic basis of one cutoff.
+
+    fold has one row per adapted state over the product states
+    |n_+, n_-> (x) |e> (electronic index fast): a single 1 for a j = 1 or
+    j = 2 state, and +1 on b with -1 (A1u) or +1 (A2u) on b' for the pair
+    (b, b'), C2'b = -b', of a j = 0 state; the pair rows carry the
+    normalisation 1/sqrt(2) implicitly.  blocks holds (label, start, stop) of
+    the j = 1, j = 2, A1u and A2u ranges, in that order.
+    """
+
+    osc: OscBasis
+    fold: sp.csr_matrix
+    blocks: tuple[tuple[str, int, int], ...]
+
+    @property
+    def dim(self) -> int:
+        return self.fold.shape[0]
+
+    def adapt(self, op: sp.spmatrix) -> sp.csr_matrix:
+        """A j-conserving product-basis operator in the adapted basis."""
+        m = (self.fold @ op @ self.fold.T).tocsr()
+        # pair rows hold only pair columns, and both sides carry 1/sqrt(2)
+        m.data[m.indptr[self.blocks[2][1]] :] *= 0.5
+        m.eliminate_zeros()
+        m.sort_indices()
+        return m
+
+    def to_product(self, vectors: np.ndarray) -> np.ndarray:
+        """Adapted-basis vectors (columns) in the product basis."""
+        scale = np.where(np.arange(self.dim) < self.blocks[2][1], 1.0, math.sqrt(0.5))
+        return self.fold.T @ (scale * vectors.T).T
+
+    def block_of(self, vector: np.ndarray) -> int | None:
+        """Index into blocks of the one block holding vector, or None if it spans several."""
+        held = [i for i, (_, lo, hi) in enumerate(self.blocks) if np.any(vector[lo:hi])]
+        return held[0] if len(held) == 1 else None
+
+
+def adapted_basis(cutoff: int) -> AdaptedBasis:
+    """The symmetry-adapted basis over the oscillator shells n_+ + n_- <= cutoff."""
+    osc = build_basis(cutoff)
+    k = np.repeat(np.arange(osc.dim), ELEC_DIM)
+    e = np.tile(np.arange(ELEC_DIM), osc.dim)
+    product = np.arange(k.size)
+    big_j = osc.ell[k] - (M_U[e] + M_G[e]) // 2  # J, and j = J mod 3
+    n = osc.n_plus[k] + osc.n_minus[k]
+    mirror = ELEC_DIM * (n * (n + 1) // 2 + osc.n_minus[k]) + (ELEC_DIM - 1 - e)  # C2' b = -b[mirror]
+    # ascending J keeps each J block of the linear model one contiguous range
+    order = np.argsort(big_j, kind="stable")
+    j1 = order[big_j[order] % 3 == 1]
+    lead = (big_j > 0) | ((big_j == 0) & (product < mirror))  # one state of each j = 0 pair
+    rep = order[(big_j[order] % 3 == 0) & lead[order]]
+    pairs = np.column_stack([rep, mirror[rep]]).ravel()
+    m1, m0 = j1.size, rep.size
+    rows = np.concatenate([np.arange(2 * m1), np.repeat(2 * m1 + np.arange(2 * m0), 2)])
+    cols = np.concatenate([j1, mirror[j1], pairs, pairs])
+    vals = np.concatenate([np.ones(2 * m1), np.tile([1.0, -1.0], m0), np.ones(2 * m0)])
+    fold = sp.csr_matrix((vals, (rows, cols)), shape=(k.size, k.size))
+    blocks = (
+        (LABEL_EU, 0, m1),
+        (LABEL_EU, m1, 2 * m1),
+        (LABEL_A1U, 2 * m1, 2 * m1 + m0),
+        (LABEL_A2U, 2 * m1 + m0, k.size),
+    )
+    return AdaptedBasis(osc=osc, fold=fold, blocks=blocks)
 
 
 @dataclass(frozen=True)
@@ -128,7 +196,7 @@ class SectorSpec:
 
 
 def build_correlation(lambda_corr: float, preset: str = PRESET_E_RAISED) -> np.ndarray:
-    """Static correlation term W, diagonal in the symmetry-adapted basis.
+    """Static correlation term W over the Cartesian electronic states, real 4x4.
 
     e-raised: the Eu pair sits lambda_corr above the degenerate A1u/A2u pair.
     a-split:  the symmetric combination (|xx>+|yy>)/sqrt(2) (= A2u, strongly
@@ -138,6 +206,8 @@ def build_correlation(lambda_corr: float, preset: str = PRESET_E_RAISED) -> np.n
     e-raised is the shipped default: it reproduces the reported SiV0 lowest
     splitting and matches the surface structure at Q = 0, where the four
     adiabatic levels form two degenerate pairs separated by lambda_corr.
+    The classical surfaces of pes use this Cartesian form; assembly uses
+    circular_correlation, the same operator over the circular states.
     """
     p = CHANNEL_PROJECTORS
     if preset == PRESET_E_RAISED:
@@ -147,72 +217,51 @@ def build_correlation(lambda_corr: float, preset: str = PRESET_E_RAISED) -> np.n
     raise ValueError(f"unknown correlation preset {preset!r}")
 
 
-def soc_operators(basis: OscBasis) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    """S_u and S_g, sigma_y / 2 on the u and g doublets in the C2' phase gauge, as real CSR.
+def circular_correlation(lambda_corr: float, preset: str = PRESET_E_RAISED) -> np.ndarray:
+    """build_correlation over the circular states: lambda_corr (|e+e+><e+e+| + |e-e-><e-e-|),
+    or lambda_corr (|e+e-><e-e+| + T) for a-split."""
+    if preset == PRESET_E_RAISED:
+        return lambda_corr * np.diag([1.0, 0.0, 0.0, 1.0])
+    if preset == PRESET_A_SPLIT:
+        w = np.zeros((ELEC_DIM, ELEC_DIM))
+        w[1, 2] = w[2, 1] = lambda_corr
+        return w
+    raise ValueError(f"unknown correlation preset {preset!r}")
+
+
+def soc_operators(basis: AdaptedBasis) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """S_u and S_g, sigma_y / 2 on the u and g doublets, in the adapted basis as real CSR.
 
     The m_s = +/-1 sectors are H0 + lambda_u0 S_u + lambda_g0 S_g (see the
     module docstring).  Doublet matrix elements of the same operators give the
     Ham reduction factors and the Hellmann-Feynman slope of a spin-orbit
-    sector; their phase does not enter either.
+    sector.
     """
-    c2 = c2prime_reflection(basis)
-    s_u = sp.kron(c2, sp.csr_matrix(0.5 * op_on_g(SIGMA_Z) @ op_on_u(SIGMA_X)), format="csr")
-    s_g = sp.kron(c2, sp.csr_matrix(0.5 * op_on_u(SIGMA_Z) @ op_on_g(SIGMA_X)), format="csr")
-    return s_u, s_g
-
-
-def _electronic_vertex_terms(c: Couplings):
-    """(mode label, electronic 4x4) pairs of the electron-phonon interaction."""
-    return [
-        ("X", c.f_u * op_on_u(SIGMA_Z) + c.f_g * op_on_g(SIGMA_Z)),
-        ("Y", -c.f_u * op_on_u(SIGMA_X) - c.f_g * op_on_g(SIGMA_X)),
-        ("X2-Y2", c.g_u * op_on_u(SIGMA_Z) + c.g_g * op_on_g(SIGMA_Z)),
-        ("2XY", 2.0 * (c.g_u * op_on_u(SIGMA_X) + c.g_g * op_on_g(SIGMA_X))),
-    ]
+    eye = sp.identity(basis.osc.dim, format="csr")
+    return tuple(
+        basis.adapt(sp.kron(eye, sp.diags(0.5 * m), format="csr")) for m in (M_U, M_G)
+    )
 
 
 def build_pjt(spec: SectorSpec, basis: OscBasis) -> sp.csr_matrix:
-    """Electron-phonon interaction alone (no oscillator or W term)."""
-    x = position_operator(basis, "x")
-    y = position_operator(basis, "y")
-    quad = quadratic_operators(basis)
-    mode = {
-        "X": x,
-        "Y": y,
-        "X2-Y2": quad["X2"] - quad["Y2"],
-        "2XY": quad["XY"],
-    }
-    total = None
-    for label, elec in _electronic_vertex_terms(spec.couplings):
-        if not np.any(elec):
-            continue
-        term = sp.kron(mode[label], sp.csr_matrix(elec), format="csr")
-        total = term if total is None else total + term
-    if total is None:
-        total = sp.csr_matrix((4 * basis.dim, 4 * basis.dim))
-    return total
+    """Electron-phonon interaction alone, in the product basis |n_+, n_-> (x) |e>."""
+    c = spec.couplings
+    ops = build_operators(basis)
+    raise_u, raise_g = op_on_u(E_RAISE), op_on_g(E_RAISE)
+    t = sp.kron(ops["Q+"], sp.csr_matrix(c.f_u * raise_u + c.f_g * raise_g), format="csr")
+    t = t + sp.kron(ops["Q+2"], sp.csr_matrix(c.g_u * raise_u.T + c.g_g * raise_g.T), format="csr")
+    return (t + t.T).tocsr()
 
 
-def assemble(spec: SectorSpec, basis: OscBasis | None = None) -> sp.csr_matrix:
-    """Spin-orbit-free sector H_osc + W + pJT as one real CSR matrix."""
+def assemble(spec: SectorSpec, basis: AdaptedBasis | None = None) -> sp.csr_matrix:
+    """Spin-orbit-free sector H_osc + W + pJT as one real CSR matrix in the adapted basis."""
     if basis is None:
-        basis = build_basis(spec.cutoff)
+        basis = adapted_basis(spec.cutoff)
+    osc = basis.osc
     k = spec.couplings.hbar_omega_e
-
-    osc_diag = k * (basis.n_x + basis.n_y + 1).astype(float)
+    osc_diag = k * (osc.n_plus + osc.n_minus + 1).astype(float)
     h = sp.kron(sp.diags(osc_diag), sp.identity(ELEC_DIM), format="csr")
-
-    w = build_correlation(spec.lambda_corr, spec.preset)
+    w = circular_correlation(spec.lambda_corr, spec.preset)
     if np.any(w):
-        h = h + sp.kron(sp.identity(basis.dim), sp.csr_matrix(w), format="csr")
-    return h + build_pjt(spec, basis)
-
-
-def total_rotation(osc_c3: sp.spmatrix) -> sp.csr_matrix:
-    """Simultaneous 2*pi/3 rotation of modes and both electronic doublets."""
-    return sp.kron(osc_c3, sp.csr_matrix(electronic_rotation()), format="csr")
-
-
-def total_reflection(osc_c2: sp.spmatrix) -> sp.csr_matrix:
-    """Simultaneous C2' reflection of modes and electronic factor."""
-    return sp.kron(osc_c2, sp.csr_matrix(electronic_reflection()), format="csr")
+        h = h + sp.kron(sp.identity(osc.dim), sp.csr_matrix(w), format="csr")
+    return basis.adapt(h + build_pjt(spec, osc))

@@ -1,14 +1,12 @@
 """Irrep labels, electronic composition and displacement of vibronic states.
 
-Every eigenvector the solver returns lies in one exact C2' block (see
-eigensolver), so each state is labelled from its own vector.  With the
-proper rotations of the defect, a 2*pi/3 rotation C3 and the C2' axis, such
-a vector v has <v|C2'|v> = +1 or -1, and Re<v|C3|v> = 1 if it is an A state
-and -1/2 if it is any vector of an E doublet.  An A state with C2' = +1 is
-A1u and one with -1 is A2u; an E vector is Eu, and its C2' parity tells the
-two partners of a doublet apart.  A vector that matches none of these within
-tol is flagged mixed; from an exact block that happens only at an accidental
-degeneracy of an A and an E level of the same C2' parity.
+Every eigenvector the solver returns lies in one exact block of the
+symmetry-adapted basis (see hamiltonian and eigensolver), and the block names
+its irrep: the j = 1 and j = 2 blocks hold the two partners of every Eu
+doublet, and the C2'-even and -odd j = 0 blocks hold the A1u and A2u states.
+So each state is labelled from the block that holds its vector, with no
+tolerance; a vector with weight in more than one block, which no block solve
+returns, is flagged mixed.
 """
 
 from __future__ import annotations
@@ -16,24 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .eigensolver import EigResult
-from .hamiltonian import (
-    CHANNELS,
-    ELEC_DIM,
-    symmetry_adapted_states,
-    total_reflection,
-    total_rotation,
-)
-from .oscillator import OscBasis, build_operators
+from .hamiltonian import ELEC_DIM, AdaptedBasis
+from .oscillator import build_operators
 
-LABEL_A1U = "A1u"
-LABEL_A2U = "A2u"
-LABEL_EU = "Eu"
 LABEL_MIXED = "mixed"
-
-CHARACTER_TOL = 0.05
 
 
 @dataclass
@@ -56,71 +42,55 @@ class VibronicState:
     displacement_raw: float
 
 
-class SymmetryOperators:
-    """Total-space symmetry operators and analysis matrices for one basis."""
-
-    def __init__(self, basis: OscBasis):
-        self.basis = basis
-        ops = build_operators(basis)
-        self.r_c3 = total_rotation(ops["C3"])
-        self.r_c2 = total_reflection(ops["C2prime"])
-        self.r2_total = sp.kron(ops["X2"] + ops["Y2"], sp.identity(ELEC_DIM), format="csr")
+def block_label(vector: np.ndarray, basis: AdaptedBasis) -> str:
+    """Irrep of the one block that holds vector, or mixed."""
+    block = basis.block_of(vector)
+    return LABEL_MIXED if block is None else basis.blocks[block][0]
 
 
-def character(vectors: np.ndarray, op: sp.spmatrix) -> float:
-    """Real part of the trace of op projected onto the columns of vectors."""
-    return float(np.real(np.einsum("ij,ij->", vectors.conj(), op @ vectors)))
+def electronic_composition(product: np.ndarray) -> dict[str, float]:
+    """Probability in each electronic symmetry channel, Eu partners summed.
 
-
-def irrep_label(vector: np.ndarray, ops: SymmetryOperators, tol: float = CHARACTER_TOL) -> str:
-    """Label one eigenvector by its C3 and C2' expectation values."""
-    chi3 = character(vector[:, None], ops.r_c3)
-    chi2 = character(vector[:, None], ops.r_c2)
-    if abs(abs(chi2) - 1.0) < tol:
-        if abs(chi3 - 1.0) < tol:
-            return LABEL_A1U if chi2 > 0 else LABEL_A2U
-        if abs(chi3 + 0.5) < tol:
-            return LABEL_EU
-    return LABEL_MIXED
-
-
-def electronic_composition(vector: np.ndarray) -> dict[str, float]:
-    """Probability in each electronic symmetry channel, Eu partners summed."""
-    states = symmetry_adapted_states()
-    coeff = vector.reshape(-1, ELEC_DIM) @ states.conj()
-    weights = np.sum(np.abs(coeff) ** 2, axis=0)
-    total = float(weights.sum())
-    weights = weights / total
-    return {
-        "A1u": float(weights[CHANNELS.index("A1u")]),
-        "A2u": float(weights[CHANNELS.index("A2u")]),
-        "Eu": float(weights[CHANNELS.index("Eu1")] + weights[CHANNELS.index("Eu2")]),
+    product is a real vector over |n_+, n_-> (x) |e>; |e+ e+> and |e- e->
+    are Eu, and the sum and difference of |e+ e-> and |e- e+> over sqrt(2)
+    are A2u and A1u (see hamiltonian).
+    """
+    c = product.reshape(-1, ELEC_DIM)
+    weights = {
+        "A1u": 0.5 * np.sum((c[:, 2] - c[:, 1]) ** 2),
+        "A2u": 0.5 * np.sum((c[:, 2] + c[:, 1]) ** 2),
+        "Eu": np.sum(c[:, 0] ** 2) + np.sum(c[:, 3] ** 2),
     }
+    total = sum(weights.values())
+    return {name: float(w / total) for name, w in weights.items()}
 
 
-def mean_displacement(vector: np.ndarray, ops: SymmetryOperators) -> tuple[float, float]:
+def mean_displacement(product: np.ndarray, r2) -> tuple[float, float]:
     """(zero-point-subtracted, raw) radial displacement estimators.
 
-    <X^2 + Y^2> equals 1 in the undistorted ground state, so the subtracted
-    estimator vanishes there while the raw square root reports 1.
+    product is a real vector over |n_+, n_-> (x) |e> and r2 the oscillator
+    operator X^2 + Y^2.  <X^2 + Y^2> equals 1 in the undistorted ground state,
+    so the subtracted estimator vanishes there while the raw square root
+    reports 1.
     """
-    r2 = float(np.real(np.vdot(vector, ops.r2_total @ vector)))
-    return float(np.sqrt(max(r2 - 1.0, 0.0))), float(np.sqrt(max(r2, 0.0)))
+    c = product.reshape(-1, ELEC_DIM)
+    value = float(np.sum(c * (r2 @ c)))
+    return float(np.sqrt(max(value - 1.0, 0.0))), float(np.sqrt(max(value, 0.0)))
 
 
-def analyze_states(
-    result: EigResult, ops: SymmetryOperators, tol: float = CHARACTER_TOL
-) -> list[VibronicState]:
+def analyze_states(result: EigResult, basis: AdaptedBasis) -> list[VibronicState]:
     """Label, decompose and measure every eigenstate of a real-sector solve."""
+    r2 = build_operators(basis.osc)["R2"]
+    products = basis.to_product(result.eigenvectors)
     states: list[VibronicState] = []
-    for energy, v in zip(result.eigenvalues, result.eigenvectors.T):
-        disp, disp_raw = mean_displacement(v, ops)
+    for energy, v, p in zip(result.eigenvalues, result.eigenvectors.T, products.T):
+        disp, disp_raw = mean_displacement(p, r2)
         states.append(
             VibronicState(
                 energy=float(energy),
                 coefficients=v,
-                irrep=irrep_label(v, ops, tol),
-                composition=electronic_composition(v),
+                irrep=block_label(v, basis),
+                composition=electronic_composition(p),
                 displacement=disp,
                 displacement_raw=disp_raw,
             )

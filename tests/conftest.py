@@ -1,21 +1,26 @@
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 
 from spinvibronic import (
     DEFECTS,
     SolverOptions,
+    adapted_basis,
+    build_correlation,
     op_on_g,
     op_on_u,
     pes_to_couplings,
     solve_sector,
 )
-from spinvibronic.hamiltonian import total_reflection
-from spinvibronic.oscillator import OscBasis, c2prime_reflection
+from spinvibronic.hamiltonian import SIGMA_X, SIGMA_Z
+from spinvibronic.oscillator import build_basis
 from spinvibronic.pes import _dmat_dqx, _expect, classical_matrix
 
 FAST_OPTS = SolverOptions(k=8, dense_threshold=4000)
@@ -41,28 +46,188 @@ def snv0_sector():
     return cached_sector("SnV0", 20)
 
 
-# --- the physical spin-orbit sectors and their C2' phase gauge ---------------
+# --- Cartesian reference: the oracle for the symmetry-adapted assembly -------
+#
+# States |n_x, n_y> with n_x + n_y <= cutoff, shell-major with n_x minor, and
+# the electronic states |u_x g_x>, |u_y g_x>, |u_x g_y>, |u_y g_y> (u fast).
+# The sector is assembled from the Cartesian coupling operators, and the
+# point-group operations are built from their own definitions.
 
 
-def physical_soc_sector(h0: sp.csr_matrix, m_s: int, lam_u: float, lam_g: float) -> sp.csr_matrix:
-    """The complex sector H0 + m_s (lam_u sy(u) + lam_g sy(g)) / 2, written out from sigma_y."""
-    eye = sp.identity(h0.shape[0] // 4)
-    s_u = sp.kron(eye, sp.csr_matrix(0.5 * op_on_u(SIGMA_Y)), format="csr")
-    s_g = sp.kron(eye, sp.csr_matrix(0.5 * op_on_g(SIGMA_Y)), format="csr")
-    return h0 + m_s * (lam_u * s_u + lam_g * s_g)
+@dataclass(frozen=True)
+class CartesianBasis:
+    cutoff: int
+    n_x: np.ndarray
+    n_y: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        return self.n_x.size
 
 
-def c2prime_gauge(basis: OscBasis, m_s: int) -> np.ndarray:
-    """Diagonal of D (1 on the C2' parity of index 0, i on the other), or of D^* for m_s = -1."""
-    parity = total_reflection(c2prime_reflection(basis)).diagonal()
-    d = np.where(parity == parity[0], 1.0 + 0j, 1j)
-    return d if m_s > 0 else d.conj()
+def cartesian_basis(cutoff: int) -> CartesianBasis:
+    n_x = np.concatenate([np.arange(n + 1) for n in range(cutoff + 1)])
+    n_y = np.concatenate([np.full(n + 1, n) - np.arange(n + 1) for n in range(cutoff + 1)])
+    return CartesianBasis(cutoff, n_x, n_y)
 
 
-def gauged(h: sp.csr_matrix, d: np.ndarray) -> sp.csr_matrix:
-    """D^* h D for diagonal D, entry by entry on h's own sparsity pattern."""
-    data = np.repeat(d.conj(), np.diff(h.indptr)) * h.data * d[h.indices]
-    return sp.csr_matrix((data, h.indices, h.indptr), shape=h.shape)
+def _cartesian_symmetric(basis: CartesianBasis, hops, diagonal=None) -> sp.csr_matrix:
+    k = np.arange(basis.dim)
+    rows, cols, vals = [], [], []
+    if diagonal is not None:
+        rows, cols, vals = [k], [k], [diagonal]
+    for dnx, dny, amplitudes in hops:
+        nx, ny = basis.n_x + dnx, basis.n_y + dny
+        inside = (nx >= 0) & (ny >= 0) & (nx + ny <= basis.cutoff)
+        n = nx[inside] + ny[inside]
+        target = n * (n + 1) // 2 + nx[inside]
+        rows += [target, k[inside]]
+        cols += [k[inside], target]
+        vals += [amplitudes[inside]] * 2
+    return sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(basis.dim, basis.dim),
+    ).tocsr()
+
+
+def cartesian_operators(basis: CartesianBasis) -> dict[str, sp.csr_matrix]:
+    """X, Y, X^2, Y^2 and XY from exact Cartesian ladder elements."""
+    nx, ny = basis.n_x, basis.n_y
+    return {
+        "X": _cartesian_symmetric(basis, [(1, 0, np.sqrt(nx + 1) / math.sqrt(2.0))]),
+        "Y": _cartesian_symmetric(basis, [(0, 1, np.sqrt(ny + 1) / math.sqrt(2.0))]),
+        "X2": _cartesian_symmetric(basis, [(2, 0, np.sqrt((nx + 1) * (nx + 2)) / 2.0)], nx + 0.5),
+        "Y2": _cartesian_symmetric(basis, [(0, 2, np.sqrt((ny + 1) * (ny + 2)) / 2.0)], ny + 0.5),
+        "XY": _cartesian_symmetric(
+            basis,
+            [(1, 1, np.sqrt((nx + 1) * (ny + 1)) / 2.0), (1, -1, np.sqrt((nx + 1) * ny) / 2.0)],
+        ),
+    }
+
+
+def c3_rotation(basis: CartesianBasis) -> sp.csr_matrix:
+    """Rotation of the mode plane by 2*pi/3, exp(-i 2 pi/3 L), block diagonal in the shells.
+
+    Within a shell L = X P_y - Y P_x is Hermitian tridiagonal with
+    <n_x+1, n_y-1| L |n_x, n_y> = -i sqrt((n_x+1) n_y); the gauge diag(i**n_x)
+    makes it real, and its integer eigenvalues are rounded before exponentiating.
+    """
+    blocks = []
+    for n in range(basis.cutoff + 1):
+        nx = np.arange(n + 1)
+        s = np.sqrt((nx[:-1] + 1.0) * (n - nx[:-1]))
+        ell, v = scipy.linalg.eigh_tridiagonal(np.zeros(n + 1), -s)
+        u = (1j**nx)[:, None] * v
+        block = (u * np.exp(-1j * (2.0 * np.pi / 3.0) * np.rint(ell))) @ u.conj().T
+        assert np.max(np.abs(block.imag)) < 1e-12
+        blocks.append(block.real)
+    return sp.block_diag(blocks, format="csr")
+
+
+def c2prime_reflection(basis: CartesianBasis) -> sp.csr_matrix:
+    """Reflection (Q_x, Q_y) -> (Q_x, -Q_y): diagonal with (-1)**n_y."""
+    return sp.diags(np.where(basis.n_y % 2 == 0, 1.0, -1.0)).tocsr()
+
+
+def electronic_rotation() -> np.ndarray:
+    """Rotation by 2*pi/3 applied to both doublets (real orthogonal 4x4)."""
+    c, s = -0.5, math.sqrt(3.0) / 2.0
+    r = np.array([[c, -s], [s, c]])
+    return op_on_u(r) @ op_on_g(r)
+
+
+def electronic_reflection() -> np.ndarray:
+    """C2' on the electronic factor: diag(1,-1) on u, diag(-1,1) on g."""
+    return op_on_u(np.diag([1.0, -1.0])) @ op_on_g(np.diag([-1.0, 1.0]))
+
+
+def total_rotation(osc_c3: sp.spmatrix) -> sp.csr_matrix:
+    """Simultaneous 2*pi/3 rotation of modes and both electronic doublets."""
+    return sp.kron(osc_c3, sp.csr_matrix(electronic_rotation()), format="csr")
+
+
+def total_reflection(osc_c2: sp.spmatrix) -> sp.csr_matrix:
+    """Simultaneous C2' reflection of modes and electronic factor."""
+    return sp.kron(osc_c2, sp.csr_matrix(electronic_reflection()), format="csr")
+
+
+def cartesian_sector(spec, m_s: int = 0, lam_u: float = 0.0, lam_g: float = 0.0) -> sp.csr_matrix:
+    """The physical sector over the Cartesian basis, complex for m_s = +/-1.
+
+    H0 = K (n + 1) + f_u (X sz(u) - Y sx(u)) + f_g (X sz(g) - Y sx(g))
+         + g_u ((X^2 - Y^2) sz(u) + 2 XY sx(u)) + g_g (same on g) + W,
+    plus m_s (lam_u sy(u) + lam_g sy(g)) / 2.
+    """
+    basis = cartesian_basis(spec.cutoff)
+    ops = cartesian_operators(basis)
+    c = spec.couplings
+    terms = [
+        (sp.diags(c.hbar_omega_e * (basis.n_x + basis.n_y + 1.0)), np.eye(4)),
+        (sp.identity(basis.dim), build_correlation(spec.lambda_corr, spec.preset)),
+        (ops["X"], c.f_u * op_on_u(SIGMA_Z) + c.f_g * op_on_g(SIGMA_Z)),
+        (ops["Y"], -c.f_u * op_on_u(SIGMA_X) - c.f_g * op_on_g(SIGMA_X)),
+        (ops["X2"] - ops["Y2"], c.g_u * op_on_u(SIGMA_Z) + c.g_g * op_on_g(SIGMA_Z)),
+        (ops["XY"], 2.0 * (c.g_u * op_on_u(SIGMA_X) + c.g_g * op_on_g(SIGMA_X))),
+    ]
+    h = sum(sp.kron(mode, sp.csr_matrix(elec), format="csr") for mode, elec in terms)
+    if m_s:
+        soc = 0.5 * m_s * (lam_u * op_on_u(SIGMA_Y) + lam_g * op_on_g(SIGMA_Y))
+        h = h + sp.kron(sp.identity(basis.dim), sp.csr_matrix(soc), format="csr")
+    return h.tocsr()
+
+
+def circular_states(cutoff: int) -> np.ndarray:
+    """Columns |n_+, n_-> of the package's oscillator basis over the Cartesian basis.
+
+    |n_+, n_-> = a_+^dag |n_+ - 1, n_-> / sqrt(n_+) (or a_-^dag on n_- when
+    n_+ = 0), with a_+/-^dag = (a_x^dag +/- i a_y^dag) / sqrt(2); raising
+    operators never leave the truncated space, so the columns are exact.
+    """
+    cart = cartesian_basis(cutoff)
+    ax = _cartesian_symmetric(cart, [(1, 0, np.sqrt(cart.n_x + 1.0))]).toarray()
+    ay = _cartesian_symmetric(cart, [(0, 1, np.sqrt(cart.n_y + 1.0))]).toarray()
+    ax_dag = np.tril(ax)  # the raising half: targets in the higher shell
+    ay_dag = np.tril(ay)
+    raise_p = (ax_dag + 1j * ay_dag) / math.sqrt(2.0)
+    raise_m = (ax_dag - 1j * ay_dag) / math.sqrt(2.0)
+    osc = build_basis(cutoff)
+    u = np.zeros((cart.dim, osc.dim), dtype=complex)
+    u[0, 0] = 1.0
+    for k in range(1, osc.dim):
+        npl, nmi = int(osc.n_plus[k]), int(osc.n_minus[k])
+        if npl > 0:
+            u[:, k] = raise_p @ u[:, osc.index(npl - 1, nmi)] / math.sqrt(npl)
+        else:
+            u[:, k] = raise_m @ u[:, osc.index(0, nmi - 1)] / math.sqrt(nmi)
+    return u
+
+
+# e_+/- = (x +/- i y)/sqrt(2) on each doublet, columns ordered e = 2*i_g + i_u
+_E_PM = np.array([[1.0, 1.0], [1j, -1j]]) / math.sqrt(2.0)
+ELECTRONIC_CIRCULAR = np.column_stack(
+    [np.kron(_E_PM[:, i_g], _E_PM[:, i_u]) for i_g in (0, 1) for i_u in (0, 1)]
+)
+
+
+def c2prime_adapted(basis) -> sp.csr_matrix:
+    """C2' over an AdaptedBasis from its block layout: j = 1 <-> j = 2 with -1, +1 on A1u, -1 on A2u."""
+    (_, _, m1), _, (_, a1, a2), (_, _, end) = basis.blocks
+    rows = np.concatenate([np.arange(m1, 2 * m1), np.arange(m1), np.arange(a1, end)])
+    cols = np.concatenate([np.arange(m1), np.arange(m1, 2 * m1), np.arange(a1, end)])
+    vals = np.concatenate([-np.ones(2 * m1), np.ones(a2 - a1), -np.ones(end - a2)])
+    return sp.csr_matrix((vals, (rows, cols)), shape=(end, end))
+
+
+def adapted_unitary(basis) -> np.ndarray:
+    """Columns: the adapted basis vectors of an AdaptedBasis over the Cartesian product basis."""
+    return _adapted_unitary(basis.osc.cutoff)
+
+
+@lru_cache(maxsize=None)
+def _adapted_unitary(cutoff: int) -> np.ndarray:
+    product = np.kron(circular_states(cutoff), ELECTRONIC_CIRCULAR)
+    basis = adapted_basis(cutoff)
+    return product @ basis.to_product(np.eye(basis.dim))
 
 
 # --- surface oracle -------------------------------------------------------------

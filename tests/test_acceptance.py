@@ -31,16 +31,18 @@ from spinvibronic import (
 )
 from spinvibronic.analysis import converge_observable
 from spinvibronic.defaults import DEFECTS, LAMBDA_EFF_TARGETS_MEV
-from spinvibronic.hamiltonian import (
-    PRESET_A_SPLIT,
-    PRESET_E_RAISED,
-    SectorSpec,
+from spinvibronic.hamiltonian import PRESET_A_SPLIT, PRESET_E_RAISED, SectorSpec, adapted_basis
+from spinvibronic.params import branch_minima_dimensionless
+from spinvibronic.pes import PesCurve
+
+from conftest import (
+    adapted_unitary,
+    c2prime_reflection,
+    c3_rotation,
+    cartesian_basis,
     total_reflection,
     total_rotation,
 )
-from spinvibronic.oscillator import build_basis, build_operators
-from spinvibronic.params import branch_minima_dimensionless
-from spinvibronic.pes import PesCurve
 
 OPTS = SolverOptions(k=10)
 
@@ -235,11 +237,11 @@ def test_criterion_6_soc_sector_structure(name):
     p = DEFECTS[name]
     c = pes_to_couplings(p)
     cutoff, lam = 16, 20.0
-    basis = build_basis(cutoff)
+    basis = adapted_basis(cutoff)
     h0 = assemble(SectorSpec(couplings=c, lambda_corr=p.lambda_corr, cutoff=cutoff), basis)
     s_u, s_g = soc_operators(basis)
     # the spin-orbit term vanishes at m_s = 0, whose sector is the real H0
-    # itself; H0 + m_s lam (S_u + S_g) is the m_s sector in the phase gauge D
+    # itself; H0 + m_s lam (S_u + S_g) is the physical m_s sector
     lapack = h0.shape[0]
     sols = {
         m_s: solve_lowest(
@@ -344,14 +346,15 @@ def test_criterion_9_oracle_equivalence(name):
 @pytest.mark.parametrize("name", sorted(DEFECTS))
 def test_criterion_10_symmetry_commutators(name):
     p = DEFECTS[name]
-    basis = build_basis(10)
-    ops = build_operators(basis)
+    basis = adapted_basis(10)
     h = assemble(
         SectorSpec(couplings=pes_to_couplings(p), lambda_corr=p.lambda_corr, cutoff=10), basis
-    )
+    ).toarray()
     scale = np.abs(h).max()
-    r3 = total_rotation(ops["C3"])
-    r2 = total_reflection(ops["C2prime"])
+    # the Cartesian rotation and reflection in the adapted basis
+    u, cart = adapted_unitary(basis), cartesian_basis(10)
+    r3 = u.conj().T @ (total_rotation(c3_rotation(cart)) @ u)
+    r2 = u.conj().T @ (total_reflection(c2prime_reflection(cart)) @ u)
     c3_norm = np.abs(h @ r3 - r3 @ h).max() / scale
     c2_norm = np.abs(h @ r2 - r2 @ h).max() / scale
     ok = c3_norm < 1e-10 and c2_norm < 1e-10

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -102,6 +104,21 @@ def test_calibrate_round_trip():
     lev = soc_levels(sol, cal.lambda_u0, cal.lambda_g0, OPTS)
     assert lev.lambda_eff == cal.lambda_eff
     assert np.array_equal(lev.sector_energies[+1], cal.sector_energies[+1])
+
+
+def test_calibration_logs_one_record_per_newton_step(caplog):
+    sol = cached_sector("SnV0", 16)
+    with caplog.at_level(logging.DEBUG, logger="spinvibronic"):
+        cal = calibrate_soc(sol, 3.15, ratio=3.5, opts=OPTS)
+    messages = [r.getMessage() for r in caplog.records if r.name == "spinvibronic"]
+    steps = [m for m in messages if m.startswith("calibrate_soc step:")]
+    blocks = [m for m in messages if m.startswith("solve_lowest block:")]
+    # one m_s = +1 solve of three blocks per step
+    assert len(steps) >= 2 and len(blocks) == 3 * len(steps)
+    fields = [dict(item.split("=") for item in m.split(": ", 1)[1].split()) for m in steps]
+    assert all(float(f["slope"]) > 0.0 for f in fields)
+    assert float(fields[-1]["s"]) == pytest.approx(cal.lambda_g0, rel=1e-8)
+    assert float(fields[-1]["lambda_eff"]) == pytest.approx(cal.lambda_eff, rel=1e-8)
 
 
 def test_calibrate_zero_target():

@@ -1,13 +1,19 @@
 import dataclasses
 import json
 import logging
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinvibronic import adiabatic_surfaces, parse_config, pes_to_couplings, read_pes_csv, write_pes_csv
 from spinvibronic import analysis, reports
 from spinvibronic.cli import main
+from spinvibronic.config import ModelConfig, OutputConfig, RunConfig, SocConfig, SolverConfig
+from spinvibronic.hamiltonian import PRESETS
 from spinvibronic.defaults import DEFECTS
 from spinvibronic.params import branch_minima_dimensionless
 from spinvibronic.pes import PesCurve
@@ -85,6 +91,72 @@ def test_reports_are_byte_identical_with_the_debug_log_on(tmp_path, caplog):
         assert main(["solve", str(cfg)]) == 0
     assert [r for r in caplog.records if r.name == "spinvibronic"]
     assert {p.name: p.read_bytes() for p in out.iterdir()} == quiet
+
+
+def test_verbose_flag_traces_to_stderr_and_changes_no_report_byte(tmp_path, capsys):
+    cfg = write_config(tmp_path, FAST_CONVERGE_CALIBRATE)
+    out = tmp_path / "out"
+    assert main(["solve", str(cfg)]) == 0
+    quiet = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert "solve_lowest block:" not in capsys.readouterr().err
+    assert main(["-v", "solve", str(cfg)]) == 0
+    err = capsys.readouterr().err
+    assert "solve_lowest block:" in err and "calibrate_soc step:" in err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == quiet
+    # the handler goes with the run
+    assert main(["solve", str(cfg)]) == 0
+    assert "solve_lowest block:" not in capsys.readouterr().err
+
+
+class _Records(logging.Handler):
+    def __init__(self):
+        super().__init__(logging.DEBUG)
+        self.records = []
+
+    def emit(self, record):
+        self.records.append(record)
+
+
+def _report_bytes(cfg: RunConfig, outdir: Path, debug: bool) -> tuple[dict, int]:
+    """(file name -> bytes, or the error text) of one run_report + write_all, and the records logged."""
+    log = logging.getLogger("spinvibronic")
+    handler, level = _Records(), log.level
+    if debug:
+        log.addHandler(handler)
+        log.setLevel(logging.DEBUG)
+    try:
+        report = reports.run_report(dataclasses.replace(cfg, output=OutputConfig(str(outdir))))
+        written = reports.write_all(report, outdir)
+        return {p.name: p.read_bytes() for p in written}, len(handler.records)
+    except (analysis.AnalysisError, ValueError) as exc:
+        # an unconverged small cutoff may fail the report's sanity bounds;
+        # then both runs must fail alike
+        return {"error": repr(exc)}, len(handler.records)
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(level)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    defect=st.sampled_from(sorted(DEFECTS)),
+    order=st.integers(1, 2),
+    preset=st.sampled_from(PRESETS),
+    cutoff=st.integers(4, 10),
+    lam=st.tuples(st.floats(0.0, 100.0), st.floats(0.0, 100.0)),
+)
+def test_identical_configs_give_byte_identical_reports(defect, order, preset, cutoff, lam):
+    cfg = RunConfig(
+        defect=DEFECTS[defect],
+        model=ModelConfig(preset=preset, order=order),
+        solver=SolverConfig(cutoff=cutoff),
+        soc=SocConfig(mode="explicit", lambda_u0_mev=lam[0], lambda_g0_mev=lam[1]),
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        quiet, _ = _report_bytes(cfg, Path(tmp) / "quiet", debug=False)
+        traced, records = _report_bytes(cfg, Path(tmp) / "traced", debug=True)
+    assert records > 0
+    assert traced == quiet
 
 
 def test_report_solves_its_own_order_once(tmp_path, monkeypatch):

@@ -8,6 +8,7 @@ import scipy.sparse as sp
 from spinvibronic import (
     ConvergenceError,
     SolverError,
+    adapted_basis,
     assemble,
     converge_cutoff,
     pes_to_couplings,
@@ -18,10 +19,9 @@ from spinvibronic.defaults import DEFECTS
 from spinvibronic.analysis import SolverOptions, solve_sector
 from spinvibronic.eigensolver import _blocks
 from spinvibronic.hamiltonian import SectorSpec
-from spinvibronic.oscillator import build_basis
 from spinvibronic.params import Couplings
 
-from conftest import c2prime_gauge, cached_sector, gauged, physical_soc_sector
+from conftest import adapted_unitary, c2prime_adapted, cached_sector, cartesian_sector
 
 # a dense_threshold no block reaches: every solve goes to LAPACK
 LAPACK_ONLY = 10**6
@@ -31,7 +31,7 @@ def sector_h(name, cutoff, m_s=0, lam=0.0):
     """The real m_s = +/-1 sector H0 + lam (S_u + S_g); m_s = 0 is H0."""
     p = DEFECTS[name]
     spec = SectorSpec(couplings=pes_to_couplings(p), lambda_corr=p.lambda_corr, cutoff=cutoff)
-    basis = build_basis(cutoff)
+    basis = adapted_basis(cutoff)
     h0 = assemble(spec, basis)
     if m_s == 0:
         return h0
@@ -85,7 +85,7 @@ def test_eigenvector_orthonormality_and_residuals():
 def test_nonconvergence_raises(monkeypatch):
     import scipy.sparse.linalg
 
-    h = snv0_h(10, m_s=1, lam=40.0)  # one block, so eigsh sees the whole matrix
+    h = snv0_h(10, m_s=1, lam=40.0)  # the first of three blocks fails
 
     def no_convergence(a, k, **kwargs):
         # partial pairs of the matrix eigsh receives
@@ -103,7 +103,7 @@ def test_nonconvergence_raises(monkeypatch):
 def test_residual_above_tol_raises(monkeypatch):
     import scipy.sparse.linalg
 
-    h = snv0_h(10, m_s=1, lam=40.0)  # one block, so eigsh sees the whole matrix
+    h = snv0_h(10, m_s=1, lam=40.0)  # the first of three blocks fails
 
     def perturbed(a, k, **kwargs):
         vals, vecs = scipy.linalg.eigh(a.toarray(), subset_by_index=[0, k - 1])
@@ -133,8 +133,8 @@ def test_k_larger_than_dim_rejected():
 
 
 def test_complex_hermitian_path(monkeypatch):
-    # a complex input is solved as it is on both paths: D* h D with generic
-    # phases D has the spectrum of h
+    # a complex input is solved as it is on both paths, block by block: D* h D
+    # with generic phases D has the spectrum and the three blocks of h
     h = snv0_h(8, m_s=1, lam=40.0)
     d = sp.diags(np.exp(1j * np.random.default_rng(7).uniform(0.0, 2.0 * np.pi, h.shape[0])))
     a = (d.conj() @ h @ d).tocsr()
@@ -142,7 +142,7 @@ def test_complex_hermitian_path(monkeypatch):
     seen = _spy(monkeypatch)
     dense = solve_lowest(a, k=6, dense_threshold=LAPACK_ONLY)
     lanczos = solve_lowest(a, k=6, dense_threshold=0)
-    assert seen == [("dense", np.dtype(np.complex128)), ("lanczos", np.dtype(np.complex128))]
+    assert seen == [("dense", np.dtype(np.complex128))] * 3 + [("lanczos", np.dtype(np.complex128))] * 3
     assert np.abs(dense.eigenvalues - expected).max() < 1e-9
     assert np.abs(lanczos.eigenvalues - expected).max() < 1e-9
 
@@ -153,7 +153,7 @@ def test_variational_monotonicity_in_cutoff():
 
 
 def test_snv0_cluster_structure():
-    # a singlet, then a doublet whose partners come from the two C2' blocks
+    # a singlet, then a doublet whose partners come from the j = 1 and j = 2 blocks
     e = solve_lowest(snv0_h(16), k=6).eigenvalues
     assert e[1] - e[0] >= 1e-3
     assert e[2] - e[1] < 1e-3
@@ -164,19 +164,25 @@ def test_snv0_cluster_structure():
 @pytest.mark.parametrize("cutoff", [8, 16, 28])
 @pytest.mark.parametrize("m_s", [0, 1])
 def test_blocks_reproduce_the_full_spectrum(name, cutoff, m_s):
-    # m_s = 0 splits into two C2' blocks, m_s = +1 is one block; the block
-    # spectra together are the spectrum of the whole matrix
+    # m_s = 0 splits into the Eu (j = 1), Eu (j = 2), A1u and A2u blocks,
+    # m_s = +1 into j = 1, j = 2 and j = 0: exactly the ranges of the adapted
+    # basis, and the block spectra together are the spectrum of the whole matrix
     h = sector_h(name, cutoff, m_s=m_s, lam=40.0)
+    ranges = [(lo, hi) for _, lo, hi in adapted_basis(cutoff).blocks]
+    if m_s:
+        ranges = ranges[:2] + [(ranges[2][0], ranges[3][1])]
     blocks = _blocks(h)
-    assert [b.size for b in blocks] == ([h.shape[0] // 2] * 2 if m_s == 0 else [h.shape[0]])
-    assert np.array_equal(np.sort(np.concatenate(blocks)), np.arange(h.shape[0]))
+    assert [(b[0], b[-1] + 1) for b in blocks] == ranges
+    assert [b.size for b in blocks] == [hi - lo for lo, hi in ranges]
+    assert np.array_equal(np.concatenate(blocks), np.arange(h.shape[0]))
 
-    if len(blocks) == 1:
-        # a single block is h itself, so its eigenvalues are those of h
-        assert (h[blocks[0]][:, blocks[0]] != h).nnz == 0
-        return
     blocked = np.concatenate([scipy.linalg.eigvalsh(h[b][:, b].toarray()) for b in blocks])
-    assert np.abs(np.sort(blocked) - scipy.linalg.eigvalsh(h.toarray())).max() < 1e-9
+    full = scipy.linalg.eigvalsh(h.toarray())
+    assert np.abs(np.sort(blocked) - full).max() < 1e-9
+    # scattered blocks are cut out by index arrays, to the same spectrum
+    perm = np.random.default_rng(cutoff).permutation(h.shape[0])
+    scattered = solve_lowest(h[perm][:, perm].tocsr(), k=10, dense_threshold=LAPACK_ONLY)
+    assert np.abs(scattered.eigenvalues - full[:10]).max() < 1e-9
 
 
 def test_converge_cutoff_trivial_case():
@@ -273,30 +279,29 @@ def _spy(monkeypatch):
 @pytest.mark.parametrize("cutoff", [4, 12, 20])
 @pytest.mark.parametrize("m_s", [1, -1])
 def test_real_gauge_keeps_the_complex_spectrum(name, cutoff, m_s):
-    # the package's m_s sector is the physical complex one in the exact phase
-    # gauge D (D^* for m_s = -1), entry for entry; so LAPACK on the complex
-    # matrix is the spectral oracle, and D r is an eigenvector of it
+    # the package's real m_s sector is the physical complex one in the adapted
+    # basis U (in its C2' image for m_s = -1); so LAPACK on the complex matrix
+    # is the spectral oracle, and U r is an eigenvector of it
     sol = cached_sector(name, cutoff)
-    h = physical_soc_sector(sol.h0, m_s, 40.0, 15.0)
+    h = cartesian_sector(sol.spec, m_s, 40.0, 15.0)
     assert h.dtype == complex
-    d = c2prime_gauge(sol.ops.basis, m_s)
-    oracle = gauged(h, d)
+    u = adapted_unitary(sol.basis)
+    if m_s == -1:
+        u = u @ c2prime_adapted(sol.basis).toarray().T
     real = sol.soc_sector(40.0, 15.0, m_s)
     assert real.dtype == np.float64
-    assert np.array_equal(oracle.indptr, real.indptr)
-    assert np.array_equal(oracle.indices, real.indices)
-    assert not np.any(oracle.data.imag)
-    assert np.array_equal(oracle.data.real, real.data)
+    scale = np.abs(real).max()
+    assert np.abs(u.conj().T @ (h @ u) - real.toarray()).max() < 1e-12 * scale
 
     exact = scipy.linalg.eigvalsh(h.toarray())[:10]
     for threshold in (LAPACK_ONLY, 0):
         res = solve_lowest(real, k=10, dense_threshold=threshold)
         assert np.abs(res.eigenvalues - exact).max() < 1e-9
-        vecs, vals = d[:, None] * res.eigenvectors, res.eigenvalues
+        vecs, vals = u @ res.eigenvectors, res.eigenvalues
         residuals = np.linalg.norm(h @ vecs - vecs * vals, axis=0)
         assert residuals.max() < 1e-10 * max(1.0, np.abs(vals).max())
-        # D is a unitary diagonal, so the reported residuals of the real
-        # solve are the residuals of D r in the complex sector
+        # U is unitary, so the reported residuals of the real solve are the
+        # residuals of U r in the complex sector
         assert np.allclose(residuals, res.residual_norms, rtol=0, atol=1e-12)
 
 
@@ -312,8 +317,8 @@ def test_every_package_sector_reaches_the_solver_real(monkeypatch, method):
     seen = _spy(monkeypatch)
     for h in sectors:
         opts.solve(h)
-    # two C2' blocks per m_s = 0 sector, one block per m_s = +/-1 sector
-    assert seen == [(method, np.dtype(np.float64))] * (4 * (2 + 1 + 1))
+    # four blocks per m_s = 0 sector, three per m_s = +/-1 sector
+    assert seen == [(method, np.dtype(np.float64))] * (4 * (4 + 3 + 3))
 
 
 def _tridiagonal(n=40, seed=0):
@@ -350,8 +355,24 @@ def test_block_solves_are_logged(caplog):
         solve_lowest(h, k=4)
         solve_lowest(snv0_h(8), k=4, dense_threshold=0)
     messages = [r.getMessage() for r in caplog.records if r.name == "spinvibronic"]
-    assert len(messages) == 3
-    assert "dim=180 dtype=float64 path=dense k=4" in messages[0]
-    assert all("dim=90 dtype=float64 path=lanczos k=4" in m for m in messages[1:])
-    assert all("seconds=" in m for m in messages)
+    assert len(messages) == 3 + 4
+    assert all("dim=60 dtype=float64 path=dense k=4" in m for m in messages[:3])
+    assert all("dim=60 dtype=float64 path=lanczos k=4" in m for m in messages[3:5])
+    assert all("dim=30 dtype=float64 path=lanczos k=4" in m for m in messages[5:])
+    for m in messages:
+        fields = dict(item.split("=") for item in m.split(": ", 1)[1].split())
+        assert {"seconds", "cpu_seconds", "nnz", "residual_max", "bound"} <= set(fields)
+        assert float(fields["cpu_seconds"]) >= 0.0 and int(fields["nnz"]) > 0
+        assert float(fields["residual_max"]) <= float(fields["bound"])
+
+
+def test_block_records_cost_nothing_when_debug_is_off(monkeypatch, caplog):
+    # the record's arguments are not even formatted unless DEBUG is enabled
+    import spinvibronic.eigensolver as eig
+
+    calls = []
+    monkeypatch.setattr(eig.log, "debug", lambda *a, **k: calls.append(a))
+    with caplog.at_level(logging.INFO, logger="spinvibronic"):
+        solve_lowest(snv0_h(4), k=2)
+    assert calls == []
 

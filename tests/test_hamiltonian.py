@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinvibronic import (
     Couplings,
+    adapted_basis,
     assemble,
     solve_lowest,
     build_correlation,
@@ -18,18 +20,30 @@ from spinvibronic import (
 )
 from spinvibronic.defaults import DEFECTS
 from spinvibronic.hamiltonian import (
+    M_G,
+    M_U,
     SIGMA_X,
     SIGMA_Z,
     SectorSpec,
+    circular_correlation,
+    symmetry_adapted_states,
+)
+from spinvibronic.oscillator import build_basis
+
+from conftest import (
+    ELECTRONIC_CIRCULAR,
+    SIGMA_Y,
+    adapted_unitary,
+    c2prime_adapted,
+    c2prime_reflection,
+    c3_rotation,
+    cartesian_basis,
+    cartesian_sector,
     electronic_reflection,
     electronic_rotation,
-    symmetry_adapted_states,
     total_reflection,
     total_rotation,
 )
-from spinvibronic.oscillator import build_basis, build_operators, c2prime_reflection
-
-from conftest import SIGMA_Y, c2prime_gauge, gauged, physical_soc_sector
 
 
 def snv0_spec(cutoff):
@@ -40,14 +54,15 @@ def snv0_spec(cutoff):
 def soc_sector(spec, m_s, lam_u, lam_g):
     """The package's real m_s = +/-1 sector H0 + lam_u S_u + lam_g S_g of a spec."""
     assert m_s in (1, -1)
-    basis = build_basis(spec.cutoff)
+    basis = adapted_basis(spec.cutoff)
     s_u, s_g = soc_operators(basis)
     return assemble(spec, basis) + (lam_u * s_u + lam_g * s_g)
 
 
-def physical_sector(spec, m_s, lam_u, lam_g):
-    """The complex m_s sector H0 + m_s (lam_u sy(u) + lam_g sy(g)) / 2 of a spec."""
-    return physical_soc_sector(assemble(spec), m_s, lam_u, lam_g)
+def in_adapted(h_cartesian, basis):
+    """A Cartesian-basis matrix in the adapted basis, U^dag h U."""
+    u = adapted_unitary(basis)
+    return u.conj().T @ (h_cartesian @ u)
 
 
 def test_operator_embeddings():
@@ -63,6 +78,8 @@ def test_operator_embeddings():
 def test_symmetry_states_orthogonal():
     s = symmetry_adapted_states()
     assert np.allclose(s.T @ s, np.eye(4), atol=1e-15)
+    e = ELECTRONIC_CIRCULAR
+    assert np.allclose(e.conj().T @ e, np.eye(4), atol=1e-15)
 
 
 def test_electronic_point_group_relations():
@@ -71,6 +88,12 @@ def test_electronic_point_group_relations():
     assert np.allclose(r @ r @ r, np.eye(4), atol=1e-14)
     assert np.allclose(c2 @ c2, np.eye(4), atol=1e-15)
     assert np.allclose(c2 @ r @ c2, r.T, atol=1e-14)
+    # the circular states are rotation eigenstates with phase exp(-i 2 pi (m_u + m_g) / 3),
+    # and C2' sends |s, t> to -|-s, -t>
+    e = ELECTRONIC_CIRCULAR
+    phases = np.exp(-2j * np.pi * (M_U + M_G) / 3)
+    assert np.allclose(e.conj().T @ r @ e, np.diag(phases), atol=1e-15)
+    assert np.allclose(e.conj().T @ c2 @ e, -np.fliplr(np.eye(4)), atol=1e-15)
 
 
 def test_correlation_presets():
@@ -79,24 +102,28 @@ def test_correlation_presets():
     assert np.allclose(np.sort(np.linalg.eigvalsh(w)), [0.0, 0.0, 98.2, 98.2])
     w2 = build_correlation(98.2, "a-split")
     assert np.allclose(np.sort(np.linalg.eigvalsh(w2)), [-98.2, 0.0, 0.0, 98.2])
+    # the circular form is the same operator over the circular states
+    e = ELECTRONIC_CIRCULAR
+    for preset in ("e-raised", "a-split"):
+        w = build_correlation(98.2, preset)
+        assert np.abs(e.conj().T @ w @ e - circular_correlation(98.2, preset)).max() < 1e-13
 
 
 def test_soc_matrix():
-    s_u, s_g = (s.toarray() for s in soc_operators(build_basis(0)))
+    s_u, s_g = (s.toarray() for s in soc_operators(adapted_basis(0)))
     assert s_u.dtype == s_g.dtype == np.float64
     assert np.allclose(np.sort(np.linalg.eigvalsh(5.0 * s_u)), [-2.5, -2.5, 2.5, 2.5])
     m = 4.0 * (s_u + s_g)
     assert np.allclose(np.sort(np.linalg.eigvalsh(m)), [-4.0, 0.0, 0.0, 4.0])
-    # in the ground oscillator state they are sigma_y / 2 in the phase gauge
-    d = np.diag(c2prime_gauge(build_basis(0), 1))
-    assert np.array_equal(s_u, d.conj() @ (0.5 * op_on_u(SIGMA_Y)) @ d)
-    assert np.array_equal(s_g, d.conj() @ (0.5 * op_on_g(SIGMA_Y)) @ d)
-    # and the mode reflection carries them through the oscillator states
-    basis3 = build_basis(3)
-    s_u3, s_g3 = soc_operators(basis3)
-    c2 = c2prime_reflection(basis3).toarray()
-    assert np.array_equal(s_u3.toarray(), np.kron(c2, s_u))
-    assert np.array_equal(s_g3.toarray(), np.kron(c2, s_g))
+    # they are sigma_y / 2 on each doublet, carried through every oscillator
+    # state; every entry is exactly +/- 1/2
+    for cutoff in (0, 3):
+        basis = adapted_basis(cutoff)
+        eye = sp.identity(basis.osc.dim)
+        for s, op in zip(soc_operators(basis), (op_on_u(SIGMA_Y), op_on_g(SIGMA_Y))):
+            cart = sp.kron(eye, 0.5 * op)
+            assert np.abs(in_adapted(cart, basis) - s.toarray()).max() < 1e-15
+            assert set(np.abs(s.data)) == {0.5}
 
 
 def test_pjt_zero_couplings_is_zero():
@@ -108,30 +135,30 @@ def test_pjt_zero_couplings_is_zero():
 
 
 def test_pjt_u_only_block_decouples():
-    # with coupling on the u doublet only, the two g blocks have equal spectra
+    # with coupling on the u doublet only, the two g blocks (g = e+ and g = e-)
+    # of the product basis have equal spectra
     basis = build_basis(4)
     spec = SectorSpec(
         couplings=Couplings(f_u=120.0, f_g=0.0, g_u=0.0, g_g=0.0, hbar_omega_e=87.7),
         lambda_corr=0.0,
         cutoff=4,
     )
-    h = (build_pjt(spec, basis).toarray()
-         + assemble(SectorSpec(couplings=Couplings(0, 0, 0, 0, 87.7), lambda_corr=0.0, cutoff=4),
-                    basis).toarray())
+    osc = np.kron(np.diag(87.7 * (basis.n_plus + basis.n_minus + 1.0)), np.eye(4))
+    h = build_pjt(spec, basis).toarray() + osc
     idx = np.arange(basis.dim * 4).reshape(basis.dim, 4)
-    block_gx = np.ix_(idx[:, [0, 1]].ravel(), idx[:, [0, 1]].ravel())
-    block_gy = np.ix_(idx[:, [2, 3]].ravel(), idx[:, [2, 3]].ravel())
-    e_gx = np.linalg.eigvalsh(h[block_gx])
-    e_gy = np.linalg.eigvalsh(h[block_gy])
-    assert np.allclose(e_gx, e_gy, atol=1e-12)
+    block_gp = np.ix_(idx[:, [0, 1]].ravel(), idx[:, [0, 1]].ravel())
+    block_gm = np.ix_(idx[:, [2, 3]].ravel(), idx[:, [2, 3]].ravel())
+    e_gp = np.linalg.eigvalsh(h[block_gp])
+    e_gm = np.linalg.eigvalsh(h[block_gm])
+    assert np.allclose(e_gp, e_gm, atol=1e-12)
     # and nothing couples the two blocks
     off = h[np.ix_(idx[:, [0, 1]].ravel(), idx[:, [2, 3]].ravel())]
     assert np.abs(off).max() == 0.0
 
 
 def brute_force_dense(spec: SectorSpec, m_s=0, lam_u=0.0, lam_g=0.0):
-    """Independent dense construction by explicit matrix elements."""
-    basis = build_basis(spec.cutoff)
+    """Independent dense Cartesian construction by explicit matrix elements."""
+    basis = cartesian_basis(spec.cutoff)
     dim = 4 * basis.dim
     h = np.zeros((dim, dim), dtype=complex)
     c = spec.couplings
@@ -184,11 +211,12 @@ def brute_force_dense(spec: SectorSpec, m_s=0, lam_u=0.0, lam_g=0.0):
 @pytest.mark.parametrize("cutoff", [0, 1, 2, 5])
 def test_assembly_matches_brute_force(cutoff):
     spec = snv0_spec(cutoff)
-    h = assemble(spec)
+    basis = adapted_basis(cutoff)
+    h = assemble(spec, basis)
     ref = brute_force_dense(spec)
     dim = 2 * (cutoff + 1) * (cutoff + 2)
     assert h.shape == (dim, dim)
-    assert np.abs(h.toarray() - ref.real).max() < 1e-12
+    assert np.abs(h.toarray() - in_adapted(ref, basis)).max() < 1e-12
     e = np.linalg.eigvalsh(h.toarray())
     e_ref = np.linalg.eigvalsh(ref)
     assert abs(e[0] - e_ref[0]) < 1e-10
@@ -196,13 +224,17 @@ def test_assembly_matches_brute_force(cutoff):
 
 @pytest.mark.parametrize("cutoff", [0, 1, 2, 5])
 def test_assembly_matches_brute_force_with_soc(cutoff):
-    # the complex brute-force sector in the phase gauge D (D^* for m_s = -1)
+    # m_s = +1 is the complex brute-force sector in the adapted basis; m_s = -1
+    # is the same matrix, which is the brute-force -1 sector in the C2'-image basis
     spec = snv0_spec(cutoff)
+    basis = adapted_basis(cutoff)
+    c2 = c2prime_adapted(basis).toarray()
     for m_s in (1, -1):
         h = soc_sector(spec, m_s, 7.0, 3.0)
         assert h.dtype == np.float64
-        d = c2prime_gauge(build_basis(cutoff), m_s)
-        ref = d.conj()[:, None] * brute_force_dense(spec, m_s, 7.0, 3.0) * d
+        ref = in_adapted(brute_force_dense(spec, m_s, 7.0, 3.0), basis)
+        if m_s == -1:
+            ref = c2 @ ref @ c2.T
         assert np.abs(h.toarray() - ref).max() < 1e-12
 
 
@@ -216,36 +248,48 @@ def test_uncoupled_spectrum_degeneracies():
 
 
 def test_hermiticity_exact():
-    for h in (soc_sector(snv0_spec(2), 1, 5.0, 2.0), physical_sector(snv0_spec(2), 1, 5.0, 2.0)):
+    physical = cartesian_sector(snv0_spec(2), 1, 5.0, 2.0)
+    for h in (assemble(snv0_spec(2)), soc_sector(snv0_spec(2), 1, 5.0, 2.0), physical):
         assert abs(h - h.conj().T).max() == 0.0
 
 
 def test_assemble_is_real_and_soc_entries_are_disjoint():
-    h0 = assemble(snv0_spec(3))
+    basis = adapted_basis(3)
+    h0 = assemble(snv0_spec(3), basis)
     assert h0.dtype == np.float64
     assert soc_sector(snv0_spec(3), -1, 5.0, 5.0).dtype == np.float64
-    # no spin-orbit entry shares a position with H0, so adding the term
-    # leaves every entry of H0 as it is
-    s_u, s_g = soc_operators(build_basis(3))
+    # S_u and S_g are +/- 1/2 on the diagonal of the j = 1 and j = 2 blocks and
+    # between the A1u and A2u partners of each j = 0 pair, where H0 has no
+    # entry: there the spin-orbit term leaves every entry of H0 as it is
+    (_, _, m1), _, (_, a1, a2), (_, _, end) = basis.blocks
     h0_pattern = set(zip(*h0.nonzero()))
-    for s in (s_u, s_g):
-        assert h0_pattern.isdisjoint(zip(*s.nonzero()))
+    for s in soc_operators(basis):
+        assert set(np.abs(s.data)) == {0.5}
+        rows, cols = s.nonzero()
+        single = rows < a1
+        assert np.array_equal(rows[single], cols[single])
+        pairs = set(zip(rows[~single], cols[~single]))
+        assert pairs <= {(i, i + a2 - a1) for i in range(a1, a2)} | {
+            (i + a2 - a1, i) for i in range(a1, a2)
+        }
+        assert h0_pattern.isdisjoint(pairs)
+    assert 2 * m1 == a1 and end == h0.shape[0]
 
 
 def test_symmetry_commutators():
-    basis = build_basis(10)
-    ops = build_operators(basis)
-    h = assemble(snv0_spec(10), basis)
+    basis = adapted_basis(10)
+    cart = cartesian_basis(10)
+    h = assemble(snv0_spec(10), basis).toarray()
     scale = np.abs(h).max()
-    r3 = total_rotation(ops["C3"])
-    r2 = total_reflection(ops["C2prime"])
+    r3 = in_adapted(total_rotation(c3_rotation(cart)), basis)
+    r2 = in_adapted(total_reflection(c2prime_reflection(cart)), basis)
     assert np.abs((h @ r3 - r3 @ h)).max() < 1e-10 * scale
     assert np.abs((h @ r2 - r2 @ h)).max() < 1e-10 * scale
 
 
 def test_kramers_conjugation_identity():
-    plus = physical_sector(snv0_spec(4), 1, 6.0, 2.5)
-    minus = physical_sector(snv0_spec(4), -1, 6.0, 2.5)
+    plus = cartesian_sector(snv0_spec(4), 1, 6.0, 2.5)
+    minus = cartesian_sector(snv0_spec(4), -1, 6.0, 2.5)
     assert np.abs(np.conj(plus.toarray()) - minus.toarray()).max() == 0.0
     e_plus = np.linalg.eigvalsh(plus.toarray())
     e_minus = np.linalg.eigvalsh(minus.toarray())
@@ -274,14 +318,21 @@ def test_kramers_pairs_have_equal_spectra(f, g, lambda_corr, lam, preset, cutoff
     # g is drawn in units of hbar_omega_e, inside |2(g_u +/- g_g)| < hbar_omega_e
     c = Couplings(f[0], f[1], 80.0 * g[0], 80.0 * g[1], 80.0)
     spec = SectorSpec(couplings=c, lambda_corr=lambda_corr, cutoff=cutoff, preset=preset)
-    physical = {m_s: physical_sector(spec, m_s, *lam) for m_s in (+1, -1)}
+    physical = {m_s: cartesian_sector(spec, m_s, *lam) for m_s in (+1, -1)}
     spectra = [solve_lowest(h, k=8).eigenvalues for h in physical.values()]
     assert np.abs(spectra[0] - spectra[1]).max() < 1e-9 * max(1.0, np.abs(spectra[0]).max())
-    # exactly: both sectors are the one real matrix in the phase gauges D and D^*
-    real = soc_sector(spec, 1, *lam).toarray()
-    basis = build_basis(cutoff)
+    # both physical sectors are the package's matrices in the adapted basis
+    basis = adapted_basis(cutoff)
+    h0 = assemble(spec, basis)
+    s_u, s_g = soc_operators(basis)
+    real = {m_s: h0 + m_s * (lam[0] * s_u + lam[1] * s_g) for m_s in (+1, -1)}
+    scale = max(1.0, np.abs(h0).max())
     for m_s, h in physical.items():
-        assert np.array_equal(gauged(h, c2prime_gauge(basis, m_s)).toarray(), real)
+        assert np.abs(in_adapted(h, basis) - real[m_s].toarray()).max() < 1e-12 * scale
+    # exactly: C2' maps the one real matrix onto the -1 sector, entry for entry
+    c2 = c2prime_adapted(basis)
+    assert np.array_equal((c2 @ real[1] @ c2.T).toarray(), real[-1].toarray())
+    assert (soc_sector(spec, -1, *lam) != real[1]).nnz == 0
 
 
 @settings(max_examples=40, deadline=None)
@@ -295,9 +346,10 @@ def test_kramers_pairs_have_equal_spectra(f, g, lambda_corr, lam, preset, cutoff
     cutoff=st.integers(0, 5),
 )
 def test_eigenvalues_do_not_increase_with_cutoff(f, g, lambda_corr, lam, preset, m_s, cutoff):
-    # H_N is the leading principal block of H_{N+1} (shell-major basis, exact
-    # ladder elements), so by Cauchy interlacing the i-th eigenvalue at N+1
-    # lies at or below the i-th at N
+    # the adapted states of cutoff N are adapted states of N+1 (each one a
+    # shell-N-or-lower product state or C2' pair, with exact ladder elements),
+    # so H_N is a principal submatrix of H_{N+1} up to ordering, and by Cauchy
+    # interlacing the i-th eigenvalue at N+1 lies at or below the i-th at N
     c = Couplings(f[0], f[1], 80.0 * g[0], 80.0 * g[1], 80.0)
     lows = []
     for n in (cutoff, cutoff + 1):
@@ -317,3 +369,100 @@ def test_row_occupancy_constant_in_cutoff(cutoffs):
         counts.append(int(np.diff(h.indptr).max()))
     assert counts[0] == counts[1]
     assert counts[0] <= 22
+
+
+# --- the symmetry-adapted basis against the Cartesian oracle --------------------
+
+
+@pytest.mark.parametrize("cutoff", [4, 8, 12])
+def test_adapted_basis_vectors_are_symmetry_eigenvectors(cutoff):
+    # every adapted vector is a total-C3 eigenvector with eigenvalue omega^j,
+    # omega = exp(-2 pi i / 3) for the rotation sense of c3_rotation; C2' maps
+    # the j = 1 block onto the j = 2 block and acts as +1 on A1u, -1 on A2u
+    basis = adapted_basis(cutoff)
+    cart = cartesian_basis(cutoff)
+    u = adapted_unitary(basis)
+    assert np.abs(u.conj().T @ u - np.eye(basis.dim)).max() < 1e-12
+    omega = np.exp(-2j * np.pi / 3)
+    (_, _, m1), _, (_, a1, a2), (_, _, end) = basis.blocks
+    j = np.concatenate([np.ones(m1), 2 * np.ones(m1), np.zeros(end - a1)])
+    r3 = total_rotation(c3_rotation(cart))
+    assert np.abs(r3 @ u - u * omega**j).max() < 1e-12
+    r2 = u.conj().T @ (total_reflection(c2prime_reflection(cart)) @ u)
+    expected = np.zeros((end, end))
+    expected[m1:a1, :m1] = expected[:m1, m1:a1] = -np.eye(m1)
+    expected[a1:a2, a1:a2] = np.eye(a2 - a1)
+    expected[a2:, a2:] = -np.eye(end - a2)
+    assert np.abs(r2 - expected).max() < 1e-12
+    assert np.array_equal(c2prime_adapted(basis).toarray(), expected)
+
+
+@pytest.mark.parametrize("name", sorted(DEFECTS))
+def test_spectra_match_the_cartesian_oracle(name):
+    # the package's lowest-10 spectra against the Cartesian reference sector
+    # (complex for m_s = +/-1), for both orders and m_s = 0, +1, -1
+    from scipy.sparse.linalg import eigsh
+
+    from spinvibronic import SolverOptions, couplings_for_order, solve_sector
+
+    p = DEFECTS[name]
+    opts = SolverOptions(k=10)
+    for order in (1, 2):
+        for cutoff in (8, 16, 28):
+            sol = solve_sector(couplings_for_order(p, order), p.lambda_corr, cutoff, opts=opts)
+            for m_s in (0, 1, -1):
+                h = cartesian_sector(sol.spec, m_s, 40.0, 15.0)
+                if cutoff < 28:
+                    ref = np.linalg.eigvalsh(h.toarray())[:10]
+                else:
+                    v0 = np.ones(h.shape[0])
+                    ref = np.sort(eigsh(h, 10, which="SA", tol=1e-14, v0=v0)[0])
+                got = sol.energies if m_s == 0 else opts.solve(sol.soc_sector(40.0, 15.0, m_s)).eigenvalues
+                assert np.abs(got - ref).max() < 1e-9, (order, cutoff, m_s)
+
+
+def product_c2prime(osc):
+    """C2' over the product basis: |n_+, n_-, s, t> -> -|n_-, n_+, -s, -t>."""
+    e = np.tile(np.arange(4), osc.dim)
+    swap = np.array([osc.index(int(b), int(a)) for a, b in zip(osc.n_plus, osc.n_minus)])
+    target = 4 * np.repeat(swap, 4) + 3 - e
+    return sp.csr_matrix((-np.ones(e.size), (target, np.arange(e.size))))
+
+
+@pytest.mark.parametrize("name", sorted(DEFECTS))
+def test_sectors_split_into_exact_blocks(name):
+    from spinvibronic.eigensolver import _blocks
+
+    p = DEFECTS[name]
+    for cutoff in (12, 28):
+        spec = SectorSpec(couplings=pes_to_couplings(p), lambda_corr=p.lambda_corr, cutoff=cutoff)
+        basis = adapted_basis(cutoff)
+        h0 = assemble(spec, basis)
+        s_u, s_g = soc_operators(basis)
+        plus = h0 + (40.0 * s_u + 15.0 * s_g)
+        assert h0.dtype == plus.dtype == np.float64
+        assert len(_blocks(h0)) == 4 and len(_blocks(plus)) == 3
+        # nothing is dropped but exact zeros: the product-basis H0 is
+        # C2'-symmetric entry for entry, so every cross-block entry of the
+        # fold is an exact zero, and no stored entry of H0 is zero
+        assert np.all(h0.data != 0.0)
+        osc = basis.osc
+        osc_diag = spec.couplings.hbar_omega_e * (osc.n_plus + osc.n_minus + 1.0)
+        product = (
+            sp.kron(sp.diags(osc_diag), sp.identity(4))
+            + sp.kron(sp.identity(osc.dim), circular_correlation(p.lambda_corr))
+            + build_pjt(spec, osc)
+        ).tocsr()
+        c2 = product_c2prime(osc)
+        assert (c2 @ product @ c2.T != product).nnz == 0
+        folded = (basis.fold @ product @ basis.fold.T).toarray()
+        for i, (_, lo, hi) in enumerate(basis.blocks):
+            for j, (_, lo2, hi2) in enumerate(basis.blocks):
+                if i != j:
+                    assert np.all(folded[lo:hi, lo2:hi2] == 0.0)
+    # and against the oracle, no entry of the Cartesian sector lies outside the pattern
+    spec = SectorSpec(couplings=pes_to_couplings(p), lambda_corr=p.lambda_corr, cutoff=12)
+    basis = adapted_basis(12)
+    ref = np.abs(in_adapted(cartesian_sector(spec), basis))
+    outside = assemble(spec, basis).toarray() == 0.0
+    assert ref[outside].max() < 1e-12 * ref.max()

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -7,70 +9,103 @@ from spinvibronic import (
     AnalysisError,
     Couplings,
     SolverOptions,
+    adapted_basis,
     assemble,
     solve_lowest,
     solve_sector,
 )
 from spinvibronic.defaults import DEFECTS
-from spinvibronic.hamiltonian import CHANNELS, SectorSpec, symmetry_adapted_states
-from spinvibronic.oscillator import build_basis
+from spinvibronic.hamiltonian import SectorSpec
+from spinvibronic.oscillator import build_operators
 from spinvibronic.symmetry import (
-    CHARACTER_TOL,
-    SymmetryOperators,
     analyze_states,
-    character,
+    block_label,
     electronic_composition,
-    irrep_label,
     mean_displacement,
 )
 
-from conftest import cached_sector
+from conftest import (
+    adapted_unitary,
+    c2prime_reflection,
+    c3_rotation,
+    cached_sector,
+    cartesian_basis,
+    total_reflection,
+    total_rotation,
+)
+
+S = 1.0 / math.sqrt(2.0)
+# electronic channels over the circular states |e+e+>, |e-e+>, |e+e->, |e-e->
+CHANNELS = {
+    "A1u": np.array([0.0, -S, S, 0.0]),
+    "A2u": np.array([0.0, S, S, 0.0]),
+    "Eu1": np.array([1.0, 0.0, 0.0, 0.0]),
+    "Eu2": np.array([0.0, 0.0, 0.0, 1.0]),
+}
 
 
-def channel_vector(channel: str, basis, nx=0, ny=0):
-    """|electronic channel> x |nx, ny> as a coefficient vector."""
-    states = symmetry_adapted_states()
-    vec = np.zeros(4 * basis.dim)
-    k = basis.index(nx, ny)
-    vec[4 * k : 4 * k + 4] = states[:, CHANNELS.index(channel)]
+def product_vector(channel: str, basis, n_plus=0, n_minus=0):
+    """|electronic channel> x |n_plus, n_minus> over the product basis."""
+    vec = np.zeros(4 * basis.osc.dim)
+    k = basis.osc.index(n_plus, n_minus)
+    vec[4 * k : 4 * k + 4] = CHANNELS[channel]
     return vec
 
 
+def channel_vector(channel: str, basis, n_plus=0, n_minus=0):
+    """The same state over the adapted basis; the +/-1 fold keeps exact zeros exact."""
+    scale = np.where(np.arange(basis.dim) < basis.blocks[2][1], 1.0, S)
+    return scale * (basis.fold @ product_vector(channel, basis, n_plus, n_minus))
+
+
+def character(vectors: np.ndarray, op: np.ndarray) -> float:
+    """Real part of the trace of op projected onto the columns of vectors."""
+    return float(np.real(np.einsum("ij,ij->", vectors.conj(), op @ vectors)))
+
+
+def point_group(basis):
+    """(C3, C2') over the adapted basis, from the Cartesian operators."""
+    cart = cartesian_basis(basis.osc.cutoff)
+    u = adapted_unitary(basis)
+    r3 = total_rotation(c3_rotation(cart))
+    r2 = total_reflection(c2prime_reflection(cart))
+    return u.conj().T @ (r3 @ u), u.conj().T @ (r2 @ u)
+
+
 @pytest.fixture(scope="module")
-def ops6():
-    return SymmetryOperators(build_basis(6))
+def basis6():
+    return adapted_basis(6)
 
 
-def test_pure_channel_vectors_labeled(ops6):
-    basis = ops6.basis
+def test_pure_channel_vectors_labeled(basis6):
     for channel, expected in (("A1u", "A1u"), ("A2u", "A2u"), ("Eu1", "Eu"), ("Eu2", "Eu")):
-        assert irrep_label(channel_vector(channel, basis), ops6) == expected
+        assert block_label(channel_vector(channel, basis6), basis6) == expected
 
 
-def test_uncoupled_ground_cluster_characters(ops6):
-    basis = ops6.basis
-    ground = np.column_stack([channel_vector(c, basis) for c in CHANNELS])
-    chi3 = character(ground, ops6.r_c3)
-    chi2 = character(ground, ops6.r_c2)
+def test_uncoupled_ground_cluster_characters(basis6):
+    r3, r2 = point_group(basis6)
+    ground = np.column_stack([channel_vector(c, basis6) for c in CHANNELS])
+    chi3 = character(ground, r3)
+    chi2 = character(ground, r2)
     # A1 + A2 + E decomposition: 1 + 1 + 2 cos(2 pi / 3) = 1 and 1 - 1 + 0 = 0
     assert chi3 == pytest.approx(1.0, abs=1e-10)
     assert chi2 == pytest.approx(0.0, abs=1e-10)
 
 
-def test_accidental_a_pair_resolved(ops6):
+def test_accidental_a_pair_resolved(basis6):
     # uncoupled model: A1u and A2u are exactly degenerate, but they lie in
-    # different C2' blocks, so each comes back pure and labelled from itself
+    # different blocks, so each comes back pure and labelled from its block
     spec = SectorSpec(couplings=Couplings(0.0, 0.0, 0.0, 0.0, 70.0), lambda_corr=50.0, cutoff=6)
-    states = analyze_states(solve_lowest(assemble(spec), k=2), ops6)
+    states = analyze_states(solve_lowest(assemble(spec, basis6), k=2), basis6)
     assert sorted(s.irrep for s in states) == ["A1u", "A2u"]
     for s in states:
         assert s.composition[s.irrep] == pytest.approx(1.0, abs=1e-12)
     # a mix of the two, which no block can return, is not given either label
     theta = 0.7
-    mixed = np.cos(theta) * channel_vector("A1u", ops6.basis) + np.sin(theta) * channel_vector(
-        "A2u", ops6.basis
+    mixed = np.cos(theta) * channel_vector("A1u", basis6) + np.sin(theta) * channel_vector(
+        "A2u", basis6
     )
-    assert irrep_label(mixed, ops6) == "mixed"
+    assert block_label(mixed, basis6) == "mixed"
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -82,26 +117,28 @@ def test_composite_cluster_states_are_c2_eigenvectors(seed):
     sol = solve_sector(Couplings(0.0, 0.0, 0.0, 0.0, 70.0), 50.0, cutoff=4, opts=opts)
     labelled = [s for s in sol.states if s.irrep in ("A1u", "A2u")]
     assert sorted(s.irrep for s in labelled) == ["A1u", "A2u"]
+    _, r2 = point_group(sol.basis)
     for s in labelled:
-        c2 = character(s.coefficients[:, None], sol.ops.r_c2)
+        c2 = character(s.coefficients[:, None], r2)
         expected = 1.0 if s.irrep == "A1u" else -1.0
-        assert abs(c2 - expected) < CHARACTER_TOL
+        assert abs(c2 - expected) < 1e-12
 
 
-def test_character_trace_invariance(ops6):
-    basis = ops6.basis
+def test_character_trace_invariance(basis6):
+    r3, _ = point_group(basis6)
     pair = np.column_stack(
-        [channel_vector("Eu1", basis), channel_vector("Eu2", basis)]
+        [channel_vector("Eu1", basis6), channel_vector("Eu2", basis6)]
     )
     rng = np.random.default_rng(11)
-    chi_ref = character(pair, ops6.r_c3)
+    chi_ref = character(pair, r3)
     for _ in range(5):
         theta = rng.uniform(0, 2 * np.pi)
         rot = np.array(
             [[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]]
         )
-        chi = character(pair @ rot, ops6.r_c3)
+        chi = character(pair @ rot, r3)
         assert chi == pytest.approx(chi_ref, abs=1e-10)
+    assert chi_ref == pytest.approx(-1.0, abs=1e-10)
 
 
 def test_snv0_level_labels():
@@ -123,18 +160,23 @@ def test_eu_partner_cut_by_k_is_labelled():
 
 
 def test_eu_doublet_requires_opposite_c2_parities():
+    # the two partners of a doublet come from the j = 1 and j = 2 blocks,
+    # which C2' maps onto each other
     sol = cached_sector("SnV0", 20)
 
-    def parity(state):
-        return round(character(state.coefficients[:, None], sol.ops.r_c2))
+    def block(state):
+        return sol.basis.block_of(state.coefficients)
 
     doublet, energy = sol.eu_doublet()
-    assert sorted(parity(s) for s in sol.states[1:3]) == [-1, 1]
+    assert [block(s) for s in sol.states[1:3]] == [0, 1]
     assert np.array_equal(doublet, np.column_stack([s.coefficients for s in sol.states[1:3]]))
     assert energy == sol.states[1].energy
-    # keep one partner of each of the two lowest doublets, both of one parity
+    _, r2 = point_group(sol.basis)
+    assert abs(doublet[:, 1] @ (r2 @ doublet[:, 0])) == pytest.approx(1.0, abs=1e-12)
+    # keep one partner of each of the two lowest doublets, both from one block
     eu = [s for s in sol.states if s.irrep == "Eu"]
-    same = [s for s in eu if parity(s) == parity(eu[0])][:2]
+    same = [s for s in eu if block(s) == block(eu[0])][:2]
+    assert len(same) == 2
     with pytest.raises(AnalysisError):
         replace(sol, states=[sol.states[0]] + same).eu_doublet()
 
@@ -146,8 +188,8 @@ def test_low_clusters_cleanly_labeled(name):
         assert s.irrep in ("A1u", "A2u", "Eu")
 
 
-def test_composition_pure_state(ops6):
-    v = channel_vector("A2u", ops6.basis)
+def test_composition_pure_state(basis6):
+    v = basis6.to_product(channel_vector("A2u", basis6))
     comp = electronic_composition(v)
     assert comp["A2u"] == pytest.approx(1.0, abs=1e-12)
     assert comp["A1u"] == pytest.approx(0.0, abs=1e-12)
@@ -165,7 +207,7 @@ def test_snv0_lowest_states_mix_a2u_and_eu():
 def test_composition_sums_to_one_and_rotation_invariant():
     sol = cached_sector("SnV0", 16)
     rng = np.random.default_rng(5)
-    doublet, _ = sol.eu_doublet()
+    doublet = sol.basis.to_product(sol.eu_doublet()[0])
     base = [electronic_composition(doublet[:, i]) for i in range(2)]
     total = {k: base[0][k] + base[1][k] for k in base[0]}
     for _ in range(5):
@@ -181,12 +223,12 @@ def test_composition_sums_to_one_and_rotation_invariant():
         assert sum(s.composition.values()) == pytest.approx(1.0, abs=1e-10)
 
 
-def test_mean_displacement_reference_states(ops6):
-    basis = ops6.basis
-    sub, raw = mean_displacement(channel_vector("A1u", basis), ops6)
+def test_mean_displacement_reference_states(basis6):
+    r2 = build_operators(basis6.osc)["R2"]
+    sub, raw = mean_displacement(product_vector("A1u", basis6), r2)
     assert raw == pytest.approx(1.0, abs=1e-12)
     assert sub == pytest.approx(0.0, abs=1e-6)
-    sub, raw = mean_displacement(channel_vector("A2u", basis, nx=1, ny=0), ops6)
+    sub, raw = mean_displacement(product_vector("A2u", basis6, n_plus=1), r2)
     assert raw == pytest.approx(np.sqrt(2.0), abs=1e-12)
 
 
@@ -196,3 +238,17 @@ def test_snv0_displacement_between_branch_minima():
     length = p.length_scale_angstrom()
     d_ang = sol.states[0].displacement * length
     assert 0.038 < d_ang < 0.154
+
+
+def test_order_one_degenerate_a_pair_is_labelled_from_its_blocks():
+    # the linear model has an exactly degenerate A1u/A2u pair (SnV0, cutoff 20);
+    # each partner comes back in its own block and is labelled from it, A1u first
+    from spinvibronic import couplings_for_order
+
+    p = DEFECTS["SnV0"]
+    sol = solve_sector(couplings_for_order(p, 1), p.lambda_corr, 20, opts=SolverOptions(k=10))
+    pair = [i for i, s in enumerate(sol.states) if s.irrep in ("A1u", "A2u")][1:3]
+    a1u, a2u = (sol.states[i] for i in pair)
+    assert (a1u.irrep, a2u.irrep) == ("A1u", "A2u") and pair[1] == pair[0] + 1
+    assert abs(a1u.energy - a2u.energy) < 1e-9
+    assert [sol.basis.block_of(s.coefficients) for s in (a1u, a2u)] == [2, 3]
