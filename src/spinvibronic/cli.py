@@ -41,7 +41,15 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 
-_SOLVE_ERRORS = (SolverError, ConvergenceError, AnalysisError, CalibrationError, PesFitError)
+# the pipeline stage each solver-side failure comes from
+_FAILED_STAGE = {
+    ConvergenceError: "cutoff convergence",
+    SolverError: "eigensolve",
+    AnalysisError: "state analysis",
+    CalibrationError: "spin-orbit calibration",
+    PesFitError: "surface fit",
+}
+_SOLVE_ERRORS = tuple(_FAILED_STAGE)
 
 
 def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
@@ -133,7 +141,8 @@ def cmd_table1(args) -> int:
         try:
             report = run_report(cfg)
         except _SOLVE_ERRORS as exc:
-            print(f"{path.name}: FAILED ({exc})", file=sys.stderr)
+            stage = next(v for cls, v in _FAILED_STAGE.items() if isinstance(exc, cls))
+            print(f"{path.name}: {cfg.defect.name} FAILED in {stage} ({exc})", file=sys.stderr)
             rows.append({"defect": cfg.defect.name, "status": "FAILED"})
             failed = True
             continue

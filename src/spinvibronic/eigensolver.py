@@ -11,6 +11,15 @@ eigenvector it returns lies in one block and exact degeneracies across
 blocks cannot mix.  A block whose indices form one contiguous range is cut
 out by a range slice; any other by index arrays.
 
+A block whose CSR arrays (shape, indptr, indices, data) are exactly equal to
+those of a block already solved in the same call is not solved again: it
+takes that block's eigenvalues, eigenvectors and residuals, embedded in its
+own index range.  Both solves would be deterministic on the same input, so
+no result changes.  Reuse is decided by exact equality alone, with no
+tolerance and no knowledge of where the matrix came from; it finds the two
+m_s = 0 Eu blocks (the j = 2 states are the C2' images of the j = 1 states,
+in the same order) and the j = 1 / j = 2 J-block twins of the linear model.
+
 Every sector the package builds is real symmetric; a complex Hermitian
 matrix from elsewhere is solved as it is.
 
@@ -31,9 +40,9 @@ cutoff-20 blocks (308 and 154) by LAPACK and the cutoff-28 j blocks (580) by
 ARPACK, next to A1u/A2u blocks of 290 by LAPACK; the cutoff-36 large sectors
 are j blocks of 937-938, all ARPACK.
 
-Each block solve logs one DEBUG record (dim, dtype, path, k, wall and CPU
-seconds, nnz, and the largest residual against its bound) to the
-"spinvibronic" logger.
+Each block logs one DEBUG record (dim, dtype, path, k, wall and CPU seconds,
+nnz, and the largest residual against its bound) to the "spinvibronic"
+logger; a reused block says path=reused and names the block it copied.
 """
 
 from __future__ import annotations
@@ -98,6 +107,21 @@ def _arpack_lowest(
     return vals[order].real, vecs[:, order]
 
 
+def _log_block(h, path: str, k: int, t0: float, c0: float, res, bound: float, note: str = ""):
+    """One DEBUG record per block, timed from (t0, c0); note is appended as is."""
+    if log.isEnabledFor(logging.DEBUG):
+        log.debug(
+            "solve_lowest block: dim=%d dtype=%s path=%s k=%d seconds=%.6f cpu_seconds=%.6f "
+            "nnz=%d residual_max=%.3e bound=%.3e%s",
+            h.shape[0], h.dtype, path, k, time.perf_counter() - t0, time.process_time() - c0,
+            h.nnz, res.max(), bound, note,
+        )
+
+
+def _bound(tol: float, vals: np.ndarray) -> float:
+    return tol * max(1.0, float(np.abs(vals).max()))
+
+
 def _block_lowest(h: sp.csr_matrix, k: int, dense: bool, tol: float, seed: int) -> EigResult:
     """Lowest k pairs of one block."""
     from scipy.sparse.linalg import ArpackNoConvergence
@@ -111,14 +135,8 @@ def _block_lowest(h: sp.csr_matrix, k: int, dense: bool, tol: float, seed: int) 
             residuals=_residuals(h, exc.eigenvalues.real, exc.eigenvectors),
         ) from exc
     res = _residuals(h, vals, vecs)
-    bound = tol * max(1.0, float(np.abs(vals).max()))
-    if log.isEnabledFor(logging.DEBUG):
-        log.debug(
-            "solve_lowest block: dim=%d dtype=%s path=%s k=%d seconds=%.6f cpu_seconds=%.6f "
-            "nnz=%d residual_max=%.3e bound=%.3e",
-            h.shape[0], h.dtype, "dense" if dense else "lanczos", k, time.perf_counter() - t0,
-            time.process_time() - c0, h.nnz, res.max(), bound,
-        )
+    bound = _bound(tol, vals)
+    _log_block(h, "dense" if dense else "lanczos", k, t0, c0, res, bound)
     if not dense and np.any(res > bound):
         raise SolverError(
             f"ARPACK residuals exceed tol * max(1, max|theta|) = {bound:.2e} "
@@ -126,6 +144,16 @@ def _block_lowest(h: sp.csr_matrix, k: int, dense: bool, tol: float, seed: int) 
             residuals=res,
         )
     return EigResult(eigenvalues=vals, eigenvectors=vecs, residual_norms=res)
+
+
+def _same_csr(a: sp.csr_matrix, b: sp.csr_matrix) -> bool:
+    """True when a and b store the same entries in the same layout."""
+    return (
+        a.shape == b.shape
+        and np.array_equal(a.indptr, b.indptr)
+        and np.array_equal(a.indices, b.indices)
+        and np.array_equal(a.data, b.data)
+    )
 
 
 def _blocks(h: sp.csr_matrix) -> list[np.ndarray]:
@@ -167,17 +195,28 @@ def solve_lowest(
         for idx in _blocks(h)
     ]
     parts = []
-    for idx in blocks:
+    solved: list[tuple[int, sp.csr_matrix]] = []  # (block number, matrix) of each block solved
+    for b, idx in enumerate(blocks):
         if len(blocks) == 1:
             hb = h
         elif isinstance(idx, slice):
             hb = h[idx, idx]
         else:
             hb = h[idx][:, idx]
+        t0, c0 = time.perf_counter(), time.process_time()
+        twin = next((j for j, prev in solved if _same_csr(prev, hb)), None)
+        if twin is not None:
+            # the same matrix, entry for entry: a second solve would give the same pairs
+            r = parts[twin]
+            parts.append(r)
+            _log_block(hb, "reused", r.k, t0, c0, r.residual_norms, _bound(tol, r.eigenvalues),
+                       f" reused_from={twin}")
+            continue
         nb = hb.shape[0]
         kb = min(k, nb)
         dense = nb <= dense_threshold or kb >= nb - 1
         parts.append(_block_lowest(hb, kb, dense, tol, seed))
+        solved.append((b, hb))
     vals = np.concatenate([r.eigenvalues for r in parts])
     keep = np.argsort(vals, kind="stable")[:k]
     # embed only the kept pairs: the linear model has dozens of blocks

@@ -71,7 +71,9 @@ class SpectrumReport:
             raise ValueError(f"quenching factors outside [0, 1]: {self.p_u}, {self.p_g}")
         if self.coupling_strength <= 0:
             raise ValueError("coupling strength must be positive")
-        if self.soc_enabled and self.gamma2_soc > self.gamma2 + self.lambda_eff + 1e-9:
+        # gamma2_soc comes from the model's own order, so it is bounded by that order's gamma
+        gamma = self.gamma1 if self.order == 1 else self.gamma2
+        if self.soc_enabled and self.gamma2_soc > gamma + self.lambda_eff + 1e-9:
             raise ValueError("gamma2 with spin-orbit exceeds the triangle bound")
 
     def to_dict(self) -> dict:

@@ -203,6 +203,21 @@ def test_report_solves_its_own_order_once(tmp_path, monkeypatch):
         assert gamma == analysis.gamma_splitting(cfg.defect, order, report.cutoff, opts=opts)
 
 
+def test_order1_small_spin_orbit_passes_the_triangle_bound(tmp_path, capsys):
+    # gamma2_soc comes from the order-1 model here, so the bound is the
+    # order-1 gamma, not the order-2 one
+    text = (
+        FAST_SOLVE.replace("cutoff = 12", "cutoff = 20")
+        .replace("lambda_u0_mev = 30.0", "lambda_u0_mev = 1.0")
+        .replace("lambda_g0_mev = 10.0", "lambda_g0_mev = 1.0")
+    )
+    cfg = write_config(tmp_path, text)
+    assert main(["solve", str(cfg), "--order", "1"]) == 0, capsys.readouterr().err
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["order"] == 1
+    assert report["gamma2_soc_mev"] <= report["gamma1_mev"] + report["lambda_eff_mev"] + 1e-9
+
+
 def test_solve_soc_off_omits_soc_fields(tmp_path):
     cfg = write_config(tmp_path, FAST_OFF)
     assert main(["solve", str(cfg)]) == 0
@@ -382,3 +397,18 @@ def test_table1_single_defect_and_corruption_flag(tmp_path, capsys):
     table = (tmp_path / "t2" / "table1.csv").read_text().splitlines()
     row = dict(zip(table[0].split(","), table[1].split(",")))
     assert abs(float(row["gamma2_dev"])) > 0.25
+
+
+def test_failed_table1_row_names_the_defect_and_the_stage(tmp_path, capsys, monkeypatch):
+    def failing(cfg):
+        raise analysis.CalibrationError("slope vanished", scan=[(1.0, 0.5)])
+
+    monkeypatch.setattr("spinvibronic.cli.run_report", failing)
+    confdir = tmp_path / "configs"
+    confdir.mkdir()
+    (confdir / "snv0.conf").write_text(FAST_SOLVE.format(out=tmp_path / "t1"))
+    assert main(["table1", str(confdir)]) == 3
+    err = capsys.readouterr().err
+    assert "snv0.conf: SnV0 FAILED in spin-orbit calibration (slope vanished; scan: " in err
+    table = (tmp_path / "t1" / "table1.csv").read_text().splitlines()
+    assert table[1].startswith("SnV0,FAILED,")

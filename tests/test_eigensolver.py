@@ -17,7 +17,7 @@ from spinvibronic import (
 )
 from spinvibronic.defaults import DEFECTS
 from spinvibronic.analysis import SolverOptions, solve_sector
-from spinvibronic.eigensolver import _blocks
+from spinvibronic.eigensolver import DENSE_THRESHOLD_DEFAULT, _blocks
 from spinvibronic.hamiltonian import SectorSpec
 from spinvibronic.params import Couplings
 
@@ -317,8 +317,9 @@ def test_every_package_sector_reaches_the_solver_real(monkeypatch, method):
     seen = _spy(monkeypatch)
     for h in sectors:
         opts.solve(h)
-    # four blocks per m_s = 0 sector, three per m_s = +/-1 sector
-    assert seen == [(method, np.dtype(np.float64))] * (4 * (4 + 3 + 3))
+    # four blocks per m_s = 0 sector, of which the two equal Eu blocks are
+    # solved once, and three per m_s = +/-1 sector
+    assert seen == [(method, np.dtype(np.float64))] * (4 * (3 + 3 + 3))
 
 
 def _tridiagonal(n=40, seed=0):
@@ -349,6 +350,62 @@ def test_complex_block_without_real_gauge(monkeypatch, entry, method):
     assert residuals.max() < 1e-10 * max(1.0, np.abs(res.eigenvalues).max())
 
 
+@pytest.mark.parametrize("method, threshold", [("dense", LAPACK_ONLY), ("lanczos", 0)])
+def test_equal_blocks_are_solved_once(monkeypatch, method, threshold):
+    a = _tridiagonal(20)
+    h = sp.block_diag([a, a], format="csr")
+    seen = _spy(monkeypatch)
+    res = solve_lowest(h, k=6, dense_threshold=threshold)
+    assert seen == [(method, np.dtype(np.float64))]
+    # equal eigenvalues merge stably: even columns from the first block, odd from the second
+    first, second = res.eigenvectors[:, 0::2], res.eigenvectors[:, 1::2]
+    assert np.array_equal(res.eigenvalues[0::2], res.eigenvalues[1::2])
+    assert np.array_equal(res.residual_norms[0::2], res.residual_norms[1::2])
+    assert np.array_equal(second[20:], first[:20])
+    assert not first[20:].any() and not second[:20].any()
+    assert np.abs(res.eigenvalues[0::2] - np.linalg.eigvalsh(a)[:3]).max() < 1e-9
+
+
+def test_blocks_one_ulp_apart_are_both_solved(monkeypatch):
+    a = _tridiagonal(20)
+    b = a.copy()
+    b[3, 3] = np.nextafter(b[3, 3], np.inf)
+    h = sp.block_diag([a, b], format="csr")
+    seen = _spy(monkeypatch)
+    res = solve_lowest(h, k=6)
+    assert seen == [("dense", np.dtype(np.float64))] * 2
+    expected = np.sort(np.concatenate([np.linalg.eigvalsh(a), np.linalg.eigvalsh(b)]))[:6]
+    assert np.abs(res.eigenvalues - expected).max() < 1e-9
+
+
+@pytest.mark.parametrize("name", sorted(DEFECTS))
+@pytest.mark.parametrize("cutoff", [8, 16, 28])
+@pytest.mark.parametrize("threshold", [DENSE_THRESHOLD_DEFAULT, 0])
+def test_reused_blocks_equal_separate_block_solves(monkeypatch, name, cutoff, threshold):
+    # each block of the m_s = 0 sector solved on its own, merged as solve_lowest
+    # merges: the reused Eu twin must give the very pairs its own solve gives
+    h, k = sector_h(name, cutoff), 10
+    ranges = [slice(b[0], b[-1] + 1) for b in _blocks(h)]
+    parts = [solve_lowest(h[r, r], min(k, r.stop - r.start), dense_threshold=threshold)
+             for r in ranges]
+    vals = np.concatenate([p.eigenvalues for p in parts])
+    keep = np.argsort(vals, kind="stable")[:k]
+    starts = np.cumsum([0] + [p.k for p in parts])
+    vecs = np.zeros((h.shape[0], k))
+    res = np.zeros(k)
+    for col, i in enumerate(keep):
+        b = np.searchsorted(starts, i, side="right") - 1
+        vecs[ranges[b], col] = parts[b].eigenvectors[:, i - starts[b]]
+        res[col] = parts[b].residual_norms[i - starts[b]]
+
+    seen = _spy(monkeypatch)
+    whole = solve_lowest(h, k, dense_threshold=threshold)
+    assert len(seen) == len(ranges) - 1
+    assert np.array_equal(whole.eigenvalues, vals[keep])
+    assert np.array_equal(whole.eigenvectors, vecs)
+    assert np.array_equal(whole.residual_norms, res)
+
+
 def test_block_solves_are_logged(caplog):
     h = snv0_h(8, m_s=1, lam=40.0)
     with caplog.at_level(logging.DEBUG, logger="spinvibronic"):
@@ -357,13 +414,19 @@ def test_block_solves_are_logged(caplog):
     messages = [r.getMessage() for r in caplog.records if r.name == "spinvibronic"]
     assert len(messages) == 3 + 4
     assert all("dim=60 dtype=float64 path=dense k=4" in m for m in messages[:3])
-    assert all("dim=60 dtype=float64 path=lanczos k=4" in m for m in messages[3:5])
+    # the m_s = 0 Eu blocks are the same matrix: the second reuses the first
+    assert "dim=60 dtype=float64 path=lanczos k=4" in messages[3]
+    assert "dim=60 dtype=float64 path=reused k=4" in messages[4]
     assert all("dim=30 dtype=float64 path=lanczos k=4" in m for m in messages[5:])
-    for m in messages:
-        fields = dict(item.split("=") for item in m.split(": ", 1)[1].split())
-        assert {"seconds", "cpu_seconds", "nnz", "residual_max", "bound"} <= set(fields)
-        assert float(fields["cpu_seconds"]) >= 0.0 and int(fields["nnz"]) > 0
-        assert float(fields["residual_max"]) <= float(fields["bound"])
+    fields = [dict(item.split("=") for item in m.split(": ", 1)[1].split()) for m in messages]
+    for f in fields:
+        assert {"seconds", "cpu_seconds", "nnz", "residual_max", "bound"} <= set(f)
+        assert float(f["cpu_seconds"]) >= 0.0 and int(f["nnz"]) > 0
+        assert float(f["residual_max"]) <= float(f["bound"])
+    # a reused block names the block it copied and reports that block's residuals
+    assert fields[4]["reused_from"] == "0"
+    for key in ("nnz", "residual_max", "bound"):
+        assert fields[4][key] == fields[3][key]
 
 
 def test_block_records_cost_nothing_when_debug_is_off(monkeypatch, caplog):
