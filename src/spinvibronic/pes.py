@@ -9,13 +9,17 @@ what makes fitting one-dimensional surface scans sufficient.
 Surface columns are continued through the grid by eigenvector overlap rather
 than by sorting, so degeneracy touchings at Q = 0 do not produce kinks.  The
 reference level at Q = 0 is the last point of the same stacked eigensolve as
-the grid.  The fit runs in (K, Lambda, F1, F2, G1, G2, offset) space, where
-the feasible region is a plain box, and converts back to well depths and
-warpings only at the end; a global energy offset of the samples is absorbed
-by the nuisance parameter.  Its Jacobian is exact: the potential is linear in
-every parameter but K of angstrom samples, so each derivative is the
-Hellmann-Feynman expectation of a constant operator (Feynman, Phys. Rev. 56,
-340 (1939)).
+the grid.
+
+On the Q_y = 0 cut the potential is two 2x2 blocks, one per interference
+branch b, so the fit needs no eigensolve: each surface is
+E_b+/- = K q^2/2 + s_b lambda/2 +/- sqrt(u_b^2 + lambda^2/4) with
+u_b = F_b q + G_b q^2, s_1 = +1 and s_2 = +1 (e-raised) or -1 (a-split).
+The fit runs in (K, lambda, F1, F2, G1/K, G2/K, offset) space, where the
+feasible region is a plain box (|G_b/K| < 1/2 keeps the surfaces bounded at
+any K), and converts back to well depths and warpings only at the end; a
+global energy offset of the samples is absorbed by the nuisance parameter.
+Its Jacobian is the exact derivative of the same closed form.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ import numpy as np
 from scipy.optimize import least_squares, linear_sum_assignment
 
 from .hamiltonian import (
+    PRESET_A_SPLIT,
     PRESET_E_RAISED,
     SIGMA_X,
     SIGMA_Z,
@@ -57,6 +62,13 @@ MAX_NFEV = 4000
 _U_Z, _U_X = op_on_u(SIGMA_Z), op_on_u(SIGMA_X)
 _G_Z, _G_X = op_on_g(SIGMA_Z), op_on_g(SIGMA_X)
 _EYE = np.eye(4)
+
+# sign s_b of the lambda/2 shift of branch b on the Q_y = 0 cut
+_BRANCH_SIGNS = {PRESET_E_RAISED: np.array([1.0, 1.0]), PRESET_A_SPLIT: np.array([1.0, -1.0])}
+# the -/+ root within each branch
+_PM = np.array([-1.0, 1.0])
+# [b, 1, b'] = 1 where b = b', broadcast over the -/+ axis
+_BRANCH_EYE = np.eye(2)[:, None, :]
 
 
 class PesFitError(RuntimeError):
@@ -111,20 +123,6 @@ def classical_matrix(
     )
 
 
-def _dmat_dqx(c: Couplings, qx: np.ndarray) -> np.ndarray:
-    """Stacked derivative of classical_matrix along Q_x on the Q_y = 0 cut."""
-    return (
-        (c.hbar_omega_e * qx)[:, None, None] * _EYE
-        + (c.f_u + 2.0 * c.g_u * qx)[:, None, None] * _U_Z
-        + (c.f_g + 2.0 * c.g_g * qx)[:, None, None] * _G_Z
-    )
-
-
-def _expect(vectors: np.ndarray, op: np.ndarray) -> np.ndarray:
-    """<v_n|op|v_n> for every eigenvector column of a stack, shape (n, 4)."""
-    return np.sum(vectors * (op @ vectors), axis=-2)
-
-
 def _track_columns(energies: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     """Reorder eigenvalue columns for continuity via eigenvector overlap."""
     n = energies.shape[0]
@@ -164,12 +162,12 @@ def adiabatic_surfaces(
 
 
 def write_pes_csv(curve: PesCurve, path: str | Path) -> None:
+    lines = [f"# qx_unit={curve.qx_unit}\n", "qx,e1_mev,e2_mev,e3_mev,e4_mev\n"]
+    for q, row in zip(curve.qx.tolist(), curve.energies.tolist()):
+        cells = [f"{q:.12g}"] + [f"{v:.12g}" if math.isfinite(v) else "" for v in row]
+        lines.append(",".join(cells) + "\n")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# qx_unit={curve.qx_unit}\n")
-        fh.write("qx,e1_mev,e2_mev,e3_mev,e4_mev\n")
-        for q, row in zip(curve.qx, curve.energies):
-            cells = [f"{q:.12g}"] + ["" if not np.isfinite(v) else f"{v:.12g}" for v in row]
-            fh.write(",".join(cells) + "\n")
+        fh.write("".join(lines))
 
 
 def read_pes_csv(path: str | Path) -> PesCurve:
@@ -215,7 +213,8 @@ class PesFitResult:
 
 
 def _theta_to_couplings(theta: np.ndarray) -> tuple[Couplings, float, float]:
-    k, lam, f1, f2, g1, g2, offset = theta
+    k, lam, f1, f2, gamma1, gamma2, offset = theta
+    g1, g2 = gamma1 * k, gamma2 * k
     c = Couplings(
         f_u=0.5 * (f1 + f2),
         f_g=0.5 * (f1 - f2),
@@ -235,36 +234,63 @@ def _model_grid(theta: np.ndarray, qx_sample: np.ndarray, unit: str, mass_amu: f
     return c, lam, offset, np.append(q, 0.0)
 
 
+def _branch_signs(preset: str) -> np.ndarray:
+    if preset not in _BRANCH_SIGNS:
+        raise ValueError(f"unknown correlation preset {preset!r}")
+    return _BRANCH_SIGNS[preset]
+
+
+def _cut_levels(c: Couplings, lam: float, preset: str, q: np.ndarray):
+    """u_b, sqrt(u_b^2 + lambda^2/4) (shape (n, 2)) and the unsorted levels (n, 2, 2).
+
+    The last axis of the levels holds the -/+ root of each branch.
+    """
+    qq = q[:, None]
+    u = np.array([c.f1, c.f2]) * qq + np.array([c.g1, c.g2]) * qq**2
+    root = np.sqrt(u**2 + 0.25 * lam**2)
+    centre = 0.5 * c.hbar_omega_e * qq**2 + 0.5 * lam * _branch_signs(preset)
+    return u, root, centre[..., None] + _PM * root[..., None]
+
+
 def _model_sorted(theta: np.ndarray, qx_sample: np.ndarray, unit: str, preset: str, mass_amu: float):
     c, lam, offset, q = _model_grid(theta, qx_sample, unit, mass_amu)
-    e = np.linalg.eigvalsh(classical_matrix(c, lam, preset, q))
-    return e[:-1] - e[-1, 0] + offset
+    e = _cut_levels(c, lam, preset, q)[2].reshape(q.size, 4)
+    return np.sort(e[:-1], axis=1) - e[-1].min() + offset
 
 
 def _model_jacobian(
     theta: np.ndarray, qx_sample: np.ndarray, unit: str, preset: str, mass_amu: float
 ) -> np.ndarray:
-    """d(_model_sorted)/d(theta), shape (n, 4, 7), by Hellmann-Feynman.
+    """d(_model_sorted)/d(theta), shape (n, 4, 7), from the closed form of the cut.
 
-    Each entry is <v_n|dM/dtheta|v_n> from one stacked eigh; dM/dtheta is a
-    constant operator times q or q^2 (W(1) for lambda), and the Q = 0 row is
-    subtracted as the reference.  Angstrom samples have q proportional to
-    sqrt(K), which adds <v_n|dM/dq|v_n> q / (2K) to the K column.
+    With w_b = u_b / sqrt(u_b^2 + lambda^2/4), taken as 0 where the root is 0,
+    each level E = K q^2/2 + s_b lambda/2 +/- root has dE/dF_b = +/- w_b q,
+    dE/d(G_b/K) = +/- w_b K q^2, dE/dlambda = s_b/2 +/- lambda/(4 root) and,
+    at fixed G_b/K, dE/dK = q^2/2 +/- w_b (G_b/K) q^2.  Angstrom samples have
+    q proportional to sqrt(K), which adds dE/dq q/(2K) to the K column.  Rows
+    are sorted like the model's levels and the Q = 0 reference is subtracted.
     """
     c, lam, _, q = _model_grid(theta, qx_sample, unit, mass_amu)
-    _, vecs = np.linalg.eigh(classical_matrix(c, lam, preset, q))
-    z_u, z_g = _expect(vecs, _U_Z), _expect(vecs, _G_Z)
-    lin, quad = 0.5 * q[:, None], 0.5 * q[:, None] ** 2
-    jac = np.empty(q.shape + (4, 7))
-    jac[..., 0] = quad
+    k = c.hbar_omega_e
+    u, root, levels = _cut_levels(c, lam, preset, q)
+    live = root > 0.0
+    slope = _PM * np.divide(u, root, out=np.zeros_like(u), where=live)[..., None]
+    dlam = _PM * np.divide(0.25 * lam, root, out=np.zeros_like(root), where=live)[..., None]
+    g = np.array([c.g1, c.g2])
+    q1, q2 = q[:, None, None], q[:, None, None] ** 2
+    jac = np.zeros(levels.shape + (7,))
+    jac[..., 0] = 0.5 * q2 + slope * (g / k)[:, None] * q2
     if unit == QX_UNIT_ANGSTROM:
-        jac[..., 0] += _expect(vecs, _dmat_dqx(c, q)) * lin / c.hbar_omega_e
-    jac[..., 1] = _expect(vecs, build_correlation(1.0, preset))
-    jac[..., 2] = lin * (z_u + z_g)
-    jac[..., 3] = lin * (z_u - z_g)
-    jac[..., 4] = quad * (z_u + z_g)
-    jac[..., 5] = quad * (z_u - z_g)
-    jac = jac[:-1] - jac[-1, 0]
+        f = np.array([c.f1, c.f2])
+        de_dq = k * q1 + slope * (f + 2.0 * g * q[:, None])[..., None]
+        jac[..., 0] += de_dq * q1 / (2.0 * k)
+    jac[..., 1] = 0.5 * _branch_signs(preset)[:, None] + dlam
+    # F_b and G_b/K move only the levels of branch b
+    jac[..., 2:4] = (slope * q1)[..., None] * _BRANCH_EYE
+    jac[..., 4:6] = (slope * k * q2)[..., None] * _BRANCH_EYE
+    levels, jac = levels.reshape(q.size, 4), jac.reshape(q.size, 4, 7)
+    order = np.argsort(levels[:-1], axis=1)
+    jac = np.take_along_axis(jac[:-1], order[..., None], axis=1) - jac[-1, np.argmin(levels[-1])]
     jac[..., 6] = 1.0
     return jac
 
@@ -279,11 +305,13 @@ def fit_pes(
     positionally to the sample columns, which therefore must be in ascending
     energy order per point.  Angstrom samples are converted with the
     oscillator length of initial.effective_mass_amu, which the result keeps.
-    Each model call is one stacked eigensolve over the grid with the Q = 0
-    reference appended, and the Jacobian is the exact Hellmann-Feynman one of
-    _model_jacobian, so its singular values show a rank-deficient fit as such
-    (IdentifiabilityError).  One DEBUG record per
-    fit goes to the "spinvibronic" logger.
+    Each model call evaluates the closed-form levels of the Q_y = 0 cut over
+    the grid with the Q = 0 reference appended, and the Jacobian is their
+    exact derivative (_model_jacobian), so its singular values show a
+    rank-deficient fit as such (IdentifiabilityError).  The warpings are
+    fitted as G_b/K in [-0.49, 0.49], inside the |G_b| < K/2 bound that keeps
+    the surfaces bounded.  One DEBUG record per fit goes to the "spinvibronic"
+    logger.
     """
     mask = np.isfinite(samples.energies)
     n_pts = samples.qx.size
@@ -301,9 +329,8 @@ def fit_pes(
     t0 = time.perf_counter()
     mass_amu = initial.effective_mass_amu
     c0 = pes_to_couplings(initial)
-    theta0 = np.array(
-        [c0.hbar_omega_e, initial.lambda_corr, c0.f1, c0.f2, c0.g1, c0.g2, 0.0]
-    )
+    k0 = c0.hbar_omega_e
+    theta0 = np.array([k0, initial.lambda_corr, c0.f1, c0.f2, c0.g1 / k0, c0.g2 / k0, 0.0])
     cost_history: list[float] = []
 
     def residuals(theta):
@@ -315,8 +342,8 @@ def fit_pes(
     def jacobian(theta):
         return _model_jacobian(theta, samples.qx, samples.qx_unit, preset, mass_amu)[mask]
 
-    lower = [1.0, -2000.0, -3000.0, -3000.0, -43.0, -43.0, -1e5]
-    upper = [1000.0, 2000.0, 3000.0, 3000.0, 43.0, 43.0, 1e5]
+    lower = [1.0, -2000.0, -3000.0, -3000.0, -0.49, -0.49, -1e5]
+    upper = [1000.0, 2000.0, 3000.0, 3000.0, 0.49, 0.49, 1e5]
     theta0 = np.clip(theta0, lower, upper)
     res = least_squares(
         residuals,
@@ -341,7 +368,7 @@ def fit_pes(
         )
     if ratio < 1e-10:
         vt = np.linalg.svd(res.jac)[2]
-        names = ["hbar_omega_e", "lambda", "F1", "F2", "G1", "G2", "offset"]
+        names = ["hbar_omega_e", "lambda", "F1", "F2", "G1/K", "G2/K", "offset"]
         null_dir = {n: round(float(x), 3) for n, x in zip(names, vt[-1])}
         raise IdentifiabilityError(
             f"rank-deficient fit Jacobian (singular values {svals}); "

@@ -21,7 +21,7 @@ from spinvibronic import (
 )
 from spinvibronic.hamiltonian import SIGMA_X, SIGMA_Z
 from spinvibronic.oscillator import build_basis
-from spinvibronic.pes import _dmat_dqx, _expect, classical_matrix
+from spinvibronic.pes import classical_matrix
 
 FAST_OPTS = SolverOptions(k=8, dense_threshold=4000)
 
@@ -231,6 +231,20 @@ def _adapted_unitary(cutoff: int) -> np.ndarray:
 
 
 # --- surface oracle -------------------------------------------------------------
+
+
+def _dmat_dqx(c, qx: np.ndarray) -> np.ndarray:
+    """Stacked derivative of classical_matrix along Q_x on the Q_y = 0 cut."""
+    return (
+        (c.hbar_omega_e * qx)[:, None, None] * np.eye(4)
+        + (c.f_u + 2.0 * c.g_u * qx)[:, None, None] * op_on_u(SIGMA_Z)
+        + (c.f_g + 2.0 * c.g_g * qx)[:, None, None] * op_on_g(SIGMA_Z)
+    )
+
+
+def _expect(vectors: np.ndarray, op: np.ndarray) -> np.ndarray:
+    """<v_n|op|v_n> for every eigenvector column of a stack, shape (n, 4)."""
+    return np.sum(vectors * (op @ vectors), axis=-2)
 
 
 def lowest_surface_minimum(

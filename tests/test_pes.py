@@ -98,6 +98,20 @@ def test_csv_round_trip(tmp_path):
     mask = np.isfinite(curve.energies)
     assert np.array_equal(mask, np.isfinite(back.energies))
     assert np.allclose(back.energies[mask], curve.energies[mask])
+    # the exact text: 12 significant digits, a blank cell for a missing
+    # surface, "\n" line endings
+    curve = PesCurve(
+        qx=[-0.5, 0.0],
+        energies=[[1.0 / 3.0, 2.5, np.nan, 1e-13], [0.0, -0.0, 98.2, 1234567.891234567]],
+        qx_unit="angstrom",
+    )
+    write_pes_csv(curve, path)
+    assert path.read_bytes() == (
+        b"# qx_unit=angstrom\n"
+        b"qx,e1_mev,e2_mev,e3_mev,e4_mev\n"
+        b"-0.5,0.333333333333,2.5,,1e-13\n"
+        b"0,0,-0,98.2,1234567.89123\n"
+    )
 
 
 def test_csv_requires_unit_header(tmp_path):
@@ -183,12 +197,58 @@ def test_model_jacobian_matches_finite_differences(preset, unit, lam):
     grid = np.linspace(-2.0, 3.2, 41)
     if unit == "angstrom":
         grid = grid * p.length_scale_angstrom()
-    theta = np.array([c.hbar_omega_e, lam, c.f1, c.f2, c.g1, c.g2, 3.0])
+    k = c.hbar_omega_e
+    theta = np.array([k, lam, c.f1, c.f2, c.g1 / k, c.g2 / k, 3.0])
     numeric = approx_derivative(
         lambda t: _model_sorted(t, grid, unit, preset, 12.0).ravel(), theta, method="3-point"
     )
     exact = _model_jacobian(theta, grid, unit, preset, 12.0).reshape(-1, 7)
     assert np.abs(exact - numeric).max() < 1e-6 * np.abs(numeric).max()
+
+
+@pytest.mark.parametrize("preset", ["e-raised", "a-split"])
+@pytest.mark.parametrize("unit", ["dimensionless", "angstrom"])
+@pytest.mark.parametrize("name", sorted(DEFECTS))
+def test_closed_form_cut_matches_eigensolve(name, unit, preset):
+    # the fit's closed-form levels against the 4x4 eigensolve they replace
+    p = DEFECTS[name]
+    c = pes_to_couplings(p)
+    k = c.hbar_omega_e
+    q = np.linspace(-2.5, 3.5, 61)
+    grid = q * p.length_scale_angstrom() if unit == "angstrom" else q
+    for lam in (p.lambda_corr, -40.0, 0.0):
+        theta = np.array([k, lam, c.f1, c.f2, c.g1 / k, c.g2 / k, 0.0])
+        model = _model_sorted(theta, grid, unit, preset, p.effective_mass_amu)
+        e = np.linalg.eigvalsh(classical_matrix(c, lam, preset, np.append(q, 0.0)))
+        assert np.abs(model - (e[:-1] - e[-1, 0])).max() < 1e-9
+
+
+def test_model_jacobian_where_the_root_vanishes():
+    # at lambda = 0 the two levels of a branch meet at Q = 0, where the +/-
+    # term's derivative is taken as 0: the Jacobian stays finite, and the Q = 0
+    # row equals the reference it is measured from
+    p = DEFECTS["SnV0"]
+    c = pes_to_couplings(p)
+    k = c.hbar_omega_e
+    theta = np.array([k, 0.0, c.f1, c.f2, c.g1 / k, c.g2 / k, 0.0])
+    jac = _model_jacobian(theta, np.linspace(-2.0, 2.0, 21), "dimensionless", "e-raised", 12.0)
+    assert np.all(np.isfinite(jac))
+    assert np.abs(jac[10, :, :6]).max() < 1e-12
+
+
+def test_fit_box_scales_with_k():
+    # G1 = 22.2 meV is below K/2 = 30 meV but the fit must keep |G_b| < K/2
+    # on the way; a fixed |G_b| <= 43 meV box let a trial step leave it
+    sn = DEFECTS["SnV0"]
+    truth = replace(sn, hbar_omega_e=60.0, e_jt=(200.0, sn.e_jt[1]),
+                    delta_jt=(170.0, sn.delta_jt[1]))
+    samples = sorted_curve(truth, np.linspace(-2.0, 3.2, 53))
+    samples.energies += np.random.default_rng(1).normal(0.0, 0.05, samples.energies.shape)
+    guess = replace(truth, lambda_corr=truth.lambda_corr * 1.09,
+                    e_jt=(186.0, sn.e_jt[1]), delta_jt=(185.3, sn.delta_jt[1]))
+    fit = fit_pes(samples, guess)
+    assert fit.params.e_jt[0] == pytest.approx(200.0, rel=0.01)
+    assert fit.params.hbar_omega_e == pytest.approx(60.0, rel=0.01)
 
 
 def test_fit_logs_one_debug_record(caplog):
