@@ -43,6 +43,8 @@ are j blocks of 937-938, all ARPACK.
 Each block logs one DEBUG record (dim, dtype, path, k, wall and CPU seconds,
 nnz, and the largest residual against its bound) to the "spinvibronic"
 logger; a reused block says path=reused and names the block it copied.
+converge_cutoff logs one record per cutoff it tries (n, the value, its drift
+from the previous cutoff and the tolerance that drift is held to).
 """
 
 from __future__ import annotations
@@ -248,6 +250,8 @@ def converge_cutoff(
 
     Returns the first cutoff whose value agrees with the next one to rel_tol
     (so the reported value is already converged at the reported cutoff).
+    Each cutoff logs one DEBUG record; the first has no drift or tolerance
+    yet and logs them as nan.
     """
     if n_step < 1:
         raise ValueError("n_step must be >= 1")
@@ -257,10 +261,14 @@ def converge_cutoff(
     while n <= n_max:
         v = float(observable(n))
         history.append((n, v))
+        drift = tol = float("nan")
         if prev_v is not None:
             drift = abs(v - prev_v)
-            if drift <= rel_tol * max(abs(v), abs(prev_v), 1e-300):
-                return ConvergenceResult(value=prev_v, cutoff=prev_n, history=history)
+            tol = rel_tol * max(abs(v), abs(prev_v), 1e-300)
+        if log.isEnabledFor(logging.DEBUG):
+            log.debug("converge_cutoff: n=%d value=%.9g drift=%.3e tol=%.3e", n, v, drift, tol)
+        if prev_v is not None and drift <= tol:
+            return ConvergenceResult(value=prev_v, cutoff=prev_n, history=history)
         prev_n, prev_v = n, v
         n += n_step
     raise ConvergenceError(

@@ -20,6 +20,9 @@ feasible region is a plain box (|G_b/K| < 1/2 keeps the surfaces bounded at
 any K), and converts back to well depths and warpings only at the end; a
 global energy offset of the samples is absorbed by the nuisance parameter.
 Its Jacobian is the exact derivative of the same closed form.
+
+scipy.optimize is imported inside fit_pes and _track_columns, the only
+users, so importing the package and solving never loads it.
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import least_squares, linear_sum_assignment
 
 from .hamiltonian import (
     PRESET_A_SPLIT,
@@ -125,6 +127,8 @@ def classical_matrix(
 
 def _track_columns(energies: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     """Reorder eigenvalue columns for continuity via eigenvector overlap."""
+    from scipy.optimize import linear_sum_assignment
+
     n = energies.shape[0]
     tracked = np.empty_like(energies)
     tracked[0] = energies[0]
@@ -194,6 +198,8 @@ def read_pes_csv(path: str | Path) -> PesCurve:
             rows.append([q] + vals)
     if qx_unit is None:
         raise ValueError("missing '# qx_unit=...' header; units are never guessed")
+    if not rows:
+        raise ValueError(f"{path}: no sample rows")
     data = np.array(rows, dtype=float)
     return PesCurve(qx=data[:, 0], energies=data[:, 1:], qx_unit=qx_unit)
 
@@ -252,14 +258,24 @@ def _cut_levels(c: Couplings, lam: float, preset: str, q: np.ndarray):
     return u, root, centre[..., None] + _PM * root[..., None]
 
 
-def _model_sorted(theta: np.ndarray, qx_sample: np.ndarray, unit: str, preset: str, mass_amu: float):
-    c, lam, offset, q = _model_grid(theta, qx_sample, unit, mass_amu)
-    e = _cut_levels(c, lam, preset, q)[2].reshape(q.size, 4)
+def _sorted_levels(levels: np.ndarray, offset: float) -> np.ndarray:
+    """Levels of _cut_levels sorted per sample point, minus the lowest Q = 0 level, plus offset."""
+    e = levels.reshape(-1, 4)
     return np.sort(e[:-1], axis=1) - e[-1].min() + offset
 
 
+def _model_sorted(theta: np.ndarray, qx_sample: np.ndarray, unit: str, preset: str, mass_amu: float):
+    c, lam, offset, q = _model_grid(theta, qx_sample, unit, mass_amu)
+    return _sorted_levels(_cut_levels(c, lam, preset, q)[2], offset)
+
+
 def _model_jacobian(
-    theta: np.ndarray, qx_sample: np.ndarray, unit: str, preset: str, mass_amu: float
+    theta: np.ndarray,
+    qx_sample: np.ndarray,
+    unit: str,
+    preset: str,
+    mass_amu: float,
+    cut: tuple | None = None,
 ) -> np.ndarray:
     """d(_model_sorted)/d(theta), shape (n, 4, 7), from the closed form of the cut.
 
@@ -269,10 +285,11 @@ def _model_jacobian(
     at fixed G_b/K, dE/dK = q^2/2 +/- w_b (G_b/K) q^2.  Angstrom samples have
     q proportional to sqrt(K), which adds dE/dq q/(2K) to the K column.  Rows
     are sorted like the model's levels and the Q = 0 reference is subtracted.
+    cut, when given, is _cut_levels at this theta and is used as it is.
     """
     c, lam, _, q = _model_grid(theta, qx_sample, unit, mass_amu)
     k = c.hbar_omega_e
-    u, root, levels = _cut_levels(c, lam, preset, q)
+    u, root, levels = _cut_levels(c, lam, preset, q) if cut is None else cut
     live = root > 0.0
     slope = _PM * np.divide(u, root, out=np.zeros_like(u), where=live)[..., None]
     dlam = _PM * np.divide(0.25 * lam, root, out=np.zeros_like(root), where=live)[..., None]
@@ -308,10 +325,11 @@ def fit_pes(
     Each model call evaluates the closed-form levels of the Q_y = 0 cut over
     the grid with the Q = 0 reference appended, and the Jacobian is their
     exact derivative (_model_jacobian), so its singular values show a
-    rank-deficient fit as such (IdentifiabilityError).  The warpings are
-    fitted as G_b/K in [-0.49, 0.49], inside the |G_b| < K/2 bound that keeps
-    the surfaces bounded.  One DEBUG record per fit goes to the "spinvibronic"
-    logger.
+    rank-deficient fit as such (IdentifiabilityError).  A Jacobian at the
+    theta of the latest residual call reuses that call's levels.  The
+    warpings are fitted as G_b/K in [-0.49, 0.49], inside the |G_b| < K/2
+    bound that keeps the surfaces bounded.  One DEBUG record per fit goes to
+    the "spinvibronic" logger.
     """
     mask = np.isfinite(samples.energies)
     n_pts = samples.qx.size
@@ -326,21 +344,29 @@ def fit_pes(
     if not np.any(mask):
         raise IdentifiabilityError("all surface entries are missing")
 
+    from scipy.optimize import least_squares
+
     t0 = time.perf_counter()
     mass_amu = initial.effective_mass_amu
     c0 = pes_to_couplings(initial)
     k0 = c0.hbar_omega_e
     theta0 = np.array([k0, initial.lambda_corr, c0.f1, c0.f2, c0.g1 / k0, c0.g2 / k0, 0.0])
     cost_history: list[float] = []
+    # theta and _cut_levels of the latest residual call: least_squares asks
+    # for most Jacobians at the point it has just evaluated
+    last: list = [None, None]
 
     def residuals(theta):
-        model = _model_sorted(theta, samples.qx, samples.qx_unit, preset, mass_amu)
-        r = (model - samples.energies)[mask]
+        c, lam, offset, q = _model_grid(theta, samples.qx, samples.qx_unit, mass_amu)
+        cut = _cut_levels(c, lam, preset, q)
+        last[:] = theta.copy(), cut
+        r = (_sorted_levels(cut[2], offset) - samples.energies)[mask]
         cost_history.append(float(np.dot(r, r)))
         return r
 
     def jacobian(theta):
-        return _model_jacobian(theta, samples.qx, samples.qx_unit, preset, mass_amu)[mask]
+        cut = last[1] if np.array_equal(theta, last[0]) else None
+        return _model_jacobian(theta, samples.qx, samples.qx_unit, preset, mass_amu, cut)[mask]
 
     lower = [1.0, -2000.0, -3000.0, -3000.0, -0.49, -0.49, -1e5]
     upper = [1000.0, 2000.0, 3000.0, 3000.0, 0.49, 0.49, 1e5]

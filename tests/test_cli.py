@@ -1,6 +1,9 @@
 import dataclasses
 import json
 import logging
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -9,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spinvibronic
 from spinvibronic import adiabatic_surfaces, parse_config, pes_to_couplings, read_pes_csv, write_pes_csv
 from spinvibronic import analysis, reports
 from spinvibronic.cli import main
@@ -102,6 +106,7 @@ def test_verbose_flag_traces_to_stderr_and_changes_no_report_byte(tmp_path, caps
     assert main(["-v", "solve", str(cfg)]) == 0
     err = capsys.readouterr().err
     assert "solve_lowest block:" in err and "calibrate_soc step:" in err
+    assert "converge_cutoff: n=12 " in err
     assert {p.name: p.read_bytes() for p in out.iterdir()} == quiet
     # the handler goes with the run
     assert main(["solve", str(cfg)]) == 0
@@ -360,6 +365,49 @@ def test_fit_rank_deficient_exit_3(tmp_path, capsys):
     assert main(["fit", str(csv_path), str(cfg)]) == 3
     assert "rank-deficient" in capsys.readouterr().err
     assert not (tmp_path / "out" / "fitted.conf").exists()
+
+
+def test_fit_csv_without_sample_rows_exit_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, SIV0_GUESS)
+    csv_path = tmp_path / "header_only.csv"
+    csv_path.write_text("# qx_unit=dimensionless\nqx,e1_mev,e2_mev,e3_mev,e4_mev\n")
+    assert main(["fit", str(csv_path), str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "header_only.csv: no sample rows" in err
+    assert not (tmp_path / "out" / "fitted.conf").exists()
+
+
+# run in a fresh interpreter: which scipy modules the package has loaded
+# after an import, a small solve and one fit
+_LOADED_MODULES = """
+import json, sys
+import spinvibronic, spinvibronic.cli
+from spinvibronic import DEFECTS, fit_pes, read_pes_csv
+
+watched = ("scipy.optimize", "scipy.sparse.linalg")
+loaded = {"import": [m for m in watched if m in sys.modules]}
+assert spinvibronic.cli.main(["solve", sys.argv[1], "--cutoff", "8", "--out", sys.argv[2]]) == 0
+loaded["solve"] = [m for m in watched if m in sys.modules]
+fit_pes(read_pes_csv(sys.argv[3]), DEFECTS["SiV0"])
+loaded["fit"] = [m for m in watched if m in sys.modules]
+print(json.dumps(loaded))
+"""
+
+
+def test_import_and_solve_do_not_load_scipy_optimize(tmp_path):
+    # scipy.optimize (which loads scipy.sparse.linalg) costs a fresh process
+    # about 0.24 s and 19 MB; only fitting and continuing surfaces need it
+    cfg = write_config(tmp_path, FAST_OFF)
+    csv_path = synth_csv(tmp_path, "SiV0")
+    env = dict(os.environ, PYTHONPATH=str(Path(spinvibronic.__file__).parents[1]))
+    run = subprocess.run(
+        [sys.executable, "-c", _LOADED_MODULES, str(cfg), str(tmp_path / "out"), str(csv_path)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    loaded = json.loads(run.stdout.splitlines()[-1])
+    assert loaded["import"] == []
+    assert "scipy.optimize" not in loaded["solve"]
+    assert "scipy.optimize" in loaded["fit"]
 
 
 def test_fitted_config_is_byte_identical_with_the_debug_log_on(tmp_path, caplog):

@@ -199,6 +199,19 @@ def test_converge_cutoff_failure_carries_history():
     assert len(err.value.history) == 4
 
 
+def test_converge_cutoff_logs_one_record_per_cutoff(caplog):
+    values = {4: 100.0, 6: 90.0, 8: 89.5}
+    with caplog.at_level(logging.DEBUG, logger="spinvibronic"):
+        res = converge_cutoff(values.__getitem__, rel_tol=0.01, n_start=4, n_step=2, n_max=12)
+    assert res.cutoff == 6
+    messages = [r.getMessage() for r in caplog.records if r.name == "spinvibronic"]
+    assert messages == [
+        "converge_cutoff: n=4 value=100 drift=nan tol=nan",
+        "converge_cutoff: n=6 value=90 drift=1.000e+01 tol=1.000e+00",
+        "converge_cutoff: n=8 value=89.5 drift=5.000e-01 tol=9.000e-01",
+    ]
+
+
 def test_comparative_convergence_histories():
     # stronger dimensionless coupling needs more basis: the truncation error
     # at a small cutoff is larger for SiV0 (branch-1 coupling 2.96) than for

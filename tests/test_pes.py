@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.optimize
 from scipy.optimize._numdiff import approx_derivative
 
 from spinvibronic import (
@@ -13,6 +14,7 @@ from spinvibronic import (
     read_pes_csv,
     write_pes_csv,
 )
+from spinvibronic import pes
 from spinvibronic.defaults import DEFECTS
 from spinvibronic.params import Couplings, DefectParams, branch_minima_dimensionless
 from spinvibronic.pes import (
@@ -118,6 +120,13 @@ def test_csv_requires_unit_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("qx,e1_mev,e2_mev,e3_mev,e4_mev\n0.0,1,2,3,4\n")
     with pytest.raises(ValueError, match="qx_unit"):
+        read_pes_csv(path)
+
+
+def test_csv_without_sample_rows_names_the_file(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text("# qx_unit=dimensionless\nqx,e1_mev,e2_mev,e3_mev,e4_mev\n")
+    with pytest.raises(ValueError, match="empty.csv: no sample rows"):
         read_pes_csv(path)
 
 
@@ -261,6 +270,53 @@ def test_fit_logs_one_debug_record(caplog):
     for field in ("nfev=", "njev=", "cost=", "status=", "sv_ratio=", "seconds="):
         assert field in messages[0]
     assert f"nfev={len(fit.cost_history)} " in messages[0]
+
+
+def test_fit_jacobian_reuses_the_levels_of_the_residual_call(monkeypatch):
+    # a Jacobian at the theta of the latest residual call takes that call's
+    # levels instead of computing them again, and is the same to the bit
+    p = DEFECTS["SnV0"]
+    samples = sorted_curve(p, np.linspace(-2.0, 3.2, 53))
+    mask = np.isfinite(samples.energies)
+    calls = []
+    cut_calls = []
+    cut_levels, least_squares = pes._cut_levels, scipy.optimize.least_squares
+
+    def counted_cut_levels(*args):
+        cut_calls.append(args)
+        return cut_levels(*args)
+
+    def spied_least_squares(fun, x0, jac, **kwargs):
+        def spied_fun(theta):
+            calls.append(("fun", theta.copy(), None))
+            return fun(theta)
+
+        def spied_jac(theta):
+            out = jac(theta)
+            calls.append(("jac", theta.copy(), out))
+            return out
+
+        res = least_squares(spied_fun, x0, jac=spied_jac, **kwargs)
+        calls.append(("end", None, len(cut_calls)))
+        return res
+
+    monkeypatch.setattr(pes, "_cut_levels", counted_cut_levels)
+    monkeypatch.setattr(scipy.optimize, "least_squares", spied_least_squares)
+    fit_pes(samples, GUESS)
+    monkeypatch.undo()
+
+    nfev = sum(kind == "fun" for kind, _, _ in calls)
+    jacobians = [(theta, out) for kind, theta, out in calls if kind == "jac"]
+    latest, fresh = None, 0
+    for kind, theta, _ in calls[:-1]:
+        if kind == "fun":
+            latest = theta
+        elif not np.array_equal(theta, latest):
+            fresh += 1
+    assert calls[-1][2] == nfev + fresh < nfev + len(jacobians)
+    for theta, out in jacobians:
+        expected = _model_jacobian(theta, samples.qx, samples.qx_unit, "e-raised", GUESS.effective_mass_amu)
+        assert np.array_equal(out, expected[mask])
 
 
 def test_fit_too_few_points():
