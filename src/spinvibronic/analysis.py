@@ -18,6 +18,11 @@ the C2'-image basis, so m_s = -1 is taken from the m_s = +1 solve.
 Spin-orbit eigenstates are matched to their zero-coupling parents by maximum
 overlap; an overlap below 0.5 aborts the analysis rather than reporting a
 mislabeled level.
+
+The Eu-derived pair of the m_s = +1 sector is the lowest state of its j = 1
+block and the lowest state of its j = 2 block, so calibrate_soc takes its
+Newton steps on those two blocks alone, one warm-started pair each, and
+solves the whole sector once, at the calibrated couplings.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ from .eigensolver import (
     ConvergenceResult,
     EigResult,
     converge_cutoff,
+    lowest_pair,
     solve_lowest,
 )
 from .hamiltonian import (
@@ -246,8 +252,8 @@ def _levels_from_solve(
     lambda_g0: float,
     r_plus: EigResult,
     e_minus: np.ndarray | None = None,
-) -> tuple[SocLevels, np.ndarray]:
-    """Observables of an m_s = +1 solve, plus its Eu-derived eigenvector pair.
+) -> SocLevels:
+    """Observables of an m_s = +1 solve.
 
     m_s = 0 is the reference solve, and m_s = -1 repeats +1 unless its
     eigenvalues are given.
@@ -263,7 +269,7 @@ def _levels_from_solve(
 
     e_eu_lowest_soc = min(float(e_eu_pair[0]), e_eu_0)  # m_s = 0 Eu stays at e_eu_0
     e_a2u_lowest_soc = min(e_a2u_soc, e_a2u_0)
-    levels = SocLevels(
+    return SocLevels(
         lambda_u0=lambda_u0,
         lambda_g0=lambda_g0,
         lambda_eff=float(e_eu_pair[1] - e_eu_pair[0]),
@@ -277,7 +283,6 @@ def _levels_from_solve(
         sector_energies=sectors,
         tracking_overlaps=overlaps,
     )
-    return levels, r_plus.eigenvectors[:, idx_eu]
 
 
 def soc_levels(
@@ -304,7 +309,7 @@ def soc_levels(
     e_minus = None
     if solve_both_sectors:
         e_minus = opts.solve(sol.soc_sector(lambda_u0, lambda_g0, -1)).eigenvalues
-    return _levels_from_solve(sol, lambda_u0, lambda_g0, r_plus, e_minus)[0]
+    return _levels_from_solve(sol, lambda_u0, lambda_g0, r_plus, e_minus)
 
 
 class CalibrationError(RuntimeError):
@@ -326,42 +331,76 @@ def calibrate_soc(
 
     Newton iteration in s with (lambda_u0, lambda_g0) = (ratio * s, s), started
     from the first-order guess s = target / (ratio * p_u + p_g) (Ham, Phys. Rev.
-    138, A1727 (1965)).  The slope d lambda_eff / ds is the Hellmann-Feynman
-    difference <Eu+| dH/ds |Eu+> - <Eu-| dH/ds |Eu-> with dH/ds = ratio * S_u + S_g
-    (Feynman, Phys. Rev. 56, 340 (1939)), taken from the eigenvectors of the
-    solve in hand; each step solves the m_s = +1 sector H0 + s dH/ds.  The
-    levels of the last solve are returned; a tracking breakdown (scanned as
-    lambda_eff = nan), a non-positive slope, a step to s <= 0 or 20 steps
-    without convergence raise CalibrationError with the scan.
+    138, A1727 (1965)).  In the m_s = +1 sector H0 + s dH/ds, dH/ds = ratio *
+    S_u + S_g, the Eu-derived pair is the lowest state of the j = 1 block and
+    the lowest state of the j = 2 block, so each step solves only those two
+    blocks, one pair each (eigensolver.lowest_pair), each started from its
+    vector of the step before and the first from its m_s = 0 Eu partner.
+    lambda_eff is the difference of the two block energies, and the slope
+    d lambda_eff / ds the Hellmann-Feynman difference <Eu+| dH/ds |Eu+> -
+    <Eu-| dH/ds |Eu-> (Feynman, Phys. Rev. 56, 340 (1939)).  Each block state
+    must keep an overlap of at least MIN_TRACKING_OVERLAP with its m_s = 0
+    partner.  Once lambda_eff is within 1e-7 meV of the target, the whole
+    sector is solved once with opts and its levels are returned; that solve
+    must itself track its states and meet the target to 1e-7 meV.  A tracking
+    breakdown (scanned as lambda_eff = nan), a non-positive slope, a step to
+    s <= 0, a final solve that misses or 20 steps without convergence raise
+    CalibrationError with the scan.
     """
     if target_lambda_eff < 0.0:
         raise ValueError("target splitting must be nonnegative")
     if target_lambda_eff == 0.0:
         # at zero coupling every m_s sector is the reference sector
-        return _levels_from_solve(sol, 0.0, 0.0, sol.result)[0]
+        return _levels_from_solve(sol, 0.0, 0.0, sol.result)
     p_u, p_g = reduction_factors(sol) if p_guess is None else p_guess
     s_u, s_g = sol.soc_ops
     dh_ds = ratio * s_u + s_g
+    doublet, _ = sol.eu_doublet()
+    ranges = [slice(lo, hi) for _, lo, hi in sol.basis.blocks[:2]]
+    h0_b = [sol.h0[r, r] for r in ranges]
+    dh_b = [dh_ds[r, r] for r in ranges]
+    parents = [doublet[r, j] for j, r in enumerate(ranges)]
+    vecs = list(parents)
 
     scan: list[tuple[float, float]] = []
     s = target_lambda_eff / max(ratio * p_u + p_g, 1e-12)
     for _ in range(20):
-        r = opts.solve(sol.h0 + s * dh_ds)
-        try:
-            levels, eu_pair = _levels_from_solve(sol, ratio * s, s, r)
-        except AnalysisError as exc:
-            scan.append((s, float("nan")))
-            raise CalibrationError(f"state tracking broke down at s={s:g} meV ({exc})", scan)
-        scan.append((s, levels.lambda_eff))
-        lower, upper = np.real(np.sum(eu_pair.conj() * (dh_ds @ eu_pair), axis=0))
-        slope = float(upper - lower)
+        energy, d_energy, overlap = [], [], []
+        for j in range(2):
+            pair = lowest_pair(h0_b[j] + s * dh_b[j], vecs[j], opts.tol)
+            v = vecs[j] = pair.eigenvectors[:, 0]
+            energy.append(float(pair.eigenvalues[0]))
+            d_energy.append(float(v @ (dh_b[j] @ v)))
+            overlap.append(float(parents[j] @ v) ** 2)
+        lower, upper = np.argsort(energy)
+        lambda_eff = energy[upper] - energy[lower]
+        slope = d_energy[upper] - d_energy[lower]
         if log.isEnabledFor(logging.DEBUG):
             log.debug(
-                "calibrate_soc step: s=%.9g lambda_eff=%.9g slope=%.9g",
-                s, levels.lambda_eff, slope,
+                "calibrate_soc step: s=%.9g lambda_eff=%.9g slope=%.9g "
+                "overlap_j1=%.6f overlap_j2=%.6f",
+                s, lambda_eff, slope, *overlap,
             )
-        miss = levels.lambda_eff - target_lambda_eff
+        if min(overlap) < MIN_TRACKING_OVERLAP:
+            scan.append((s, float("nan")))
+            raise CalibrationError(
+                f"state tracking broke down at s={s:g} meV: Eu block overlaps "
+                f"{overlap[0]:.3g}, {overlap[1]:.3g} below {MIN_TRACKING_OVERLAP}",
+                scan,
+            )
+        scan.append((s, lambda_eff))
+        miss = lambda_eff - target_lambda_eff
         if abs(miss) < 1e-7:
+            try:
+                levels = _levels_from_solve(sol, ratio * s, s, opts.solve(sol.h0 + s * dh_ds))
+            except AnalysisError as exc:
+                raise CalibrationError(f"final solve at s={s:g} meV: {exc}", scan)
+            if not abs(levels.lambda_eff - target_lambda_eff) < 1e-7:
+                raise CalibrationError(
+                    f"final solve at s={s:g} meV gives lambda_eff {levels.lambda_eff:.12g}, "
+                    f"not within 1e-7 meV of the target",
+                    scan,
+                )
             return levels
         if not slope > 0.0:
             raise CalibrationError(f"spin-orbit response has slope {slope:g} at s={s:g} meV", scan)

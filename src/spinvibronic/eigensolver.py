@@ -40,6 +40,13 @@ cutoff-20 blocks (308 and 154) by LAPACK and the cutoff-28 j blocks (580) by
 ARPACK, next to A1u/A2u blocks of 290 by LAPACK; the cutoff-36 large sectors
 are j blocks of 937-938, all ARPACK.
 
+lowest_pair finds the lowest pair of one block by ARPACK at k = 1, started
+from a vector the caller passes; calibrate_soc passes each Eu block the
+vector of its previous Newton step.  On one m_s = +1 j block on the same
+host, LAPACK at k = 10 against a warm k = 1 ARPACK solve took 9.3 against
+2.5 ms at dim 308, 29 against 4.4 ms at dim 580 and 74 against 5.3 ms at
+dim 937.
+
 Each block logs one DEBUG record (dim, dtype, path, k, wall and CPU seconds,
 nnz, and the largest residual against its bound) to the "spinvibronic"
 logger; a reused block says path=reused and names the block it copied.
@@ -99,11 +106,10 @@ def _dense_lowest(h: sp.csr_matrix, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _arpack_lowest(
-    h: sp.csr_matrix, k: int, tol: float, seed: int
+    h: sp.csr_matrix, k: int, tol: float, v0: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     from scipy.sparse.linalg import eigsh
 
-    v0 = np.random.default_rng(seed).standard_normal(h.shape[0]).astype(h.dtype)
     vals, vecs = eigsh(h, k, which="SA", v0=v0, tol=tol)
     order = np.argsort(vals)
     return vals[order].real, vecs[:, order]
@@ -124,13 +130,15 @@ def _bound(tol: float, vals: np.ndarray) -> float:
     return tol * max(1.0, float(np.abs(vals).max()))
 
 
-def _block_lowest(h: sp.csr_matrix, k: int, dense: bool, tol: float, seed: int) -> EigResult:
-    """Lowest k pairs of one block."""
+def _block_lowest(
+    h: sp.csr_matrix, k: int, dense: bool, tol: float, v0: np.ndarray | None
+) -> EigResult:
+    """Lowest k pairs of one block; v0 starts ARPACK and is unused by LAPACK."""
     from scipy.sparse.linalg import ArpackNoConvergence
 
     t0, c0 = time.perf_counter(), time.process_time()
     try:
-        vals, vecs = _dense_lowest(h, k) if dense else _arpack_lowest(h, k, tol, seed)
+        vals, vecs = _dense_lowest(h, k) if dense else _arpack_lowest(h, k, tol, v0)
     except ArpackNoConvergence as exc:
         raise SolverError(
             f"ARPACK did not reach tol={tol:g}: {len(exc.eigenvalues)} of {k} pairs converged",
@@ -217,7 +225,8 @@ def solve_lowest(
         nb = hb.shape[0]
         kb = min(k, nb)
         dense = nb <= dense_threshold or kb >= nb - 1
-        parts.append(_block_lowest(hb, kb, dense, tol, seed))
+        v0 = None if dense else np.random.default_rng(seed).standard_normal(nb).astype(hb.dtype)
+        parts.append(_block_lowest(hb, kb, dense, tol, v0))
         solved.append((b, hb))
     vals = np.concatenate([r.eigenvalues for r in parts])
     keep = np.argsort(vals, kind="stable")[:k]
@@ -229,6 +238,16 @@ def solve_lowest(
         vecs[blocks[b], col] = parts[b].eigenvectors[:, i - starts[b]]
     res = np.concatenate([r.residual_norms for r in parts])
     return EigResult(eigenvalues=vals[keep], eigenvectors=vecs, residual_norms=res[keep])
+
+
+def lowest_pair(h: sp.csr_matrix, v0: np.ndarray, tol: float = 1e-10) -> EigResult:
+    """Lowest eigenpair of one block, by ARPACK started from v0.
+
+    A block of dim <= 2, which ARPACK cannot serve at k = 1, goes to LAPACK.
+    The residual bound, SolverError and block record are those of
+    solve_lowest; the block is not split further.
+    """
+    return _block_lowest(h, 1, dense=h.shape[0] <= 2, tol=tol, v0=v0)
 
 
 @dataclass

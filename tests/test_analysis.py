@@ -14,6 +14,7 @@ from spinvibronic import (
     soc_levels,
     solve_sector,
 )
+from spinvibronic import analysis
 from spinvibronic.analysis import OBSERVABLES, CalibrationError
 from spinvibronic.defaults import DEFECTS
 from spinvibronic.params import Couplings, DefectParams
@@ -113,12 +114,60 @@ def test_calibration_logs_one_record_per_newton_step(caplog):
     messages = [r.getMessage() for r in caplog.records if r.name == "spinvibronic"]
     steps = [m for m in messages if m.startswith("calibrate_soc step:")]
     blocks = [m for m in messages if m.startswith("solve_lowest block:")]
-    # one m_s = +1 solve of three blocks per step
-    assert len(steps) >= 2 and len(blocks) == 3 * len(steps)
+    # one k = 1 pair of each Eu block per step, then one m_s = +1 solve of three blocks
+    assert len(steps) >= 2 and len(blocks) == 2 * len(steps) + 3
+    assert all(" k=1 " in m for m in blocks[:-3])
     fields = [dict(item.split("=") for item in m.split(": ", 1)[1].split()) for m in steps]
     assert all(float(f["slope"]) > 0.0 for f in fields)
     assert float(fields[-1]["s"]) == pytest.approx(cal.lambda_g0, rel=1e-8)
     assert float(fields[-1]["lambda_eff"]) == pytest.approx(cal.lambda_eff, rel=1e-8)
+
+
+def test_calibration_steps_log_the_tracking_overlaps(caplog):
+    sol = cached_sector("SnV0", 16)
+    with caplog.at_level(logging.DEBUG, logger="spinvibronic"):
+        cal = calibrate_soc(sol, 3.15, ratio=3.5, opts=OPTS)
+    steps = [r.getMessage() for r in caplog.records
+             if r.name == "spinvibronic" and r.getMessage().startswith("calibrate_soc step:")]
+    fields = [dict(item.split("=") for item in m.split(": ", 1)[1].split()) for m in steps]
+    for f in fields:
+        assert 0.5 <= float(f["overlap_j1"]) <= 1.0 and 0.5 <= float(f["overlap_j2"]) <= 1.0
+    # each Eu state lies in one block, so the full solve's Eu overlap is the smaller block overlap
+    last = min(float(fields[-1]["overlap_j1"]), float(fields[-1]["overlap_j2"]))
+    assert last == pytest.approx(cal.tracking_overlaps["eu_lower"], abs=1e-6)
+
+
+def test_calibration_solves_the_full_sector_once(monkeypatch):
+    sol = cached_sector("SnV0", 16)
+    original, calls = analysis.solve_lowest, []
+
+    def counting(h, *args, **kwargs):
+        calls.append(h.shape)
+        return original(h, *args, **kwargs)
+
+    monkeypatch.setattr(analysis, "solve_lowest", counting)
+    cal = calibrate_soc(sol, 3.15, ratio=3.5, opts=OPTS)
+    assert calls == [sol.h0.shape]
+    assert abs(cal.lambda_eff - 3.15) < 1e-7
+
+
+def test_calibration_fails_when_the_final_solve_misses(monkeypatch):
+    # a 1e-6 meV error in one Eu block energy moves the Newton root; the full
+    # solve at that root misses the target and must not be returned
+    sol = cached_sector("SnV0", 16)
+    original, calls = analysis.lowest_pair, []
+
+    def shifted(h, v0, tol):
+        pair = original(h, v0, tol)
+        calls.append(h.shape)
+        if len(calls) % 2:  # the j = 1 block of each step
+            pair.eigenvalues = pair.eigenvalues + 1e-6
+        return pair
+
+    monkeypatch.setattr(analysis, "lowest_pair", shifted)
+    with pytest.raises(CalibrationError, match="final solve") as err:
+        calibrate_soc(sol, 3.15, ratio=3.5, opts=OPTS)
+    assert abs(err.value.scan[-1][1] - 3.15) < 1e-7
 
 
 def test_calibrate_zero_target():

@@ -106,6 +106,7 @@ def test_verbose_flag_traces_to_stderr_and_changes_no_report_byte(tmp_path, caps
     assert main(["-v", "solve", str(cfg)]) == 0
     err = capsys.readouterr().err
     assert "solve_lowest block:" in err and "calibrate_soc step:" in err
+    assert "path=lanczos k=1 " in err and " overlap_j1=" in err and " overlap_j2=" in err
     assert "converge_cutoff: n=12 " in err
     assert {p.name: p.read_bytes() for p in out.iterdir()} == quiet
     # the handler goes with the run

@@ -17,7 +17,7 @@ from spinvibronic import (
 )
 from spinvibronic.defaults import DEFECTS
 from spinvibronic.analysis import SolverOptions, solve_sector
-from spinvibronic.eigensolver import DENSE_THRESHOLD_DEFAULT, _blocks
+from spinvibronic.eigensolver import DENSE_THRESHOLD_DEFAULT, _blocks, lowest_pair
 from spinvibronic.hamiltonian import SectorSpec
 from spinvibronic.params import Couplings
 
@@ -440,6 +440,48 @@ def test_block_solves_are_logged(caplog):
     assert fields[4]["reused_from"] == "0"
     for key in ("nnz", "residual_max", "bound"):
         assert fields[4][key] == fields[3][key]
+
+
+def test_lowest_pair_matches_lapack_on_an_eu_block(monkeypatch, caplog):
+    # the j = 1 block of an m_s = +1 sector, started from its m_s = 0 partner
+    basis = adapted_basis(20)
+    _, lo, hi = basis.blocks[0]
+    hb = sector_h("SnV0", 20, m_s=1, lam=20.0)[lo:hi, lo:hi]
+    v0 = scipy.linalg.eigh(snv0_h(20)[lo:hi, lo:hi].toarray(), subset_by_index=[0, 0])[1][:, 0]
+    vals, vecs = scipy.linalg.eigh(hb.toarray(), subset_by_index=[0, 0])
+    seen = _spy(monkeypatch)
+    with caplog.at_level(logging.DEBUG, logger="spinvibronic"):
+        pair = lowest_pair(hb, v0, tol=1e-10)
+    assert seen == [("lanczos", np.dtype(np.float64))]
+    assert pair.k == 1 and abs(pair.eigenvalues[0] - vals[0]) < 1e-10
+    assert abs(vecs[:, 0] @ pair.eigenvectors[:, 0]) ** 2 == pytest.approx(1.0, abs=1e-10)
+    assert pair.residual_norms[0] <= 1e-10 * max(1.0, abs(pair.eigenvalues[0]))
+    (message,) = [r.getMessage() for r in caplog.records if r.name == "spinvibronic"]
+    assert f"dim={hi - lo} dtype=float64 path=lanczos k=1 " in message
+
+
+def test_lowest_pair_of_a_dim_2_block_goes_to_lapack(monkeypatch):
+    # ARPACK cannot serve k = 1 at dim 2
+    h = sp.csr_matrix(np.array([[1.0, 0.5], [0.5, 2.0]]))
+    seen = _spy(monkeypatch)
+    pair = lowest_pair(h, np.ones(2))
+    assert seen == [("dense", np.dtype(np.float64))]
+    assert pair.eigenvalues[0] == pytest.approx(np.linalg.eigvalsh(h.toarray())[0], abs=1e-12)
+
+
+def test_lowest_pair_residual_above_tol_raises(monkeypatch):
+    import scipy.sparse.linalg
+
+    h = snv0_h(10, m_s=1, lam=40.0)[:30, :30]
+
+    def perturbed(a, k, **kwargs):
+        vals, vecs = scipy.linalg.eigh(a.toarray(), subset_by_index=[0, 1])
+        return vals[:1], vecs[:, :1] + 1e-3 * vecs[:, 1:]
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", perturbed)
+    with pytest.raises(SolverError) as err:
+        lowest_pair(h, np.ones(30))
+    assert err.value.residuals[0] > 1e-4
 
 
 def test_block_records_cost_nothing_when_debug_is_off(monkeypatch, caplog):
