@@ -38,7 +38,6 @@ from .hamiltonian import (
     adapted_basis,
     assemble,
     build_correlation,
-    build_pjt,
     op_on_g,
     op_on_u,
     soc_operators,

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -98,9 +97,10 @@ class SectorSolution:
     basis: AdaptedBasis
     h0: sp.csr_matrix
 
-    @cached_property
+    @property
     def soc_ops(self) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-        """(S_u, S_g) over this sector's basis."""
+        """(S_u, S_g) over this sector's basis: the basis's read-only operators,
+        shared by every solution at the same cutoff."""
         return soc_operators(self.basis)
 
     def soc_sector(self, lambda_u0: float, lambda_g0: float, m_s: int) -> sp.csr_matrix:
@@ -454,22 +454,27 @@ def converge_observable(
 ) -> ConvergenceResult:
     """Run the cutoff-convergence driver on a registered observable.
 
-    Each cutoff's sector is solved once; the result carries the solution at
-    the reported cutoff, and no more than the previous cutoff's solution is
-    kept alive during the sweep.
+    The sweep stops at the first cutoff where every registered observable of
+    the same order (gamma2, p_u, p_g and e0 at order 2) agrees with the next
+    cutoff to rel_tol, and reports the named one; all are read from the one
+    solve per cutoff.  Each cutoff's sector is solved once; the result
+    carries the solution at the reported cutoff, and no more than the
+    previous cutoff's solution is kept alive during the sweep.
     """
     if name not in OBSERVABLES:
         raise KeyError(f"unknown observable {name!r}; registered: {sorted(OBSERVABLES)}")
     order, read = OBSERVABLES[name]
+    # the named observable first: converge_cutoff reports the first value
+    reads = {name: read} | {other: r for other, (o, r) in OBSERVABLES.items() if o == order}
     couplings = couplings_for_order(defect, order)
     kept: dict[int, SectorSolution] = {}
 
-    def value(n: int) -> float:
+    def values(n: int) -> dict[str, float]:
         for old in list(kept)[:-1]:
             del kept[old]
-        kept[n] = solve_sector(couplings, defect.lambda_corr, n, preset, opts)
-        return read(kept[n])
+        sol = kept[n] = solve_sector(couplings, defect.lambda_corr, n, preset, opts)
+        return {other: r(sol) for other, r in reads.items()}
 
-    res = converge_cutoff(value, rel_tol=rel_tol, n_start=n_start, n_step=n_step, n_max=n_max)
+    res = converge_cutoff(values, rel_tol=rel_tol, n_start=n_start, n_step=n_step, n_max=n_max)
     res.solution = kept[res.cutoff]
     return res

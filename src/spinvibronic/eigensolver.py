@@ -51,15 +51,16 @@ Each block logs one DEBUG record (dim, dtype, path, k, wall and CPU seconds,
 nnz, and the largest residual against its bound) to the "spinvibronic"
 logger; a reused block says path=reused and names the block it copied.
 converge_cutoff logs one record per cutoff it tries (n, the value, its drift
-from the previous cutoff and the tolerance that drift is held to).
+from the previous cutoff and the tolerance that drift is held to, and the
+drift and tolerance of every further value it holds).
 """
 
 from __future__ import annotations
 
 import logging
 import time
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 import scipy.linalg
@@ -259,7 +260,7 @@ class ConvergenceResult:
 
 
 def converge_cutoff(
-    observable: Callable[[int], float],
+    observable: Callable[[int], float | Mapping[str, float]],
     rel_tol: float = 0.01,
     n_start: int = 16,
     n_step: int = 8,
@@ -269,29 +270,51 @@ def converge_cutoff(
 
     Returns the first cutoff whose value agrees with the next one to rel_tol
     (so the reported value is already converged at the reported cutoff).
-    Each cutoff logs one DEBUG record; the first has no drift or tolerance
-    yet and logs them as nan.
+    observable may return named values instead of one: the first is the one
+    reported and kept in the history, and every one must agree to rel_tol.
+    Each cutoff logs one DEBUG record, with a name_drift and name_tol pair
+    for each value after the first; the first cutoff has no drift or
+    tolerance yet and logs them as nan.
     """
     if n_step < 1:
         raise ValueError("n_step must be >= 1")
     history: list[tuple[int, float]] = []
-    prev_n, prev_v = None, None
+    prev: dict[str, float] | None = None
+    unsettled: list[str] = []
+    nan = float("nan")
     n = n_start
     while n <= n_max:
-        v = float(observable(n))
+        got = observable(n)
+        values = (
+            {name: float(x) for name, x in got.items()}
+            if isinstance(got, Mapping)
+            else {"value": float(got)}
+        )
+        v = next(iter(values.values()))
         history.append((n, v))
-        drift = tol = float("nan")
-        if prev_v is not None:
-            drift = abs(v - prev_v)
-            tol = rel_tol * max(abs(v), abs(prev_v), 1e-300)
+        drifts = {
+            name: (nan, nan)
+            if prev is None
+            else (abs(x - prev[name]), rel_tol * max(abs(x), abs(prev[name]), 1e-300))
+            for name, x in values.items()
+        }
         if log.isEnabledFor(logging.DEBUG):
-            log.debug("converge_cutoff: n=%d value=%.9g drift=%.3e tol=%.3e", n, v, drift, tol)
-        if prev_v is not None and drift <= tol:
+            (drift, tol), *_ = drifts.values()
+            extra = "".join(
+                f" {name}_drift={d:.3e} {name}_tol={t:.3e}"
+                for name, (d, t) in list(drifts.items())[1:]
+            )
+            log.debug(
+                "converge_cutoff: n=%d value=%.9g drift=%.3e tol=%.3e%s", n, v, drift, tol, extra
+            )
+        unsettled = [name for name, (d, t) in drifts.items() if not d <= t]
+        if prev is not None and not unsettled:
+            prev_n, prev_v = history[-2]
             return ConvergenceResult(value=prev_v, cutoff=prev_n, history=history)
-        prev_n, prev_v = n, v
+        prev = values
         n += n_step
     raise ConvergenceError(
-        f"observable did not converge to rel_tol={rel_tol:g} by cutoff {n_max}; "
-        f"history: {history}",
+        f"observable did not converge to rel_tol={rel_tol:g} by cutoff {n_max} "
+        f"(unsettled: {unsettled}); history: {history}",
         history=history,
     )

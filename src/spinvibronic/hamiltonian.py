@@ -43,16 +43,29 @@ m_s = -1 sector is C2' H(+1) C2', which swaps j = 1 with j = 2 and flips the
 sign of the A2u states: it is the m_s = +1 matrix in the C2'-image basis, so
 one matrix serves both, and Kramers degeneracy is stated exactly.
 
-Operators are built as real kron products of exact factors in the circular
-product basis and then folded into the adapted basis.  An entry and its C2'
+Everything but the six coupling weights depends on the cutoff alone, so each
+AdaptedBasis builds its operators once, on first use: the unit terms of H0
+(hbar_omega_e = 1, lambda_corr = 1 for each preset, and one unit coupling
+each for f_u, f_g, g_u and g_g), S_u and S_g, and R2 = X^2 + Y^2 for the
+state analysis.  Each is a real kron product of exact factors in the
+circular product basis, folded into the adapted basis.  An entry and its C2'
 image are the same float, so every cross-block entry of the fold is an exact
 zero (x - x); eliminate_zeros drops those, and no entry is dropped by size.
+The unit terms share one sparsity pattern, the union of theirs, and assemble
+is the elementwise weighted sum of their data on it followed by
+eliminate_zeros.  Elementwise, equal unit entries give equal sums: the j = 1
+and j = 2 blocks stay equal entry for entry, and a zero weight leaves exact
+zeros, so the linear model (g = 0) keeps its J blocks.  adapted_basis keeps
+the last ADAPTED_BASIS_CACHE bases, and every cached array is read-only.
 """
 
 from __future__ import annotations
 
+import logging
 import math
+import time
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -61,6 +74,11 @@ from .oscillator import OscBasis, build_basis, build_operators
 from .params import Couplings
 
 ELEC_DIM = 4
+
+# bases, each with its operators, that adapted_basis keeps (least recently used out)
+ADAPTED_BASIS_CACHE = 4
+
+log = logging.getLogger("spinvibronic")
 
 PRESET_E_RAISED = "e-raised"
 PRESET_A_SPLIT = "a-split"
@@ -111,6 +129,25 @@ CHANNEL_PROJECTORS = {
 
 
 @dataclass(frozen=True)
+class BasisOperators:
+    """The coupling-independent operators of one AdaptedBasis; every array is read-only.
+
+    units holds the data of each unit term of H0 over the shared CSR pattern
+    (indptr, indices), by name: "N" is n_+ + n_- + 1, each preset name is W
+    at lambda_corr = 1, and "f_u", "f_g", "g_u", "g_g" are the coupling
+    terms at unit coupling.  s_u and s_g are sigma_y / 2 on the u and g
+    doublets, and r2 is the oscillator operator X^2 + Y^2.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    units: dict[str, np.ndarray]
+    s_u: sp.csr_matrix
+    s_g: sp.csr_matrix
+    r2: sp.csr_matrix
+
+
+@dataclass(frozen=True)
 class AdaptedBasis:
     """The C3 x C2' symmetry-adapted spin-vibronic basis of one cutoff.
 
@@ -139,6 +176,42 @@ class AdaptedBasis:
         m.sort_indices()
         return m
 
+    @cached_property
+    def operators(self) -> BasisOperators:
+        """The unit terms of H0, S_u, S_g and R2, built and folded on first use."""
+        t0 = time.perf_counter()
+        osc = self.osc
+        ladder = build_operators(osc)
+        eye = sp.identity(osc.dim, format="csr")
+        raise_u, raise_g = sp.csr_matrix(op_on_u(E_RAISE)), sp.csr_matrix(op_on_g(E_RAISE))
+
+        def coupling(q: sp.csr_matrix, e: sp.csr_matrix) -> sp.csr_matrix:
+            t = sp.kron(q, e, format="csr")
+            return t + t.T
+
+        product = {
+            "N": sp.kron(sp.diags(osc.n_plus + osc.n_minus + 1.0), sp.identity(ELEC_DIM)),
+            **{p: sp.kron(eye, sp.csr_matrix(circular_correlation(1.0, p))) for p in PRESETS},
+            "f_u": coupling(ladder["Q+"], raise_u),
+            "f_g": coupling(ladder["Q+"], raise_g),
+            "g_u": coupling(ladder["Q+2"], raise_u.T),
+            "g_g": coupling(ladder["Q+2"], raise_g.T),
+        }
+        indptr, indices, units = _shared_pattern(
+            {name: self.adapt(op) for name, op in product.items()}, self.dim
+        )
+        s_u, s_g = (self.adapt(sp.kron(eye, sp.diags(0.5 * m))) for m in (M_U, M_G))
+        r2 = ladder["R2"]
+        _read_only(indptr, indices, *units.values())
+        for m in (s_u, s_g, r2):
+            _read_only(m.data, m.indices, m.indptr)
+        if log.isEnabledFor(logging.DEBUG):
+            log.debug(
+                "adapted_basis build: cutoff=%d dim=%d nnz=%d seconds=%.6f",
+                osc.cutoff, self.dim, indices.size, time.perf_counter() - t0,
+            )
+        return BasisOperators(indptr, indices, units, s_u, s_g, r2)
+
     def to_product(self, vectors: np.ndarray) -> np.ndarray:
         """Adapted-basis vectors (columns) in the product basis."""
         scale = np.where(np.arange(self.dim) < self.blocks[2][1], 1.0, math.sqrt(0.5))
@@ -150,8 +223,36 @@ class AdaptedBasis:
         return held[0] if len(held) == 1 else None
 
 
+def _shared_pattern(
+    terms: dict[str, sp.csr_matrix], n: int
+) -> tuple[np.ndarray, np.ndarray, dict[str, np.ndarray]]:
+    """(indptr, indices, data of each term) over the union of the canonical terms' patterns."""
+    keys = {
+        name: np.repeat(np.arange(n, dtype=np.int64), np.diff(t.indptr)) * n + t.indices
+        for name, t in terms.items()
+    }
+    union = np.unique(np.concatenate(list(keys.values())))
+    index_dtype = next(iter(terms.values())).indices.dtype
+    indptr = np.searchsorted(union // n, np.arange(n + 1)).astype(index_dtype)
+    units = {}
+    for name, t in terms.items():
+        units[name] = np.zeros(union.size)
+        units[name][np.searchsorted(union, keys[name])] = t.data
+    return indptr, (union % n).astype(index_dtype), units
+
+
+def _read_only(*arrays: np.ndarray) -> None:
+    for a in arrays:
+        a.flags.writeable = False
+
+
+@lru_cache(maxsize=ADAPTED_BASIS_CACHE)
 def adapted_basis(cutoff: int) -> AdaptedBasis:
-    """The symmetry-adapted basis over the oscillator shells n_+ + n_- <= cutoff."""
+    """The symmetry-adapted basis over the oscillator shells n_+ + n_- <= cutoff.
+
+    The last ADAPTED_BASIS_CACHE bases are kept, so every caller at a cutoff
+    shares one basis and the operators it builds.
+    """
     osc = build_basis(cutoff)
     k = np.repeat(np.arange(osc.dim), ELEC_DIM)
     e = np.tile(np.arange(ELEC_DIM), osc.dim)
@@ -170,6 +271,7 @@ def adapted_basis(cutoff: int) -> AdaptedBasis:
     cols = np.concatenate([j1, mirror[j1], pairs, pairs])
     vals = np.concatenate([np.ones(2 * m1), np.tile([1.0, -1.0], m0), np.ones(2 * m0)])
     fold = sp.csr_matrix((vals, (rows, cols)), shape=(k.size, k.size))
+    _read_only(osc.n_plus, osc.n_minus, fold.data, fold.indices, fold.indptr)
     blocks = (
         (LABEL_EU, 0, m1),
         (LABEL_EU, m1, 2 * m1),
@@ -235,33 +337,32 @@ def soc_operators(basis: AdaptedBasis) -> tuple[sp.csr_matrix, sp.csr_matrix]:
     The m_s = +/-1 sectors are H0 + lambda_u0 S_u + lambda_g0 S_g (see the
     module docstring).  Doublet matrix elements of the same operators give the
     Ham reduction factors and the Hellmann-Feynman slope of a spin-orbit
-    sector.
+    sector.  Both are the basis's own read-only operators, built once per
+    basis.
     """
-    eye = sp.identity(basis.osc.dim, format="csr")
-    return tuple(
-        basis.adapt(sp.kron(eye, sp.diags(0.5 * m), format="csr")) for m in (M_U, M_G)
-    )
-
-
-def build_pjt(spec: SectorSpec, basis: OscBasis) -> sp.csr_matrix:
-    """Electron-phonon interaction alone, in the product basis |n_+, n_-> (x) |e>."""
-    c = spec.couplings
-    ops = build_operators(basis)
-    raise_u, raise_g = op_on_u(E_RAISE), op_on_g(E_RAISE)
-    t = sp.kron(ops["Q+"], sp.csr_matrix(c.f_u * raise_u + c.f_g * raise_g), format="csr")
-    t = t + sp.kron(ops["Q+2"], sp.csr_matrix(c.g_u * raise_u.T + c.g_g * raise_g.T), format="csr")
-    return (t + t.T).tocsr()
+    ops = basis.operators
+    return ops.s_u, ops.s_g
 
 
 def assemble(spec: SectorSpec, basis: AdaptedBasis | None = None) -> sp.csr_matrix:
-    """Spin-orbit-free sector H_osc + W + pJT as one real CSR matrix in the adapted basis."""
+    """Spin-orbit-free sector H_osc + W + pJT as one real CSR matrix in the adapted basis.
+
+    The elementwise sum of the basis's unit terms weighted by the couplings,
+    with exact zeros dropped; the matrix owns its arrays.
+    """
     if basis is None:
         basis = adapted_basis(spec.cutoff)
-    osc = basis.osc
-    k = spec.couplings.hbar_omega_e
-    osc_diag = k * (osc.n_plus + osc.n_minus + 1).astype(float)
-    h = sp.kron(sp.diags(osc_diag), sp.identity(ELEC_DIM), format="csr")
-    w = circular_correlation(spec.lambda_corr, spec.preset)
-    if np.any(w):
-        h = h + sp.kron(sp.identity(osc.dim), sp.csr_matrix(w), format="csr")
-    return basis.adapt(h + build_pjt(spec, osc))
+    ops = basis.operators
+    c = spec.couplings
+    u = ops.units
+    data = (
+        c.hbar_omega_e * u["N"]
+        + spec.lambda_corr * u[spec.preset]
+        + c.f_u * u["f_u"]
+        + c.f_g * u["f_g"]
+        + c.g_u * u["g_u"]
+        + c.g_g * u["g_g"]
+    )
+    h = sp.csr_matrix((data, ops.indices.copy(), ops.indptr.copy()), shape=(basis.dim, basis.dim))
+    h.eliminate_zeros()
+    return h

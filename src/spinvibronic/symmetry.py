@@ -17,7 +17,6 @@ import numpy as np
 
 from .eigensolver import EigResult
 from .hamiltonian import ELEC_DIM, AdaptedBasis
-from .oscillator import build_operators
 
 LABEL_MIXED = "mixed"
 
@@ -80,7 +79,7 @@ def mean_displacement(product: np.ndarray, r2) -> tuple[float, float]:
 
 def analyze_states(result: EigResult, basis: AdaptedBasis) -> list[VibronicState]:
     """Label, decompose and measure every eigenstate of a real-sector solve."""
-    r2 = build_operators(basis.osc)["R2"]
+    r2 = basis.operators.r2
     products = basis.to_product(result.eigenvectors)
     states: list[VibronicState] = []
     for energy, v, p in zip(result.eigenvalues, result.eigenvectors.T, products.T):

@@ -19,8 +19,8 @@ from spinvibronic import (
     pes_to_couplings,
     solve_sector,
 )
-from spinvibronic.hamiltonian import SIGMA_X, SIGMA_Z
-from spinvibronic.oscillator import build_basis
+from spinvibronic.hamiltonian import E_RAISE, ELEC_DIM, SIGMA_X, SIGMA_Z, circular_correlation
+from spinvibronic.oscillator import build_basis, build_operators
 from spinvibronic.pes import classical_matrix
 
 FAST_OPTS = SolverOptions(k=8, dense_threshold=4000)
@@ -44,6 +44,39 @@ def cached_sector(name: str, cutoff: int, preset: str = "e-raised", k: int = 8):
 @pytest.fixture(scope="session")
 def snv0_sector():
     return cached_sector("SnV0", 20)
+
+
+# --- product-basis reference: the kron-and-fold assembly ------------------------
+#
+# The sector built whole over the circular product basis |n_+, n_-> (x) |e>
+# from the couplings, then folded into the adapted basis: the oracle for
+# assemble's weighted sum of cached unit terms.
+
+
+def build_pjt(spec, osc) -> sp.csr_matrix:
+    """Electron-phonon interaction alone, in the product basis |n_+, n_-> (x) |e>."""
+    c = spec.couplings
+    ops = build_operators(osc)
+    raise_u, raise_g = op_on_u(E_RAISE), op_on_g(E_RAISE)
+    t = sp.kron(ops["Q+"], sp.csr_matrix(c.f_u * raise_u + c.f_g * raise_g), format="csr")
+    t = t + sp.kron(ops["Q+2"], sp.csr_matrix(c.g_u * raise_u.T + c.g_g * raise_g.T), format="csr")
+    return (t + t.T).tocsr()
+
+
+def product_sector(spec, osc) -> sp.csr_matrix:
+    """H_osc + W + pJT over the product basis."""
+    osc_diag = spec.couplings.hbar_omega_e * (osc.n_plus + osc.n_minus + 1.0)
+    h = sp.kron(sp.diags(osc_diag), sp.identity(ELEC_DIM), format="csr")
+    w = circular_correlation(spec.lambda_corr, spec.preset)
+    if np.any(w):
+        h = h + sp.kron(sp.identity(osc.dim), sp.csr_matrix(w), format="csr")
+    return (h + build_pjt(spec, osc)).tocsr()
+
+
+def folded_sector(spec) -> sp.csr_matrix:
+    """The spin-orbit-free sector of spec by kron and fold, in the adapted basis."""
+    basis = adapted_basis(spec.cutoff)
+    return basis.adapt(product_sector(spec, basis.osc))
 
 
 # --- Cartesian reference: the oracle for the symmetry-adapted assembly -------

@@ -199,6 +199,15 @@ def test_converge_cutoff_failure_carries_history():
     assert len(err.value.history) == 4
 
 
+def test_converge_cutoff_holds_every_named_value():
+    # the first value is reported, and every value must settle
+    both = {4: {"a": 10.0, "b": 1.0}, 6: {"a": 10.0, "b": 2.0}, 8: {"a": 10.0, "b": 2.001}}
+    res = converge_cutoff(both.__getitem__, rel_tol=0.01, n_start=4, n_step=2, n_max=8)
+    assert (res.cutoff, res.value, res.history) == (6, 10.0, [(4, 10.0), (6, 10.0), (8, 10.0)])
+    with pytest.raises(ConvergenceError, match=r"unsettled: \['b'\]"):
+        converge_cutoff(both.__getitem__, rel_tol=1e-6, n_start=4, n_step=2, n_max=8)
+
+
 def test_converge_cutoff_logs_one_record_per_cutoff(caplog):
     values = {4: 100.0, 6: 90.0, 8: 89.5}
     with caplog.at_level(logging.DEBUG, logger="spinvibronic"):

@@ -12,7 +12,6 @@ from spinvibronic import (
     assemble,
     solve_lowest,
     build_correlation,
-    build_pjt,
     op_on_g,
     op_on_u,
     pes_to_couplings,
@@ -32,6 +31,7 @@ from spinvibronic.oscillator import build_basis
 
 from conftest import (
     ELECTRONIC_CIRCULAR,
+    build_pjt,
     SIGMA_Y,
     adapted_unitary,
     c2prime_adapted,
@@ -40,6 +40,8 @@ from conftest import (
     cartesian_basis,
     cartesian_sector,
     electronic_reflection,
+    folded_sector,
+    product_sector,
     electronic_rotation,
     total_reflection,
     total_rotation,
@@ -447,12 +449,7 @@ def test_sectors_split_into_exact_blocks(name):
         # fold is an exact zero, and no stored entry of H0 is zero
         assert np.all(h0.data != 0.0)
         osc = basis.osc
-        osc_diag = spec.couplings.hbar_omega_e * (osc.n_plus + osc.n_minus + 1.0)
-        product = (
-            sp.kron(sp.diags(osc_diag), sp.identity(4))
-            + sp.kron(sp.identity(osc.dim), circular_correlation(p.lambda_corr))
-            + build_pjt(spec, osc)
-        ).tocsr()
+        product = product_sector(spec, osc)
         c2 = product_c2prime(osc)
         assert (c2 @ product @ c2.T != product).nnz == 0
         folded = (basis.fold @ product @ basis.fold.T).toarray()
@@ -466,3 +463,90 @@ def test_sectors_split_into_exact_blocks(name):
     ref = np.abs(in_adapted(cartesian_sector(spec), basis))
     outside = assemble(spec, basis).toarray() == 0.0
     assert ref[outside].max() < 1e-12 * ref.max()
+
+
+# --- the cached unit terms against the kron-and-fold oracle ---------------------
+
+
+@pytest.mark.parametrize("name", sorted(DEFECTS))
+def test_assemble_matches_the_kron_and_fold_oracle(name):
+    # the weighted sum of cached unit terms has the oracle's pattern and
+    # entries, the two Eu blocks stay equal array for array, and the linear
+    # model splits into the oracle's blocks
+    from spinvibronic import couplings_for_order
+    from spinvibronic.eigensolver import _blocks
+
+    p = DEFECTS[name]
+    for order in (1, 2):
+        for preset in ("e-raised", "a-split"):
+            for cutoff in (0, 1, 4, 12, 20):
+                spec = SectorSpec(couplings_for_order(p, order), p.lambda_corr, cutoff, preset)
+                h, ref = assemble(spec), folded_sector(spec)
+                assert np.array_equal(h.indptr, ref.indptr)
+                assert np.array_equal(h.indices, ref.indices)
+                assert np.abs(h.data - ref.data).max() <= 1e-12 * np.abs(ref.data).max()
+                m1 = adapted_basis(cutoff).blocks[0][2]
+                j1, j2 = h[:m1, :m1], h[m1 : 2 * m1, m1 : 2 * m1]
+                for attr in ("indptr", "indices", "data"):
+                    assert np.array_equal(getattr(j1, attr), getattr(j2, attr))
+                if order == 1:
+                    got, want = _blocks(h), _blocks(ref)
+                    assert len(got) == len(want)
+                    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def test_solves_at_one_cutoff_share_the_basis_and_its_operators():
+    from spinvibronic import SolverOptions, couplings_for_order, solve_sector
+
+    p = DEFECTS["SnV0"]
+    opts = SolverOptions(k=4)
+    first, second = (
+        solve_sector(couplings_for_order(p, order), p.lambda_corr, 7, opts=opts) for order in (1, 2)
+    )
+    assert first.basis is second.basis
+    assert all(a is b for a, b in zip(first.soc_ops, second.soc_ops))
+    assert all(a is b for a, b in zip(first.soc_ops, soc_operators(first.basis)))
+    # each sector owns its matrix
+    assert first.h0 is not second.h0
+    assert not np.shares_memory(first.h0.data, second.h0.data)
+    assert not np.shares_memory(first.h0.indices, second.h0.indices)
+    first.h0.data[0] += 0.0
+
+
+def test_cached_operators_are_read_only():
+    basis = adapted_basis(3)
+    ops = basis.operators
+    arrays = [ops.indptr, ops.indices, *ops.units.values(), basis.osc.n_plus, basis.osc.n_minus]
+    for m in (ops.s_u, ops.s_g, ops.r2, basis.fold):
+        arrays += [m.data, m.indices, m.indptr]
+    for a in arrays:
+        with pytest.raises(ValueError):
+            a[0] = 1
+    # arithmetic on the cached operators makes new, writable matrices
+    h = assemble(snv0_spec(3), basis) + 2.0 * ops.s_u
+    h.data[0] += 0.0
+
+
+def test_adapted_basis_cache_is_bounded():
+    from spinvibronic.hamiltonian import ADAPTED_BASIS_CACHE
+
+    adapted_basis.cache_clear()
+    first = adapted_basis(0)
+    assert adapted_basis(0) is first
+    for cutoff in range(1, ADAPTED_BASIS_CACHE + 2):
+        adapted_basis(cutoff)
+    assert adapted_basis.cache_info().currsize == ADAPTED_BASIS_CACHE
+    assert adapted_basis(0) is not first
+
+
+def test_each_basis_build_logs_one_record(caplog):
+    adapted_basis.cache_clear()
+    with caplog.at_level("DEBUG", logger="spinvibronic"):
+        for _ in range(2):
+            assemble(snv0_spec(5))
+        soc_operators(adapted_basis(5))
+    records = [r.getMessage() for r in caplog.records if "adapted_basis build:" in r.getMessage()]
+    assert len(records) == 1
+    ops = adapted_basis(5).operators
+    assert records[0].startswith(f"adapted_basis build: cutoff=5 dim=84 nnz={ops.indices.size} ")
+    assert " seconds=" in records[0]
