@@ -37,7 +37,6 @@ from .hamiltonian import (
     SectorSpec,
     adapted_basis,
     assemble,
-    build_correlation,
     op_on_g,
     op_on_u,
     soc_operators,

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -142,6 +143,17 @@ class SectorSolution:
             pair.append(held)
         return np.column_stack([s.coefficients for s in pair]), pair[0].energy
 
+    @cached_property
+    def quenching(self) -> tuple[float, float]:
+        """(p_u, p_g) of the Eu doublet, computed once per solution (see reduction_factors)."""
+        doublet, _ = self.eu_doublet()
+        s_u, s_g = self.soc_ops
+        u = doublet.conj().T @ (s_u @ doublet)
+        v = doublet.conj().T @ (s_g @ doublet)
+        p_u = float(np.max(np.linalg.eigvalsh(2.0 * u)))
+        p_g = float(np.max(np.linalg.eigvalsh(2.0 * v)))
+        return p_u, p_g
+
 
 def solve_sector(
     couplings: Couplings,
@@ -192,15 +204,10 @@ def reduction_factors(sol: SectorSolution) -> tuple[float, float]:
 
     The doublet-projected operators are traceless Hermitian 2x2 matrices with
     eigenvalues +/- p; the bare electronic doublet gives p = 1 and strong
-    coupling drives p toward zero.
+    coupling drives p toward zero.  Computed on the first call for a
+    solution and kept with it (SectorSolution.quenching).
     """
-    doublet, _ = sol.eu_doublet()
-    s_u, s_g = sol.soc_ops
-    u = doublet.conj().T @ (s_u @ doublet)
-    v = doublet.conj().T @ (s_g @ doublet)
-    p_u = float(np.max(np.linalg.eigvalsh(2.0 * u)))
-    p_g = float(np.max(np.linalg.eigvalsh(2.0 * v)))
-    return p_u, p_g
+    return sol.quenching
 
 
 @dataclass
@@ -325,7 +332,6 @@ def calibrate_soc(
     target_lambda_eff: float,
     ratio: float = 1.0,
     opts: SolverOptions = SolverOptions(),
-    p_guess: tuple[float, float] | None = None,
 ) -> SocLevels:
     """Spin-orbit levels whose Eu splitting matches a target, at the calibrated couplings.
 
@@ -352,7 +358,7 @@ def calibrate_soc(
     if target_lambda_eff == 0.0:
         # at zero coupling every m_s sector is the reference sector
         return _levels_from_solve(sol, 0.0, 0.0, sol.result)
-    p_u, p_g = reduction_factors(sol) if p_guess is None else p_guess
+    p_u, p_g = reduction_factors(sol)
     s_u, s_g = sol.soc_ops
     dh_ds = ratio * s_u + s_g
     doublet, _ = sol.eu_doublet()

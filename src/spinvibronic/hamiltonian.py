@@ -85,8 +85,6 @@ PRESET_A_SPLIT = "a-split"
 PRESETS = (PRESET_E_RAISED, PRESET_A_SPLIT)
 
 SIGMA_0 = np.eye(2)
-SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
-SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
 E_RAISE = np.array([[0.0, 1.0], [0.0, 0.0]])  # |e+><e-| on one doublet
 
 # angular momentum of the u and g hole in each electronic state
@@ -106,26 +104,6 @@ def op_on_u(a: np.ndarray) -> np.ndarray:
 def op_on_g(b: np.ndarray) -> np.ndarray:
     """Embed a 2x2 operator acting on the g doublet (slow index)."""
     return np.kron(b, SIGMA_0)
-
-
-# electronic channel order used by the Cartesian helpers
-CHANNELS = ("A1u", "A2u", "Eu1", "Eu2")
-
-
-def symmetry_adapted_states() -> np.ndarray:
-    """Columns (A1u, A2u, Eu1, Eu2) over the Cartesian states |u_x g_x>, |u_y g_x>, |u_x g_y>, |u_y g_y>."""
-    s = 1.0 / math.sqrt(2.0)
-    a1u = np.array([0.0, -s, s, 0.0])  # (|xy> - |yx>)/sqrt(2), |xy> = e2
-    a2u = np.array([s, 0.0, 0.0, s])
-    eu1 = np.array([s, 0.0, 0.0, -s])
-    eu2 = np.array([0.0, s, s, 0.0])
-    return np.column_stack([a1u, a2u, eu1, eu2])
-
-
-# projector onto each electronic channel, in CHANNELS order
-CHANNEL_PROJECTORS = {
-    name: np.outer(v, v) for name, v in zip(CHANNELS, symmetry_adapted_states().T)
-}
 
 
 @dataclass(frozen=True)
@@ -297,31 +275,19 @@ class SectorSpec:
             raise ValueError(f"unknown correlation preset {self.preset!r}")
 
 
-def build_correlation(lambda_corr: float, preset: str = PRESET_E_RAISED) -> np.ndarray:
-    """Static correlation term W over the Cartesian electronic states, real 4x4.
+def circular_correlation(lambda_corr: float, preset: str = PRESET_E_RAISED) -> np.ndarray:
+    """Static correlation term W over the circular electronic states, real 4x4.
 
-    e-raised: the Eu pair sits lambda_corr above the degenerate A1u/A2u pair.
-    a-split:  the symmetric combination (|xx>+|yy>)/sqrt(2) (= A2u, strongly
-    coupled) is raised by lambda_corr, the antisymmetric one lowered, with
-    the Eu pair at zero.
+    e-raised: the Eu pair |e+e+>, |e-e-> sits lambda_corr above the
+    degenerate A1u/A2u pair, W = lambda_corr (|e+e+><e+e+| + |e-e-><e-e-|).
+    a-split: the symmetric combination (|e+e-> + |e-e+>)/sqrt(2) (= A2u,
+    strongly coupled) is raised by lambda_corr and the antisymmetric A1u one
+    lowered, with the Eu pair at zero, W = lambda_corr (|e+e-><e-e+| + T).
 
     e-raised is the shipped default: it reproduces the reported SiV0 lowest
     splitting and matches the surface structure at Q = 0, where the four
     adiabatic levels form two degenerate pairs separated by lambda_corr.
-    The classical surfaces of pes use this Cartesian form; assembly uses
-    circular_correlation, the same operator over the circular states.
     """
-    p = CHANNEL_PROJECTORS
-    if preset == PRESET_E_RAISED:
-        return lambda_corr * (p["Eu1"] + p["Eu2"])
-    if preset == PRESET_A_SPLIT:
-        return lambda_corr * p["A2u"] - lambda_corr * p["A1u"]
-    raise ValueError(f"unknown correlation preset {preset!r}")
-
-
-def circular_correlation(lambda_corr: float, preset: str = PRESET_E_RAISED) -> np.ndarray:
-    """build_correlation over the circular states: lambda_corr (|e+e+><e+e+| + |e-e-><e-e-|),
-    or lambda_corr (|e+e-><e-e+| + T) for a-split."""
     if preset == PRESET_E_RAISED:
         return lambda_corr * np.diag([1.0, 0.0, 0.0, 1.0])
     if preset == PRESET_A_SPLIT:

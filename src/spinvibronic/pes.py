@@ -6,23 +6,25 @@ plus the harmonic term (K/2)(Q_x^2 + Q_y^2) and the correlation splitting.
 Its eigenvalues along the Q_y = 0 cut fully parameterize the model, which is
 what makes fitting one-dimensional surface scans sufficient.
 
-Surface columns are continued through the grid by eigenvector overlap rather
-than by sorting, so degeneracy touchings at Q = 0 do not produce kinks.  The
-reference level at Q = 0 is the last point of the same stacked eigensolve as
-the grid.
-
 On the Q_y = 0 cut the potential is two 2x2 blocks, one per interference
-branch b, so the fit needs no eigensolve: each surface is
+branch b, so no surface needs an eigensolve: each surface is
 E_b+/- = K q^2/2 + s_b lambda/2 +/- sqrt(u_b^2 + lambda^2/4) with
 u_b = F_b q + G_b q^2, s_1 = +1 and s_2 = +1 (e-raised) or -1 (a-split).
+adiabatic_surfaces returns one column per (branch, root) surface, ordered
+by ascending energy at the first grid point (ties in branch, then -/+
+order), so each column is one smooth surface across the grid.  At
+lambda = 0 the blocks do not rotate and the two roots of a branch cross:
+there the roots are taken with the signed u_b instead of its modulus.  The
+reference level is the lowest level at Q = 0.
+
 The fit runs in (K, lambda, F1, F2, G1/K, G2/K, offset) space, where the
 feasible region is a plain box (|G_b/K| < 1/2 keeps the surfaces bounded at
 any K), and converts back to well depths and warpings only at the end; a
 global energy offset of the samples is absorbed by the nuisance parameter.
 Its Jacobian is the exact derivative of the same closed form.
 
-scipy.optimize is imported inside fit_pes and _track_columns, the only
-users, so importing the package and solving never loads it.
+scipy.optimize is imported inside fit_pes, its only user, so importing the
+package, solving and generating surfaces never load it.
 """
 
 from __future__ import annotations
@@ -35,15 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .hamiltonian import (
-    PRESET_A_SPLIT,
-    PRESET_E_RAISED,
-    SIGMA_X,
-    SIGMA_Z,
-    build_correlation,
-    op_on_g,
-    op_on_u,
-)
+from .hamiltonian import PRESET_A_SPLIT, PRESET_E_RAISED
 from .params import (
     Couplings,
     DefectParams,
@@ -59,11 +53,6 @@ QX_UNIT_ANGSTROM = "angstrom"
 
 # least_squares evaluation budget of one fit
 MAX_NFEV = 4000
-
-# the four coupling operators on the electronic factor
-_U_Z, _U_X = op_on_u(SIGMA_Z), op_on_u(SIGMA_X)
-_G_Z, _G_X = op_on_g(SIGMA_Z), op_on_g(SIGMA_X)
-_EYE = np.eye(4)
 
 # sign s_b of the lambda/2 shift of branch b on the Q_y = 0 cut
 _BRANCH_SIGNS = {PRESET_E_RAISED: np.array([1.0, 1.0]), PRESET_A_SPLIT: np.array([1.0, -1.0])}
@@ -103,63 +92,27 @@ class PesCurve:
             raise ValueError(f"unknown qx unit {self.qx_unit!r}")
 
 
-def classical_matrix(
-    c: Couplings, lambda_corr: float, preset: str, qx: np.ndarray, qy: float | np.ndarray = 0.0
-) -> np.ndarray:
-    """Stacked 4x4 potential matrices over the grid (shape (n, 4, 4))."""
-    qx = np.atleast_1d(np.asarray(qx, dtype=float))
-    qy = np.broadcast_to(np.asarray(qy, dtype=float), qx.shape)
-    w = build_correlation(lambda_corr, preset)
-    harm = 0.5 * c.hbar_omega_e * (qx**2 + qy**2)
-    z_u = c.f_u * qx + c.g_u * (qx**2 - qy**2)
-    x_u = -c.f_u * qy + 2.0 * c.g_u * qx * qy
-    z_g = c.f_g * qx + c.g_g * (qx**2 - qy**2)
-    x_g = -c.f_g * qy + 2.0 * c.g_g * qx * qy
-    return (
-        harm[:, None, None] * _EYE
-        + z_u[:, None, None] * _U_Z
-        + x_u[:, None, None] * _U_X
-        + z_g[:, None, None] * _G_Z
-        + x_g[:, None, None] * _G_X
-        + w
-    )
-
-
-def _track_columns(energies: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """Reorder eigenvalue columns for continuity via eigenvector overlap."""
-    from scipy.optimize import linear_sum_assignment
-
-    n = energies.shape[0]
-    tracked = np.empty_like(energies)
-    tracked[0] = energies[0]
-    prev = vectors[0]
-    for i in range(1, n):
-        overlap = np.abs(prev.conj().T @ vectors[i])
-        row, col = linear_sum_assignment(-overlap)
-        order = np.empty(4, dtype=int)
-        order[row] = col
-        tracked[i] = energies[i][order]
-        prev = vectors[i][:, order]
-    return tracked
-
-
 def adiabatic_surfaces(
-    c: Couplings,
-    lambda_corr: float,
-    preset: str,
-    qx_grid: np.ndarray,
-    qy: float = 0.0,
+    c: Couplings, lambda_corr: float, preset: str, qx_grid: np.ndarray
 ) -> PesCurve:
-    """Four adiabatic surfaces along a 1D cut, continued by overlap."""
+    """Four adiabatic surfaces along the Q_y = 0 cut, from the closed form of each branch.
+
+    Column i is one (branch, -/+ root) surface over the whole grid; the
+    columns are sorted by energy at the first grid point, a stable sort, so
+    tied surfaces keep branch, then root order.  At lambda_corr = 0 each root
+    follows the signed u_b, so the two surfaces of a branch cross where u_b
+    changes sign.  Energies are referenced to the lowest level at Q = 0.
+    """
     qx_grid = np.asarray(qx_grid, dtype=float)
     if not np.all(np.isfinite(qx_grid)):
         raise ValueError("grid must be finite")
-    # Q = 0 rides along as the last point of the stack and sets the reference
-    qy_grid = np.append(np.full(qx_grid.shape, float(qy)), 0.0)
-    mats = classical_matrix(c, lambda_corr, preset, np.append(qx_grid, 0.0), qy_grid)
-    energies, vectors = np.linalg.eigh(mats)
-    tracked = _track_columns(energies[:-1], vectors[:-1]) - energies[-1, 0]
-    return PesCurve(qx=qx_grid, energies=tracked, qx_unit=QX_UNIT_DIMENSIONLESS)
+    # Q = 0 rides along as the last point and sets the reference
+    u, root, levels = _cut_levels(c, lambda_corr, preset, np.append(qx_grid, 0.0))
+    if lambda_corr == 0.0:
+        levels = levels + _PM * (u - root)[..., None]
+    e = levels.reshape(-1, 4)
+    order = np.argsort(e[0], kind="stable")
+    return PesCurve(qx=qx_grid, energies=e[:-1, order] - e[-1].min(), qx_unit=QX_UNIT_DIMENSIONLESS)
 
 
 # --- CSV interface ---------------------------------------------------------

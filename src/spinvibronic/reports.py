@@ -221,9 +221,7 @@ def run_report(cfg: RunConfig) -> SpectrumReport:
     if cfg.soc.mode == SOC_EXPLICIT:
         soc = soc_levels(sol, cfg.soc.lambda_u0_mev, cfg.soc.lambda_g0_mev, opts)
     elif cfg.soc.mode == SOC_CALIBRATE:
-        soc = calibrate_soc(
-            sol, cfg.soc.target_lambda_eff_mev, ratio=cfg.soc.ratio, opts=opts, p_guess=(p_u, p_g)
-        )
+        soc = calibrate_soc(sol, cfg.soc.target_lambda_eff_mev, ratio=cfg.soc.ratio, opts=opts)
     if soc is not None:
         report.lambda_u0 = soc.lambda_u0
         report.lambda_g0 = soc.lambda_g0

@@ -11,21 +11,24 @@ import scipy.sparse as sp
 
 from spinvibronic import (
     DEFECTS,
+    PRESET_A_SPLIT,
+    PRESET_E_RAISED,
     SolverOptions,
     adapted_basis,
-    build_correlation,
     op_on_g,
     op_on_u,
     pes_to_couplings,
     solve_sector,
 )
-from spinvibronic.hamiltonian import E_RAISE, ELEC_DIM, SIGMA_X, SIGMA_Z, circular_correlation
+from spinvibronic.hamiltonian import E_RAISE, ELEC_DIM, circular_correlation
 from spinvibronic.oscillator import build_basis, build_operators
-from spinvibronic.pes import classical_matrix
+from spinvibronic.pes import QX_UNIT_DIMENSIONLESS, PesCurve
 
 FAST_OPTS = SolverOptions(k=8, dense_threshold=4000)
 
+SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
+SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
 
 
 @pytest.fixture(scope="session")
@@ -96,6 +99,42 @@ class CartesianBasis:
     @property
     def dim(self) -> int:
         return self.n_x.size
+
+
+# electronic channel order of the Cartesian states
+CHANNELS = ("A1u", "A2u", "Eu1", "Eu2")
+
+
+def symmetry_adapted_states() -> np.ndarray:
+    """Columns (A1u, A2u, Eu1, Eu2) over the Cartesian states |u_x g_x>, |u_y g_x>, |u_x g_y>, |u_y g_y>."""
+    s = 1.0 / math.sqrt(2.0)
+    a1u = np.array([0.0, -s, s, 0.0])  # (|xy> - |yx>)/sqrt(2), |xy> = e2
+    a2u = np.array([s, 0.0, 0.0, s])
+    eu1 = np.array([s, 0.0, 0.0, -s])
+    eu2 = np.array([0.0, s, s, 0.0])
+    return np.column_stack([a1u, a2u, eu1, eu2])
+
+
+# projector onto each electronic channel, in CHANNELS order
+CHANNEL_PROJECTORS = {
+    name: np.outer(v, v) for name, v in zip(CHANNELS, symmetry_adapted_states().T)
+}
+
+
+def build_correlation(lambda_corr: float, preset: str = PRESET_E_RAISED) -> np.ndarray:
+    """Static correlation term W over the Cartesian electronic states, real 4x4.
+
+    e-raised: the Eu pair sits lambda_corr above the degenerate A1u/A2u pair.
+    a-split:  the symmetric combination (|xx>+|yy>)/sqrt(2) (= A2u, strongly
+    coupled) is raised by lambda_corr, the antisymmetric one lowered, with
+    the Eu pair at zero.  The oracle for circular_correlation.
+    """
+    p = CHANNEL_PROJECTORS
+    if preset == PRESET_E_RAISED:
+        return lambda_corr * (p["Eu1"] + p["Eu2"])
+    if preset == PRESET_A_SPLIT:
+        return lambda_corr * p["A2u"] - lambda_corr * p["A1u"]
+    raise ValueError(f"unknown correlation preset {preset!r}")
 
 
 def cartesian_basis(cutoff: int) -> CartesianBasis:
@@ -264,6 +303,65 @@ def _adapted_unitary(cutoff: int) -> np.ndarray:
 
 
 # --- surface oracle -------------------------------------------------------------
+#
+# The classical potential as stacked Cartesian 4x4 matrices, diagonalized
+# point by point: the oracle for the closed-form surfaces of pes.
+
+# the four coupling operators on the electronic factor
+_U_Z, _U_X = op_on_u(SIGMA_Z), op_on_u(SIGMA_X)
+_G_Z, _G_X = op_on_g(SIGMA_Z), op_on_g(SIGMA_X)
+_EYE = np.eye(4)
+
+
+def classical_matrix(c, lambda_corr: float, preset: str, qx: np.ndarray, qy=0.0) -> np.ndarray:
+    """Stacked 4x4 potential matrices over the grid (shape (n, 4, 4))."""
+    qx = np.atleast_1d(np.asarray(qx, dtype=float))
+    qy = np.broadcast_to(np.asarray(qy, dtype=float), qx.shape)
+    w = build_correlation(lambda_corr, preset)
+    harm = 0.5 * c.hbar_omega_e * (qx**2 + qy**2)
+    z_u = c.f_u * qx + c.g_u * (qx**2 - qy**2)
+    x_u = -c.f_u * qy + 2.0 * c.g_u * qx * qy
+    z_g = c.f_g * qx + c.g_g * (qx**2 - qy**2)
+    x_g = -c.f_g * qy + 2.0 * c.g_g * qx * qy
+    return (
+        harm[:, None, None] * _EYE
+        + z_u[:, None, None] * _U_Z
+        + x_u[:, None, None] * _U_X
+        + z_g[:, None, None] * _G_Z
+        + x_g[:, None, None] * _G_X
+        + w
+    )
+
+
+def _track_columns(energies: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """Reorder eigenvalue columns for continuity via eigenvector overlap."""
+    from scipy.optimize import linear_sum_assignment
+
+    tracked = np.empty_like(energies)
+    tracked[0] = energies[0]
+    prev = vectors[0]
+    for i in range(1, energies.shape[0]):
+        overlap = np.abs(prev.conj().T @ vectors[i])
+        row, col = linear_sum_assignment(-overlap)
+        order = np.empty(4, dtype=int)
+        order[row] = col
+        tracked[i] = energies[i][order]
+        prev = vectors[i][:, order]
+    return tracked
+
+
+def tracked_surfaces(c, lambda_corr: float, preset: str, qx_grid: np.ndarray) -> PesCurve:
+    """The four surfaces on the Q_y = 0 cut by stacked eigh, continued by eigenvector overlap.
+
+    Columns start in ascending order at the first grid point; energies are
+    referenced to the lowest level at Q = 0, the last point of the stack.
+    """
+    qx_grid = np.asarray(qx_grid, dtype=float)
+    mats = classical_matrix(c, lambda_corr, preset, np.append(qx_grid, 0.0))
+    energies, vectors = np.linalg.eigh(mats)
+    tracked = _track_columns(energies[:-1], vectors[:-1]) - energies[-1, 0]
+    return PesCurve(qx=qx_grid, energies=tracked, qx_unit=QX_UNIT_DIMENSIONLESS)
+
 
 
 def _dmat_dqx(c, qx: np.ndarray) -> np.ndarray:

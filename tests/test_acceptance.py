@@ -98,7 +98,7 @@ def quenching(name: str, cutoff: int = 24):
 def calibrated_levels(name: str, cutoff: int = 32):
     sol = labeled_sector(name, cutoff)
     target = LAMBDA_EFF_TARGETS_MEV[name]
-    lev = calibrate_soc(sol, target, ratio=SOC_RATIO, opts=OPTS, p_guess=quenching(name))
+    lev = calibrate_soc(sol, target, ratio=SOC_RATIO, opts=OPTS)
     return lev, lev.lambda_u0, lev.lambda_g0
 
 

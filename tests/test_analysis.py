@@ -18,7 +18,7 @@ from spinvibronic import (
 from spinvibronic import analysis
 from spinvibronic.analysis import OBSERVABLES, CalibrationError
 from spinvibronic.defaults import DEFECTS
-from spinvibronic.params import Couplings, DefectParams
+from spinvibronic.params import Couplings, DefectParams, pes_to_couplings
 
 from conftest import cached_sector
 
@@ -54,6 +54,21 @@ def test_reduction_factors_snv0_quenched():
     p_u, p_g = reduction_factors(sol)
     assert p_u == pytest.approx(0.032, abs=0.005)
     assert 0.0 < p_g < 0.05
+
+
+def test_reduction_factors_are_computed_once_per_solution(monkeypatch):
+    # a gamma2 sweep reads p_u and p_g at every cutoff, and the report reads
+    # them again from the reported solution: one doublet projection serves all
+    p = DEFECTS["SnV0"]
+    sol = solve_sector(pes_to_couplings(p), p.lambda_corr, cutoff=8, opts=OPTS)
+    calls = []
+    eu_doublet = analysis.SectorSolution.eu_doublet
+    monkeypatch.setattr(
+        analysis.SectorSolution, "eu_doublet", lambda self: calls.append(1) or eu_doublet(self)
+    )
+    read = [OBSERVABLES[name][1](sol) for name in ("p_u", "p_g")]
+    assert reduction_factors(sol) == tuple(read)
+    assert len(calls) == 1
 
 
 def test_soc_levels_zero_coupling_limits():

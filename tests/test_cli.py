@@ -389,6 +389,8 @@ watched = ("scipy.optimize", "scipy.sparse.linalg")
 loaded = {"import": [m for m in watched if m in sys.modules]}
 assert spinvibronic.cli.main(["solve", sys.argv[1], "--cutoff", "8", "--out", sys.argv[2]]) == 0
 loaded["solve"] = [m for m in watched if m in sys.modules]
+assert spinvibronic.cli.main(["surfaces", sys.argv[1], "--out", sys.argv[2]]) == 0
+loaded["surfaces"] = [m for m in watched if m in sys.modules]
 fit_pes(read_pes_csv(sys.argv[3]), DEFECTS["SiV0"])
 loaded["fit"] = [m for m in watched if m in sys.modules]
 print(json.dumps(loaded))
@@ -397,7 +399,7 @@ print(json.dumps(loaded))
 
 def test_import_and_solve_do_not_load_scipy_optimize(tmp_path):
     # scipy.optimize (which loads scipy.sparse.linalg) costs a fresh process
-    # about 0.24 s and 19 MB; only fitting and continuing surfaces need it
+    # about 0.24 s and 19 MB; only fitting needs it
     cfg = write_config(tmp_path, FAST_OFF)
     csv_path = synth_csv(tmp_path, "SiV0")
     env = dict(os.environ, PYTHONPATH=str(Path(spinvibronic.__file__).parents[1]))
@@ -408,6 +410,7 @@ def test_import_and_solve_do_not_load_scipy_optimize(tmp_path):
     loaded = json.loads(run.stdout.splitlines()[-1])
     assert loaded["import"] == []
     assert "scipy.optimize" not in loaded["solve"]
+    assert "scipy.optimize" not in loaded["surfaces"]
     assert "scipy.optimize" in loaded["fit"]
 
 

@@ -11,7 +11,6 @@ from spinvibronic import (
     adapted_basis,
     assemble,
     solve_lowest,
-    build_correlation,
     op_on_g,
     op_on_u,
     pes_to_couplings,
@@ -21,18 +20,18 @@ from spinvibronic.defaults import DEFECTS
 from spinvibronic.hamiltonian import (
     M_G,
     M_U,
-    SIGMA_X,
-    SIGMA_Z,
     SectorSpec,
     circular_correlation,
-    symmetry_adapted_states,
 )
 from spinvibronic.oscillator import build_basis
 
 from conftest import (
     ELECTRONIC_CIRCULAR,
+    build_correlation,
     build_pjt,
+    SIGMA_X,
     SIGMA_Y,
+    SIGMA_Z,
     adapted_unitary,
     c2prime_adapted,
     c2prime_reflection,
@@ -43,6 +42,7 @@ from conftest import (
     folded_sector,
     product_sector,
     electronic_rotation,
+    symmetry_adapted_states,
     total_reflection,
     total_rotation,
 )

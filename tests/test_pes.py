@@ -17,14 +17,9 @@ from spinvibronic import (
 from spinvibronic import pes
 from spinvibronic.defaults import DEFECTS
 from spinvibronic.params import Couplings, DefectParams, branch_minima_dimensionless
-from spinvibronic.pes import (
-    PesCurve,
-    _model_jacobian,
-    _model_sorted,
-    classical_matrix,
-)
+from spinvibronic.pes import PesCurve, _model_jacobian, _model_sorted
 
-from conftest import lowest_surface_minimum
+from conftest import classical_matrix, lowest_surface_minimum, tracked_surfaces
 
 
 def sorted_curve(p, grid):
@@ -86,6 +81,43 @@ def test_tracked_surfaces_are_smooth():
     # second differences stay bounded: no sorting swaps between neighbors
     d2 = np.abs(np.diff(curve.energies, n=2, axis=0)).max()
     assert d2 < 1.0
+
+
+# the CLI default, the benchmark's fit grid, the CI scan grid and a descending grid
+SURFACE_GRIDS = {
+    "cli": np.linspace(-3.0, 3.5, 261),
+    "fit": np.linspace(-2.0, 3.2, 53),
+    "ci": np.linspace(-2.0, 3.4, 55),
+    "descending": np.linspace(3.0, -2.5, 40),
+}
+
+
+@pytest.mark.parametrize("preset", ["e-raised", "a-split"])
+@pytest.mark.parametrize("name", sorted(DEFECTS))
+def test_surfaces_match_the_tracked_eigensolve(name, preset):
+    # the closed-form columns against the stacked eigh continued by
+    # eigenvector overlap, column for column in the same order
+    p = DEFECTS[name]
+    c = pes_to_couplings(p)
+    for lam in (p.lambda_corr, -40.0, 0.0):
+        for grid in SURFACE_GRIDS.values():
+            curve = adiabatic_surfaces(c, lam, preset, grid)
+            oracle = tracked_surfaces(c, lam, preset, grid)
+            assert np.array_equal(curve.qx, grid)
+            assert np.abs(curve.energies - oracle.energies).max() < 1e-9
+
+
+def test_surfaces_do_not_depend_on_the_grid_spacing():
+    # at a small lambda the two surfaces of a branch come within lambda of
+    # each other where u_b changes sign; every grid must still give the same
+    # adiabatic columns (an eigenvector-overlap continuation jumps to the
+    # diabatic continuation at a spacing-dependent point, 324 meV apart here)
+    p = DEFECTS["SiV0"]
+    c = pes_to_couplings(p)
+    grid = np.linspace(-3.0, 3.5, 261)
+    fine = adiabatic_surfaces(c, 0.3, "e-raised", grid)
+    coarse = adiabatic_surfaces(c, 0.3, "e-raised", grid[::4])
+    assert np.abs(fine.energies[::4] - coarse.energies).max() < 1e-9
 
 
 def test_csv_round_trip(tmp_path):
