@@ -62,8 +62,6 @@ from .params import (
 )
 from .symmetry import VibronicState, analyze_states
 
-MEV_PER_EV = 1000.0
-
 log = logging.getLogger("spinvibronic")
 
 
@@ -78,10 +76,10 @@ class SolverOptions:
     seed: int = 0
     dense_threshold: int = DENSE_THRESHOLD_DEFAULT
 
-    def solve(self, h: sp.csr_matrix, k: int | None = None) -> EigResult:
+    def solve(self, h: sp.csr_matrix) -> EigResult:
         return solve_lowest(
             h,
-            k=self.k if k is None else k,
+            k=self.k,
             tol=self.tol,
             seed=self.seed,
             dense_threshold=self.dense_threshold,
@@ -98,27 +96,16 @@ class SectorSolution:
     basis: AdaptedBasis
     h0: sp.csr_matrix
 
-    @property
-    def soc_ops(self) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-        """(S_u, S_g) over this sector's basis: the basis's read-only operators,
-        shared by every solution at the same cutoff."""
-        return soc_operators(self.basis)
+    def soc_sector(self, lambda_u0: float, lambda_g0: float) -> sp.csr_matrix:
+        """The m_s = +/-1 sector, H0 + lambda_u0 S_u + lambda_g0 S_g, as one real symmetric matrix.
 
-    def soc_sector(self, lambda_u0: float, lambda_g0: float, m_s: int) -> sp.csr_matrix:
-        """The m_s sector as one real symmetric matrix.
-
-        m_s = 0 is H0.  m_s = +1 and -1 are both H0 + lambda_u0 S_u +
-        lambda_g0 S_g: the physical +1 sector, and the physical -1 sector
-        H0 - lambda_u0 S_u - lambda_g0 S_g in the C2'-image basis (j = 1 and
-        j = 2 swapped, A2u signs flipped), so the one matrix is Kramers
-        degeneracy stated exactly.  Doublet overlaps and expectation values
-        of S_u and S_g are read from the +1 eigenvectors.
+        It is the physical +1 sector, and the physical -1 sector H0 -
+        lambda_u0 S_u - lambda_g0 S_g in the C2'-image basis (j = 1 and j = 2
+        swapped, A2u signs flipped), so the one matrix is Kramers degeneracy
+        stated exactly.  The m_s = 0 sector is h0.  Doublet overlaps and
+        expectation values of S_u and S_g are read from its eigenvectors.
         """
-        if m_s == 0:
-            return self.h0
-        if m_s not in (1, -1):
-            raise ValueError(f"m_s must be -1, 0 or 1 (got {m_s})")
-        s_u, s_g = self.soc_ops
+        s_u, s_g = soc_operators(self.basis)
         return self.h0 + (lambda_u0 * s_u + lambda_g0 * s_g)
 
     @property
@@ -135,9 +122,9 @@ class SectorSolution:
         """Eigenvector pair and energy of the lowest Eu doublet: the lowest j = 1 and j = 2 states."""
         eu = [s for s in self.states if s.irrep == LABEL_EU]
         pair = []
-        for j, (_, lo, hi) in enumerate(self.basis.blocks[:2], start=1):
+        for j in (1, 2):
             # an Eu state lies wholly in the j = 1 or the j = 2 block
-            held = next((s for s in eu if np.any(s.coefficients[lo:hi])), None)
+            held = next((s for s in eu if self.basis.block_of(s.coefficients) == j - 1), None)
             if held is None:
                 raise AnalysisError(f"no j = {j} Eu partner among the lowest {len(self.states)} states")
             pair.append(held)
@@ -147,7 +134,7 @@ class SectorSolution:
     def quenching(self) -> tuple[float, float]:
         """(p_u, p_g) of the Eu doublet, computed once per solution (see reduction_factors)."""
         doublet, _ = self.eu_doublet()
-        s_u, s_g = self.soc_ops
+        s_u, s_g = soc_operators(self.basis)
         u = doublet.conj().T @ (s_u @ doublet)
         v = doublet.conj().T @ (s_g @ doublet)
         p_u = float(np.max(np.linalg.eigvalsh(2.0 * u)))
@@ -165,7 +152,7 @@ def solve_sector(
     """Solve and label the spin-orbit-free sector at the given cutoff."""
     spec = SectorSpec(couplings=couplings, lambda_corr=lambda_corr, cutoff=cutoff, preset=preset)
     basis = adapted_basis(cutoff)
-    h0 = assemble(spec, basis)
+    h0 = assemble(spec)
     result = opts.solve(h0)
     return SectorSolution(
         spec=spec, result=result, states=analyze_states(result, basis), basis=basis, h0=h0
@@ -232,11 +219,10 @@ MIN_TRACKING_OVERLAP = 0.5
 
 
 def _tracked_soc_levels(
-    sol: SectorSolution, result: EigResult
+    sol: SectorSolution, doublet: np.ndarray, result: EigResult
 ) -> tuple[int, np.ndarray, dict[str, float]]:
-    """(A2u-derived index, Eu-derived pair indices by energy, overlaps)."""
+    """(A2u-derived index, Eu-derived pair indices by energy, overlaps) against sol's doublet."""
     a2u_vec = sol.lowest(LABEL_A2U).coefficients[:, None]
-    doublet, _ = sol.eu_doublet()
     w_a2u = (np.abs(a2u_vec.conj().T @ result.eigenvectors) ** 2).sum(axis=0)
     w_eu = (np.abs(doublet.conj().T @ result.eigenvectors) ** 2).sum(axis=0)
     i_a2u = int(np.argmax(w_a2u))
@@ -266,8 +252,8 @@ def _levels_from_solve(
     eigenvalues are given.
     """
     e_a2u_0 = sol.lowest(LABEL_A2U).energy
-    _, e_eu_0 = sol.eu_doublet()
-    i_a2u, idx_eu, overlaps = _tracked_soc_levels(sol, r_plus)
+    doublet, e_eu_0 = sol.eu_doublet()
+    i_a2u, idx_eu, overlaps = _tracked_soc_levels(sol, doublet, r_plus)
     e_a2u_soc = float(r_plus.eigenvalues[i_a2u])
     e_eu_pair = r_plus.eigenvalues[idx_eu]
 
@@ -283,7 +269,7 @@ def _levels_from_solve(
         gamma2_soc=float(e_eu_lowest_soc - e_a2u_lowest_soc),
         gamma2_soc_ms0=float(e_eu_lowest_soc - e_a2u_0),
         a2u_ms_split=float(e_a2u_soc - e_a2u_0),
-        zpl_shift_ev=float(e_eu_lowest_soc - e_eu_0) / MEV_PER_EV,
+        zpl_shift_ev=float(e_eu_lowest_soc - e_eu_0) / 1000.0,  # meV to eV
         e_a2u_soc=e_a2u_soc,
         e_eu_lower_soc=float(e_eu_pair[0]),
         e_eu_upper_soc=float(e_eu_pair[1]),
@@ -312,10 +298,11 @@ def soc_levels(
         raise ValueError(
             f"bare spin-orbit splittings must be nonnegative (got {lambda_u0}, {lambda_g0})"
         )
-    r_plus = opts.solve(sol.soc_sector(lambda_u0, lambda_g0, +1))
+    h_soc = sol.soc_sector(lambda_u0, lambda_g0)
+    r_plus = opts.solve(h_soc)
     e_minus = None
     if solve_both_sectors:
-        e_minus = opts.solve(sol.soc_sector(lambda_u0, lambda_g0, -1)).eigenvalues
+        e_minus = opts.solve(h_soc).eigenvalues
     return _levels_from_solve(sol, lambda_u0, lambda_g0, r_plus, e_minus)
 
 
@@ -359,7 +346,7 @@ def calibrate_soc(
         # at zero coupling every m_s sector is the reference sector
         return _levels_from_solve(sol, 0.0, 0.0, sol.result)
     p_u, p_g = reduction_factors(sol)
-    s_u, s_g = sol.soc_ops
+    s_u, s_g = soc_operators(sol.basis)
     dh_ds = ratio * s_u + s_g
     doublet, _ = sol.eu_doublet()
     ranges = [slice(lo, hi) for _, lo, hi in sol.basis.blocks[:2]]

@@ -35,7 +35,7 @@ from .eigensolver import ConvergenceError, SolverError
 from .hamiltonian import PRESETS
 from .params import ParameterError, pes_to_couplings
 from .pes import PesFitError, adiabatic_surfaces, fit_pes, read_pes_csv, write_pes_csv
-from .reports import run_report, write_all
+from .reports import run_report, write_all, write_csv
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -79,8 +79,8 @@ def cmd_solve(args) -> int:
         f"{report.defect}: gamma1 = {report.gamma1:.4f} meV, gamma2 = {report.gamma2:.4f} meV, "
         f"p_u = {report.p_u:.4f}, p_g = {report.p_g:.4f}"
         + (
-            f", lambda_eff = {report.lambda_eff:.4f} meV"
-            if report.soc_enabled
+            f", lambda_eff = {report.soc.lambda_eff:.4f} meV"
+            if report.soc is not None
             else " (spin-orbit off)"
         )
     )
@@ -126,6 +126,8 @@ def _load_reference() -> dict[str, dict[str, float]]:
 
 
 TABLE1_QUANTITIES = ("gamma1", "gamma2", "p_u", "p_g", "lambda_eff", "zpl_shift_ev")
+# read from the report's SocLevels, and None when spin-orbit is off
+_SOC_QUANTITIES = ("lambda_eff", "zpl_shift_ev")
 
 
 def cmd_table1(args) -> int:
@@ -149,7 +151,7 @@ def cmd_table1(args) -> int:
         row = {"defect": report.defect, "status": "ok"}
         ref = reference.get(report.defect, {})
         for q in TABLE1_QUANTITIES:
-            value = getattr(report, q)
+            value = getattr(report.soc, q, None) if q in _SOC_QUANTITIES else getattr(report, q)
             row[q] = value
             row[q + "_ref"] = ref.get(q)
             if value is not None and ref.get(q) not in (None, 0.0):
@@ -164,14 +166,7 @@ def cmd_table1(args) -> int:
     columns = ["defect", "status"]
     for q in TABLE1_QUANTITIES:
         columns += [q, q + "_ref", q + "_dev"]
-    with open(out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            cells = []
-            for col in columns:
-                v = row.get(col)
-                cells.append("" if v is None else (f"{v:.6g}" if isinstance(v, float) else str(v)))
-            fh.write(",".join(cells) + "\n")
+    write_csv(out, rows, columns, digits=6)
     print(out)
 
     header = f"{'defect':8s} {'quantity':14s} {'computed':>12s} {'reference':>12s} {'rel dev':>9s}"
@@ -201,11 +196,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "-v", "--verbose", action="store_true", help="write the solver trace records to stderr"
     )
-    common = argparse.ArgumentParser(add_help=False)
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--preset", choices=PRESETS, default=None)
+    output.add_argument("--out", default=None, help="output directory")
+    common = argparse.ArgumentParser(add_help=False, parents=[output])
     common.add_argument("--cutoff", type=int, default=None, help="force a fixed oscillator cutoff")
     common.add_argument("--order", type=int, choices=(1, 2), default=None)
-    common.add_argument("--preset", choices=PRESETS, default=None)
-    common.add_argument("--out", default=None, help="output directory")
 
     sub = parser.add_subparsers(dest="command", required=True)
     p = sub.add_parser("solve", parents=[common], help="solve one defect and write reports")
@@ -221,12 +217,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("dir")
     p.set_defaults(func=cmd_table1)
 
-    p = sub.add_parser("surfaces", parents=[common], help="emit analytic adiabatic surfaces")
+    # the surfaces are classical and always of the full quadratic model: no
+    # cutoff, no order
+    p = sub.add_parser("surfaces", parents=[output], help="emit analytic adiabatic surfaces")
     p.add_argument("config")
     p.add_argument("--qmin", type=float, default=-3.0)
     p.add_argument("--qmax", type=float, default=3.5)
     p.add_argument("--points", type=int, default=261)
-    p.set_defaults(func=cmd_surfaces)
+    p.set_defaults(func=cmd_surfaces, cutoff=None, order=None)
     return parser
 
 

@@ -208,9 +208,7 @@ def solve_lowest(
     parts = []
     solved: list[tuple[int, sp.csr_matrix]] = []  # (block number, matrix) of each block solved
     for b, idx in enumerate(blocks):
-        if len(blocks) == 1:
-            hb = h
-        elif isinstance(idx, slice):
+        if isinstance(idx, slice):
             hb = h[idx, idx]
         else:
             hb = h[idx][:, idx]
@@ -260,21 +258,21 @@ class ConvergenceResult:
 
 
 def converge_cutoff(
-    observable: Callable[[int], float | Mapping[str, float]],
+    observable: Callable[[int], Mapping[str, float]],
     rel_tol: float = 0.01,
     n_start: int = 16,
     n_step: int = 8,
     n_max: int = 56,
 ) -> ConvergenceResult:
-    """Increase the basis cutoff until the observable stops drifting.
+    """Increase the basis cutoff until the observable's named values stop drifting.
 
-    Returns the first cutoff whose value agrees with the next one to rel_tol
-    (so the reported value is already converged at the reported cutoff).
-    observable may return named values instead of one: the first is the one
-    reported and kept in the history, and every one must agree to rel_tol.
-    Each cutoff logs one DEBUG record, with a name_drift and name_tol pair
-    for each value after the first; the first cutoff has no drift or
-    tolerance yet and logs them as nan.
+    observable(n) returns named values at cutoff n.  The first is the one
+    reported and kept in the history; every one must agree with the next
+    cutoff's to rel_tol.  Returns the first cutoff where they all do (so the
+    reported value is already converged at the reported cutoff).  Each
+    cutoff logs one DEBUG record, with a name_drift and name_tol pair for
+    each value after the first; the first cutoff has no drift or tolerance
+    yet and logs them as nan.
     """
     if n_step < 1:
         raise ValueError("n_step must be >= 1")
@@ -284,12 +282,7 @@ def converge_cutoff(
     nan = float("nan")
     n = n_start
     while n <= n_max:
-        got = observable(n)
-        values = (
-            {name: float(x) for name, x in got.items()}
-            if isinstance(got, Mapping)
-            else {"value": float(got)}
-        )
+        values = {name: float(x) for name, x in observable(n).items()}
         v = next(iter(values.values()))
         history.append((n, v))
         drifts = {

@@ -310,14 +310,14 @@ def soc_operators(basis: AdaptedBasis) -> tuple[sp.csr_matrix, sp.csr_matrix]:
     return ops.s_u, ops.s_g
 
 
-def assemble(spec: SectorSpec, basis: AdaptedBasis | None = None) -> sp.csr_matrix:
+def assemble(spec: SectorSpec) -> sp.csr_matrix:
     """Spin-orbit-free sector H_osc + W + pJT as one real CSR matrix in the adapted basis.
 
-    The elementwise sum of the basis's unit terms weighted by the couplings,
-    with exact zeros dropped; the matrix owns its arrays.
+    The elementwise sum of the unit terms of adapted_basis(spec.cutoff)
+    weighted by the couplings, with exact zeros dropped; the matrix owns its
+    arrays.
     """
-    if basis is None:
-        basis = adapted_basis(spec.cutoff)
+    basis = adapted_basis(spec.cutoff)
     ops = basis.operators
     c = spec.couplings
     u = ops.units

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-# total spin-vibronic dimension 4*dim(basis) must stay below this by default
-DEFAULT_DIM_BUDGET = 200_000
+# total spin-vibronic dimension 4*dim(basis) must stay below this
+DIM_BUDGET = 200_000
 
 
 class BasisSizeError(ValueError):
@@ -55,14 +55,14 @@ class OscBasis:
         return n * (n + 1) // 2 + n_plus
 
 
-def build_basis(cutoff: int, dim_budget: int = DEFAULT_DIM_BUDGET) -> OscBasis:
+def build_basis(cutoff: int) -> OscBasis:
     if cutoff < 0:
         raise ValueError("cutoff must be >= 0")
     dim = (cutoff + 1) * (cutoff + 2) // 2
-    if 4 * dim > dim_budget:
+    if 4 * dim > DIM_BUDGET:
         raise BasisSizeError(
             f"cutoff {cutoff} gives spin-vibronic dimension {4 * dim} "
-            f"exceeding the budget {dim_budget}"
+            f"exceeding the budget {DIM_BUDGET}"
         )
     n_plus = np.concatenate([np.arange(n + 1) for n in range(cutoff + 1)])
     n_minus = np.concatenate([np.full(n + 1, n) - np.arange(n + 1) for n in range(cutoff + 1)])

@@ -31,8 +31,6 @@ from .config import RunConfig, SOC_CALIBRATE, SOC_EXPLICIT
 from .params import couplings_for_order
 from .symmetry import composition_table_rows
 
-MEV_PER_EV = 1000.0
-
 
 @dataclass
 class SpectrumReport:
@@ -47,23 +45,12 @@ class SpectrumReport:
     gamma2: float
     p_u: float
     p_g: float
-    lambda_u0: float | None = None
-    lambda_g0: float | None = None
-    lambda_eff: float | None = None
-    gamma2_soc: float | None = None
-    gamma2_soc_ms0: float | None = None
-    a2u_ms_split: float | None = None
-    zpl_shift_ev: float | None = None
+    soc: SocLevels | None = None  # None when spin-orbit is off
     zpl_baseline_ev: float | None = None
-    zpl_with_soc_ev: float | None = None
     convergence_history: list[tuple[int, float]] = field(default_factory=list)
     levels: list[dict] = field(default_factory=list)
     composition: list[dict] = field(default_factory=list)
     level_diagram: list[dict] = field(default_factory=list)
-
-    @property
-    def soc_enabled(self) -> bool:
-        return self.lambda_eff is not None
 
     def validate(self) -> None:
         """Sanity bounds that hold for any physical parameter set."""
@@ -73,7 +60,7 @@ class SpectrumReport:
             raise ValueError("coupling strength must be positive")
         # gamma2_soc comes from the model's own order, so it is bounded by that order's gamma
         gamma = self.gamma1 if self.order == 1 else self.gamma2
-        if self.soc_enabled and self.gamma2_soc > gamma + self.lambda_eff + 1e-9:
+        if self.soc is not None and self.soc.gamma2_soc > gamma + self.soc.lambda_eff + 1e-9:
             raise ValueError("gamma2 with spin-orbit exceeds the triangle bound")
 
     def to_dict(self) -> dict:
@@ -90,21 +77,22 @@ class SpectrumReport:
         }
         if self.convergence_history:
             out["convergence_history"] = [[n, _r(v)] for n, v in self.convergence_history]
-        if self.soc_enabled:
+        soc = self.soc
+        if soc is not None:
             out.update(
                 {
-                    "lambda_u0_mev": _r(self.lambda_u0),
-                    "lambda_g0_mev": _r(self.lambda_g0),
-                    "lambda_eff_mev": _r(self.lambda_eff),
-                    "gamma2_soc_mev": _r(self.gamma2_soc),
-                    "gamma2_soc_ms0_mev": _r(self.gamma2_soc_ms0),
-                    "a2u_ms_split_mev": _r(self.a2u_ms_split),
-                    "zpl_shift_ev": _r(self.zpl_shift_ev),
+                    "lambda_u0_mev": _r(soc.lambda_u0),
+                    "lambda_g0_mev": _r(soc.lambda_g0),
+                    "lambda_eff_mev": _r(soc.lambda_eff),
+                    "gamma2_soc_mev": _r(soc.gamma2_soc),
+                    "gamma2_soc_ms0_mev": _r(soc.gamma2_soc_ms0),
+                    "a2u_ms_split_mev": _r(soc.a2u_ms_split),
+                    "zpl_shift_ev": _r(soc.zpl_shift_ev),
                 }
             )
             if self.zpl_baseline_ev is not None:
                 out["zpl_baseline_ev"] = _r(self.zpl_baseline_ev)
-                out["zpl_with_soc_ev"] = _r(self.zpl_with_soc_ev)
+                out["zpl_with_soc_ev"] = _r(self.zpl_baseline_ev + soc.zpl_shift_ev)
         return out
 
 
@@ -146,16 +134,13 @@ def _level_rows(sol: SectorSolution, soc: SocLevels | None) -> list[dict]:
     for m_s in sorted(sectors):
         energies = sectors[m_s]
         for i, e in enumerate(energies):
-            label = ""
-            if m_s == 0 and i < len(sol.states):
-                label = sol.states[i].irrep
             rows.append(
                 {
                     "m_s": m_s,
                     "index": i,
                     "energy_mev": _r(float(e)),
                     "energy_rel_mev": _r(float(e) - e0_global),
-                    "label": label,
+                    "label": sol.states[i].irrep if m_s == 0 else "",
                 }
             )
     return rows
@@ -203,6 +188,12 @@ def run_report(cfg: RunConfig) -> SpectrumReport:
     gammas[order] = solution_gamma(sol)
     p_u, p_g = reduction_factors(sol)
 
+    soc = None
+    if cfg.soc.mode == SOC_EXPLICIT:
+        soc = soc_levels(sol, cfg.soc.lambda_u0_mev, cfg.soc.lambda_g0_mev, opts)
+    elif cfg.soc.mode == SOC_CALIBRATE:
+        soc = calibrate_soc(sol, cfg.soc.target_lambda_eff_mev, ratio=cfg.soc.ratio, opts=opts)
+
     report = SpectrumReport(
         defect=defect.name,
         preset=preset,
@@ -213,26 +204,10 @@ def run_report(cfg: RunConfig) -> SpectrumReport:
         gamma2=gammas[2],
         p_u=p_u,
         p_g=p_g,
+        soc=soc,
         zpl_baseline_ev=defect.zpl_baseline_ev,
         convergence_history=history,
     )
-
-    soc = None
-    if cfg.soc.mode == SOC_EXPLICIT:
-        soc = soc_levels(sol, cfg.soc.lambda_u0_mev, cfg.soc.lambda_g0_mev, opts)
-    elif cfg.soc.mode == SOC_CALIBRATE:
-        soc = calibrate_soc(sol, cfg.soc.target_lambda_eff_mev, ratio=cfg.soc.ratio, opts=opts)
-    if soc is not None:
-        report.lambda_u0 = soc.lambda_u0
-        report.lambda_g0 = soc.lambda_g0
-        report.lambda_eff = soc.lambda_eff
-        report.gamma2_soc = soc.gamma2_soc
-        report.gamma2_soc_ms0 = soc.gamma2_soc_ms0
-        report.a2u_ms_split = soc.a2u_ms_split
-        report.zpl_shift_ev = soc.zpl_shift_ev
-        if defect.zpl_baseline_ev is not None:
-            report.zpl_with_soc_ev = defect.zpl_baseline_ev + soc.zpl_shift_ev
-
     report.levels = _level_rows(sol, soc)
     report.composition = composition_table_rows(sol.states, defect.length_scale_angstrom())
     report.level_diagram = _diagram_rows(report, sol, soc)
@@ -249,26 +224,29 @@ def write_report_json(report: SpectrumReport, path: str | Path) -> None:
         fh.write("\n")
 
 
-def _write_csv(path: str | Path, rows: list[dict], columns: list[str]) -> None:
+def write_csv(path: str | Path, rows: list[dict], columns: list[str], digits: int = 10) -> None:
+    """One line per row; floats to digits significant digits, a missing or None cell empty."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(columns) + "\n")
         for row in rows:
             cells = []
             for col in columns:
-                v = row.get(col, "")
-                if isinstance(v, float):
-                    cells.append(f"{v:.10g}")
+                v = row.get(col)
+                if v is None:
+                    cells.append("")
+                elif isinstance(v, float):
+                    cells.append(f"{v:.{digits}g}")
                 else:
                     cells.append(str(v))
             fh.write(",".join(cells) + "\n")
 
 
 def write_levels_csv(report: SpectrumReport, path: str | Path) -> None:
-    _write_csv(path, report.levels, ["m_s", "index", "energy_mev", "energy_rel_mev", "label"])
+    write_csv(path, report.levels, ["m_s", "index", "energy_mev", "energy_rel_mev", "label"])
 
 
 def write_composition_csv(report: SpectrumReport, path: str | Path) -> None:
-    _write_csv(
+    write_csv(
         path,
         report.composition,
         [
@@ -286,7 +264,7 @@ def write_composition_csv(report: SpectrumReport, path: str | Path) -> None:
 
 
 def write_level_diagram_csv(report: SpectrumReport, path: str | Path) -> None:
-    _write_csv(path, report.level_diagram, ["stage", "label", "m_s", "energy_mev"])
+    write_csv(path, report.level_diagram, ["stage", "label", "m_s", "energy_mev"])
 
 
 def write_all(report: SpectrumReport, outdir: str | Path, formats=("json", "csv")) -> list[Path]:

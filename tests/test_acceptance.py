@@ -238,7 +238,7 @@ def test_criterion_6_soc_sector_structure(name):
     c = pes_to_couplings(p)
     cutoff, lam = 16, 20.0
     basis = adapted_basis(cutoff)
-    h0 = assemble(SectorSpec(couplings=c, lambda_corr=p.lambda_corr, cutoff=cutoff), basis)
+    h0 = assemble(SectorSpec(couplings=c, lambda_corr=p.lambda_corr, cutoff=cutoff))
     s_u, s_g = soc_operators(basis)
     # the spin-orbit term vanishes at m_s = 0, whose sector is the real H0
     # itself; H0 + m_s lam (S_u + S_g) is the physical m_s sector
@@ -348,7 +348,7 @@ def test_criterion_10_symmetry_commutators(name):
     p = DEFECTS[name]
     basis = adapted_basis(10)
     h = assemble(
-        SectorSpec(couplings=pes_to_couplings(p), lambda_corr=p.lambda_corr, cutoff=10), basis
+        SectorSpec(couplings=pes_to_couplings(p), lambda_corr=p.lambda_corr, cutoff=10)
     ).toarray()
     scale = np.abs(h).max()
     # the Cartesian rotation and reflection in the adapted basis

@@ -13,6 +13,7 @@ from spinvibronic import (
     reduction_factors,
     second_order_shift,
     soc_levels,
+    soc_operators,
     solve_sector,
 )
 from spinvibronic import analysis
@@ -103,13 +104,12 @@ def test_soc_sector_symmetries():
 
 
 def test_soc_sector_is_one_real_matrix_for_both_spins():
+    # m_s = +1 and -1 share H0 + lambda_u0 S_u + lambda_g0 S_g, built on the sector's own H0
     sol = cached_sector("SnV0", 8)
-    assert sol.soc_sector(20.0, 5.0, 0) is sol.h0
-    plus, minus = (sol.soc_sector(20.0, 5.0, m_s) for m_s in (1, -1))
-    assert plus.dtype == np.float64
-    assert (plus != minus).nnz == 0
-    with pytest.raises(ValueError, match="m_s"):
-        sol.soc_sector(20.0, 5.0, 2)
+    h = sol.soc_sector(20.0, 5.0)
+    assert h.dtype == np.float64
+    s_u, s_g = soc_operators(sol.basis)
+    assert (h != sol.h0 + (20.0 * s_u + 5.0 * s_g)).nnz == 0
 
 
 def test_calibrate_round_trip():
@@ -252,7 +252,8 @@ def test_converge_observable_waits_for_every_observable_of_its_order(caplog):
             DEFECTS["SiV0"], "gamma2", rel_tol=0.0096, n_start=8, n_step=4, n_max=28, opts=OPTS
         )
     assert res.cutoff == 16 and [n for n, _ in res.history] == [8, 12, 16, 20]
-    alone = converge_cutoff(dict(res.history).__getitem__, rel_tol=0.0096, n_start=8, n_step=4)
+    gamma2 = dict(res.history)
+    alone = converge_cutoff(lambda n: {"gamma2": gamma2[n]}, rel_tol=0.0096, n_start=8, n_step=4)
     assert alone.cutoff == 12
     records = [r.getMessage() for r in caplog.records if r.getMessage().startswith("converge_cutoff:")]
     assert len(records) == 4

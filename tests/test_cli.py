@@ -203,7 +203,7 @@ def test_report_solves_its_own_order_once(tmp_path, monkeypatch):
     assert len(report.convergence_history) >= 2
     assert len(calls) == len(report.convergence_history) + 1
     assert soc_calls == []
-    assert report.lambda_eff == pytest.approx(3.15, abs=1e-5)
+    assert report.soc.lambda_eff == pytest.approx(3.15, abs=1e-5)
     monkeypatch.undo()
     for order, gamma in ((1, report.gamma1), (2, report.gamma2)):
         assert gamma == analysis.gamma_splitting(cfg.defect, order, report.cutoff, opts=opts)
@@ -281,6 +281,23 @@ def test_surfaces_command(tmp_path):
     assert curve.qx.size == 101
     i0 = int(np.argmin(np.abs(curve.qx)))
     assert np.allclose(np.sort(curve.energies[i0]), [0.0, 0.0, 98.2, 98.2], atol=1e-6)
+
+
+def test_surfaces_rejects_cutoff_and_order_which_fit_keeps(tmp_path):
+    # the surfaces are classical and of the full quadratic model, so --order
+    # and --cutoff would change nothing there; fit writes both into fitted.conf
+    configs = Path(spinvibronic.__file__).parent / "data" / "configs"
+    for flag in (["--order", "1"], ["--cutoff", "8"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["surfaces", str(configs / "snv0.conf"), *flag, "--out", str(tmp_path / "s")])
+        assert exc.value.code == 2
+    assert not (tmp_path / "s").exists()
+    scan = synth_csv(tmp_path, "SiV0")
+    out = tmp_path / "fit"
+    argv = ["fit", str(scan), str(configs / "siv0.conf"), "--cutoff", "8", "--out", str(out)]
+    assert main(argv) == 0
+    fitted = (out / "fitted.conf").read_text().splitlines()
+    assert "cutoff = 8" in fitted and "converge = false" in fitted
 
 
 def synth_csv(tmp_path, name="SiV0", qgrid=None, sort=True, missing=None):

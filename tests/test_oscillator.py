@@ -43,8 +43,9 @@ def test_basis_enumeration_is_bijective_and_ordered():
 
 
 def test_budget_rejected():
+    # cutoff 400 gives 4 * 80601 states, over the budget; the check comes before any allocation
     with pytest.raises(BasisSizeError):
-        build_basis(100, dim_budget=1000)
+        build_basis(400)
 
 
 def test_position_matrix_elements():

@@ -96,7 +96,7 @@ def test_accidental_a_pair_resolved(basis6):
     # uncoupled model: A1u and A2u are exactly degenerate, but they lie in
     # different blocks, so each comes back pure and labelled from its block
     spec = SectorSpec(couplings=Couplings(0.0, 0.0, 0.0, 0.0, 70.0), lambda_corr=50.0, cutoff=6)
-    states = analyze_states(solve_lowest(assemble(spec, basis6), k=2), basis6)
+    states = analyze_states(solve_lowest(assemble(spec), k=2), basis6)
     assert sorted(s.irrep for s in states) == ["A1u", "A2u"]
     for s in states:
         assert s.composition[s.irrep] == pytest.approx(1.0, abs=1e-12)
