@@ -15,14 +15,14 @@ hamiltonian.soc_operators.  The same S_u and S_g give p_u / p_g and the
 calibration slope.  The physical m_s = -1 sector is the m_s = +1 matrix in
 the C2'-image basis, so m_s = -1 is taken from the m_s = +1 solve.
 
-Spin-orbit eigenstates are matched to their zero-coupling parents by maximum
-overlap; an overlap below 0.5 aborts the analysis rather than reporting a
-mislabeled level.
-
-The Eu-derived pair of the m_s = +1 sector is the lowest state of its j = 1
-block and the lowest state of its j = 2 block, so calibrate_soc takes its
-Newton steps on those two blocks alone, one warm-started pair each, and
-solves the whole sector once, at the calibrated couplings.
+Every solve runs on the blocks the basis declares, and names each pair's
+block.  The Eu-derived pair of the m_s = +1 sector is the lowest state of
+its j = 1 block and of its j = 2 block, and the A2u-derived state the j = 0
+state of largest overlap with the m_s = 0 A2u state; an overlap below 0.5
+aborts the analysis rather than reporting a mislabeled level.  So
+calibrate_soc takes its Newton steps on the two Eu blocks alone, one
+warm-started pair each, and solves the whole sector once, at the calibrated
+couplings.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -76,13 +76,14 @@ class SolverOptions:
     seed: int = 0
     dense_threshold: int = DENSE_THRESHOLD_DEFAULT
 
-    def solve(self, h: sp.csr_matrix) -> EigResult:
+    def solve(self, h: sp.csr_matrix, blocks: Sequence[tuple[int, int]] | None = None) -> EigResult:
         return solve_lowest(
             h,
             k=self.k,
             tol=self.tol,
             seed=self.seed,
             dense_threshold=self.dense_threshold,
+            blocks=blocks,
         )
 
 
@@ -120,14 +121,10 @@ class SectorSolution:
 
     def eu_doublet(self) -> tuple[np.ndarray, float]:
         """Eigenvector pair and energy of the lowest Eu doublet: the lowest j = 1 and j = 2 states."""
-        eu = [s for s in self.states if s.irrep == LABEL_EU]
-        pair = []
-        for j in (1, 2):
-            # an Eu state lies wholly in the j = 1 or the j = 2 block
-            held = next((s for s in eu if self.basis.block_of(s.coefficients) == j - 1), None)
+        pair = [next((s for s in self.states if s.block == b), None) for b in (0, 1)]
+        for j, held in zip((1, 2), pair):
             if held is None:
                 raise AnalysisError(f"no j = {j} Eu partner among the lowest {len(self.states)} states")
-            pair.append(held)
         return np.column_stack([s.coefficients for s in pair]), pair[0].energy
 
     @cached_property
@@ -153,7 +150,7 @@ def solve_sector(
     spec = SectorSpec(couplings=couplings, lambda_corr=lambda_corr, cutoff=cutoff, preset=preset)
     basis = adapted_basis(cutoff)
     h0 = assemble(spec)
-    result = opts.solve(h0)
+    result = opts.solve(h0, basis.sector_blocks(0, linear=couplings.g_u == couplings.g_g == 0.0))
     return SectorSolution(
         spec=spec, result=result, states=analyze_states(result, basis), basis=basis, h0=h0
     )
@@ -221,16 +218,21 @@ MIN_TRACKING_OVERLAP = 0.5
 def _tracked_soc_levels(
     sol: SectorSolution, doublet: np.ndarray, result: EigResult
 ) -> tuple[int, np.ndarray, dict[str, float]]:
-    """(A2u-derived index, Eu-derived pair indices by energy, overlaps) against sol's doublet."""
-    a2u_vec = sol.lowest(LABEL_A2U).coefficients[:, None]
-    w_a2u = (np.abs(a2u_vec.conj().T @ result.eigenvectors) ** 2).sum(axis=0)
-    w_eu = (np.abs(doublet.conj().T @ result.eigenvectors) ** 2).sum(axis=0)
-    i_a2u = int(np.argmax(w_a2u))
-    idx_eu = np.sort(np.argsort(-w_eu)[:2])
-    overlaps = {
-        "a2u": float(w_a2u[i_a2u]),
-        "eu_lower": float(w_eu[idx_eu].min()),
-    }
+    """(A2u-derived index, Eu-derived pair indices by energy, overlaps) of an m_s = +1 solve.
+
+    The Eu-derived pair is the lowest state of the j = 1 block and of the j = 2
+    block, and the A2u-derived state the j = 0 state closest to sol's lowest A2u.
+    """
+    # the j block of each pair: 0 (j = 1), 1 (j = 2) or 2 (j = 0, A1u and A2u)
+    j = np.minimum(sol.basis.block_at([lo for lo, _ in result.ranges]), 2)[result.block]
+    if not np.isin([0, 1, 2], j).all():
+        raise AnalysisError(f"a j block has no state among the lowest {result.k}; increase k")
+    idx_eu = np.sort([np.argmax(j == 0), np.argmax(j == 1)])
+    j0 = np.flatnonzero(j == 2)
+    w_a2u = np.abs(sol.lowest(LABEL_A2U).coefficients.conj() @ result.eigenvectors[:, j0]) ** 2
+    i_a2u = int(j0[np.argmax(w_a2u)])
+    w_eu = (np.abs(doublet.conj().T @ result.eigenvectors[:, idx_eu]) ** 2).sum(axis=0)
+    overlaps = {"a2u": float(w_a2u.max()), "eu_lower": float(w_eu.min())}
     if min(overlaps.values()) < MIN_TRACKING_OVERLAP:
         raise AnalysisError(
             f"state tracking across spin-orbit switch-on failed: overlaps {overlaps} "
@@ -299,10 +301,11 @@ def soc_levels(
             f"bare spin-orbit splittings must be nonnegative (got {lambda_u0}, {lambda_g0})"
         )
     h_soc = sol.soc_sector(lambda_u0, lambda_g0)
-    r_plus = opts.solve(h_soc)
+    blocks = sol.basis.sector_blocks(1)
+    r_plus = opts.solve(h_soc, blocks)
     e_minus = None
     if solve_both_sectors:
-        e_minus = opts.solve(h_soc).eigenvalues
+        e_minus = opts.solve(h_soc, blocks).eigenvalues
     return _levels_from_solve(sol, lambda_u0, lambda_g0, r_plus, e_minus)
 
 
@@ -385,7 +388,8 @@ def calibrate_soc(
         miss = lambda_eff - target_lambda_eff
         if abs(miss) < 1e-7:
             try:
-                levels = _levels_from_solve(sol, ratio * s, s, opts.solve(sol.h0 + s * dh_ds))
+                final = opts.solve(sol.h0 + s * dh_ds, sol.basis.sector_blocks(1))
+                levels = _levels_from_solve(sol, ratio * s, s, final)
             except AnalysisError as exc:
                 raise CalibrationError(f"final solve at s={s:g} meV: {exc}", scan)
             if not abs(levels.lambda_eff - target_lambda_eff) < 1e-7:

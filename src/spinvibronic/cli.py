@@ -125,9 +125,10 @@ def _load_reference() -> dict[str, dict[str, float]]:
     return ref
 
 
-TABLE1_QUANTITIES = ("gamma1", "gamma2", "p_u", "p_g", "lambda_eff", "zpl_shift_ev")
-# read from the report's SocLevels, and None when spin-orbit is off
-_SOC_QUANTITIES = ("lambda_eff", "zpl_shift_ev")
+# each table1 quantity and the report.json key of its 10-digit value, which
+# no BLAS thread count moves; the spin-orbit keys are absent when it is off
+TABLE1_KEYS = {"gamma1": "gamma1_mev", "gamma2": "gamma2_mev", "p_u": "p_u", "p_g": "p_g",
+               "lambda_eff": "lambda_eff_mev", "zpl_shift_ev": "zpl_shift_ev"}
 
 
 def cmd_table1(args) -> int:
@@ -150,8 +151,9 @@ def cmd_table1(args) -> int:
             continue
         row = {"defect": report.defect, "status": "ok"}
         ref = reference.get(report.defect, {})
-        for q in TABLE1_QUANTITIES:
-            value = getattr(report.soc, q, None) if q in _SOC_QUANTITIES else getattr(report, q)
+        written = report.to_dict()
+        for q, key in TABLE1_KEYS.items():
+            value = written.get(key)
             row[q] = value
             row[q + "_ref"] = ref.get(q)
             if value is not None and ref.get(q) not in (None, 0.0):
@@ -164,7 +166,7 @@ def cmd_table1(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     out = outdir / "table1.csv"
     columns = ["defect", "status"]
-    for q in TABLE1_QUANTITIES:
+    for q in TABLE1_KEYS:
         columns += [q, q + "_ref", q + "_dev"]
     write_csv(out, rows, columns, digits=6)
     print(out)
@@ -176,7 +178,7 @@ def cmd_table1(args) -> int:
         if row.get("status") != "ok":
             print(f"{row['defect']:8s} {'(solve failed)':14s}")
             continue
-        for q in TABLE1_QUANTITIES:
+        for q in TABLE1_KEYS:
             v, r, dev = row.get(q), row.get(q + "_ref"), row.get(q + "_dev")
             if v is None:
                 continue

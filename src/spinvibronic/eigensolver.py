@@ -1,15 +1,16 @@
 """Lowest eigenpairs of sparse Hermitian matrices, solved block by block.
 
 A sector Hamiltonian that commutes with a symmetry splits into blocks with
-no matrix elements between them.  In the symmetry-adapted basis of
-hamiltonian the m_s = 0 sectors are four real blocks (Eu from j = 1 and
-j = 2, A1u, A2u) and the m_s = +/-1 sectors three (j = 1, 2, 0), each a
-contiguous index range; the linear model, which also conserves J, splits
-further.  solve_lowest finds the blocks as the connected components of the
-sparsity pattern, solves each, and merges the block spectra, so every
-eigenvector it returns lies in one block and exact degeneracies across
-blocks cannot mix.  A block whose indices form one contiguous range is cut
-out by a range slice; any other by index arrays.
+no matrix elements between them.  The symmetry-adapted basis of hamiltonian
+declares them as ordered, contiguous (start, stop) ranges
+(AdaptedBasis.sector_blocks): four real blocks for an m_s = 0 sector (Eu from
+j = 1 and j = 2, A1u, A2u), three for an m_s = +/-1 sector (j = 1, 2, 0), and
+the J ranges inside the four for the linear model, which also conserves J.
+solve_lowest cuts each range out by a range slice, solves it, and merges the
+block spectra, so every eigenvector it returns lies in one block, exact
+degeneracies across blocks cannot mix, and the result names the block of
+each pair.  A stored entry outside its row's range raises ValueError rather
+than being dropped.  Without ranges the whole matrix is one block.
 
 A block whose CSR arrays (shape, indptr, indices, data) are exactly equal to
 those of a block already solved in the same call is not solved again: it
@@ -59,7 +60,7 @@ from __future__ import annotations
 
 import logging
 import time
-from collections.abc import Callable, Mapping
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -89,9 +90,13 @@ class ConvergenceError(RuntimeError):
 
 @dataclass
 class EigResult:
+    """Ascending eigenpairs; pair i was solved in the block ranges[block[i]] = (start, stop)."""
+
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     residual_norms: np.ndarray
+    ranges: tuple[tuple[int, int], ...]
+    block: np.ndarray
 
     @property
     def k(self) -> int:
@@ -109,9 +114,15 @@ def _dense_lowest(h: sp.csr_matrix, k: int) -> tuple[np.ndarray, np.ndarray]:
 def _arpack_lowest(
     h: sp.csr_matrix, k: int, tol: float, v0: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    from scipy.sparse.linalg import eigsh
+    from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
-    vals, vecs = eigsh(h, k, which="SA", v0=v0, tol=tol)
+    try:
+        vals, vecs = eigsh(h, k, which="SA", v0=v0, tol=tol)
+    except ArpackNoConvergence as exc:
+        raise SolverError(
+            f"ARPACK did not reach tol={tol:g}: {len(exc.eigenvalues)} of {k} pairs converged",
+            residuals=_residuals(h, exc.eigenvalues.real, exc.eigenvectors),
+        ) from exc
     order = np.argsort(vals)
     return vals[order].real, vecs[:, order]
 
@@ -135,16 +146,8 @@ def _block_lowest(
     h: sp.csr_matrix, k: int, dense: bool, tol: float, v0: np.ndarray | None
 ) -> EigResult:
     """Lowest k pairs of one block; v0 starts ARPACK and is unused by LAPACK."""
-    from scipy.sparse.linalg import ArpackNoConvergence
-
     t0, c0 = time.perf_counter(), time.process_time()
-    try:
-        vals, vecs = _dense_lowest(h, k) if dense else _arpack_lowest(h, k, tol, v0)
-    except ArpackNoConvergence as exc:
-        raise SolverError(
-            f"ARPACK did not reach tol={tol:g}: {len(exc.eigenvalues)} of {k} pairs converged",
-            residuals=_residuals(h, exc.eigenvalues.real, exc.eigenvectors),
-        ) from exc
+    vals, vecs = _dense_lowest(h, k) if dense else _arpack_lowest(h, k, tol, v0)
     res = _residuals(h, vals, vecs)
     bound = _bound(tol, vals)
     _log_block(h, "dense" if dense else "lanczos", k, t0, c0, res, bound)
@@ -154,7 +157,7 @@ def _block_lowest(
             f"(residuals {np.array2string(res, precision=2)})",
             residuals=res,
         )
-    return EigResult(eigenvalues=vals, eigenvectors=vecs, residual_norms=res)
+    return EigResult(vals, vecs, res, ranges=((0, h.shape[0]),), block=np.zeros(k, dtype=int))
 
 
 def _same_csr(a: sp.csr_matrix, b: sp.csr_matrix) -> bool:
@@ -167,14 +170,18 @@ def _same_csr(a: sp.csr_matrix, b: sp.csr_matrix) -> bool:
     )
 
 
-def _blocks(h: sp.csr_matrix) -> list[np.ndarray]:
-    """Ascending index sets of the decoupled blocks, from the sparsity pattern alone."""
-    from scipy.sparse.csgraph import connected_components
-
-    pattern = sp.csr_matrix((np.ones(h.nnz), h.indices, h.indptr), shape=h.shape)
-    _, labels = connected_components(pattern, directed=False)
-    order = np.argsort(labels, kind="stable")
-    return np.split(order, np.cumsum(np.bincount(labels))[:-1])
+def _check_blocks(h: sp.csr_matrix, ranges: tuple[tuple[int, int], ...]) -> None:
+    """Raise ValueError unless ranges tile h in order and hold every stored entry of h."""
+    lo, hi = np.array(ranges).T
+    if lo[0] != 0 or hi[-1] != h.shape[0] or np.any(lo[1:] != hi[:-1]) or np.any(hi <= lo):
+        raise ValueError(f"blocks {ranges} are not ordered, non-empty ranges that tile h")
+    per_block = np.diff(h.indptr[np.append(lo, hi[-1])])
+    lo, hi = np.repeat(lo, per_block), np.repeat(hi, per_block)
+    outside = np.flatnonzero((h.indices < lo) | (h.indices >= hi))
+    if outside.size:
+        at, row = outside[0], np.searchsorted(h.indptr, outside[0], side="right") - 1
+        raise ValueError(f"stored entry ({row}, {h.indices[at]}) lies outside the block "
+                         f"({lo[at]}, {hi[at]}) of its row")
 
 
 def solve_lowest(
@@ -183,35 +190,32 @@ def solve_lowest(
     tol: float = 1e-10,
     seed: int = 0,
     dense_threshold: int = DENSE_THRESHOLD_DEFAULT,
+    blocks: Sequence[tuple[int, int]] | None = None,
 ) -> EigResult:
     """Algebraically smallest k eigenpairs of a Hermitian matrix, ascending.
 
-    Each decoupled block gives its lowest min(k, dim_b) pairs; the block
-    spectra are merged by a stable sort and the lowest k kept, with the
-    eigenvectors embedded in the full space.  Blocks with dim_b <=
-    dense_threshold go to LAPACK and larger ones to ARPACK (implicitly
-    restarted Lanczos), except that k_b >= dim_b - 1 always goes to LAPACK,
-    which ARPACK cannot serve; dense_threshold = 0 therefore sends every
-    other block to ARPACK.  tol is ARPACK's relative tolerance.  Results are
-    deterministic for a fixed seed.
+    blocks are the (start, stop) ranges of the decoupled blocks of h, in
+    order; they must tile h and hold its every stored entry (else
+    ValueError), and None makes h one block.  Each block gives its lowest
+    min(k, dim_b) pairs; the block spectra are merged by a stable sort and
+    the lowest k kept, with the eigenvectors embedded in the full space.
+    Blocks with dim_b <= dense_threshold go to LAPACK and larger ones to
+    ARPACK (implicitly restarted Lanczos), except that k_b >= dim_b - 1
+    always goes to LAPACK, which ARPACK cannot serve; dense_threshold = 0
+    therefore sends every other block to ARPACK.  tol is ARPACK's relative
+    tolerance.  Results are deterministic for a fixed seed.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     n = h.shape[0]
     if k > n:
         raise ValueError(f"k={k} exceeds matrix dimension {n}")
-    # a contiguous block becomes a range slice, which is cheaper than index arrays
-    blocks = [
-        slice(idx[0], idx[-1] + 1) if idx[-1] - idx[0] + 1 == idx.size else idx
-        for idx in _blocks(h)
-    ]
+    ranges = ((0, n),) if blocks is None else tuple((int(lo), int(hi)) for lo, hi in blocks)
+    _check_blocks(h, ranges)
     parts = []
     solved: list[tuple[int, sp.csr_matrix]] = []  # (block number, matrix) of each block solved
-    for b, idx in enumerate(blocks):
-        if isinstance(idx, slice):
-            hb = h[idx, idx]
-        else:
-            hb = h[idx][:, idx]
+    for lo, hi in ranges:
+        hb = h[lo:hi, lo:hi]
         t0, c0 = time.perf_counter(), time.process_time()
         twin = next((j for j, prev in solved if _same_csr(prev, hb)), None)
         if twin is not None:
@@ -221,22 +225,23 @@ def solve_lowest(
             _log_block(hb, "reused", r.k, t0, c0, r.residual_norms, _bound(tol, r.eigenvalues),
                        f" reused_from={twin}")
             continue
-        nb = hb.shape[0]
+        nb = hi - lo
         kb = min(k, nb)
         dense = nb <= dense_threshold or kb >= nb - 1
         v0 = None if dense else np.random.default_rng(seed).standard_normal(nb).astype(hb.dtype)
+        solved.append((len(parts), hb))
         parts.append(_block_lowest(hb, kb, dense, tol, v0))
-        solved.append((b, hb))
     vals = np.concatenate([r.eigenvalues for r in parts])
     keep = np.argsort(vals, kind="stable")[:k]
     # embed only the kept pairs: the linear model has dozens of blocks
     starts = np.cumsum([0] + [r.k for r in parts])
+    block = np.searchsorted(starts, keep, side="right") - 1
     vecs = np.zeros((n, keep.size), dtype=h.dtype)
-    for col, i in enumerate(keep):
-        b = np.searchsorted(starts, i, side="right") - 1
-        vecs[blocks[b], col] = parts[b].eigenvectors[:, i - starts[b]]
+    for col, (i, b) in enumerate(zip(keep, block)):
+        lo, hi = ranges[b]
+        vecs[lo:hi, col] = parts[b].eigenvectors[:, i - starts[b]]
     res = np.concatenate([r.residual_norms for r in parts])
-    return EigResult(eigenvalues=vals[keep], eigenvectors=vecs, residual_norms=res[keep])
+    return EigResult(vals[keep], vecs, res[keep], ranges, block)
 
 
 def lowest_pair(h: sp.csr_matrix, v0: np.ndarray, tol: float = 1e-10) -> EigResult:

@@ -38,8 +38,9 @@ j = 1 (by J, then product index), j = 2 as the C2' partners of the j = 1
 states in the same order, then the j = 0 states b paired with their C2' images
 as (b + C2'b)/sqrt(2) (A1u) and (b - C2'b)/sqrt(2) (A2u).  So the m_s = 0
 sector splits exactly into four blocks, Eu (j = 1), Eu (j = 2), A1u and A2u,
-and each m_s = +/-1 sector into three, j = 1, j = 2 and j = 0.  The physical
-m_s = -1 sector is C2' H(+1) C2', which swaps j = 1 with j = 2 and flips the
+and each m_s = +/-1 sector into three, j = 1, j = 2 and j = 0, all of them
+contiguous ranges that AdaptedBasis.sector_blocks hands to the solver
+(with the J ranges inside them for the linear model).  The physical m_s = -1 sector is C2' H(+1) C2', which swaps j = 1 with j = 2 and flips the
 sign of the A2u states: it is the m_s = +1 matrix in the C2'-image basis, so
 one matrix serves both, and Kramers degeneracy is stated exactly.
 
@@ -134,12 +135,14 @@ class AdaptedBasis:
     j = 2 state, and +1 on b with -1 (A1u) or +1 (A2u) on b' for the pair
     (b, b'), C2'b = -b', of a j = 0 state; the pair rows carry the
     normalisation 1/sqrt(2) implicitly.  blocks holds (label, start, stop) of
-    the j = 1, j = 2, A1u and A2u ranges, in that order.
+    the j = 1, j = 2, A1u and A2u ranges, in that order, and linear_blocks the
+    (start, stop) of the J ranges inside them.
     """
 
     osc: OscBasis
     fold: sp.csr_matrix
     blocks: tuple[tuple[str, int, int], ...]
+    linear_blocks: tuple[tuple[int, int], ...]
 
     @property
     def dim(self) -> int:
@@ -195,10 +198,21 @@ class AdaptedBasis:
         scale = np.where(np.arange(self.dim) < self.blocks[2][1], 1.0, math.sqrt(0.5))
         return self.fold.T @ (scale * vectors.T).T
 
-    def block_of(self, vector: np.ndarray) -> int | None:
-        """Index into blocks of the one block holding vector, or None if it spans several."""
-        held = [i for i, (_, lo, hi) in enumerate(self.blocks) if np.any(vector[lo:hi])]
-        return held[0] if len(held) == 1 else None
+    def sector_blocks(self, m_s: int, linear: bool = False) -> tuple[tuple[int, int], ...]:
+        """Ordered (start, stop) ranges of the decoupled blocks of an m_s sector.
+
+        m_s = 0: the j = 1, j = 2, A1u and A2u ranges, or the J ranges inside
+        them for the linear model (g = 0), which also conserves J.  m_s = +/-1:
+        the j = 1, j = 2 and j = 0 ranges, since spin-orbit couples A1u to A2u.
+        """
+        (_, lo1, hi1), (_, lo2, hi2), (_, lo0, _), (_, _, hi0) = self.blocks
+        if m_s:
+            return (lo1, hi1), (lo2, hi2), (lo0, hi0)
+        return self.linear_blocks if linear else tuple((lo, hi) for _, lo, hi in self.blocks)
+
+    def block_at(self, index) -> np.ndarray:
+        """Index into blocks of the block that holds each adapted-basis index."""
+        return np.searchsorted([lo for _, lo, _ in self.blocks[1:]], index, side="right")
 
 
 def _shared_pattern(
@@ -256,7 +270,12 @@ def adapted_basis(cutoff: int) -> AdaptedBasis:
         (LABEL_A1U, 2 * m1, 2 * m1 + m0),
         (LABEL_A2U, 2 * m1 + m0, k.size),
     )
-    return AdaptedBasis(osc=osc, fold=fold, blocks=blocks)
+    # each block holds its states by J (the j = 2 states mirror the j = 1 ones,
+    # J -> -J, and an A1u or A2u state has the J >= 0 of its lead state)
+    lead_j = np.concatenate([big_j[j1], big_j[j1], big_j[rep], big_j[rep]])
+    edges = np.union1d([lo for _, lo, _ in blocks] + [k.size], np.flatnonzero(np.diff(lead_j)) + 1)
+    linear_blocks = tuple(zip(edges[:-1].tolist(), edges[1:].tolist()))
+    return AdaptedBasis(osc=osc, fold=fold, blocks=blocks, linear_blocks=linear_blocks)
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,11 @@
 """Irrep labels, electronic composition and displacement of vibronic states.
 
-Every eigenvector the solver returns lies in one exact block of the
-symmetry-adapted basis (see hamiltonian and eigensolver), and the block names
-its irrep: the j = 1 and j = 2 blocks hold the two partners of every Eu
-doublet, and the C2'-even and -odd j = 0 blocks hold the A1u and A2u states.
-So each state is labelled from the block that holds its vector, with no
-tolerance; a vector with weight in more than one block, which no block solve
-returns, is flagged mixed.
+The symmetry-adapted basis of hamiltonian declares the blocks of every
+sector, and the solver returns each pair with the block it was solved in
+(see eigensolver).  The block names the irrep: the j = 1 and j = 2 blocks
+hold the two partners of every Eu doublet, and the C2'-even and -odd j = 0
+blocks hold the A1u and A2u states.  So each state is labelled from its
+block index, with no tolerance and no look at its vector.
 """
 
 from __future__ import annotations
@@ -17,8 +16,6 @@ import numpy as np
 
 from .eigensolver import EigResult
 from .hamiltonian import ELEC_DIM, AdaptedBasis
-
-LABEL_MIXED = "mixed"
 
 
 @dataclass
@@ -35,16 +32,11 @@ class VibronicState:
 
     energy: float
     coefficients: np.ndarray
+    block: int  # index into AdaptedBasis.blocks: j = 1, j = 2, A1u, A2u
     irrep: str
     composition: dict[str, float]
     displacement: float
     displacement_raw: float
-
-
-def block_label(vector: np.ndarray, basis: AdaptedBasis) -> str:
-    """Irrep of the one block that holds vector, or mixed."""
-    block = basis.block_of(vector)
-    return LABEL_MIXED if block is None else basis.blocks[block][0]
 
 
 def electronic_composition(product: np.ndarray) -> dict[str, float]:
@@ -78,17 +70,27 @@ def mean_displacement(product: np.ndarray, r2) -> tuple[float, float]:
 
 
 def analyze_states(result: EigResult, basis: AdaptedBasis) -> list[VibronicState]:
-    """Label, decompose and measure every eigenstate of a real-sector solve."""
+    """Label, decompose and measure every eigenstate of an m_s = 0 solve on basis's blocks.
+
+    Each state is labelled from the basis block that holds its solve block.
+    """
+    lo, hi = np.array(result.ranges).T
+    held = basis.block_at(lo)
+    if np.any(basis.block_at(hi - 1) != held):
+        raise ValueError(f"solve blocks {result.ranges} do not nest in the symmetry blocks")
     r2 = basis.operators.r2
     products = basis.to_product(result.eigenvectors)
     states: list[VibronicState] = []
-    for energy, v, p in zip(result.eigenvalues, result.eigenvectors.T, products.T):
+    for energy, v, p, b in zip(
+        result.eigenvalues, result.eigenvectors.T, products.T, held[result.block]
+    ):
         disp, disp_raw = mean_displacement(p, r2)
         states.append(
             VibronicState(
                 energy=float(energy),
                 coefficients=v,
-                irrep=block_label(v, basis),
+                block=int(b),
+                irrep=basis.blocks[b][0],
                 composition=electronic_composition(p),
                 displacement=disp,
                 displacement_raw=disp_raw,

@@ -82,6 +82,22 @@ def folded_sector(spec) -> sp.csr_matrix:
     return basis.adapt(product_sector(spec, basis.osc))
 
 
+# --- block oracle: the connected components of the sparsity pattern ------------
+
+
+def connected_blocks(h: sp.csr_matrix) -> list[np.ndarray]:
+    """Ascending index sets of the decoupled blocks of h, from its sparsity pattern alone.
+
+    The oracle for the ranges AdaptedBasis.sector_blocks declares.
+    """
+    from scipy.sparse.csgraph import connected_components
+
+    pattern = sp.csr_matrix((np.ones(h.nnz), h.indices, h.indptr), shape=h.shape)
+    _, labels = connected_components(pattern, directed=False)
+    order = np.argsort(labels, kind="stable")
+    return np.split(order, np.cumsum(np.bincount(labels))[:-1])
+
+
 # --- Cartesian reference: the oracle for the symmetry-adapted assembly -------
 #
 # States |n_x, n_y> with n_x + n_y <= cutoff, shell-major with n_x minor, and

@@ -245,11 +245,12 @@ def test_criterion_6_soc_sector_structure(name):
     lapack = h0.shape[0]
     sols = {
         m_s: solve_lowest(
-            h0 if m_s == 0 else h0 + m_s * (lam * s_u + lam * s_g), k=10, dense_threshold=lapack
+            h0 if m_s == 0 else h0 + m_s * (lam * s_u + lam * s_g), k=10, dense_threshold=lapack,
+            blocks=basis.sector_blocks(m_s),
         )
         for m_s in (-1, 0, 1)
     }
-    ref = solve_lowest(h0, k=10, dense_threshold=lapack)
+    ref = solve_lowest(h0, k=10, dense_threshold=lapack, blocks=basis.sector_blocks(0))
     d0 = np.abs(sols[0].eigenvalues - ref.eigenvalues).max()
     dpm = np.abs(sols[1].eigenvalues - sols[-1].eigenvalues).max()
     ok = d0 < 1e-10 and dpm < 1e-10
@@ -332,8 +333,9 @@ def test_criterion_9_oracle_equivalence(name):
     p = DEFECTS[name]
     spec = SectorSpec(couplings=pes_to_couplings(p), lambda_corr=p.lambda_corr, cutoff=12)
     h = assemble(spec)
-    dense = solve_lowest(h, k=8, dense_threshold=h.shape[0])
-    lanczos = solve_lowest(h, k=8, dense_threshold=0)
+    blocks = adapted_basis(12).sector_blocks(0)
+    dense = solve_lowest(h, k=8, dense_threshold=h.shape[0], blocks=blocks)
+    lanczos = solve_lowest(h, k=8, dense_threshold=0, blocks=blocks)
     diff = np.abs(dense.eigenvalues - lanczos.eigenvalues).max()
     ok = diff < 1e-8
     record(9, f"iterative vs dense {name}", ok, f"max |dE| = {diff:.2e} meV (tol 1e-8), dim {h.shape[0]}")

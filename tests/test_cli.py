@@ -402,7 +402,7 @@ import json, sys
 import spinvibronic, spinvibronic.cli
 from spinvibronic import DEFECTS, fit_pes, read_pes_csv
 
-watched = ("scipy.optimize", "scipy.sparse.linalg")
+watched = ("scipy.optimize", "scipy.sparse.linalg", "scipy.sparse.csgraph")
 loaded = {"import": [m for m in watched if m in sys.modules]}
 assert spinvibronic.cli.main(["solve", sys.argv[1], "--cutoff", "8", "--out", sys.argv[2]]) == 0
 loaded["solve"] = [m for m in watched if m in sys.modules]
@@ -416,8 +416,10 @@ print(json.dumps(loaded))
 
 def test_import_and_solve_do_not_load_scipy_optimize(tmp_path):
     # scipy.optimize (which loads scipy.sparse.linalg) costs a fresh process
-    # about 0.24 s and 19 MB; only fitting needs it
-    cfg = write_config(tmp_path, FAST_OFF)
+    # about 0.24 s and 19 MB; only fitting needs it.  A solve whose blocks all
+    # go to LAPACK, spin-orbit sector included, loads neither scipy.sparse.linalg
+    # nor scipy.sparse.csgraph
+    cfg = write_config(tmp_path, FAST_SOLVE)
     csv_path = synth_csv(tmp_path, "SiV0")
     env = dict(os.environ, PYTHONPATH=str(Path(spinvibronic.__file__).parents[1]))
     run = subprocess.run(
@@ -426,7 +428,7 @@ def test_import_and_solve_do_not_load_scipy_optimize(tmp_path):
     )
     loaded = json.loads(run.stdout.splitlines()[-1])
     assert loaded["import"] == []
-    assert "scipy.optimize" not in loaded["solve"]
+    assert loaded["solve"] == []
     assert "scipy.optimize" not in loaded["surfaces"]
     assert "scipy.optimize" in loaded["fit"]
 
@@ -466,6 +468,25 @@ def test_table1_single_defect_and_corruption_flag(tmp_path, capsys):
     table = (tmp_path / "t2" / "table1.csv").read_text().splitlines()
     row = dict(zip(table[0].split(","), table[1].split(",")))
     assert abs(float(row["gamma2_dev"])) > 0.25
+
+
+def test_table1_cells_are_the_values_report_json_writes(tmp_path):
+    # the roundoff-level miss of a calibration must not reach table1, whose
+    # cells would then depend on the BLAS thread count
+    from spinvibronic.cli import TABLE1_KEYS
+
+    calibrate = FAST_SOLVE.replace("mode = explicit", "mode = calibrate").replace(
+        "lambda_u0_mev = 30.0\nlambda_g0_mev = 10.0", "target_lambda_eff_mev = 3.15\nratio = 3.5"
+    )
+    cfg = write_config(tmp_path, calibrate, name="snv0.conf")
+    assert main(["table1", str(tmp_path)]) == 0
+    assert main(["solve", str(cfg)]) == 0
+    written = json.loads((tmp_path / "out" / "report.json").read_text())
+    header, cells = (tmp_path / "out" / "table1.csv").read_text().splitlines()
+    row = dict(zip(header.split(","), cells.split(",")))
+    for q, key in TABLE1_KEYS.items():
+        assert row[q] == f"{written[key]:.6g}"
+    assert row["lambda_eff_dev"] == f"{(written['lambda_eff_mev'] - 3.15) / 3.15:.6g}"
 
 
 def test_failed_table1_row_names_the_defect_and_the_stage(tmp_path, capsys, monkeypatch):

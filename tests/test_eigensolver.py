@@ -17,11 +17,17 @@ from spinvibronic import (
 )
 from spinvibronic.defaults import DEFECTS
 from spinvibronic.analysis import SolverOptions, solve_sector
-from spinvibronic.eigensolver import DENSE_THRESHOLD_DEFAULT, _blocks, lowest_pair
+from spinvibronic.eigensolver import DENSE_THRESHOLD_DEFAULT, lowest_pair
 from spinvibronic.hamiltonian import SectorSpec
 from spinvibronic.params import Couplings
 
-from conftest import adapted_unitary, c2prime_adapted, cached_sector, cartesian_sector
+from conftest import (
+    adapted_unitary,
+    c2prime_adapted,
+    cached_sector,
+    cartesian_sector,
+    connected_blocks,
+)
 
 # a dense_threshold no block reaches: every solve goes to LAPACK
 LAPACK_ONLY = 10**6
@@ -94,7 +100,7 @@ def test_nonconvergence_raises(monkeypatch):
 
     monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
     with pytest.raises(SolverError) as err:
-        solve_lowest(h, k=6, dense_threshold=0)
+        solve_lowest(h, k=6, dense_threshold=0, blocks=adapted_basis(10).sector_blocks(1))
     assert err.value.residuals is not None
     assert err.value.residuals.shape == (2,)
     assert err.value.residuals.max() < 1e-9
@@ -112,7 +118,7 @@ def test_residual_above_tol_raises(monkeypatch):
 
     monkeypatch.setattr(scipy.sparse.linalg, "eigsh", perturbed)
     with pytest.raises(SolverError) as err:
-        solve_lowest(h, k=6, dense_threshold=0)
+        solve_lowest(h, k=6, dense_threshold=0, blocks=adapted_basis(10).sector_blocks(1))
     res = err.value.residuals
     exact = solve_lowest(h, k=6).eigenvalues
     assert res[0] > 1e-3
@@ -139,9 +145,10 @@ def test_complex_hermitian_path(monkeypatch):
     d = sp.diags(np.exp(1j * np.random.default_rng(7).uniform(0.0, 2.0 * np.pi, h.shape[0])))
     a = (d.conj() @ h @ d).tocsr()
     expected = scipy.linalg.eigvalsh(h.toarray())[:6]
+    blocks = adapted_basis(8).sector_blocks(1)
     seen = _spy(monkeypatch)
-    dense = solve_lowest(a, k=6, dense_threshold=LAPACK_ONLY)
-    lanczos = solve_lowest(a, k=6, dense_threshold=0)
+    dense = solve_lowest(a, k=6, dense_threshold=LAPACK_ONLY, blocks=blocks)
+    lanczos = solve_lowest(a, k=6, dense_threshold=0, blocks=blocks)
     assert seen == [("dense", np.dtype(np.complex128))] * 3 + [("lanczos", np.dtype(np.complex128))] * 3
     assert np.abs(dense.eigenvalues - expected).max() < 1e-9
     assert np.abs(lanczos.eigenvalues - expected).max() < 1e-9
@@ -165,24 +172,25 @@ def test_snv0_cluster_structure():
 @pytest.mark.parametrize("m_s", [0, 1])
 def test_blocks_reproduce_the_full_spectrum(name, cutoff, m_s):
     # m_s = 0 splits into the Eu (j = 1), Eu (j = 2), A1u and A2u blocks,
-    # m_s = +1 into j = 1, j = 2 and j = 0: exactly the ranges of the adapted
-    # basis, and the block spectra together are the spectrum of the whole matrix
+    # m_s = +1 into j = 1, j = 2 and j = 0: exactly the ranges the adapted
+    # basis declares, and the block spectra together are the spectrum of the
+    # whole matrix
     h = sector_h(name, cutoff, m_s=m_s, lam=40.0)
-    ranges = [(lo, hi) for _, lo, hi in adapted_basis(cutoff).blocks]
-    if m_s:
-        ranges = ranges[:2] + [(ranges[2][0], ranges[3][1])]
-    blocks = _blocks(h)
-    assert [(b[0], b[-1] + 1) for b in blocks] == ranges
-    assert [b.size for b in blocks] == [hi - lo for lo, hi in ranges]
+    ranges = adapted_basis(cutoff).sector_blocks(m_s)
+    blocks = connected_blocks(h)
+    assert [(b[0], b[-1] + 1) for b in blocks] == list(ranges)
     assert np.array_equal(np.concatenate(blocks), np.arange(h.shape[0]))
 
-    blocked = np.concatenate([scipy.linalg.eigvalsh(h[b][:, b].toarray()) for b in blocks])
+    blocked = np.concatenate([scipy.linalg.eigvalsh(h[lo:hi, lo:hi].toarray()) for lo, hi in ranges])
     full = scipy.linalg.eigvalsh(h.toarray())
     assert np.abs(np.sort(blocked) - full).max() < 1e-9
-    # scattered blocks are cut out by index arrays, to the same spectrum
-    perm = np.random.default_rng(cutoff).permutation(h.shape[0])
-    scattered = solve_lowest(h[perm][:, perm].tocsr(), k=10, dense_threshold=LAPACK_ONLY)
-    assert np.abs(scattered.eigenvalues - full[:10]).max() < 1e-9
+    # solved on the declared ranges, each pair lies in the block it names
+    res = solve_lowest(h, k=10, dense_threshold=LAPACK_ONLY, blocks=ranges)
+    assert np.abs(res.eigenvalues - full[:10]).max() < 1e-9
+    assert res.ranges == ranges
+    for v, b in zip(res.eigenvectors.T, res.block):
+        lo, hi = ranges[b]
+        assert not v[:lo].any() and not v[hi:].any()
 
 
 def test_converge_cutoff_trivial_case():
@@ -250,7 +258,7 @@ def test_arpack_matches_lapack_oracle_ms0_labels(name, cutoff):
     opts = SolverOptions(k=10, dense_threshold=LAPACK_ONLY)
     dense = solve_sector(c, p.lambda_corr, cutoff, opts=opts)
     dense_labels = [s.irrep for s in dense.states]
-    assert "mixed" not in dense_labels
+    assert set(dense_labels) <= {"A1u", "A2u", "Eu"}
     for seed in range(5):
         opts = SolverOptions(k=10, dense_threshold=0, seed=seed)
         sol = solve_sector(c, p.lambda_corr, cutoff, opts=opts)
@@ -334,11 +342,12 @@ def test_every_package_sector_reaches_the_solver_real(monkeypatch, method):
     for name in sorted(DEFECTS):
         p = DEFECTS[name]
         sol = solve_sector(pes_to_couplings(p), p.lambda_corr, 12, opts=opts)
-        sectors += [sol.h0, sol.soc_sector(40.0, 15.0)]
-    assert all(h.dtype == np.float64 for h in sectors)
+        sectors += [(sol.h0, sol.basis.sector_blocks(0)),
+                    (sol.soc_sector(40.0, 15.0), sol.basis.sector_blocks(1))]
+    assert all(h.dtype == np.float64 for h, _ in sectors)
     seen = _spy(monkeypatch)
-    for h in sectors:
-        opts.solve(h)
+    for h, blocks in sectors:
+        opts.solve(h, blocks)
     # four blocks per m_s = 0 sector, of which the two equal Eu blocks are
     # solved once, and three in the one matrix of the m_s = +/-1 sectors
     assert seen == [(method, np.dtype(np.float64))] * (4 * (3 + 3))
@@ -377,9 +386,10 @@ def test_equal_blocks_are_solved_once(monkeypatch, method, threshold):
     a = _tridiagonal(20)
     h = sp.block_diag([a, a], format="csr")
     seen = _spy(monkeypatch)
-    res = solve_lowest(h, k=6, dense_threshold=threshold)
+    res = solve_lowest(h, k=6, dense_threshold=threshold, blocks=[(0, 20), (20, 40)])
     assert seen == [(method, np.dtype(np.float64))]
     # equal eigenvalues merge stably: even columns from the first block, odd from the second
+    assert list(res.block) == [0, 1] * 3
     first, second = res.eigenvectors[:, 0::2], res.eigenvectors[:, 1::2]
     assert np.array_equal(res.eigenvalues[0::2], res.eigenvalues[1::2])
     assert np.array_equal(res.residual_norms[0::2], res.residual_norms[1::2])
@@ -394,7 +404,7 @@ def test_blocks_one_ulp_apart_are_both_solved(monkeypatch):
     b[3, 3] = np.nextafter(b[3, 3], np.inf)
     h = sp.block_diag([a, b], format="csr")
     seen = _spy(monkeypatch)
-    res = solve_lowest(h, k=6)
+    res = solve_lowest(h, k=6, blocks=[(0, 20), (20, 40)])
     assert seen == [("dense", np.dtype(np.float64))] * 2
     expected = np.sort(np.concatenate([np.linalg.eigvalsh(a), np.linalg.eigvalsh(b)]))[:6]
     assert np.abs(res.eigenvalues - expected).max() < 1e-9
@@ -407,22 +417,24 @@ def test_reused_blocks_equal_separate_block_solves(monkeypatch, name, cutoff, th
     # each block of the m_s = 0 sector solved on its own, merged as solve_lowest
     # merges: the reused Eu twin must give the very pairs its own solve gives
     h, k = sector_h(name, cutoff), 10
-    ranges = [slice(b[0], b[-1] + 1) for b in _blocks(h)]
-    parts = [solve_lowest(h[r, r], min(k, r.stop - r.start), dense_threshold=threshold)
-             for r in ranges]
+    ranges = adapted_basis(cutoff).sector_blocks(0)
+    parts = [solve_lowest(h[lo:hi, lo:hi], min(k, hi - lo), dense_threshold=threshold)
+             for lo, hi in ranges]
     vals = np.concatenate([p.eigenvalues for p in parts])
     keep = np.argsort(vals, kind="stable")[:k]
     starts = np.cumsum([0] + [p.k for p in parts])
+    owner = np.searchsorted(starts, keep, side="right") - 1
     vecs = np.zeros((h.shape[0], k))
     res = np.zeros(k)
-    for col, i in enumerate(keep):
-        b = np.searchsorted(starts, i, side="right") - 1
-        vecs[ranges[b], col] = parts[b].eigenvectors[:, i - starts[b]]
+    for col, (i, b) in enumerate(zip(keep, owner)):
+        lo, hi = ranges[b]
+        vecs[lo:hi, col] = parts[b].eigenvectors[:, i - starts[b]]
         res[col] = parts[b].residual_norms[i - starts[b]]
 
     seen = _spy(monkeypatch)
-    whole = solve_lowest(h, k, dense_threshold=threshold)
+    whole = solve_lowest(h, k, dense_threshold=threshold, blocks=ranges)
     assert len(seen) == len(ranges) - 1
+    assert np.array_equal(whole.block, owner)
     assert np.array_equal(whole.eigenvalues, vals[keep])
     assert np.array_equal(whole.eigenvectors, vecs)
     assert np.array_equal(whole.residual_norms, res)
@@ -430,9 +442,10 @@ def test_reused_blocks_equal_separate_block_solves(monkeypatch, name, cutoff, th
 
 def test_block_solves_are_logged(caplog):
     h = snv0_h(8, m_s=1, lam=40.0)
+    basis = adapted_basis(8)
     with caplog.at_level(logging.DEBUG, logger="spinvibronic"):
-        solve_lowest(h, k=4)
-        solve_lowest(snv0_h(8), k=4, dense_threshold=0)
+        solve_lowest(h, k=4, blocks=basis.sector_blocks(1))
+        solve_lowest(snv0_h(8), k=4, dense_threshold=0, blocks=basis.sector_blocks(0))
     messages = [r.getMessage() for r in caplog.records if r.name == "spinvibronic"]
     assert len(messages) == 3 + 4
     assert all("dim=60 dtype=float64 path=dense k=4" in m for m in messages[:3])
@@ -491,6 +504,20 @@ def test_lowest_pair_residual_above_tol_raises(monkeypatch):
     with pytest.raises(SolverError) as err:
         lowest_pair(h, np.ones(30))
     assert err.value.residuals[0] > 1e-4
+
+
+def test_ranges_that_cut_a_coupled_matrix_are_rejected():
+    # the chain couples rows 9 and 10: its entries are never dropped silently
+    h = sp.csr_matrix(_tridiagonal(20))
+    with pytest.raises(ValueError, match=r"stored entry \(9, 10\) lies outside the block \(0, 10\)"):
+        solve_lowest(h, k=2, blocks=[(0, 10), (10, 20)])
+
+
+@pytest.mark.parametrize("blocks", [[(0, 10), (11, 20)], [(0, 20), (20, 30)], [(0, 0), (0, 20)]])
+def test_ranges_that_do_not_tile_the_matrix_are_rejected(blocks):
+    h = sp.csr_matrix(np.diag(np.arange(20.0)))
+    with pytest.raises(ValueError, match="tile"):
+        solve_lowest(h, k=2, blocks=blocks)
 
 
 def test_block_records_cost_nothing_when_debug_is_off(monkeypatch, caplog):

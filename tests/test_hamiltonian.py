@@ -38,6 +38,7 @@ from conftest import (
     c3_rotation,
     cartesian_basis,
     cartesian_sector,
+    connected_blocks,
     electronic_reflection,
     folded_sector,
     product_sector,
@@ -431,10 +432,42 @@ def product_c2prime(osc):
     return sp.csr_matrix((-np.ones(e.size), (target, np.arange(e.size))))
 
 
+def ranges(blocks: list[np.ndarray]) -> tuple[tuple[int, int], ...]:
+    """(start, stop) of each index set, which must be one contiguous range."""
+    assert all(np.array_equal(b, np.arange(b[0], b[-1] + 1)) for b in blocks)
+    return tuple((int(b[0]), int(b[-1]) + 1) for b in blocks)
+
+
+@pytest.mark.parametrize("name", sorted(DEFECTS))
+@pytest.mark.parametrize("cutoff", [0, 4, 12, 20, 28])
+def test_declared_blocks_match_the_connected_components(name, cutoff):
+    # the ranges the basis declares hold every stored entry, and are the
+    # connected components of the sector; only the spin-orbit sector of the
+    # linear model splits further (an A1u J range couples to its A2u twin, so
+    # those components are not contiguous), and there each range is a union
+    # of whole components
+    from spinvibronic import couplings_for_order
+
+    p = DEFECTS[name]
+    basis = adapted_basis(cutoff)
+    s_u, s_g = soc_operators(basis)
+    for order in (1, 2):
+        h0 = assemble(SectorSpec(couplings_for_order(p, order), p.lambda_corr, cutoff))
+        for m_s, h in ((0, h0), (1, h0 + (40.0 * s_u + 15.0 * s_g))):
+            declared = basis.sector_blocks(m_s, linear=order == 1)
+            owner = np.repeat(np.arange(len(declared)), [hi - lo for lo, hi in declared])
+            rows = np.repeat(np.arange(h.shape[0]), np.diff(h.indptr))
+            assert np.array_equal(owner[rows], owner[h.indices])
+            components = connected_blocks(h)
+            if m_s == 1 and order == 1:
+                assert all(np.unique(owner[c]).size == 1 for c in components)
+                assert len(components) > len(declared) or cutoff == 0
+            else:
+                assert ranges(components) == declared
+
+
 @pytest.mark.parametrize("name", sorted(DEFECTS))
 def test_sectors_split_into_exact_blocks(name):
-    from spinvibronic.eigensolver import _blocks
-
     p = DEFECTS[name]
     for cutoff in (12, 28):
         spec = SectorSpec(couplings=pes_to_couplings(p), lambda_corr=p.lambda_corr, cutoff=cutoff)
@@ -443,7 +476,6 @@ def test_sectors_split_into_exact_blocks(name):
         s_u, s_g = soc_operators(basis)
         plus = h0 + (40.0 * s_u + 15.0 * s_g)
         assert h0.dtype == plus.dtype == np.float64
-        assert len(_blocks(h0)) == 4 and len(_blocks(plus)) == 3
         # nothing is dropped but exact zeros: the product-basis H0 is
         # C2'-symmetric entry for entry, so every cross-block entry of the
         # fold is an exact zero, and no stored entry of H0 is zero
@@ -474,7 +506,6 @@ def test_assemble_matches_the_kron_and_fold_oracle(name):
     # entries, the two Eu blocks stay equal array for array, and the linear
     # model splits into the oracle's blocks
     from spinvibronic import couplings_for_order
-    from spinvibronic.eigensolver import _blocks
 
     p = DEFECTS[name]
     for order in (1, 2):
@@ -490,9 +521,8 @@ def test_assemble_matches_the_kron_and_fold_oracle(name):
                 for attr in ("indptr", "indices", "data"):
                     assert np.array_equal(getattr(j1, attr), getattr(j2, attr))
                 if order == 1:
-                    got, want = _blocks(h), _blocks(ref)
-                    assert len(got) == len(want)
-                    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+                    want = adapted_basis(cutoff).sector_blocks(0, linear=True)
+                    assert ranges(connected_blocks(h)) == ranges(connected_blocks(ref)) == want
 
 
 def test_solves_at_one_cutoff_share_the_basis_and_its_operators():

@@ -19,7 +19,6 @@ from spinvibronic.hamiltonian import SectorSpec
 from spinvibronic.oscillator import build_operators
 from spinvibronic.symmetry import (
     analyze_states,
-    block_label,
     electronic_composition,
     mean_displacement,
 )
@@ -78,8 +77,13 @@ def basis6():
 
 
 def test_pure_channel_vectors_labeled(basis6):
-    for channel, expected in (("A1u", "A1u"), ("A2u", "A2u"), ("Eu1", "Eu"), ("Eu2", "Eu")):
-        assert block_label(channel_vector(channel, basis6), basis6) == expected
+    # |e+e+> has J = -1 (j = 2) and |e-e-> J = +1 (j = 1); each channel lies
+    # wholly in the one block whose label it carries
+    for channel, block, label in (("A1u", 2, "A1u"), ("A2u", 3, "A2u"), ("Eu1", 1, "Eu"),
+                                  ("Eu2", 0, "Eu")):
+        held = basis6.block_at(np.flatnonzero(channel_vector(channel, basis6)))
+        assert set(held.tolist()) == {block}
+        assert basis6.blocks[block][0] == label
 
 
 def test_uncoupled_ground_cluster_characters(basis6):
@@ -96,16 +100,14 @@ def test_accidental_a_pair_resolved(basis6):
     # uncoupled model: A1u and A2u are exactly degenerate, but they lie in
     # different blocks, so each comes back pure and labelled from its block
     spec = SectorSpec(couplings=Couplings(0.0, 0.0, 0.0, 0.0, 70.0), lambda_corr=50.0, cutoff=6)
-    states = analyze_states(solve_lowest(assemble(spec), k=2), basis6)
-    assert sorted(s.irrep for s in states) == ["A1u", "A2u"]
+    h = assemble(spec)
+    states = analyze_states(solve_lowest(h, k=2, blocks=basis6.sector_blocks(0)), basis6)
+    assert sorted((s.block, s.irrep) for s in states) == [(2, "A1u"), (3, "A2u")]
     for s in states:
         assert s.composition[s.irrep] == pytest.approx(1.0, abs=1e-12)
-    # a mix of the two, which no block can return, is not given either label
-    theta = 0.7
-    mixed = np.cos(theta) * channel_vector("A1u", basis6) + np.sin(theta) * channel_vector(
-        "A2u", basis6
-    )
-    assert block_label(mixed, basis6) == "mixed"
+    # a solve of the whole matrix, whose block spans all four, is not labelled
+    with pytest.raises(ValueError, match="do not nest"):
+        analyze_states(solve_lowest(h, k=2), basis6)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -163,19 +165,15 @@ def test_eu_doublet_requires_opposite_c2_parities():
     # the two partners of a doublet come from the j = 1 and j = 2 blocks,
     # which C2' maps onto each other
     sol = cached_sector("SnV0", 20)
-
-    def block(state):
-        return sol.basis.block_of(state.coefficients)
-
     doublet, energy = sol.eu_doublet()
-    assert [block(s) for s in sol.states[1:3]] == [0, 1]
+    assert [s.block for s in sol.states[1:3]] == [0, 1]
     assert np.array_equal(doublet, np.column_stack([s.coefficients for s in sol.states[1:3]]))
     assert energy == sol.states[1].energy
     _, r2 = point_group(sol.basis)
     assert abs(doublet[:, 1] @ (r2 @ doublet[:, 0])) == pytest.approx(1.0, abs=1e-12)
     # keep one partner of each of the two lowest doublets, both from one block
     eu = [s for s in sol.states if s.irrep == "Eu"]
-    same = [s for s in eu if block(s) == block(eu[0])][:2]
+    same = [s for s in eu if s.block == eu[0].block][:2]
     assert len(same) == 2
     with pytest.raises(AnalysisError):
         replace(sol, states=[sol.states[0]] + same).eu_doublet()
@@ -242,13 +240,16 @@ def test_snv0_displacement_between_branch_minima():
 
 def test_order_one_degenerate_a_pair_is_labelled_from_its_blocks():
     # the linear model has an exactly degenerate A1u/A2u pair (SnV0, cutoff 20);
-    # each partner comes back in its own block and is labelled from it, A1u first
+    # each partner comes back in its own J block, inside the A1u and the A2u
+    # block, and is labelled from it, A1u first
     from spinvibronic import couplings_for_order
 
     p = DEFECTS["SnV0"]
     sol = solve_sector(couplings_for_order(p, 1), p.lambda_corr, 20, opts=SolverOptions(k=10))
+    assert sol.result.ranges == sol.basis.sector_blocks(0, linear=True)
+    assert len(sol.result.ranges) == 44
     pair = [i for i, s in enumerate(sol.states) if s.irrep in ("A1u", "A2u")][1:3]
     a1u, a2u = (sol.states[i] for i in pair)
     assert (a1u.irrep, a2u.irrep) == ("A1u", "A2u") and pair[1] == pair[0] + 1
     assert abs(a1u.energy - a2u.energy) < 1e-9
-    assert [sol.basis.block_of(s.coefficients) for s in (a1u, a2u)] == [2, 3]
+    assert [s.block for s in (a1u, a2u)] == [2, 3]
