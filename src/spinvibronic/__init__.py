@@ -17,7 +17,6 @@ from .analysis import (
     converge_observable,
     gamma_splitting,
     reduction_factors,
-    second_order_shift,
     soc_levels,
     solve_sector,
 )

@@ -53,13 +53,7 @@ from .hamiltonian import (
     assemble,
     soc_operators,
 )
-from .params import (
-    Couplings,
-    DefectParams,
-    couplings_for_order,
-    depth_preserving_linear_couplings,
-    pes_to_couplings,
-)
+from .params import Couplings, DefectParams, couplings_for_order
 from .symmetry import VibronicState, analyze_states
 
 log = logging.getLogger("spinvibronic")
@@ -406,26 +400,6 @@ def calibrate_soc(
             raise CalibrationError(f"Newton step from s={s:g} meV reaches s <= 0", scan)
         s -= step
     raise CalibrationError(f"no convergence to {target_lambda_eff:g} meV in 20 Newton steps", scan)
-
-
-def second_order_shift(
-    defect: DefectParams,
-    cutoff: int,
-    preset: str = PRESET_E_RAISED,
-    opts: SolverOptions = SolverOptions(),
-) -> float:
-    """Level shift caused by the quadratic coupling terms at fixed well depth.
-
-    Compares the lowest eigenstate of the full quadratic model against the
-    linear reference that reproduces the same stabilization energies; the
-    warping stiffens the wells and pushes the low vibronic levels up by
-    roughly 25 meV for the tabulated defects.
-    """
-    c2 = pes_to_couplings(defect)
-    c1 = depth_preserving_linear_couplings(defect)
-    e2 = solve_sector(c2, defect.lambda_corr, cutoff, preset, opts).energies[0]
-    e1 = solve_sector(c1, defect.lambda_corr, cutoff, preset, opts).energies[0]
-    return float(e2 - e1)
 
 
 # registered report quantities for the cutoff-convergence driver: the

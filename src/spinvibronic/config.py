@@ -5,15 +5,25 @@ except the transition baseline, which is eV.  The [soc] section must select
 exactly one of the three modes: off (or the section absent), explicit bare
 couplings, or calibration against a target Eu doublet splitting.  Unknown
 sections and keys are errors; retired keys are ignored with a warning.
+
+The section dataclasses are the schema.  Each [model], [solver], [soc] and
+[output] key is a field of ModelConfig, SolverConfig, SocConfig or
+OutputConfig; the field's type is the key's cast (int, float, bool words,
+str, or a comma list) and its default the key's default.  Each [defect] key
+is a DefectParams field, or one branch of a pair field, under its own name
+or the one DEFECT_KEYS gives it; SOC_MODE_KEYS names the keys each [soc]
+mode takes.  parse_config_text and serialize_config both walk the same
+fields, so each key is stated once.
 """
 
 from __future__ import annotations
 
 import configparser
-import io
 import logging
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
+from functools import cache
 from pathlib import Path
+from typing import get_type_hints
 
 from .analysis import OBSERVABLES
 from .hamiltonian import PRESETS, PRESET_E_RAISED
@@ -63,6 +73,14 @@ class SolverConfig:
             )
 
 
+# the keys each [soc] mode reads and writes besides `mode`
+SOC_MODE_KEYS = {
+    SOC_OFF: (),
+    SOC_EXPLICIT: ("lambda_u0_mev", "lambda_g0_mev"),
+    SOC_CALIBRATE: ("target_lambda_eff_mev", "ratio"),
+}
+
+
 @dataclass(frozen=True)
 class SocConfig:
     mode: str = SOC_OFF
@@ -72,27 +90,21 @@ class SocConfig:
     ratio: float = 1.0
 
     def __post_init__(self):
-        if self.mode not in (SOC_OFF, SOC_EXPLICIT, SOC_CALIBRATE):
+        if self.mode not in SOC_MODE_KEYS:
             raise ConfigError(f"soc mode must be off, explicit or calibrate (got {self.mode!r})")
-        has_explicit = self.lambda_u0_mev is not None or self.lambda_g0_mev is not None
-        has_target = self.target_lambda_eff_mev is not None
-        if self.mode == SOC_OFF and (has_explicit or has_target):
-            raise ConfigError("soc mode = off takes no coupling keys")
+        keys = SOC_MODE_KEYS[self.mode]
+        for f in fields(self):
+            given = getattr(self, f.name) is not None
+            if f.name in keys and not given:
+                raise ConfigError(f"soc mode = {self.mode} requires {f.name}")
+            if f.name not in keys and f.default is None and given:
+                raise ConfigError(f"soc mode = {self.mode} takes no {f.name}")
         if self.mode == SOC_EXPLICIT:
-            if self.lambda_u0_mev is None or self.lambda_g0_mev is None:
-                raise ConfigError("soc mode = explicit requires lambda_u0_mev and lambda_g0_mev")
-            for key in ("lambda_u0_mev", "lambda_g0_mev"):
+            for key in keys:
                 if getattr(self, key) < 0:
                     raise ConfigError(f"{key} must be nonnegative (got {getattr(self, key)})")
-            if has_target:
-                raise ConfigError("soc mode = explicit conflicts with a calibration target")
-        if self.mode == SOC_CALIBRATE:
-            if not has_target:
-                raise ConfigError("soc mode = calibrate requires target_lambda_eff_mev")
-            if has_explicit:
-                raise ConfigError("soc mode = calibrate conflicts with explicit couplings")
-            if self.ratio <= 0:
-                raise ConfigError("calibration ratio must be positive")
+        if self.mode == SOC_CALIBRATE and self.ratio <= 0:
+            raise ConfigError("calibration ratio must be positive")
 
 
 @dataclass(frozen=True)
@@ -115,10 +127,43 @@ class RunConfig:
     output: OutputConfig = field(default_factory=OutputConfig)
 
 
+# the [defect] keys of the DefectParams fields whose key is not the field name;
+# a pair field has one key per branch
+DEFECT_KEYS = {
+    "hbar_omega_e": ("hbar_omega_e_mev",),
+    "lambda_corr": ("lambda_mev",),
+    "e_jt": ("e_jt1_mev", "e_jt2_mev"),
+    "delta_jt": ("delta_jt1_mev", "delta_jt2_mev"),
+    "rho0_angstrom": ("rho0_1_angstrom", "rho0_2_angstrom"),
+}
+
+# section name -> its dataclass, in file order
+SECTIONS = get_type_hints(RunConfig)
+
 # keys that older files may still carry; they are ignored with a warning
 RETIRED_KEYS = {("solver", "dense_threshold"), ("solver", "cluster_tol_mev")}
 
 log = logging.getLogger(__name__)
+
+
+def _codec(hint):
+    """(read a raw value, write a value) for a field type; float also covers the pairs."""
+    if hint is bool:  # true/yes/1/on or false/no/0/off, any case
+        states = configparser.ConfigParser.BOOLEAN_STATES
+        return lambda raw: states[raw.lower()], lambda v: str(v).lower()
+    if hint is int or hint is str:
+        return hint, str
+    if hint == tuple[str, ...]:
+        return lambda raw: tuple(w.strip() for w in raw.split(",") if w.strip()), ",".join
+    return float, "{:.12g}".format
+
+
+@cache
+def _schema(cls) -> list:
+    """(field, its keys, read, write) for each field of a section's dataclass."""
+    hints = get_type_hints(cls)
+    renamed = DEFECT_KEYS if cls is DefectParams else {}
+    return [(f, renamed.get(f.name, (f.name,)), *_codec(hints[f.name])) for f in fields(cls)]
 
 
 def _read_sections(text: str) -> dict[str, dict[str, str]]:
@@ -130,23 +175,29 @@ def _read_sections(text: str) -> dict[str, dict[str, str]]:
     return {name: dict(parser[name]) for name in parser.sections()}
 
 
-def _get(section, key, cast, default=None, required=False):
+def _take(section, key, read):
     """Take a key out of its section; what is left over afterwards is unknown."""
     if key not in section:
-        if required:
-            raise ConfigError(f"missing required key {key!r}")
-        return default
+        raise ConfigError(f"missing required key {key!r}")
     raw = section.pop(key).strip()
     try:
-        if cast is bool:
-            if raw.lower() in ("true", "yes", "1", "on"):
-                return True
-            if raw.lower() in ("false", "no", "0", "off"):
-                return False
-            raise ValueError(raw)
-        return cast(raw)
-    except ValueError as exc:
+        return read(raw)
+    except (KeyError, ValueError) as exc:
         raise ConfigError(f"bad value for {key!r}: {raw!r}") from exc
+
+
+def _build(cls, section):
+    """A section's dataclass from its keys.
+
+    A field is read when its dataclass gives it no default or when any of its
+    keys is given; a pair field then needs both keys.
+    """
+    kwargs = {}
+    for f, keys, read, _ in _schema(cls):
+        if f.default is MISSING or any(key in section for key in keys):
+            values = tuple(_take(section, key, read) for key in keys)
+            kwargs[f.name] = values if len(keys) > 1 else values[0]
+    return cls(**kwargs)
 
 
 def parse_config(source: str | Path) -> RunConfig:
@@ -162,126 +213,37 @@ def parse_config_text(text: str) -> RunConfig:
     sections = _read_sections(text)
     if "defect" not in sections:
         raise ConfigError("missing [defect] section")
-    d = sections.pop("defect")
-    rho0 = None
-    if "rho0_1_angstrom" in d or "rho0_2_angstrom" in d:
-        rho0 = (
-            _get(d, "rho0_1_angstrom", float, required=True),
-            _get(d, "rho0_2_angstrom", float, required=True),
-        )
+    given = {name: sections.pop(name, {}) for name in SECTIONS}
     try:
-        defect = DefectParams(
-            name=_get(d, "name", str, required=True),
-            hbar_omega_e=_get(d, "hbar_omega_e_mev", float, required=True),
-            lambda_corr=_get(d, "lambda_mev", float, required=True),
-            e_jt=(
-                _get(d, "e_jt1_mev", float, required=True),
-                _get(d, "e_jt2_mev", float, required=True),
-            ),
-            delta_jt=(
-                _get(d, "delta_jt1_mev", float, required=True),
-                _get(d, "delta_jt2_mev", float, required=True),
-            ),
-            rho0_angstrom=rho0,
-            zpl_baseline_ev=_get(d, "zpl_baseline_ev", float),
-            effective_mass_amu=_get(d, "effective_mass_amu", float, default=12.0),
-        )
+        parts = {name: _build(cls, given[name]) for name, cls in SECTIONS.items()}
     except ParameterError as exc:
         raise ConfigError(str(exc)) from exc
-
-    m = sections.pop("model", {})
-    model = ModelConfig(
-        preset=_get(m, "preset", str, default=PRESET_E_RAISED),
-        order=_get(m, "order", int, default=2),
-    )
-
-    s = sections.pop("solver", {})
-    solver = SolverConfig(
-        cutoff=_get(s, "cutoff", int, default=36),
-        k=_get(s, "k", int, default=10),
-        residual_tol=_get(s, "residual_tol", float, default=1e-10),
-        seed=_get(s, "seed", int, default=0),
-        converge=_get(s, "converge", bool, default=False),
-        converge_observable=_get(s, "converge_observable", str, default="gamma2"),
-        converge_rel_tol=_get(s, "converge_rel_tol", float, default=0.01),
-        converge_n_start=_get(s, "converge_n_start", int, default=16),
-        converge_n_step=_get(s, "converge_n_step", int, default=8),
-        converge_n_max=_get(s, "converge_n_max", int, default=56),
-    )
-
-    c = sections.pop("soc", {})
-    soc = SocConfig(
-        mode=_get(c, "mode", str, default=SOC_OFF),
-        lambda_u0_mev=_get(c, "lambda_u0_mev", float),
-        lambda_g0_mev=_get(c, "lambda_g0_mev", float),
-        target_lambda_eff_mev=_get(c, "target_lambda_eff_mev", float),
-        ratio=_get(c, "ratio", float, default=1.0),
-    )
-
-    o = sections.pop("output", {})
-    formats = tuple(
-        f.strip() for f in _get(o, "formats", str, default="json,csv").split(",") if f.strip()
-    )
-    output = OutputConfig(directory=_get(o, "directory", str, default="out"), formats=formats)
-
     if sections:
         raise ConfigError(f"unknown section [{next(iter(sections))}]")
-    for name, section in (("defect", d), ("model", m), ("solver", s), ("soc", c), ("output", o)):
+    for name, section in given.items():
         for key in section:
             if (name, key) not in RETIRED_KEYS:
                 raise ConfigError(f"unknown key {key!r} in [{name}]")
             log.warning("config key %r in [%s] is retired and ignored", key, name)
-    return RunConfig(defect=defect, model=model, solver=solver, soc=soc, output=output)
+    return RunConfig(**parts)
 
 
 def serialize_config(cfg: RunConfig) -> str:
-    """Render a RunConfig back to the flat file format (parse round-trips)."""
-    buf = io.StringIO()
-    d = cfg.defect
-    buf.write("[defect]\n")
-    buf.write(f"name = {d.name}\n")
-    buf.write(f"hbar_omega_e_mev = {d.hbar_omega_e:.12g}\n")
-    buf.write(f"lambda_mev = {d.lambda_corr:.12g}\n")
-    buf.write(f"e_jt1_mev = {d.e_jt[0]:.12g}\n")
-    buf.write(f"e_jt2_mev = {d.e_jt[1]:.12g}\n")
-    buf.write(f"delta_jt1_mev = {d.delta_jt[0]:.12g}\n")
-    buf.write(f"delta_jt2_mev = {d.delta_jt[1]:.12g}\n")
-    if d.rho0_angstrom is not None:
-        buf.write(f"rho0_1_angstrom = {d.rho0_angstrom[0]:.12g}\n")
-        buf.write(f"rho0_2_angstrom = {d.rho0_angstrom[1]:.12g}\n")
-    if d.zpl_baseline_ev is not None:
-        buf.write(f"zpl_baseline_ev = {d.zpl_baseline_ev:.12g}\n")
-    buf.write(f"effective_mass_amu = {d.effective_mass_amu:.12g}\n")
+    """Render a RunConfig back to the flat file format (parse round-trips).
 
-    buf.write("\n[model]\n")
-    buf.write(f"preset = {cfg.model.preset}\n")
-    buf.write(f"order = {cfg.model.order}\n")
-
-    s = cfg.solver
-    buf.write("\n[solver]\n")
-    buf.write(f"cutoff = {s.cutoff}\n")
-    buf.write(f"k = {s.k}\n")
-    buf.write(f"residual_tol = {s.residual_tol:.12g}\n")
-    buf.write(f"seed = {s.seed}\n")
-    buf.write(f"converge = {str(s.converge).lower()}\n")
-    buf.write(f"converge_observable = {s.converge_observable}\n")
-    buf.write(f"converge_rel_tol = {s.converge_rel_tol:.12g}\n")
-    buf.write(f"converge_n_start = {s.converge_n_start}\n")
-    buf.write(f"converge_n_step = {s.converge_n_step}\n")
-    buf.write(f"converge_n_max = {s.converge_n_max}\n")
-
-    c = cfg.soc
-    buf.write("\n[soc]\n")
-    buf.write(f"mode = {c.mode}\n")
-    if c.mode == SOC_EXPLICIT:
-        buf.write(f"lambda_u0_mev = {c.lambda_u0_mev:.12g}\n")
-        buf.write(f"lambda_g0_mev = {c.lambda_g0_mev:.12g}\n")
-    if c.mode == SOC_CALIBRATE:
-        buf.write(f"target_lambda_eff_mev = {c.target_lambda_eff_mev:.12g}\n")
-        buf.write(f"ratio = {c.ratio:.12g}\n")
-
-    o = cfg.output
-    buf.write("\n[output]\n")
-    buf.write(f"directory = {o.directory}\n")
-    buf.write(f"formats = {','.join(o.formats)}\n")
-    return buf.getvalue()
+    Unset optional values are left out, and [soc] writes only its mode's keys.
+    """
+    blocks = []
+    for name, cls in SECTIONS.items():
+        obj = getattr(cfg, name)
+        lines = [f"[{name}]"]
+        for f, keys, _, write in _schema(cls):
+            value = getattr(obj, f.name)
+            if value is None or (
+                cls is SocConfig and f.name != "mode" and f.name not in SOC_MODE_KEYS[obj.mode]
+            ):
+                continue
+            values = value if len(keys) > 1 else (value,)
+            lines += [f"{key} = {write(v)}" for key, v in zip(keys, values)]
+        blocks.append("\n".join(lines) + "\n")
+    return "\n".join(blocks)

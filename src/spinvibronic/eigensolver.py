@@ -281,6 +281,11 @@ def converge_cutoff(
     """
     if n_step < 1:
         raise ValueError("n_step must be >= 1")
+    if n_max < n_start + n_step:
+        raise ValueError(
+            f"a cutoff sweep needs two cutoffs: n_max={n_max} is below "
+            f"n_start={n_start} + n_step={n_step}"
+        )
     history: list[tuple[int, float]] = []
     prev: dict[str, float] | None = None
     unsettled: list[str] = []

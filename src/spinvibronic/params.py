@@ -221,28 +221,6 @@ def first_order_couplings(p: DefectParams) -> Couplings:
     )
 
 
-def depth_preserving_linear_couplings(p: DefectParams) -> Couplings:
-    """Linear-only couplings that keep each branch's well depth.
-
-    F = sqrt(2 * E_JT * K) reproduces the stabilization energies with G = 0.
-    This is the reference model for the quadratic-term level shift: enabling
-    the warping terms at fixed well depth raises the low vibronic levels by
-    roughly 25 meV for the tabulated defects.
-    """
-    k = p.hbar_omega_e
-    f1 = math.sqrt(2.0 * p.e_jt[0] * k)
-    f2 = math.sqrt(2.0 * p.e_jt[1] * k)
-    if p.rho0_angstrom is not None and p.rho0_angstrom[1] < 0:
-        f2 = -f2
-    return Couplings(
-        f_u=0.5 * (f1 + f2),
-        f_g=0.5 * (f1 - f2),
-        g_u=0.0,
-        g_g=0.0,
-        hbar_omega_e=k,
-    )
-
-
 def couplings_for_order(p: DefectParams, order: int) -> Couplings:
     """Model couplings at the requested electron-phonon order (1 or 2)."""
     if order == 1:

@@ -107,10 +107,10 @@ def solver_options(cfg: RunConfig) -> SolverOptions:
 
 
 def _resolve_cutoff(cfg: RunConfig, opts: SolverOptions):
-    """(cutoff, history, the swept solution when it is the model's own order)."""
+    """(cutoff, history, {swept order: its solution at that cutoff})."""
     s = cfg.solver
     if not s.converge:
-        return s.cutoff, [], None
+        return s.cutoff, [], {}
     res = converge_observable(
         cfg.defect,
         s.converge_observable,
@@ -121,8 +121,7 @@ def _resolve_cutoff(cfg: RunConfig, opts: SolverOptions):
         preset=cfg.model.preset,
         opts=opts,
     )
-    own = OBSERVABLES[s.converge_observable][0] == cfg.model.order
-    return res.cutoff, res.history, res.solution if own else None
+    return res.cutoff, res.history, {OBSERVABLES[s.converge_observable][0]: res.solution}
 
 
 def _level_rows(sol: SectorSolution, soc: SocLevels | None) -> list[dict]:
@@ -173,15 +172,19 @@ def _diagram_rows(report: SpectrumReport, sol: SectorSolution, soc: SocLevels | 
 def run_report(cfg: RunConfig) -> SpectrumReport:
     """Execute the full analysis pipeline for one configuration."""
     opts = solver_options(cfg)
-    cutoff, history, sol = _resolve_cutoff(cfg, opts)
+    cutoff, history, swept = _resolve_cutoff(cfg, opts)
     defect = cfg.defect
     preset = cfg.model.preset
 
-    # the other order first, so its solve is freed before the model's own
-    # order is solved (unless the cutoff sweep already did); that one serves
-    # gamma, p_u/p_g and spin-orbit
+    # the other order first, so its solution is freed before the model's own
+    # order is solved; the order the cutoff sweep solved is not solved again.
+    # The model's own order serves gamma, p_u/p_g and spin-orbit
     order, other = cfg.model.order, 3 - cfg.model.order
-    gammas = {other: gamma_splitting(defect, other, cutoff, preset, opts)}
+    if other in swept:
+        gammas = {other: solution_gamma(swept.pop(other))}
+    else:
+        gammas = {other: gamma_splitting(defect, other, cutoff, preset, opts)}
+    sol = swept.pop(order, None)
     if sol is None:
         couplings = couplings_for_order(defect, order)
         sol = solve_sector(couplings, defect.lambda_corr, cutoff, preset, opts)

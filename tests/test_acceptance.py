@@ -23,7 +23,6 @@ from spinvibronic import (
     gamma_splitting,
     pes_to_couplings,
     reduction_factors,
-    second_order_shift,
     soc_levels,
     soc_operators,
     solve_lowest,
@@ -40,6 +39,7 @@ from conftest import (
     c2prime_reflection,
     c3_rotation,
     cartesian_basis,
+    second_order_shift,
     total_reflection,
     total_rotation,
 )

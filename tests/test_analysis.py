@@ -11,7 +11,6 @@ from spinvibronic import (
     converge_observable,
     gamma_splitting,
     reduction_factors,
-    second_order_shift,
     soc_levels,
     soc_operators,
     solve_sector,
@@ -21,7 +20,7 @@ from spinvibronic.analysis import OBSERVABLES, CalibrationError
 from spinvibronic.defaults import DEFECTS
 from spinvibronic.params import Couplings, DefectParams, pes_to_couplings
 
-from conftest import cached_sector
+from conftest import cached_sector, second_order_shift
 
 OPTS = SolverOptions(k=8)
 

@@ -19,7 +19,7 @@ from spinvibronic.cli import main
 from spinvibronic.config import ModelConfig, OutputConfig, RunConfig, SocConfig, SolverConfig
 from spinvibronic.hamiltonian import PRESETS
 from spinvibronic.defaults import DEFECTS
-from spinvibronic.params import branch_minima_dimensionless
+from spinvibronic.params import branch_minima_dimensionless, couplings_for_order
 from spinvibronic.pes import PesCurve
 
 # small fixed cutoff and explicit spin-orbit couplings keep CLI runs fast
@@ -207,6 +207,49 @@ def test_report_solves_its_own_order_once(tmp_path, monkeypatch):
     monkeypatch.undo()
     for order, gamma in ((1, report.gamma1), (2, report.gamma2)):
         assert gamma == analysis.gamma_splitting(cfg.defect, order, report.cutoff, opts=opts)
+
+
+def _bundled_config(tmp_path, name, old, new):
+    path = Path(spinvibronic.__file__).parent / "data" / "configs" / f"{name}.conf"
+    text = path.read_text(encoding="utf-8")
+    assert old in text
+    out = tmp_path / f"{name}.conf"
+    out.write_text(text.replace(old, new).replace("directory = out", f"directory = {tmp_path}"))
+    return out
+
+
+def test_sweep_of_the_other_order_is_not_solved_again(tmp_path, monkeypatch):
+    # a gamma1 sweep on the order-2 SnV0 model solves the linear model at
+    # cutoffs 20 and 28 and settles at 20; the report reads the linear gamma
+    # from that solution and solves only the quadratic model at cutoff 20
+    path = _bundled_config(
+        tmp_path, "snv0", "converge_observable = gamma2", "converge_observable = gamma1"
+    )
+    cfg = parse_config(path)
+    orders = {couplings_for_order(cfg.defect, o): o for o in (1, 2)}
+    original, calls = analysis.solve_sector, []
+
+    def counting(couplings, lambda_corr, cutoff, *args, **kwargs):
+        calls.append((orders[couplings], cutoff))
+        return original(couplings, lambda_corr, cutoff, *args, **kwargs)
+
+    monkeypatch.setattr(analysis, "solve_sector", counting)
+    monkeypatch.setattr(reports, "solve_sector", counting)
+    report = reports.run_report(cfg)
+    assert calls == [(1, 20), (1, 28), (2, 20)]
+    assert report.cutoff == 20
+    monkeypatch.undo()
+    opts = reports.solver_options(cfg)
+    assert report.gamma1 == analysis.gamma_splitting(cfg.defect, 1, 20, opts=opts)
+
+
+@pytest.mark.parametrize("n_max", [10, 24])
+def test_sweep_with_one_cutoff_is_a_configuration_error(tmp_path, capsys, n_max):
+    # converge_n_start = 20 and converge_n_step = 8 need converge_n_max >= 28
+    path = _bundled_config(tmp_path, "snv0", "converge_n_max = 56", f"converge_n_max = {n_max}")
+    assert main(["solve", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and f"n_max={n_max}" in err
 
 
 def test_order1_small_spin_orbit_passes_the_triangle_bound(tmp_path, capsys):

@@ -164,6 +164,87 @@ def test_misspelled_observable_is_rejected_by_name(tmp_path, capsys):
     assert "'gama2'" in capsys.readouterr().err
 
 
+SNV0_CALIBRATE_SOC = "[soc]\nmode = calibrate\ntarget_lambda_eff_mev = 3.15\nratio = 3.5\n"
+
+SNV0_SERIALIZED = f"""[defect]
+name = SnV0
+hbar_omega_e_mev = 87.7
+lambda_mev = 98.2
+e_jt1_mev = 217
+e_jt2_mev = 14.9
+delta_jt1_mev = 63.5
+delta_jt2_mev = 0.226
+rho0_1_angstrom = 0.154
+rho0_2_angstrom = -0.038
+zpl_baseline_ev = 1.833
+effective_mass_amu = 12
+
+[model]
+preset = e-raised
+order = 2
+
+[solver]
+cutoff = 32
+k = 10
+residual_tol = 1e-10
+seed = 0
+converge = true
+converge_observable = gamma2
+converge_rel_tol = 0.01
+converge_n_start = 20
+converge_n_step = 8
+converge_n_max = 56
+
+{SNV0_CALIBRATE_SOC}
+[output]
+directory = out
+formats = json,csv
+"""
+
+
+@pytest.mark.parametrize(
+    "soc, written",
+    [
+        (SNV0_CALIBRATE_SOC, SNV0_CALIBRATE_SOC),
+        # explicit mode writes its two couplings and no ratio
+        (
+            "[soc]\nmode = explicit\nlambda_u0_mev = 12.5\nlambda_g0_mev = 0\nratio = 2\n",
+            "[soc]\nmode = explicit\nlambda_u0_mev = 12.5\nlambda_g0_mev = 0\n",
+        ),
+        ("[soc]\nmode = off\n", "[soc]\nmode = off\n"),
+        ("", "[soc]\nmode = off\n"),
+    ],
+)
+def test_serialized_text_is_pinned(soc, written):
+    text = _bundled_text("snv0")
+    head, tail = text.split("[soc]")
+    text = head + soc + "\n[output]" + tail.split("[output]")[1]
+    assert serialize_config(parse_config_text(text)) == SNV0_SERIALIZED.replace(
+        SNV0_CALIBRATE_SOC, written
+    )
+
+
+@pytest.mark.parametrize(
+    "given, missing", [("rho0_1_angstrom", "rho0_2_angstrom"), ("rho0_2_angstrom", "rho0_1_angstrom")]
+)
+def test_lone_rho0_key_requires_the_other(given, missing):
+    with pytest.raises(ConfigError, match=f"missing required key '{missing}'"):
+        parse_config_text(MINIMAL + f"{given} = 0.1\n")
+
+
+@pytest.mark.parametrize(
+    "line, message", [("k = ten", "'k': 'ten'"), ("converge = maybe", "'converge': 'maybe'")]
+)
+def test_bad_value_is_rejected_with_key_and_value(line, message):
+    with pytest.raises(ConfigError, match=f"bad value for {message}"):
+        parse_config_text(MINIMAL + f"\n[solver]\n{line}\n")
+
+
+@pytest.mark.parametrize("word, value", [("yes", True), ("off", False), ("ON", True), ("0", False)])
+def test_converge_reads_boolean_words(word, value):
+    assert parse_config_text(MINIMAL + f"\n[solver]\nconverge = {word}\n").solver.converge is value
+
+
 _decimal = st.floats(0.5, 500.0, allow_nan=False).map(lambda x: float(f"{x:.12g}"))
 
 _soc = st.one_of(

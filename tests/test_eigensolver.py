@@ -207,6 +207,17 @@ def test_converge_cutoff_failure_carries_history():
     assert len(err.value.history) == 4
 
 
+@pytest.mark.parametrize("n_max", [10, 23])
+def test_converge_cutoff_needs_two_cutoffs(n_max):
+    # below n_start + n_step the sweep could try at most one cutoff and
+    # never compare two; that is rejected before any observable is read
+    def observable(n):
+        raise AssertionError("the sweep read an observable")
+
+    with pytest.raises(ValueError, match=rf"n_max={n_max}.*n_start=16.*n_step=8"):
+        converge_cutoff(observable, n_start=16, n_step=8, n_max=n_max)
+
+
 def test_converge_cutoff_holds_every_named_value():
     # the first value is reported, and every value must settle
     both = {4: {"a": 10.0, "b": 1.0}, 6: {"a": 10.0, "b": 2.0}, 8: {"a": 10.0, "b": 2.001}}
