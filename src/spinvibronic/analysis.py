@@ -22,13 +22,15 @@ state of largest overlap with the m_s = 0 A2u state; an overlap below 0.5
 aborts the analysis rather than reporting a mislabeled level.  So
 calibrate_soc takes its Newton steps on the two Eu blocks alone, one
 warm-started pair each, and solves the whole sector once, at the calibrated
-couplings.
+couplings.  Likewise converge_observable solves the whole sector only at the
+cutoff it reports, and confirms it at the next cutoff with the lowest pair
+of each block, each started from its state at the cutoff before.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable, Sequence
 
@@ -41,6 +43,7 @@ from .eigensolver import (
     EigResult,
     converge_cutoff,
     lowest_pair,
+    lowest_per_block,
     solve_lowest,
 )
 from .hamiltonian import (
@@ -142,12 +145,45 @@ def solve_sector(
 ) -> SectorSolution:
     """Solve and label the spin-orbit-free sector at the given cutoff."""
     spec = SectorSpec(couplings=couplings, lambda_corr=lambda_corr, cutoff=cutoff, preset=preset)
-    basis = adapted_basis(cutoff)
+    return _labelled(spec, opts.solve)
+
+
+def _labelled(
+    spec: SectorSpec, solve: Callable[[sp.csr_matrix, Sequence[tuple[int, int]]], EigResult]
+) -> SectorSolution:
+    """spec's sector solved by solve(h0, its declared blocks) and labelled."""
+    basis = adapted_basis(spec.cutoff)
     h0 = assemble(spec)
-    result = opts.solve(h0, basis.sector_blocks(0, linear=couplings.g_u == couplings.g_g == 0.0))
+    c = spec.couplings
+    result = solve(h0, basis.sector_blocks(0, linear=c.g_u == c.g_g == 0.0))
     return SectorSolution(
         spec=spec, result=result, states=analyze_states(result, basis), basis=basis, h0=h0
     )
+
+
+def _lowest_per_block_sector(
+    prev: SectorSolution, cutoff: int, opts: SolverOptions
+) -> SectorSolution:
+    """prev's sector at a higher cutoff, solved as the lowest pair of each declared block.
+
+    Each block starts from the lowest state prev holds in it, embedded
+    exactly by AdaptedBasis.index_in; a block prev holds no state of (a new
+    J range, or one cut by prev's k) starts from the seeded vector.
+    """
+    at = prev.basis.index_in(adapted_basis(cutoff))
+    r = prev.result
+
+    def solve(h0: sp.csr_matrix, blocks: Sequence[tuple[int, int]]) -> EigResult:
+        lows = [lo for lo, _ in blocks]
+        starts: list[np.ndarray | None] = [None] * len(blocks)
+        for b_prev, i in zip(*np.unique(r.block, return_index=True)):  # lowest pair of each block
+            lo, hi = r.ranges[b_prev]
+            b = int(np.searchsorted(lows, at[lo], side="right")) - 1
+            start = starts[b] = np.zeros(blocks[b][1] - blocks[b][0])
+            start[at[lo:hi] - blocks[b][0]] = r.eigenvectors[lo:hi, i]
+        return lowest_per_block(h0, blocks, starts, opts.tol, opts.seed, opts.dense_threshold)
+
+    return _labelled(replace(prev.spec, cutoff=cutoff), solve)
 
 
 def gamma_splitting(
@@ -427,10 +463,13 @@ def converge_observable(
 
     The sweep stops at the first cutoff where every registered observable of
     the same order (gamma2, p_u, p_g and e0 at order 2) agrees with the next
-    cutoff to rel_tol, and reports the named one; all are read from the one
-    solve per cutoff.  Each cutoff's sector is solved once; the result
-    carries the solution at the reported cutoff, and no more than the
-    previous cutoff's solution is kept alive during the sweep.
+    cutoff to rel_tol, and reports the named one.  Each of them reads the
+    lowest state of some block alone, so n_start is solved in full (opts.k
+    pairs) and every later cutoff as the lowest pair of each declared block,
+    started from the cutoff before it.  The result carries the full solve
+    at the reported cutoff: n_start's own, or for a later cutoff one more
+    solve once the sweep has settled.  No more than that full solve and the
+    previous cutoff's solution are kept alive during the sweep.
     """
     if name not in OBSERVABLES:
         raise KeyError(f"unknown observable {name!r}; registered: {sorted(OBSERVABLES)}")
@@ -438,14 +477,22 @@ def converge_observable(
     # the named observable first: converge_cutoff reports the first value
     reads = {name: read} | {other: r for other, (o, r) in OBSERVABLES.items() if o == order}
     couplings = couplings_for_order(defect, order)
-    kept: dict[int, SectorSolution] = {}
+    full: SectorSolution | None = None  # the n_start solve, while n_start can be reported
+    prev: SectorSolution | None = None
 
     def values(n: int) -> dict[str, float]:
-        for old in list(kept)[:-1]:
-            del kept[old]
-        sol = kept[n] = solve_sector(couplings, defect.lambda_corr, n, preset, opts)
-        return {other: r(sol) for other, r in reads.items()}
+        nonlocal full, prev
+        if prev is None:
+            prev = full = solve_sector(couplings, defect.lambda_corr, n, preset, opts)
+        else:
+            prev = _lowest_per_block_sector(prev, n, opts)
+            if n > n_start + n_step:
+                full = None
+        return {other: r(prev) for other, r in reads.items()}
 
     res = converge_cutoff(values, rel_tol=rel_tol, n_start=n_start, n_step=n_step, n_max=n_max)
-    res.solution = kept[res.cutoff]
+    prev = None
+    if full is None:
+        full = solve_sector(couplings, defect.lambda_corr, res.cutoff, preset, opts)
+    res.solution = full
     return res

@@ -93,11 +93,12 @@ class SocConfig:
         if self.mode not in SOC_MODE_KEYS:
             raise ConfigError(f"soc mode must be off, explicit or calibrate (got {self.mode!r})")
         keys = SOC_MODE_KEYS[self.mode]
-        for f in fields(self):
-            given = getattr(self, f.name) is not None
-            if f.name in keys and not given:
+        for f in fields(self)[1:]:
+            value = getattr(self, f.name)
+            if f.name in keys and value is None:
                 raise ConfigError(f"soc mode = {self.mode} requires {f.name}")
-            if f.name not in keys and f.default is None and given:
+            # a key of another mode is unset (None) or keeps its default (ratio)
+            if f.name not in keys and value != f.default:
                 raise ConfigError(f"soc mode = {self.mode} takes no {f.name}")
         if self.mode == SOC_EXPLICIT:
             for key in keys:

@@ -16,10 +16,12 @@ A block whose CSR arrays (shape, indptr, indices, data) are exactly equal to
 those of a block already solved in the same call is not solved again: it
 takes that block's eigenvalues, eigenvectors and residuals, embedded in its
 own index range.  Both solves would be deterministic on the same input, so
-no result changes.  Reuse is decided by exact equality alone, with no
-tolerance and no knowledge of where the matrix came from; it finds the two
-m_s = 0 Eu blocks (the j = 2 states are the C2' images of the j = 1 states,
-in the same order) and the j = 1 / j = 2 J-block twins of the linear model.
+no result changes; lowest_per_block reuses a twin whatever start it was
+given, since any start leads ARPACK to the same lowest pair within tol.
+Reuse is decided by exact equality alone, with no tolerance and no
+knowledge of where the matrix came from; it finds the two m_s = 0 Eu
+blocks (the j = 2 states are the C2' images of the j = 1 states, in the
+same order) and the j = 1 / j = 2 J-block twins of the linear model.
 
 Every sector the package builds is real symmetric; a complex Hermitian
 matrix from elsewhere is solved as it is.
@@ -37,16 +39,21 @@ The default threshold of 400 was measured on whole real sectors (k = 10,
 PbV0 m_s = +1, two OpenBLAS threads on a 2-core x86-64 host): LAPACK won at
 dim 364 (10.4 vs 12.2 ms) and ARPACK at dim 420 (11.8 vs 14.4 ms).  With the
 blocks a third to a sixth of the sector, the bundled runs solve the
-cutoff-20 blocks (308 and 154) by LAPACK and the cutoff-28 j blocks (580) by
-ARPACK, next to A1u/A2u blocks of 290 by LAPACK; the cutoff-36 large sectors
-are j blocks of 937-938, all ARPACK.
+cutoff-20 blocks (308 and 154) by LAPACK at k = 10; the cutoff-36 large
+sectors are j blocks of 937-938, all ARPACK.
 
 lowest_pair finds the lowest pair of one block by ARPACK at k = 1, started
 from a vector the caller passes; calibrate_soc passes each Eu block the
 vector of its previous Newton step.  On one m_s = +1 j block on the same
 host, LAPACK at k = 10 against a warm k = 1 ARPACK solve took 9.3 against
 2.5 ms at dim 308, 29 against 4.4 ms at dim 580 and 74 against 5.3 ms at
-dim 937.
+dim 937.  lowest_per_block finds the lowest pair of every block of a
+matrix, each started from a vector of its own where the caller has one; the
+cutoff sweep of analysis confirms each cutoff that way, so the bundled runs
+solve their confirming cutoff-28 blocks (580 and 290) by warm ARPACK at
+k = 1: with assembly and labels, 6-7 ms per m_s = 0 sector against 18-20 ms
+for the k = 10 solve.  Below WARM_START_MIN_DIM a start does not pay for
+ARPACK, and LAPACK solves the block at k = 1.
 
 Each block logs one DEBUG record (dim, dtype, path, k, wall and CPU seconds,
 nnz, and the largest residual against its bound) to the "spinvibronic"
@@ -68,6 +75,12 @@ import scipy.linalg
 import scipy.sparse as sp
 
 DENSE_THRESHOLD_DEFAULT = 400
+
+# a start vector pays for ARPACK at k = 1 only above this block dim: warm ARPACK
+# against LAPACK at k = 1 on the m_s = 0 blocks of SiV0 and PbV0 took 1.5-1.6
+# against 1.5-1.8 ms at dim 204, 1.1-1.4 against 1.6-1.9 ms at dim 217 and 0.7-1.0
+# against 0.05-0.13 ms at dim 30-60 (the J ranges of the linear model)
+WARM_START_MIN_DIM = 200
 
 log = logging.getLogger("spinvibronic")
 
@@ -184,6 +197,61 @@ def _check_blocks(h: sp.csr_matrix, ranges: tuple[tuple[int, int], ...]) -> None
                          f"({lo[at]}, {hi[at]}) of its row")
 
 
+def _solve_blocks(
+    h: sp.csr_matrix,
+    blocks: Sequence[tuple[int, int]] | None,
+    tol: float,
+    keep: int | None,
+    solve_block: Callable[[int, sp.csr_matrix], EigResult],
+) -> EigResult:
+    """The block loop of solve_lowest and lowest_per_block.
+
+    Checks the ranges, solves block b by solve_block(b, h_b) unless it is an
+    earlier block's twin, and merges the block spectra by a stable sort,
+    keeping the lowest keep pairs (all of them for None).
+    """
+    n = h.shape[0]
+    ranges = ((0, n),) if blocks is None else tuple((int(lo), int(hi)) for lo, hi in blocks)
+    _check_blocks(h, ranges)
+    parts = []
+    solved: list[tuple[int, sp.csr_matrix]] = []  # (block number, matrix) of each block solved
+    for b, (lo, hi) in enumerate(ranges):
+        hb = h[lo:hi, lo:hi]
+        t0, c0 = time.perf_counter(), time.process_time()
+        twin = next((j for j, prev in solved if _same_csr(prev, hb)), None)
+        if twin is not None:
+            # the same matrix, entry for entry: a second solve would give the same pairs
+            r = parts[twin]
+            parts.append(r)
+            _log_block(hb, "reused", r.k, t0, c0, r.residual_norms, _bound(tol, r.eigenvalues),
+                       f" reused_from={twin}")
+            continue
+        solved.append((b, hb))
+        parts.append(solve_block(b, hb))
+    vals = np.concatenate([r.eigenvalues for r in parts])
+    kept = np.argsort(vals, kind="stable")[:keep]
+    # embed only the kept pairs: the linear model has dozens of blocks
+    starts = np.cumsum([0] + [r.k for r in parts])
+    block = np.searchsorted(starts, kept, side="right") - 1
+    vecs = np.zeros((n, kept.size), dtype=h.dtype)
+    for col, (i, b) in enumerate(zip(kept, block)):
+        lo, hi = ranges[b]
+        vecs[lo:hi, col] = parts[b].eigenvectors[:, i - starts[b]]
+    res = np.concatenate([r.residual_norms for r in parts])
+    return EigResult(vals[kept], vecs, res[kept], ranges, block)
+
+
+def _seeded_lowest(
+    hb: sp.csr_matrix, k: int, tol: float, seed: int, dense_threshold: int
+) -> EigResult:
+    """Lowest min(k, dim) pairs of one block by LAPACK or by ARPACK from the seeded start."""
+    nb = hb.shape[0]
+    kb = min(k, nb)
+    dense = nb <= dense_threshold or kb >= nb - 1
+    v0 = None if dense else np.random.default_rng(seed).standard_normal(nb).astype(hb.dtype)
+    return _block_lowest(hb, kb, dense, tol, v0)
+
+
 def solve_lowest(
     h: sp.csr_matrix,
     k: int,
@@ -207,41 +275,11 @@ def solve_lowest(
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    n = h.shape[0]
-    if k > n:
-        raise ValueError(f"k={k} exceeds matrix dimension {n}")
-    ranges = ((0, n),) if blocks is None else tuple((int(lo), int(hi)) for lo, hi in blocks)
-    _check_blocks(h, ranges)
-    parts = []
-    solved: list[tuple[int, sp.csr_matrix]] = []  # (block number, matrix) of each block solved
-    for lo, hi in ranges:
-        hb = h[lo:hi, lo:hi]
-        t0, c0 = time.perf_counter(), time.process_time()
-        twin = next((j for j, prev in solved if _same_csr(prev, hb)), None)
-        if twin is not None:
-            # the same matrix, entry for entry: a second solve would give the same pairs
-            r = parts[twin]
-            parts.append(r)
-            _log_block(hb, "reused", r.k, t0, c0, r.residual_norms, _bound(tol, r.eigenvalues),
-                       f" reused_from={twin}")
-            continue
-        nb = hi - lo
-        kb = min(k, nb)
-        dense = nb <= dense_threshold or kb >= nb - 1
-        v0 = None if dense else np.random.default_rng(seed).standard_normal(nb).astype(hb.dtype)
-        solved.append((len(parts), hb))
-        parts.append(_block_lowest(hb, kb, dense, tol, v0))
-    vals = np.concatenate([r.eigenvalues for r in parts])
-    keep = np.argsort(vals, kind="stable")[:k]
-    # embed only the kept pairs: the linear model has dozens of blocks
-    starts = np.cumsum([0] + [r.k for r in parts])
-    block = np.searchsorted(starts, keep, side="right") - 1
-    vecs = np.zeros((n, keep.size), dtype=h.dtype)
-    for col, (i, b) in enumerate(zip(keep, block)):
-        lo, hi = ranges[b]
-        vecs[lo:hi, col] = parts[b].eigenvectors[:, i - starts[b]]
-    res = np.concatenate([r.residual_norms for r in parts])
-    return EigResult(vals[keep], vecs, res[keep], ranges, block)
+    if k > h.shape[0]:
+        raise ValueError(f"k={k} exceeds matrix dimension {h.shape[0]}")
+    return _solve_blocks(
+        h, blocks, tol, k, lambda b, hb: _seeded_lowest(hb, k, tol, seed, dense_threshold)
+    )
 
 
 def lowest_pair(h: sp.csr_matrix, v0: np.ndarray, tol: float = 1e-10) -> EigResult:
@@ -254,12 +292,41 @@ def lowest_pair(h: sp.csr_matrix, v0: np.ndarray, tol: float = 1e-10) -> EigResu
     return _block_lowest(h, 1, dense=h.shape[0] <= 2, tol=tol, v0=v0)
 
 
+def lowest_per_block(
+    h: sp.csr_matrix,
+    blocks: Sequence[tuple[int, int]],
+    starts: Sequence[np.ndarray | None],
+    tol: float = 1e-10,
+    seed: int = 0,
+    dense_threshold: int = DENSE_THRESHOLD_DEFAULT,
+) -> EigResult:
+    """The lowest pair of every block of h, ascending, one pair per block.
+
+    starts[b] is a start vector over block b's range, or None.  A block with
+    a start and dim > WARM_START_MIN_DIM goes to lowest_pair (ARPACK at k = 1
+    from that vector); any other is solved at k = 1 as solve_lowest would,
+    by LAPACK or from the seeded start.  The range check, the reuse of a
+    block equal to an earlier one (which then takes that block's pair,
+    whatever its own start) and the block records are solve_lowest's.
+    """
+    if len(starts) != len(blocks):
+        raise ValueError(f"{len(starts)} start vectors for {len(blocks)} blocks")
+
+    def solve_block(b: int, hb: sp.csr_matrix) -> EigResult:
+        if starts[b] is not None and hb.shape[0] > WARM_START_MIN_DIM:
+            return lowest_pair(hb, starts[b], tol)
+        return _seeded_lowest(hb, 1, tol, seed, dense_threshold)
+
+    return _solve_blocks(h, blocks, tol, None, solve_block)
+
+
 @dataclass
 class ConvergenceResult:
     value: float
     cutoff: int
     history: list[tuple[int, float]] = field(default_factory=list)
-    solution: object = None  # what the caller solved at the reported cutoff, if it keeps it
+    # the caller's full solve at the reported cutoff, if it keeps one (converge_observable does)
+    solution: object = None
 
 
 def converge_cutoff(

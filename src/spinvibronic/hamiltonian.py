@@ -214,6 +214,30 @@ class AdaptedBasis:
         """Index into blocks of the block that holds each adapted-basis index."""
         return np.searchsorted([lo for _, lo, _ in self.blocks[1:]], index, side="right")
 
+    def index_in(self, larger: AdaptedBasis) -> np.ndarray:
+        """Index in larger, a basis of higher cutoff, of each state of this basis.
+
+        The shells nest, so the product states of this cutoff are the first
+        ones of larger's, and each adapted state, named by its block and the
+        first product state it holds (the j = 0 pair is chosen within one
+        shell), is a state of larger.  The map is exact: a vector v of this
+        basis is the vector w of larger with w[index_in(larger)] = v and zeros
+        elsewhere.  ValueError if a state is missing from larger.
+        """
+
+        def names(basis: AdaptedBasis) -> np.ndarray:
+            first = np.minimum.reduceat(basis.fold.indices, basis.fold.indptr[:-1])
+            return basis.block_at(np.arange(basis.dim)) * larger.fold.shape[1] + first
+
+        mine, theirs = names(self), names(larger)
+        order = np.argsort(theirs)
+        at = order[np.searchsorted(theirs, mine, sorter=order).clip(max=larger.dim - 1)]
+        if not np.array_equal(theirs[at], mine):
+            raise ValueError(
+                f"the basis of cutoff {self.osc.cutoff} does not nest in cutoff {larger.osc.cutoff}"
+            )
+        return at
+
 
 def _shared_pattern(
     terms: dict[str, sp.csr_matrix], n: int

@@ -12,17 +12,21 @@ import scipy.sparse as sp
 from spinvibronic import (
     DEFECTS,
     Couplings,
+    EigResult,
     PRESET_A_SPLIT,
     PRESET_E_RAISED,
     SolverOptions,
     adapted_basis,
+    converge_cutoff,
     op_on_g,
     op_on_u,
     pes_to_couplings,
     solve_sector,
 )
+from spinvibronic.analysis import OBSERVABLES
 from spinvibronic.hamiltonian import E_RAISE, ELEC_DIM, circular_correlation
 from spinvibronic.oscillator import build_basis, build_operators
+from spinvibronic.params import couplings_for_order
 from spinvibronic.pes import QX_UNIT_DIMENSIONLESS, PesCurve
 
 FAST_OPTS = SolverOptions(k=8, dense_threshold=4000)
@@ -67,6 +71,38 @@ def second_order_shift(defect, cutoff: int, opts: SolverOptions) -> float:
     e2 = solve_sector(pes_to_couplings(defect), defect.lambda_corr, cutoff, opts=opts).energies[0]
     e1 = solve_sector(linear, defect.lambda_corr, cutoff, opts=opts).energies[0]
     return float(e2 - e1)
+
+
+# --- sweep oracles: every cutoff solved in full ---------------------------------
+
+
+def converge_observable_full(defect, name, rel_tol, n_start, n_step, n_max, preset, opts):
+    """converge_observable with a full solve (opts.k pairs) at every cutoff.
+
+    The oracle for the sweep that confirms each cutoff with one pair per block.
+    """
+    order, read = OBSERVABLES[name]
+    reads = {name: read} | {other: r for other, (o, r) in OBSERVABLES.items() if o == order}
+    couplings = couplings_for_order(defect, order)
+    solved = {}
+
+    def values(n):
+        sol = solved[n] = solve_sector(couplings, defect.lambda_corr, n, preset, opts)
+        return {other: r(sol) for other, r in reads.items()}
+
+    res = converge_cutoff(values, rel_tol=rel_tol, n_start=n_start, n_step=n_step, n_max=n_max)
+    res.solution = solved[res.cutoff]
+    return res
+
+
+def lowest_per_block_lapack(h: sp.csr_matrix, ranges) -> EigResult:
+    """The lowest pair of every block, each by LAPACK on the whole dense block, ascending."""
+    vals, vecs = np.empty(len(ranges)), np.zeros((h.shape[0], len(ranges)))
+    for b, (lo, hi) in enumerate(ranges):
+        w, v = scipy.linalg.eigh(h[lo:hi, lo:hi].toarray(), subset_by_index=[0, 0])
+        vals[b], vecs[lo:hi, b] = w[0], v[:, 0]
+    order = np.argsort(vals, kind="stable")
+    return EigResult(vals[order], vecs[:, order], np.zeros(len(ranges)), tuple(ranges), order)
 
 
 # --- product-basis reference: the kron-and-fold assembly ------------------------

@@ -16,11 +16,18 @@ from spinvibronic import (
     solve_sector,
 )
 from spinvibronic import analysis
-from spinvibronic.analysis import OBSERVABLES, CalibrationError
+from spinvibronic.analysis import OBSERVABLES, CalibrationError, SectorSolution
 from spinvibronic.defaults import DEFECTS
-from spinvibronic.params import Couplings, DefectParams, pes_to_couplings
+from spinvibronic.hamiltonian import PRESETS
+from spinvibronic.params import Couplings, DefectParams, couplings_for_order, pes_to_couplings
+from spinvibronic.symmetry import analyze_states
 
-from conftest import cached_sector, second_order_shift
+from conftest import (
+    cached_sector,
+    converge_observable_full,
+    lowest_per_block_lapack,
+    second_order_shift,
+)
 
 OPTS = SolverOptions(k=8)
 
@@ -265,3 +272,53 @@ def test_converge_observable_waits_for_every_observable_of_its_order(caplog):
         if float(at_16[name + "drift"]) > float(at_16[name + "tol"])
     ]
     assert unsettled == ["p_g_"]
+
+
+@pytest.mark.parametrize(
+    "name, observable, sweep, cutoffs, reported",
+    [
+        ("SiV0", "gamma2", dict(rel_tol=0.0096, n_start=8, n_step=4, n_max=28), [8, 12, 16, 20], 16),
+        ("SnV0", "gamma1", dict(rel_tol=0.004, n_start=4, n_step=4, n_max=28), [4, 8, 12, 16], 12),
+    ],
+)
+def test_sweep_past_n_start_matches_the_full_solve_oracle(
+    name, observable, sweep, cutoffs, reported
+):
+    # every cutoff after n_start is solved as one warm pair per block, and the
+    # reported one in full once more at the end
+    res = converge_observable(DEFECTS[name], observable, opts=OPTS, **sweep)
+    want = converge_observable_full(
+        DEFECTS[name], observable, preset="e-raised", opts=OPTS, **sweep
+    )
+    assert [n for n, _ in res.history] == [n for n, _ in want.history] == cutoffs
+    assert res.cutoff == want.cutoff == reported
+    assert [v for _, v in res.history] == pytest.approx([v for _, v in want.history], rel=1e-11)
+    assert res.value == pytest.approx(want.value, rel=1e-11)
+    assert res.solution.spec == want.solution.spec
+    np.testing.assert_array_equal(res.solution.energies, want.solution.energies)
+    np.testing.assert_array_equal(
+        res.solution.result.eigenvectors, want.solution.result.eigenvectors
+    )
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("name", sorted(DEFECTS))
+def test_confirming_pairs_match_a_full_lapack_solve(name, order, preset):
+    # the bundled sweep: cutoff 20 in full, then cutoff 28 as the lowest pair of
+    # each block (the J ranges at order 1), started from the cutoff-20 states
+    p = DEFECTS[name]
+    sol = solve_sector(couplings_for_order(p, order), p.lambda_corr, 20, preset)
+    pairs = analysis._lowest_per_block_sector(sol, 28, SolverOptions())
+    r = pairs.result
+    assert r.ranges == pairs.basis.sector_blocks(0, linear=order == 1)
+    assert sorted(r.block) == list(range(len(r.ranges)))
+    oracle = lowest_per_block_lapack(pairs.h0, r.ranges)
+    np.testing.assert_allclose(r.eigenvalues, oracle.eigenvalues, rtol=0, atol=1e-9)
+    np.testing.assert_array_equal(r.block, oracle.block)
+    full = SectorSolution(
+        pairs.spec, oracle, analyze_states(oracle, pairs.basis), pairs.basis, pairs.h0
+    )
+    assert reduction_factors(pairs) == pytest.approx(reduction_factors(full), rel=0, abs=1e-9)
+    for read in (r for o, r in OBSERVABLES.values() if o == order):
+        assert read(pairs) == pytest.approx(read(full), rel=0, abs=1e-9)

@@ -165,17 +165,43 @@ def test_identical_configs_give_byte_identical_reports(defect, order, preset, cu
     assert traced == quiet
 
 
-def test_report_solves_its_own_order_once(tmp_path, monkeypatch):
-    cfg = parse_config(write_config(tmp_path, FAST_SOLVE))
-    assert not cfg.solver.converge
-    original, calls = analysis.solve_sector, []
+def _sector_dim(cutoff: int) -> int:
+    return 2 * (cutoff + 1) * (cutoff + 2)
+
+
+def _count_solves(monkeypatch, orders=None):
+    """Record solve_sector as (args) or (order, cutoff), and the block solves by matrix dim.
+
+    full holds (dim, k) of each solve_lowest call that analysis makes, and
+    pairs the dim of each lowest_per_block call.
+    """
+    calls, full, pairs = [], [], []
+    solve_sector, solve_lowest = analysis.solve_sector, analysis.solve_lowest
+    lowest_per_block = analysis.lowest_per_block
 
     def counting(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
+        calls.append(args if orders is None else (orders[args[0]], args[2]))
+        return solve_sector(*args, **kwargs)
+
+    def counting_full(h, k, *args, **kwargs):
+        full.append((h.shape[0], k))
+        return solve_lowest(h, k, *args, **kwargs)
+
+    def counting_pairs(h, *args, **kwargs):
+        pairs.append(h.shape[0])
+        return lowest_per_block(h, *args, **kwargs)
 
     monkeypatch.setattr(analysis, "solve_sector", counting)
     monkeypatch.setattr(reports, "solve_sector", counting)
+    monkeypatch.setattr(analysis, "solve_lowest", counting_full)
+    monkeypatch.setattr(analysis, "lowest_per_block", counting_pairs)
+    return calls, full, pairs
+
+
+def test_report_solves_its_own_order_once(tmp_path, monkeypatch):
+    cfg = parse_config(write_config(tmp_path, FAST_SOLVE))
+    assert not cfg.solver.converge
+    calls, _, _ = _count_solves(monkeypatch)
     report = reports.run_report(cfg)
     # one solve per order: the model's own order also serves p_u/p_g and spin-orbit
     assert len(calls) == 2
@@ -184,10 +210,11 @@ def test_report_solves_its_own_order_once(tmp_path, monkeypatch):
     for order, gamma in ((1, report.gamma1), (2, report.gamma2)):
         assert gamma == analysis.gamma_splitting(cfg.defect, order, 12, opts=opts)
 
-    # a converged, calibrated run: the sweep hands back its solution at the
-    # reported cutoff, and calibration hands back its last spin-orbit solve
+    # a converged, calibrated run: the sweep solves n_start = 12 in full,
+    # confirms it at 16 with one pair per block, and hands back its n_start
+    # solution; calibration hands back its last spin-orbit solve
     cfg = parse_config(write_config(tmp_path, FAST_CONVERGE_CALIBRATE, name="conv.conf"))
-    calls.clear()
+    calls, full, pairs = _count_solves(monkeypatch)
     soc_calls = []
     original_soc = analysis.soc_levels
 
@@ -195,13 +222,15 @@ def test_report_solves_its_own_order_once(tmp_path, monkeypatch):
         soc_calls.append(args)
         return original_soc(*args, **kwargs)
 
-    monkeypatch.setattr(analysis, "solve_sector", counting)
-    monkeypatch.setattr(reports, "solve_sector", counting)
     monkeypatch.setattr(analysis, "soc_levels", counting_soc)
     monkeypatch.setattr(reports, "soc_levels", counting_soc)
     report = reports.run_report(cfg)
-    assert len(report.convergence_history) >= 2
-    assert len(calls) == len(report.convergence_history) + 1
+    assert [n for n, _ in report.convergence_history] == [12, 16] and report.cutoff == 12
+    # n_start of the swept order 2, then the report's order 1, both at cutoff 12
+    assert [args[2] for args in calls] == [12, 12]
+    assert pairs == [_sector_dim(16)]
+    # the confirming cutoff is never solved at k: every full solve is at cutoff 12
+    assert {dim for dim, _ in full} == {_sector_dim(12)}
     assert soc_calls == []
     assert report.soc.lambda_eff == pytest.approx(3.15, abs=1e-5)
     monkeypatch.undo()
@@ -219,24 +248,21 @@ def _bundled_config(tmp_path, name, old, new):
 
 
 def test_sweep_of_the_other_order_is_not_solved_again(tmp_path, monkeypatch):
-    # a gamma1 sweep on the order-2 SnV0 model solves the linear model at
-    # cutoffs 20 and 28 and settles at 20; the report reads the linear gamma
-    # from that solution and solves only the quadratic model at cutoff 20
+    # a gamma1 sweep on the order-2 SnV0 model solves the linear model in
+    # full at cutoff 20, confirms it at 28 with the lowest pair of each J
+    # range, and settles at 20; the report reads the linear gamma from the
+    # cutoff-20 solution and solves only the quadratic model at cutoff 20
     path = _bundled_config(
         tmp_path, "snv0", "converge_observable = gamma2", "converge_observable = gamma1"
     )
     cfg = parse_config(path)
     orders = {couplings_for_order(cfg.defect, o): o for o in (1, 2)}
-    original, calls = analysis.solve_sector, []
-
-    def counting(couplings, lambda_corr, cutoff, *args, **kwargs):
-        calls.append((orders[couplings], cutoff))
-        return original(couplings, lambda_corr, cutoff, *args, **kwargs)
-
-    monkeypatch.setattr(analysis, "solve_sector", counting)
-    monkeypatch.setattr(reports, "solve_sector", counting)
+    calls, full, pairs = _count_solves(monkeypatch, orders)
     report = reports.run_report(cfg)
-    assert calls == [(1, 20), (1, 28), (2, 20)]
+    assert calls == [(1, 20), (2, 20)]
+    assert pairs == [_sector_dim(28)]
+    # the confirming cutoff is never solved at k = 10
+    assert cfg.solver.k == 10 and _sector_dim(28) not in {dim for dim, _ in full}
     assert report.cutoff == 20
     monkeypatch.undo()
     opts = reports.solver_options(cfg)

@@ -208,7 +208,7 @@ formats = json,csv
         (SNV0_CALIBRATE_SOC, SNV0_CALIBRATE_SOC),
         # explicit mode writes its two couplings and no ratio
         (
-            "[soc]\nmode = explicit\nlambda_u0_mev = 12.5\nlambda_g0_mev = 0\nratio = 2\n",
+            "[soc]\nmode = explicit\nlambda_u0_mev = 12.5\nlambda_g0_mev = 0\nratio = 1\n",
             "[soc]\nmode = explicit\nlambda_u0_mev = 12.5\nlambda_g0_mev = 0\n",
         ),
         ("[soc]\nmode = off\n", "[soc]\nmode = off\n"),
@@ -216,12 +216,29 @@ formats = json,csv
     ],
 )
 def test_serialized_text_is_pinned(soc, written):
-    text = _bundled_text("snv0")
-    head, tail = text.split("[soc]")
-    text = head + soc + "\n[output]" + tail.split("[output]")[1]
-    assert serialize_config(parse_config_text(text)) == SNV0_SERIALIZED.replace(
+    assert serialize_config(parse_config_text(_snv0_with_soc(soc))) == SNV0_SERIALIZED.replace(
         SNV0_CALIBRATE_SOC, written
     )
+
+
+def _snv0_with_soc(soc: str) -> str:
+    head, tail = _bundled_text("snv0").split("[soc]")
+    return head + soc + "\n[output]" + tail.split("[output]")[1]
+
+
+@pytest.mark.parametrize(
+    "mode, soc",
+    [
+        ("explicit", "[soc]\nmode = explicit\nlambda_u0_mev = 12.5\nlambda_g0_mev = 0\nratio = 2\n"),
+        ("off", "[soc]\nmode = off\nratio = 2\n"),
+    ],
+    ids=["explicit", "off"],
+)
+def test_ratio_outside_calibrate_mode_is_rejected(mode, soc):
+    # serialize_config writes no ratio outside calibrate mode, so one that is
+    # not the default would not round-trip
+    with pytest.raises(ConfigError, match=f"soc mode = {mode} takes no ratio"):
+        parse_config_text(_snv0_with_soc(soc))
 
 
 @pytest.mark.parametrize(
@@ -247,20 +264,20 @@ def test_converge_reads_boolean_words(word, value):
 
 _decimal = st.floats(0.5, 500.0, allow_nan=False).map(lambda x: float(f"{x:.12g}"))
 
-_soc = st.one_of(
-    st.just(SocConfig()),
-    st.builds(SocConfig, mode=st.just("explicit"), lambda_u0_mev=_decimal, lambda_g0_mev=_decimal),
-    st.builds(
-        SocConfig, mode=st.just("calibrate"), target_lambda_eff_mev=_decimal, ratio=_decimal
+# the [soc] keys of each mode but ratio, which the round-trip test draws for every mode
+_soc_keys = st.one_of(
+    st.fixed_dictionaries({"mode": st.just("off")}),
+    st.fixed_dictionaries(
+        {"mode": st.just("explicit"), "lambda_u0_mev": _decimal, "lambda_g0_mev": _decimal}
     ),
+    st.fixed_dictionaries({"mode": st.just("calibrate"), "target_lambda_eff_mev": _decimal}),
 )
 
 _configs = st.builds(
-    lambda name, omega, lam, model, solver, soc, output: RunConfig(
+    lambda name, omega, lam, model, solver, output: RunConfig(
         defect=dataclasses.replace(DEFECTS[name], hbar_omega_e=omega, lambda_corr=lam),
         model=model,
         solver=solver,
-        soc=soc,
         output=output,
     ),
     st.sampled_from(sorted(DEFECTS)),
@@ -280,7 +297,6 @@ _configs = st.builds(
         converge_n_step=st.integers(1, 16),
         converge_n_max=st.integers(0, 80),
     ),
-    _soc,
     st.builds(
         OutputConfig,
         directory=st.from_regex(r"[A-Za-z0-9_./-]{1,20}", fullmatch=True),
@@ -292,10 +308,17 @@ _configs = st.builds(
 @settings(max_examples=60, deadline=None)
 @given(
     cfg=_configs,
+    soc=_soc_keys,
+    ratio=st.one_of(st.just(1.0), _decimal),
     section=st.sampled_from(["defect", "model", "solver", "soc", "output"]),
     key=st.from_regex(r"x_[a-z0-9_]{0,12}", fullmatch=True),
 )
-def test_serialize_round_trip_and_unknown_key_rejection(cfg, section, key):
+def test_serialize_round_trip_and_unknown_key_rejection(cfg, soc, ratio, section, key):
+    if soc["mode"] != "calibrate" and ratio != 1.0:
+        with pytest.raises(ConfigError, match=f"soc mode = {soc['mode']} takes no ratio"):
+            SocConfig(**soc, ratio=ratio)
+        ratio = 1.0
+    cfg = dataclasses.replace(cfg, soc=SocConfig(**soc, ratio=ratio))
     text = serialize_config(cfg)
     assert parse_config_text(text) == cfg
     injected = text.replace(f"[{section}]\n", f"[{section}]\n{key} = 1\n")

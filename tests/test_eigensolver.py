@@ -17,7 +17,12 @@ from spinvibronic import (
 )
 from spinvibronic.defaults import DEFECTS
 from spinvibronic.analysis import SolverOptions, solve_sector
-from spinvibronic.eigensolver import DENSE_THRESHOLD_DEFAULT, lowest_pair
+from spinvibronic.eigensolver import (
+    DENSE_THRESHOLD_DEFAULT,
+    WARM_START_MIN_DIM,
+    lowest_pair,
+    lowest_per_block,
+)
 from spinvibronic.hamiltonian import SectorSpec
 from spinvibronic.params import Couplings
 
@@ -27,6 +32,7 @@ from conftest import (
     cached_sector,
     cartesian_sector,
     connected_blocks,
+    lowest_per_block_lapack,
 )
 
 # a dense_threshold no block reaches: every solve goes to LAPACK
@@ -491,6 +497,36 @@ def test_lowest_pair_matches_lapack_on_an_eu_block(monkeypatch, caplog):
     assert pair.residual_norms[0] <= 1e-10 * max(1.0, abs(pair.eigenvalues[0]))
     (message,) = [r.getMessage() for r in caplog.records if r.name == "spinvibronic"]
     assert f"dim={hi - lo} dtype=float64 path=lanczos k=1 " in message
+
+
+def test_lowest_per_block_routes_records_and_reuses_each_block(caplog):
+    # SnV0 m_s = 0 at cutoff 20: j blocks of 308, A1u and A2u blocks of 154
+    h = snv0_h(20)
+    blocks = adapted_basis(20).sector_blocks(0)
+    oracle = lowest_per_block_lapack(h, blocks)
+    column = np.argsort(oracle.block)  # the oracle pair of each block
+    lowest = [oracle.eigenvectors[lo:hi, i] for (lo, hi), i in zip(blocks, column)]
+    assert blocks[0][1] - blocks[0][0] > WARM_START_MIN_DIM >= blocks[2][1] - blocks[2][0]
+    with caplog.at_level(logging.DEBUG, logger="spinvibronic"):
+        res = lowest_per_block(h, blocks, [lowest[0], lowest[1], lowest[2], None])
+    messages = [r.getMessage() for r in caplog.records if r.name == "spinvibronic"]
+    # a started j block goes to ARPACK, its twin reuses it whatever its own
+    # start, and the small A blocks go to LAPACK with or without a start
+    assert len(messages) == 4
+    assert "dim=308 dtype=float64 path=lanczos k=1 " in messages[0]
+    assert "dim=308 dtype=float64 path=reused k=1 " in messages[1]
+    assert all("dim=154 dtype=float64 path=dense k=1 " in m for m in messages[2:])
+    assert res.ranges == blocks and res.k == 4
+    np.testing.assert_array_equal(res.block, oracle.block)
+    np.testing.assert_allclose(res.eigenvalues, oracle.eigenvalues, rtol=0, atol=1e-9)
+    for i, b in enumerate(res.block):
+        lo, hi = blocks[b]
+        assert abs(res.eigenvectors[lo:hi, i] @ lowest[b]) == pytest.approx(1.0, abs=1e-9)
+        assert not np.delete(res.eigenvectors[:, i], np.arange(lo, hi)).any()
+    with pytest.raises(ValueError, match="3 start vectors for 4 blocks"):
+        lowest_per_block(h, blocks, [None] * 3)
+    with pytest.raises(ValueError, match="tile h"):
+        lowest_per_block(h, [(0, 10), (11, h.shape[0])], [None, None])
 
 
 def test_lowest_pair_of_a_dim_2_block_goes_to_lapack(monkeypatch):

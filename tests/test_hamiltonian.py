@@ -525,6 +525,35 @@ def test_assemble_matches_the_kron_and_fold_oracle(name):
                     assert ranges(connected_blocks(h)) == ranges(connected_blocks(ref)) == want
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    cutoff=st.integers(0, 16),
+    step=st.integers(1, 12),
+    block=st.integers(0, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_embedded_states_are_the_same_product_vectors(cutoff, step, block, seed):
+    # a j = 1, j = 2, A1u or A2u state of one cutoff, placed by index_in in a
+    # higher cutoff, is the same product-basis vector padded with zeros
+    small, large = adapted_basis(cutoff), adapted_basis(cutoff + step)
+    at = small.index_in(large)
+    _, lo, hi = small.blocks[block]
+    v = np.zeros(small.dim)
+    v[lo:hi] = np.random.default_rng(seed).standard_normal(hi - lo)
+    w = np.zeros(large.dim)
+    w[at] = v
+    product, padded = small.to_product(v), large.to_product(w)
+    np.testing.assert_array_equal(padded[: product.size], product)
+    assert not padded[product.size :].any()
+    # every declared block, the J ranges included, lands inside one block of the higher cutoff
+    for linear in (False, True):
+        starts = [start for start, _ in large.sector_blocks(0, linear)]
+        for start, stop in small.sector_blocks(0, linear):
+            assert np.unique(np.searchsorted(starts, at[start:stop], side="right")).size == 1
+    with pytest.raises(ValueError, match="does not nest"):
+        large.index_in(small)
+
+
 def test_solves_at_one_cutoff_share_the_basis_and_its_operators():
     from spinvibronic import SolverOptions, couplings_for_order, solve_sector
 
