@@ -20,11 +20,12 @@ block.  The Eu-derived pair of the m_s = +1 sector is the lowest state of
 its j = 1 block and of its j = 2 block, and the A2u-derived state the j = 0
 state of largest overlap with the m_s = 0 A2u state; an overlap below 0.5
 aborts the analysis rather than reporting a mislabeled level.  So
-calibrate_soc takes its Newton steps on the two Eu blocks alone, one
-warm-started pair each, and solves the whole sector once, at the calibrated
-couplings.  Likewise converge_observable solves the whole sector only at the
-cutoff it reports, and confirms it at the next cutoff with the lowest pair
-of each block, each started from its state at the cutoff before.
+calibrate_soc takes its Newton steps on the two Eu blocks alone, by
+eigensolver.lowest_per_block with each block started from its state of the
+step before, and solves the whole sector once, at the calibrated couplings.
+Likewise converge_observable solves the whole sector only at the cutoff it
+reports, and confirms it at the next cutoff with the lowest pair of each
+block, each started from its state at the cutoff before.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from .eigensolver import (
     ConvergenceResult,
     EigResult,
     converge_cutoff,
-    lowest_pair,
     lowest_per_block,
     solve_lowest,
 )
@@ -360,8 +360,8 @@ def calibrate_soc(
     138, A1727 (1965)).  In the m_s = +1 sector H0 + s dH/ds, dH/ds = ratio *
     S_u + S_g, the Eu-derived pair is the lowest state of the j = 1 block and
     the lowest state of the j = 2 block, so each step solves only those two
-    blocks, one pair each (eigensolver.lowest_pair), each started from its
-    vector of the step before and the first from its m_s = 0 Eu partner.
+    blocks, one pair each (eigensolver.lowest_per_block), each started from
+    its vector of the step before and the first from its m_s = 0 Eu partner.
     lambda_eff is the difference of the two block energies, and the slope
     d lambda_eff / ds the Hellmann-Feynman difference <Eu+| dH/ds |Eu+> -
     <Eu-| dH/ds |Eu-> (Feynman, Phys. Rev. 56, 340 (1939)).  Each block state
@@ -382,22 +382,26 @@ def calibrate_soc(
     s_u, s_g = soc_operators(sol.basis)
     dh_ds = ratio * s_u + s_g
     doublet, _ = sol.eu_doublet()
-    ranges = [slice(lo, hi) for _, lo, hi in sol.basis.blocks[:2]]
-    h0_b = [sol.h0[r, r] for r in ranges]
-    dh_b = [dh_ds[r, r] for r in ranges]
-    parents = [doublet[r, j] for j, r in enumerate(ranges)]
-    vecs = list(parents)
+    # the j = 1 and j = 2 blocks lead the m_s = +1 sector: each step solves them alone
+    blocks = sol.basis.sector_blocks(1)[:2]
+    hi2 = blocks[1][1]
+    h0, dh = sol.h0[:hi2, :hi2], dh_ds[:hi2, :hi2]
+    parents = [doublet[lo:hi, j] for j, (lo, hi) in enumerate(blocks)]
+    starts = list(parents)
 
     scan: list[tuple[float, float]] = []
     s = target_lambda_eff / max(ratio * p_u + p_g, 1e-12)
     for _ in range(20):
-        energy, d_energy, overlap = [], [], []
-        for j in range(2):
-            pair = lowest_pair(h0_b[j] + s * dh_b[j], vecs[j], opts.tol)
-            v = vecs[j] = pair.eigenvectors[:, 0]
-            energy.append(float(pair.eigenvalues[0]))
-            d_energy.append(float(v @ (dh_b[j] @ v)))
-            overlap.append(float(parents[j] @ v) ** 2)
+        pairs = lowest_per_block(
+            h0 + s * dh, blocks, starts, opts.tol, opts.seed, opts.dense_threshold
+        )
+        order = np.argsort(pairs.block)  # the j = 1 pair, then the j = 2 pair
+        energy = pairs.eigenvalues[order].tolist()
+        d_energy, overlap = [], []
+        for j, (v, (lo, hi)) in enumerate(zip(pairs.eigenvectors.T[order], blocks)):
+            starts[j] = v[lo:hi]
+            d_energy.append(float(v[lo:hi] @ (dh @ v)[lo:hi]))
+            overlap.append(float(parents[j] @ v[lo:hi]) ** 2)
         lower, upper = np.argsort(energy)
         lambda_eff = energy[upper] - energy[lower]
         slope = d_energy[upper] - d_energy[lower]

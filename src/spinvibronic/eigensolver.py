@@ -19,41 +19,45 @@ own index range.  Both solves would be deterministic on the same input, so
 no result changes; lowest_per_block reuses a twin whatever start it was
 given, since any start leads ARPACK to the same lowest pair within tol.
 Reuse is decided by exact equality alone, with no tolerance and no
-knowledge of where the matrix came from; it finds the two m_s = 0 Eu
-blocks (the j = 2 states are the C2' images of the j = 1 states, in the
-same order) and the j = 1 / j = 2 J-block twins of the linear model.
+knowledge of where the matrix came from; only blocks of the same dim and
+nnz are compared entry by entry.  It finds the two m_s = 0 Eu blocks (the
+j = 2 states are the C2' images of the j = 1 states, in the same order) and
+the j = 1 / j = 2 J-block twins of the linear model.
 
 Every sector the package builds is real symmetric; a complex Hermitian
 matrix from elsewhere is solved as it is.
 
-Blocks with dim <= dense_threshold go to LAPACK (scipy.linalg.eigh), which
-also serves as the independent oracle for the iterative path in the test
-suite.  Larger ones go to ARPACK (scipy.sparse.linalg.eigsh, which="SA"), an
-implicitly restarted Lanczos method (Lehoucq, Sorensen & Yang, ARPACK Users'
-Guide, SIAM 1998), started from a seeded random vector so results are
-reproducible.  Residuals ||H v - theta v|| are recomputed from the returned
-pairs, and the iterative path fails loudly rather than return a pair above
+Each block is solved by LAPACK (scipy.linalg.eigh), which also serves as
+the independent oracle for the iterative path in the test suite, or by
+ARPACK (scipy.sparse.linalg.eigsh, which="SA"), an implicitly restarted
+Lanczos method (Lehoucq, Sorensen & Yang, ARPACK Users' Guide, SIAM 1998).
+One rule, in _block_lowest, picks the path and the ARPACK start of every
+block, for solve_lowest (k pairs per block) and lowest_per_block (the lowest
+pair, from a start vector where the caller has one) alike:
+
+- k_b >= dim - 1 goes to LAPACK, which ARPACK cannot serve;
+- a block with a start goes to ARPACK from that start above
+  WARM_START_MIN_DIM, and to LAPACK otherwise;
+- any other block goes to ARPACK from a seeded random vector (so results
+  are reproducible) above dense_threshold, and to LAPACK otherwise.
+
+Residuals ||H v - theta v|| are recomputed from the returned pairs, and the
+iterative path fails loudly rather than return a pair above
 tol * max(1, max |theta|).
 
-The default threshold of 400 was measured on whole real sectors (k = 10,
-PbV0 m_s = +1, two OpenBLAS threads on a 2-core x86-64 host): LAPACK won at
-dim 364 (10.4 vs 12.2 ms) and ARPACK at dim 420 (11.8 vs 14.4 ms).  With the
-blocks a third to a sixth of the sector, the bundled runs solve the
-cutoff-20 blocks (308 and 154) by LAPACK at k = 10; the cutoff-36 large
-sectors are j blocks of 937-938, all ARPACK.
-
-lowest_pair finds the lowest pair of one block by ARPACK at k = 1, started
-from a vector the caller passes; calibrate_soc passes each Eu block the
-vector of its previous Newton step.  On one m_s = +1 j block on the same
-host, LAPACK at k = 10 against a warm k = 1 ARPACK solve took 9.3 against
-2.5 ms at dim 308, 29 against 4.4 ms at dim 580 and 74 against 5.3 ms at
-dim 937.  lowest_per_block finds the lowest pair of every block of a
-matrix, each started from a vector of its own where the caller has one; the
-cutoff sweep of analysis confirms each cutoff that way, so the bundled runs
-solve their confirming cutoff-28 blocks (580 and 290) by warm ARPACK at
-k = 1: with assembly and labels, 6-7 ms per m_s = 0 sector against 18-20 ms
-for the k = 10 solve.  Below WARM_START_MIN_DIM a start does not pay for
-ARPACK, and LAPACK solves the block at k = 1.
+The default dense_threshold of 400 was measured on the blocks themselves
+(PbV0 m_s = +1, k = 10, LAPACK against cold ARPACK, two OpenBLAS threads on
+a 2-core x86-64 host): 5.3 against 8.2 ms at dim 290, 6.0 against 6.5 ms at
+dim 308 and 20 against 8.6-11.5 ms at dim 580.  So the bundled runs solve
+their cutoff-20 blocks (308 and 154) by LAPACK at k = 10, and the cutoff-36
+large sectors, j blocks of 937-938, by ARPACK.  A warm start pays for far
+more: on one m_s = +1 j block on the same host, LAPACK at k = 10 against a
+warm k = 1 ARPACK solve took 9.3 against 2.5 ms at dim 308, 29 against
+4.4 ms at dim 580 and 74 against 5.3 ms at dim 937.  The cutoff sweep of
+analysis confirms each cutoff by lowest_per_block from the cutoff before,
+so the bundled runs solve their confirming cutoff-28 blocks (580 and 290)
+by warm ARPACK at k = 1; calibrate_soc takes each Newton step the same
+way, on its two Eu blocks, each started from its previous step's vector.
 
 Each block logs one DEBUG record (dim, dtype, path, k, wall and CPU seconds,
 nnz, and the largest residual against its bound) to the "spinvibronic"
@@ -156,21 +160,29 @@ def _bound(tol: float, vals: np.ndarray) -> float:
 
 
 def _block_lowest(
-    h: sp.csr_matrix, k: int, dense: bool, tol: float, v0: np.ndarray | None
+    hb: sp.csr_matrix, k: int, tol: float, seed: int, dense_threshold: int,
+    start: np.ndarray | None = None,
 ) -> EigResult:
-    """Lowest k pairs of one block; v0 starts ARPACK and is unused by LAPACK."""
+    """Lowest min(k, dim) pairs of one block, on the path and start the module's rule picks."""
+    nb = hb.shape[0]
+    kb = min(k, nb)
     t0, c0 = time.perf_counter(), time.process_time()
-    vals, vecs = _dense_lowest(h, k) if dense else _arpack_lowest(h, k, tol, v0)
-    res = _residuals(h, vals, vecs)
+    if kb >= nb - 1 or nb <= (dense_threshold if start is None else WARM_START_MIN_DIM):
+        path, (vals, vecs) = "dense", _dense_lowest(hb, kb)
+    else:
+        if start is None:
+            start = np.random.default_rng(seed).standard_normal(nb).astype(hb.dtype)
+        path, (vals, vecs) = "lanczos", _arpack_lowest(hb, kb, tol, start)
+    res = _residuals(hb, vals, vecs)
     bound = _bound(tol, vals)
-    _log_block(h, "dense" if dense else "lanczos", k, t0, c0, res, bound)
-    if not dense and np.any(res > bound):
+    _log_block(hb, path, kb, t0, c0, res, bound)
+    if path == "lanczos" and np.any(res > bound):
         raise SolverError(
             f"ARPACK residuals exceed tol * max(1, max|theta|) = {bound:.2e} "
             f"(residuals {np.array2string(res, precision=2)})",
             residuals=res,
         )
-    return EigResult(vals, vecs, res, ranges=((0, h.shape[0]),), block=np.zeros(k, dtype=int))
+    return EigResult(vals, vecs, res, ranges=((0, nb),), block=np.zeros(kb, dtype=int))
 
 
 def _same_csr(a: sp.csr_matrix, b: sp.csr_matrix) -> bool:
@@ -197,28 +209,34 @@ def _check_blocks(h: sp.csr_matrix, ranges: tuple[tuple[int, int], ...]) -> None
                          f"({lo[at]}, {hi[at]}) of its row")
 
 
-def _solve_blocks(
+def _block_loop(
     h: sp.csr_matrix,
     blocks: Sequence[tuple[int, int]] | None,
-    tol: float,
+    k: int,
     keep: int | None,
-    solve_block: Callable[[int, sp.csr_matrix], EigResult],
+    tol: float,
+    seed: int,
+    dense_threshold: int,
+    starts: Sequence[np.ndarray | None] | None = None,
 ) -> EigResult:
     """The block loop of solve_lowest and lowest_per_block.
 
-    Checks the ranges, solves block b by solve_block(b, h_b) unless it is an
-    earlier block's twin, and merges the block spectra by a stable sort,
-    keeping the lowest keep pairs (all of them for None).
+    Checks the ranges, solves the lowest k pairs of block b by _block_lowest
+    (from starts[b], if given) unless it is an earlier block's twin, and
+    merges the block spectra by a stable sort, keeping the lowest keep pairs
+    (all of them for None).
     """
     n = h.shape[0]
     ranges = ((0, n),) if blocks is None else tuple((int(lo), int(hi)) for lo, hi in blocks)
     _check_blocks(h, ranges)
     parts = []
-    solved: list[tuple[int, sp.csr_matrix]] = []  # (block number, matrix) of each block solved
+    # (block number, matrix) of each block solved, by (dim, nnz): only those can be twins
+    solved: dict[tuple[int, int], list[tuple[int, sp.csr_matrix]]] = {}
     for b, (lo, hi) in enumerate(ranges):
         hb = h[lo:hi, lo:hi]
         t0, c0 = time.perf_counter(), time.process_time()
-        twin = next((j for j, prev in solved if _same_csr(prev, hb)), None)
+        candidates = solved.setdefault((hi - lo, hb.nnz), [])
+        twin = next((j for j, prev in candidates if _same_csr(prev, hb)), None)
         if twin is not None:
             # the same matrix, entry for entry: a second solve would give the same pairs
             r = parts[twin]
@@ -226,30 +244,20 @@ def _solve_blocks(
             _log_block(hb, "reused", r.k, t0, c0, r.residual_norms, _bound(tol, r.eigenvalues),
                        f" reused_from={twin}")
             continue
-        solved.append((b, hb))
-        parts.append(solve_block(b, hb))
+        candidates.append((b, hb))
+        start = None if starts is None else starts[b]
+        parts.append(_block_lowest(hb, k, tol, seed, dense_threshold, start))
     vals = np.concatenate([r.eigenvalues for r in parts])
     kept = np.argsort(vals, kind="stable")[:keep]
     # embed only the kept pairs: the linear model has dozens of blocks
-    starts = np.cumsum([0] + [r.k for r in parts])
-    block = np.searchsorted(starts, kept, side="right") - 1
+    offsets = np.cumsum([0] + [r.k for r in parts])
+    block = np.searchsorted(offsets, kept, side="right") - 1
     vecs = np.zeros((n, kept.size), dtype=h.dtype)
     for col, (i, b) in enumerate(zip(kept, block)):
         lo, hi = ranges[b]
-        vecs[lo:hi, col] = parts[b].eigenvectors[:, i - starts[b]]
+        vecs[lo:hi, col] = parts[b].eigenvectors[:, i - offsets[b]]
     res = np.concatenate([r.residual_norms for r in parts])
     return EigResult(vals[kept], vecs, res[kept], ranges, block)
-
-
-def _seeded_lowest(
-    hb: sp.csr_matrix, k: int, tol: float, seed: int, dense_threshold: int
-) -> EigResult:
-    """Lowest min(k, dim) pairs of one block by LAPACK or by ARPACK from the seeded start."""
-    nb = hb.shape[0]
-    kb = min(k, nb)
-    dense = nb <= dense_threshold or kb >= nb - 1
-    v0 = None if dense else np.random.default_rng(seed).standard_normal(nb).astype(hb.dtype)
-    return _block_lowest(hb, kb, dense, tol, v0)
 
 
 def solve_lowest(
@@ -267,29 +275,16 @@ def solve_lowest(
     ValueError), and None makes h one block.  Each block gives its lowest
     min(k, dim_b) pairs; the block spectra are merged by a stable sort and
     the lowest k kept, with the eigenvectors embedded in the full space.
-    Blocks with dim_b <= dense_threshold go to LAPACK and larger ones to
-    ARPACK (implicitly restarted Lanczos), except that k_b >= dim_b - 1
-    always goes to LAPACK, which ARPACK cannot serve; dense_threshold = 0
-    therefore sends every other block to ARPACK.  tol is ARPACK's relative
+    The module's routing rule sends each block to LAPACK, or to ARPACK from
+    the seeded start above dense_threshold; dense_threshold = 0 sends every
+    block with k_b < dim_b - 1 to ARPACK.  tol is ARPACK's relative
     tolerance.  Results are deterministic for a fixed seed.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if k > h.shape[0]:
         raise ValueError(f"k={k} exceeds matrix dimension {h.shape[0]}")
-    return _solve_blocks(
-        h, blocks, tol, k, lambda b, hb: _seeded_lowest(hb, k, tol, seed, dense_threshold)
-    )
-
-
-def lowest_pair(h: sp.csr_matrix, v0: np.ndarray, tol: float = 1e-10) -> EigResult:
-    """Lowest eigenpair of one block, by ARPACK started from v0.
-
-    A block of dim <= 2, which ARPACK cannot serve at k = 1, goes to LAPACK.
-    The residual bound, SolverError and block record are those of
-    solve_lowest; the block is not split further.
-    """
-    return _block_lowest(h, 1, dense=h.shape[0] <= 2, tol=tol, v0=v0)
+    return _block_loop(h, blocks, k, k, tol, seed, dense_threshold)
 
 
 def lowest_per_block(
@@ -302,22 +297,16 @@ def lowest_per_block(
 ) -> EigResult:
     """The lowest pair of every block of h, ascending, one pair per block.
 
-    starts[b] is a start vector over block b's range, or None.  A block with
-    a start and dim > WARM_START_MIN_DIM goes to lowest_pair (ARPACK at k = 1
-    from that vector); any other is solved at k = 1 as solve_lowest would,
-    by LAPACK or from the seeded start.  The range check, the reuse of a
-    block equal to an earlier one (which then takes that block's pair,
-    whatever its own start) and the block records are solve_lowest's.
+    starts[b] is a start vector over block b's range, or None; the module's
+    routing rule sends a started block above WARM_START_MIN_DIM to ARPACK
+    from its start, and any other block as solve_lowest would at k = 1.  The
+    range check, the reuse of a block equal to an earlier one (which then
+    takes that block's pair, whatever its own start) and the block records
+    are solve_lowest's.
     """
     if len(starts) != len(blocks):
         raise ValueError(f"{len(starts)} start vectors for {len(blocks)} blocks")
-
-    def solve_block(b: int, hb: sp.csr_matrix) -> EigResult:
-        if starts[b] is not None and hb.shape[0] > WARM_START_MIN_DIM:
-            return lowest_pair(hb, starts[b], tol)
-        return _seeded_lowest(hb, 1, tol, seed, dense_threshold)
-
-    return _solve_blocks(h, blocks, tol, None, solve_block)
+    return _block_loop(h, blocks, 1, None, tol, seed, dense_threshold, starts)
 
 
 @dataclass

@@ -40,9 +40,10 @@ as (b + C2'b)/sqrt(2) (A1u) and (b - C2'b)/sqrt(2) (A2u).  So the m_s = 0
 sector splits exactly into four blocks, Eu (j = 1), Eu (j = 2), A1u and A2u,
 and each m_s = +/-1 sector into three, j = 1, j = 2 and j = 0, all of them
 contiguous ranges that AdaptedBasis.sector_blocks hands to the solver
-(with the J ranges inside them for the linear model).  The physical m_s = -1 sector is C2' H(+1) C2', which swaps j = 1 with j = 2 and flips the
-sign of the A2u states: it is the m_s = +1 matrix in the C2'-image basis, so
-one matrix serves both, and Kramers degeneracy is stated exactly.
+(with the J ranges inside them for the linear model).  The physical m_s = -1
+sector is C2' H(+1) C2', which swaps j = 1 with j = 2 and flips the sign of
+the A2u states: it is the m_s = +1 matrix in the C2'-image basis, so one
+matrix serves both, and Kramers degeneracy is stated exactly.
 
 Everything but the six coupling weights depends on the cutoff alone, so each
 AdaptedBasis builds its operators once, on first use: the unit terms of H0

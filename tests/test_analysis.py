@@ -177,19 +177,32 @@ def test_calibration_fails_when_the_final_solve_misses(monkeypatch):
     # a 1e-6 meV error in one Eu block energy moves the Newton root; the full
     # solve at that root misses the target and must not be returned
     sol = cached_sector("SnV0", 16)
-    original, calls = analysis.lowest_pair, []
+    original, calls = analysis.lowest_per_block, []
 
-    def shifted(h, v0, tol):
-        pair = original(h, v0, tol)
+    def shifted(h, blocks, starts, *args):
+        pairs = original(h, blocks, starts, *args)
         calls.append(h.shape)
-        if len(calls) % 2:  # the j = 1 block of each step
-            pair.eigenvalues = pair.eigenvalues + 1e-6
-        return pair
+        pairs.eigenvalues = pairs.eigenvalues + 1e-6 * (pairs.block == 0)  # the j = 1 pair
+        return pairs
 
-    monkeypatch.setattr(analysis, "lowest_pair", shifted)
+    monkeypatch.setattr(analysis, "lowest_per_block", shifted)
     with pytest.raises(CalibrationError, match="final solve") as err:
         calibrate_soc(sol, 3.15, ratio=3.5, opts=OPTS)
-    assert abs(err.value.scan[-1][1] - 3.15) < 1e-7
+    assert calls and abs(err.value.scan[-1][1] - 3.15) < 1e-7
+
+
+def test_calibration_steps_below_the_warm_start_dim_go_to_lapack(caplog):
+    # at cutoff 12 the j blocks are dim 121: a warm start does not pay for
+    # ARPACK there, so every Newton step solves both Eu blocks by LAPACK
+    sol = cached_sector("SnV0", 12)
+    with caplog.at_level(logging.DEBUG, logger="spinvibronic"):
+        cal = calibrate_soc(sol, 3.15, ratio=3.5, opts=OPTS)
+    messages = [r.getMessage() for r in caplog.records if r.name == "spinvibronic"]
+    steps = [m for m in messages if m.startswith("calibrate_soc step:")]
+    blocks = [m for m in messages if m.startswith("solve_lowest block:")]
+    assert len(steps) >= 2 and len(blocks) == 2 * len(steps) + 3
+    assert all("dim=121 dtype=float64 path=dense k=1 " in m for m in blocks[:-3])
+    assert abs(cal.lambda_eff - 3.15) < 1e-7
 
 
 def test_calibrate_zero_target():

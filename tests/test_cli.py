@@ -169,11 +169,17 @@ def _sector_dim(cutoff: int) -> int:
     return 2 * (cutoff + 1) * (cutoff + 2)
 
 
+def _eu_dim(cutoff: int) -> int:
+    """Dim of the j = 1 and j = 2 blocks, which lead an m_s = +1 sector."""
+    return spinvibronic.adapted_basis(cutoff).sector_blocks(1)[1][1]
+
+
 def _count_solves(monkeypatch, orders=None):
     """Record solve_sector as (args) or (order, cutoff), and the block solves by matrix dim.
 
     full holds (dim, k) of each solve_lowest call that analysis makes, and
-    pairs the dim of each lowest_per_block call.
+    pairs the dim of each lowest_per_block call: a swept sector's, or the
+    leading Eu sub-sector's for a calibration step.
     """
     calls, full, pairs = [], [], []
     solve_sector, solve_lowest = analysis.solve_sector, analysis.solve_lowest
@@ -228,7 +234,10 @@ def test_report_solves_its_own_order_once(tmp_path, monkeypatch):
     assert [n for n, _ in report.convergence_history] == [12, 16] and report.cutoff == 12
     # n_start of the swept order 2, then the report's order 1, both at cutoff 12
     assert [args[2] for args in calls] == [12, 12]
-    assert pairs == [_sector_dim(16)]
+    # the sweep's one call on the cutoff-16 sector, then the calibration's
+    # Newton steps, each on the two Eu blocks of cutoff 12 (121 each) alone
+    assert pairs[0] == _sector_dim(16)
+    assert len(pairs) > 2 and pairs[1:] == [_eu_dim(12)] * (len(pairs) - 1)
     # the confirming cutoff is never solved at k: every full solve is at cutoff 12
     assert {dim for dim, _ in full} == {_sector_dim(12)}
     assert soc_calls == []
@@ -260,7 +269,9 @@ def test_sweep_of_the_other_order_is_not_solved_again(tmp_path, monkeypatch):
     calls, full, pairs = _count_solves(monkeypatch, orders)
     report = reports.run_report(cfg)
     assert calls == [(1, 20), (2, 20)]
-    assert pairs == [_sector_dim(28)]
+    # the sweep's one call on the cutoff-28 sector, then the calibration's Newton steps
+    assert pairs[0] == _sector_dim(28)
+    assert len(pairs) > 2 and pairs[1:] == [_eu_dim(20)] * (len(pairs) - 1)
     # the confirming cutoff is never solved at k = 10
     assert cfg.solver.k == 10 and _sector_dim(28) not in {dim for dim, _ in full}
     assert report.cutoff == 20

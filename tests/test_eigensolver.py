@@ -20,11 +20,10 @@ from spinvibronic.analysis import SolverOptions, solve_sector
 from spinvibronic.eigensolver import (
     DENSE_THRESHOLD_DEFAULT,
     WARM_START_MIN_DIM,
-    lowest_pair,
     lowest_per_block,
 )
 from spinvibronic.hamiltonian import SectorSpec
-from spinvibronic.params import Couplings
+from spinvibronic.params import Couplings, couplings_for_order
 
 from conftest import (
     adapted_unitary,
@@ -427,6 +426,35 @@ def test_blocks_one_ulp_apart_are_both_solved(monkeypatch):
     assert np.abs(res.eigenvalues - expected).max() < 1e-9
 
 
+def test_only_blocks_of_equal_dim_and_nnz_are_compared(monkeypatch, caplog):
+    # the J ranges of the linear model: dozens of blocks, most of distinct dim or nnz
+    import spinvibronic.eigensolver as eig
+
+    p = DEFECTS["SnV0"]
+    spec = SectorSpec(couplings=couplings_for_order(p, 1), lambda_corr=p.lambda_corr, cutoff=16)
+    h, blocks = assemble(spec), adapted_basis(16).sector_blocks(0, linear=True)
+    parts = [h[lo:hi, lo:hi] for lo, hi in blocks]
+    # every block equal to an earlier one, by comparing it with all of them
+    twins = [next((j for j in range(b) if eig._same_csr(parts[j], parts[b])), None)
+             for b in range(len(parts))]
+    compared = []
+    same_csr = eig._same_csr
+
+    def spy(a, b):
+        compared.append(((a.shape[0], a.nnz), (b.shape[0], b.nnz)))
+        return same_csr(a, b)
+
+    monkeypatch.setattr(eig, "_same_csr", spy)
+    with caplog.at_level(logging.DEBUG, logger="spinvibronic"):
+        solve_lowest(h, k=10, blocks=blocks)
+    assert compared and all(a == b for a, b in compared)
+    assert len(compared) < len(blocks) * (len(blocks) - 1) // 4
+    messages = [r.getMessage() for r in caplog.records if r.name == "spinvibronic"]
+    reused = [int(m.rsplit("reused_from=", 1)[1]) if "reused_from=" in m else None
+              for m in messages]
+    assert reused == twins and sum(t is not None for t in twins) > 0
+
+
 @pytest.mark.parametrize("name", sorted(DEFECTS))
 @pytest.mark.parametrize("cutoff", [8, 16, 28])
 @pytest.mark.parametrize("threshold", [DENSE_THRESHOLD_DEFAULT, 0])
@@ -481,22 +509,23 @@ def test_block_solves_are_logged(caplog):
         assert fields[4][key] == fields[3][key]
 
 
-def test_lowest_pair_matches_lapack_on_an_eu_block(monkeypatch, caplog):
+def test_lowest_per_block_matches_lapack_on_a_started_eu_block(monkeypatch, caplog):
     # the j = 1 block of an m_s = +1 sector, started from its m_s = 0 partner
     basis = adapted_basis(20)
     _, lo, hi = basis.blocks[0]
     hb = sector_h("SnV0", 20, m_s=1, lam=20.0)[lo:hi, lo:hi]
+    assert hi - lo == 308 > WARM_START_MIN_DIM
     v0 = scipy.linalg.eigh(snv0_h(20)[lo:hi, lo:hi].toarray(), subset_by_index=[0, 0])[1][:, 0]
     vals, vecs = scipy.linalg.eigh(hb.toarray(), subset_by_index=[0, 0])
     seen = _spy(monkeypatch)
     with caplog.at_level(logging.DEBUG, logger="spinvibronic"):
-        pair = lowest_pair(hb, v0, tol=1e-10)
+        pair = lowest_per_block(hb, [(0, hi - lo)], [v0], tol=1e-10)
     assert seen == [("lanczos", np.dtype(np.float64))]
     assert pair.k == 1 and abs(pair.eigenvalues[0] - vals[0]) < 1e-10
     assert abs(vecs[:, 0] @ pair.eigenvectors[:, 0]) ** 2 == pytest.approx(1.0, abs=1e-10)
     assert pair.residual_norms[0] <= 1e-10 * max(1.0, abs(pair.eigenvalues[0]))
     (message,) = [r.getMessage() for r in caplog.records if r.name == "spinvibronic"]
-    assert f"dim={hi - lo} dtype=float64 path=lanczos k=1 " in message
+    assert "dim=308 dtype=float64 path=lanczos k=1 " in message
 
 
 def test_lowest_per_block_routes_records_and_reuses_each_block(caplog):
@@ -529,19 +558,28 @@ def test_lowest_per_block_routes_records_and_reuses_each_block(caplog):
         lowest_per_block(h, [(0, 10), (11, h.shape[0])], [None, None])
 
 
-def test_lowest_pair_of_a_dim_2_block_goes_to_lapack(monkeypatch):
-    # ARPACK cannot serve k = 1 at dim 2
+def test_lowest_per_block_sends_a_started_dim_2_block_to_lapack(monkeypatch, caplog):
+    # ARPACK cannot serve k = 1 at dim 2, whatever the start and the dim bounds
+    import spinvibronic.eigensolver as eig
+
+    monkeypatch.setattr(eig, "WARM_START_MIN_DIM", 0)
     h = sp.csr_matrix(np.array([[1.0, 0.5], [0.5, 2.0]]))
     seen = _spy(monkeypatch)
-    pair = lowest_pair(h, np.ones(2))
+    with caplog.at_level(logging.DEBUG, logger="spinvibronic"):
+        pair = lowest_per_block(h, [(0, 2)], [np.ones(2)], dense_threshold=0)
     assert seen == [("dense", np.dtype(np.float64))]
     assert pair.eigenvalues[0] == pytest.approx(np.linalg.eigvalsh(h.toarray())[0], abs=1e-12)
+    (message,) = [r.getMessage() for r in caplog.records if r.name == "spinvibronic"]
+    assert "dim=2 dtype=float64 path=dense k=1 " in message
 
 
-def test_lowest_pair_residual_above_tol_raises(monkeypatch):
+def test_lowest_per_block_residual_above_tol_raises(monkeypatch):
     import scipy.sparse.linalg
 
-    h = snv0_h(10, m_s=1, lam=40.0)[:30, :30]
+    # a started j block above WARM_START_MIN_DIM goes to ARPACK, whose pair is checked
+    _, lo, hi = adapted_basis(20).blocks[0]
+    h = snv0_h(20, m_s=1, lam=40.0)[lo:hi, lo:hi]
+    assert h.shape[0] > WARM_START_MIN_DIM
 
     def perturbed(a, k, **kwargs):
         vals, vecs = scipy.linalg.eigh(a.toarray(), subset_by_index=[0, 1])
@@ -549,7 +587,7 @@ def test_lowest_pair_residual_above_tol_raises(monkeypatch):
 
     monkeypatch.setattr(scipy.sparse.linalg, "eigsh", perturbed)
     with pytest.raises(SolverError) as err:
-        lowest_pair(h, np.ones(30))
+        lowest_per_block(h, [(0, h.shape[0])], [np.ones(h.shape[0])])
     assert err.value.residuals[0] > 1e-4
 
 
