@@ -11,6 +11,7 @@ shifts and transition-energy changes.
 
 from .analysis import (
     AnalysisError,
+    ConvergenceError,
     SectorSolution,
     SolverOptions,
     calibrate_soc,
@@ -22,13 +23,7 @@ from .analysis import (
 )
 from .config import RunConfig, parse_config, parse_config_text, serialize_config
 from .defaults import DEFECTS, LAMBDA_EFF_TARGETS_MEV
-from .eigensolver import (
-    ConvergenceError,
-    EigResult,
-    SolverError,
-    converge_cutoff,
-    solve_lowest,
-)
+from .eigensolver import EigResult, SolverError, solve_lowest
 from .hamiltonian import (
     PRESET_A_SPLIT,
     PRESET_E_RAISED,

@@ -23,9 +23,11 @@ aborts the analysis rather than reporting a mislabeled level.  So
 calibrate_soc takes its Newton steps on the two Eu blocks alone, by
 eigensolver.lowest_per_block with each block started from its state of the
 step before, and solves the whole sector once, at the calibrated couplings.
-Likewise converge_observable solves the whole sector only at the cutoff it
-reports, and confirms it at the next cutoff with the lowest pair of each
-block, each started from its state at the cutoff before.
+Likewise converge_observable, which walks the cutoffs itself, solves the
+whole sector only at the cutoff it reports, and confirms it at the next
+cutoff with the lowest pair of each block, each started from its state at
+the cutoff before; a sweep that reaches its last cutoff unsettled raises
+ConvergenceError.
 """
 
 from __future__ import annotations
@@ -38,14 +40,7 @@ from typing import Callable, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .eigensolver import (
-    DENSE_THRESHOLD_DEFAULT,
-    ConvergenceResult,
-    EigResult,
-    converge_cutoff,
-    lowest_per_block,
-    solve_lowest,
-)
+from .eigensolver import DENSE_THRESHOLD_DEFAULT, EigResult, lowest_per_block, solve_lowest
 from .hamiltonian import (
     LABEL_A2U,
     LABEL_EU,
@@ -442,7 +437,7 @@ def calibrate_soc(
     raise CalibrationError(f"no convergence to {target_lambda_eff:g} meV in 20 Newton steps", scan)
 
 
-# registered report quantities for the cutoff-convergence driver: the
+# registered report quantities for the cutoff sweep: the
 # electron-phonon order of the sector each one is read from, and the reader
 OBSERVABLES: dict[str, tuple[int, Callable[[SectorSolution], float]]] = {
     "gamma1": (1, solution_gamma),
@@ -451,6 +446,24 @@ OBSERVABLES: dict[str, tuple[int, Callable[[SectorSolution], float]]] = {
     "p_g": (2, lambda sol: reduction_factors(sol)[1]),
     "e0": (2, lambda sol: float(sol.energies[0])),
 }
+
+
+class ConvergenceError(RuntimeError):
+    """Cutoff sweep hit n_max before the observable settled."""
+
+    def __init__(self, message: str, history: list[tuple[int, float]]):
+        super().__init__(message)
+        self.history = history
+
+
+@dataclass
+class ConvergenceResult:
+    """The reported value and cutoff, the (cutoff, value) history, and the full solve at the cutoff."""
+
+    value: float
+    cutoff: int
+    history: list[tuple[int, float]]
+    solution: SectorSolution
 
 
 def converge_observable(
@@ -463,40 +476,78 @@ def converge_observable(
     preset: str = PRESET_E_RAISED,
     opts: SolverOptions = SolverOptions(),
 ) -> ConvergenceResult:
-    """Run the cutoff-convergence driver on a registered observable.
+    """Raise the cutoff from n_start in steps of n_step until a registered observable settles.
 
     The sweep stops at the first cutoff where every registered observable of
-    the same order (gamma2, p_u, p_g and e0 at order 2) agrees with the next
-    cutoff to rel_tol, and reports the named one.  Each of them reads the
-    lowest state of some block alone, so n_start is solved in full (opts.k
-    pairs) and every later cutoff as the lowest pair of each declared block,
-    started from the cutoff before it.  The result carries the full solve
-    at the reported cutoff: n_start's own, or for a later cutoff one more
-    solve once the sweep has settled.  No more than that full solve and the
-    previous cutoff's solution are kept alive during the sweep.
+    the same order (gamma2, p_u, p_g and e0 at order 2) agrees with the
+    cutoff before to rel_tol, and reports the named one at the cutoff before
+    (so the reported value is already converged at the reported cutoff); a
+    sweep still unsettled at n_max raises ConvergenceError with the history
+    of the named value.
+    Each of them reads the lowest state of some block alone, so n_start is
+    solved in full (opts.k pairs) and every later cutoff as the lowest pair
+    of each declared block, started from the cutoff before it.  The result
+    carries the full solve at the reported cutoff: n_start's own, or one
+    more solve once the sweep has settled past it.  Only the previous and
+    the current cutoff's solutions are alive during the sweep.
+
+    Each cutoff logs one DEBUG record: n, the named value, its drift from
+    the cutoff before and the tolerance that drift is held to, then a
+    name_drift and name_tol pair for every further observable; the first
+    cutoff has no drift or tolerance yet and logs them as nan.
     """
     if name not in OBSERVABLES:
         raise KeyError(f"unknown observable {name!r}; registered: {sorted(OBSERVABLES)}")
+    if n_step < 1:
+        raise ValueError("n_step must be >= 1")
+    if n_max < n_start + n_step:
+        raise ValueError(
+            f"a cutoff sweep needs two cutoffs: n_max={n_max} is below "
+            f"n_start={n_start} + n_step={n_step}"
+        )
     order, read = OBSERVABLES[name]
-    # the named observable first: converge_cutoff reports the first value
+    # the named observable first: it is reported, and its drift leads the record
     reads = {name: read} | {other: r for other, (o, r) in OBSERVABLES.items() if o == order}
     couplings = couplings_for_order(defect, order)
-    full: SectorSolution | None = None  # the n_start solve, while n_start can be reported
+    history: list[tuple[int, float]] = []
     prev: SectorSolution | None = None
-
-    def values(n: int) -> dict[str, float]:
-        nonlocal full, prev
+    before: dict[str, float] = {}
+    nan = float("nan")
+    for n in range(n_start, n_max + 1, n_step):
         if prev is None:
-            prev = full = solve_sector(couplings, defect.lambda_corr, n, preset, opts)
+            sol = solve_sector(couplings, defect.lambda_corr, n, preset, opts)
         else:
-            prev = _lowest_per_block_sector(prev, n, opts)
-            if n > n_start + n_step:
-                full = None
-        return {other: r(prev) for other, r in reads.items()}
-
-    res = converge_cutoff(values, rel_tol=rel_tol, n_start=n_start, n_step=n_step, n_max=n_max)
-    prev = None
-    if full is None:
-        full = solve_sector(couplings, defect.lambda_corr, res.cutoff, preset, opts)
-    res.solution = full
-    return res
+            sol = _lowest_per_block_sector(prev, n, opts)
+        values = {other: float(r(sol)) for other, r in reads.items()}
+        history.append((n, values[name]))
+        drifts = {
+            other: (abs(x - before[other]), rel_tol * max(abs(x), abs(before[other]), 1e-300))
+            if before
+            else (nan, nan)
+            for other, x in values.items()
+        }
+        if log.isEnabledFor(logging.DEBUG):
+            (drift, tol), *_ = drifts.values()
+            extra = "".join(
+                f" {other}_drift={d:.3e} {other}_tol={t:.3e}"
+                for other, (d, t) in list(drifts.items())[1:]
+            )
+            log.debug(
+                "converge_cutoff: n=%d value=%.9g drift=%.3e tol=%.3e%s",
+                n, values[name], drift, tol, extra,
+            )
+        # a nan drift is never settled, so the first cutoff never stops the sweep
+        unsettled = [other for other, (d, t) in drifts.items() if not d <= t]
+        if not unsettled:
+            cutoff, value = history[-2]
+            if cutoff == n_start:
+                return ConvergenceResult(value, cutoff, history, prev)
+            del prev, sol  # the sweep's solves go before the full one is made
+            solution = solve_sector(couplings, defect.lambda_corr, cutoff, preset, opts)
+            return ConvergenceResult(value, cutoff, history, solution)
+        prev, before = sol, values
+    raise ConvergenceError(
+        f"observable did not converge to rel_tol={rel_tol:g} by cutoff {n_max} "
+        f"(unsettled: {unsettled}); history: {history}",
+        history=history,
+    )

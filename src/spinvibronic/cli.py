@@ -29,9 +29,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import AnalysisError, CalibrationError
+from .analysis import AnalysisError, CalibrationError, ConvergenceError
 from .config import ConfigError, RunConfig, parse_config, serialize_config
-from .eigensolver import ConvergenceError, SolverError
+from .eigensolver import SolverError
 from .hamiltonian import PRESETS
 from .params import ParameterError, pes_to_couplings
 from .pes import PesFitError, adiabatic_surfaces, fit_pes, read_pes_csv, write_pes_csv

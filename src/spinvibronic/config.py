@@ -71,6 +71,9 @@ class SolverConfig:
                 f"unknown converge_observable {self.converge_observable!r}; "
                 f"choose from {sorted(OBSERVABLES)}"
             )
+        # a drift is never held to a tolerance that is not positive (nor to nan)
+        if not self.converge_rel_tol > 0:
+            raise ConfigError(f"converge_rel_tol must be positive (got {self.converge_rel_tol})")
 
 
 # the keys each [soc] mode reads and writes besides `mode`

@@ -62,17 +62,14 @@ way, on its two Eu blocks, each started from its previous step's vector.
 Each block logs one DEBUG record (dim, dtype, path, k, wall and CPU seconds,
 nnz, and the largest residual against its bound) to the "spinvibronic"
 logger; a reused block says path=reused and names the block it copied.
-converge_cutoff logs one record per cutoff it tries (n, the value, its drift
-from the previous cutoff and the tolerance that drift is held to, and the
-drift and tolerance of every further value it holds).
 """
 
 from __future__ import annotations
 
 import logging
 import time
-from collections.abc import Callable, Mapping, Sequence
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -95,14 +92,6 @@ class SolverError(RuntimeError):
     def __init__(self, message: str, residuals: np.ndarray | None = None):
         super().__init__(message)
         self.residuals = residuals
-
-
-class ConvergenceError(RuntimeError):
-    """Cutoff sweep hit n_max before the observable settled."""
-
-    def __init__(self, message: str, history: list[tuple[int, float]]):
-        super().__init__(message)
-        self.history = history
 
 
 @dataclass
@@ -307,73 +296,3 @@ def lowest_per_block(
     if len(starts) != len(blocks):
         raise ValueError(f"{len(starts)} start vectors for {len(blocks)} blocks")
     return _block_loop(h, blocks, 1, None, tol, seed, dense_threshold, starts)
-
-
-@dataclass
-class ConvergenceResult:
-    value: float
-    cutoff: int
-    history: list[tuple[int, float]] = field(default_factory=list)
-    # the caller's full solve at the reported cutoff, if it keeps one (converge_observable does)
-    solution: object = None
-
-
-def converge_cutoff(
-    observable: Callable[[int], Mapping[str, float]],
-    rel_tol: float = 0.01,
-    n_start: int = 16,
-    n_step: int = 8,
-    n_max: int = 56,
-) -> ConvergenceResult:
-    """Increase the basis cutoff until the observable's named values stop drifting.
-
-    observable(n) returns named values at cutoff n.  The first is the one
-    reported and kept in the history; every one must agree with the next
-    cutoff's to rel_tol.  Returns the first cutoff where they all do (so the
-    reported value is already converged at the reported cutoff).  Each
-    cutoff logs one DEBUG record, with a name_drift and name_tol pair for
-    each value after the first; the first cutoff has no drift or tolerance
-    yet and logs them as nan.
-    """
-    if n_step < 1:
-        raise ValueError("n_step must be >= 1")
-    if n_max < n_start + n_step:
-        raise ValueError(
-            f"a cutoff sweep needs two cutoffs: n_max={n_max} is below "
-            f"n_start={n_start} + n_step={n_step}"
-        )
-    history: list[tuple[int, float]] = []
-    prev: dict[str, float] | None = None
-    unsettled: list[str] = []
-    nan = float("nan")
-    n = n_start
-    while n <= n_max:
-        values = {name: float(x) for name, x in observable(n).items()}
-        v = next(iter(values.values()))
-        history.append((n, v))
-        drifts = {
-            name: (nan, nan)
-            if prev is None
-            else (abs(x - prev[name]), rel_tol * max(abs(x), abs(prev[name]), 1e-300))
-            for name, x in values.items()
-        }
-        if log.isEnabledFor(logging.DEBUG):
-            (drift, tol), *_ = drifts.values()
-            extra = "".join(
-                f" {name}_drift={d:.3e} {name}_tol={t:.3e}"
-                for name, (d, t) in list(drifts.items())[1:]
-            )
-            log.debug(
-                "converge_cutoff: n=%d value=%.9g drift=%.3e tol=%.3e%s", n, v, drift, tol, extra
-            )
-        unsettled = [name for name, (d, t) in drifts.items() if not d <= t]
-        if prev is not None and not unsettled:
-            prev_n, prev_v = history[-2]
-            return ConvergenceResult(value=prev_v, cutoff=prev_n, history=history)
-        prev = values
-        n += n_step
-    raise ConvergenceError(
-        f"observable did not converge to rel_tol={rel_tol:g} by cutoff {n_max} "
-        f"(unsettled: {unsettled}); history: {history}",
-        history=history,
-    )

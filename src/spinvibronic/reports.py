@@ -212,7 +212,9 @@ def run_report(cfg: RunConfig) -> SpectrumReport:
         convergence_history=history,
     )
     report.levels = _level_rows(sol, soc)
-    report.composition = composition_table_rows(sol.states, defect.length_scale_angstrom())
+    report.composition = composition_table_rows(
+        sol.states, sol.basis, defect.length_scale_angstrom()
+    )
     report.level_diagram = _diagram_rows(report, sol, soc)
     report.validate()
     return report

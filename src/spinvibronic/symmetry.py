@@ -1,11 +1,13 @@
-"""Irrep labels, electronic composition and displacement of vibronic states.
+"""Irrep labels of vibronic states, and the composition and displacement of the reported ones.
 
 The symmetry-adapted basis of hamiltonian declares the blocks of every
 sector, and the solver returns each pair with the block it was solved in
 (see eigensolver).  The block names the irrep: the j = 1 and j = 2 blocks
 hold the two partners of every Eu doublet, and the C2'-even and -odd j = 0
 blocks hold the A1u and A2u states.  So each state is labelled from its
-block index, with no tolerance and no look at its vector.
+block index, with no tolerance and no look at its vector.  The electronic
+composition and mean displacement are measured only for the states table
+of a report (composition_table_rows), not for every solve.
 """
 
 from __future__ import annotations
@@ -20,23 +22,12 @@ from .hamiltonian import ELEC_DIM, AdaptedBasis
 
 @dataclass
 class VibronicState:
-    """One eigenstate with its symmetry and composition metadata.
-
-    composition holds probabilities over the electronic channels
-    (A1u, A2u, Eu) with the two Eu partners summed; displacement_raw is
-    sqrt(<X^2 + Y^2>), displacement is the zero-point-subtracted
-    sqrt(<X^2 + Y^2> - 1).  Both are kept because the distinction matters at
-    small distortion and the data they are compared against does not say
-    which estimator was used.
-    """
+    """One eigenstate, labelled by the irrep of the basis block that holds it."""
 
     energy: float
     coefficients: np.ndarray
     block: int  # index into AdaptedBasis.blocks: j = 1, j = 2, A1u, A2u
     irrep: str
-    composition: dict[str, float]
-    displacement: float
-    displacement_raw: float
 
 
 def electronic_composition(product: np.ndarray) -> dict[str, float]:
@@ -70,7 +61,7 @@ def mean_displacement(product: np.ndarray, r2) -> tuple[float, float]:
 
 
 def analyze_states(result: EigResult, basis: AdaptedBasis) -> list[VibronicState]:
-    """Label, decompose and measure every eigenstate of an m_s = 0 solve on basis's blocks.
+    """Label every eigenstate of an m_s = 0 solve on basis's blocks.
 
     Each state is labelled from the basis block that holds its solve block.
     """
@@ -78,44 +69,41 @@ def analyze_states(result: EigResult, basis: AdaptedBasis) -> list[VibronicState
     held = basis.block_at(lo)
     if np.any(basis.block_at(hi - 1) != held):
         raise ValueError(f"solve blocks {result.ranges} do not nest in the symmetry blocks")
-    r2 = basis.operators.r2
-    products = basis.to_product(result.eigenvectors)
-    states: list[VibronicState] = []
-    for energy, v, p, b in zip(
-        result.eigenvalues, result.eigenvectors.T, products.T, held[result.block]
-    ):
-        disp, disp_raw = mean_displacement(p, r2)
-        states.append(
-            VibronicState(
-                energy=float(energy),
-                coefficients=v,
-                block=int(b),
-                irrep=basis.blocks[b][0],
-                composition=electronic_composition(p),
-                displacement=disp,
-                displacement_raw=disp_raw,
-            )
-        )
-    return states
+    return [
+        VibronicState(energy=float(e), coefficients=v, block=int(b), irrep=basis.blocks[b][0])
+        for e, v, b in zip(result.eigenvalues, result.eigenvectors.T, held[result.block])
+    ]
 
 
 def composition_table_rows(
-    states: list[VibronicState], length_scale_angstrom: float
+    states: list[VibronicState], basis: AdaptedBasis, length_scale_angstrom: float
 ) -> list[dict[str, float | str]]:
-    """Flat rows (displacement, energy, composition) for the states CSV."""
+    """Flat rows (energy, irrep, displacement, composition) for the states CSV.
+
+    The states are vectors over basis.  composition holds probabilities over
+    the electronic channels (A1u, A2u, Eu) with the two Eu partners summed;
+    displacement_raw is sqrt(<X^2 + Y^2>), displacement the zero-point-
+    subtracted sqrt(<X^2 + Y^2> - 1).  Both are kept because the distinction
+    matters at small distortion and the data they are compared against does
+    not say which estimator was used.
+    """
+    r2 = basis.operators.r2
+    products = basis.to_product(np.column_stack([s.coefficients for s in states]))
     rows = []
-    for s in states:
+    for s, p in zip(states, products.T):
+        disp, disp_raw = mean_displacement(p, r2)
+        comp = electronic_composition(p)
         rows.append(
             {
                 "energy_mev": s.energy,
                 "energy_rel_mev": s.energy - states[0].energy,
                 "irrep": s.irrep,
-                "displacement": s.displacement,
-                "displacement_raw": s.displacement_raw,
-                "displacement_angstrom": s.displacement * length_scale_angstrom,
-                "p_a1u": s.composition["A1u"],
-                "p_a2u": s.composition["A2u"],
-                "p_eu": s.composition["Eu"],
+                "displacement": disp,
+                "displacement_raw": disp_raw,
+                "displacement_angstrom": disp * length_scale_angstrom,
+                "p_a1u": comp["A1u"],
+                "p_a2u": comp["A2u"],
+                "p_eu": comp["Eu"],
             }
         )
     return rows

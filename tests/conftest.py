@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,16 +18,14 @@ from spinvibronic import (
     PRESET_E_RAISED,
     SolverOptions,
     adapted_basis,
-    converge_cutoff,
+    analysis,
     op_on_g,
     op_on_u,
     pes_to_couplings,
     solve_sector,
 )
-from spinvibronic.analysis import OBSERVABLES
 from spinvibronic.hamiltonian import E_RAISE, ELEC_DIM, circular_correlation
 from spinvibronic.oscillator import build_basis, build_operators
-from spinvibronic.params import couplings_for_order
 from spinvibronic.pes import QX_UNIT_DIMENSIONLESS, PesCurve
 
 FAST_OPTS = SolverOptions(k=8, dense_threshold=4000)
@@ -81,18 +80,15 @@ def converge_observable_full(defect, name, rel_tol, n_start, n_step, n_max, pres
 
     The oracle for the sweep that confirms each cutoff with one pair per block.
     """
-    order, read = OBSERVABLES[name]
-    reads = {name: read} | {other: r for other, (o, r) in OBSERVABLES.items() if o == order}
-    couplings = couplings_for_order(defect, order)
-    solved = {}
 
-    def values(n):
-        sol = solved[n] = solve_sector(couplings, defect.lambda_corr, n, preset, opts)
-        return {other: r(sol) for other, r in reads.items()}
+    def solve_in_full(prev, cutoff, opts):
+        s = prev.spec
+        return solve_sector(s.couplings, s.lambda_corr, cutoff, s.preset, opts)
 
-    res = converge_cutoff(values, rel_tol=rel_tol, n_start=n_start, n_step=n_step, n_max=n_max)
-    res.solution = solved[res.cutoff]
-    return res
+    with mock.patch.object(analysis, "_lowest_per_block_sector", solve_in_full):
+        return analysis.converge_observable(
+            defect, name, rel_tol, n_start, n_step, n_max, preset, opts
+        )
 
 
 def lowest_per_block_lapack(h: sp.csr_matrix, ranges) -> EigResult:

@@ -7,7 +7,6 @@ from spinvibronic import (
     AnalysisError,
     SolverOptions,
     calibrate_soc,
-    converge_cutoff,
     converge_observable,
     gamma_splitting,
     reduction_factors,
@@ -262,7 +261,7 @@ def test_converge_observable_gamma():
     assert "gamma1" in OBSERVABLES and "p_u" in OBSERVABLES
 
 
-def test_converge_observable_waits_for_every_observable_of_its_order(caplog):
+def test_converge_observable_waits_for_every_observable_of_its_order(caplog, monkeypatch):
     # SiV0 from cutoff 8 in steps of 4: between cutoffs 12 and 16, gamma2, p_u
     # and e0 move by 0.81%, 0.94% and 0.06%, and p_g by 0.97%, so a 0.96%
     # tolerance holds the sweep to cutoff 16 where gamma2 alone stops at 12
@@ -271,11 +270,14 @@ def test_converge_observable_waits_for_every_observable_of_its_order(caplog):
             DEFECTS["SiV0"], "gamma2", rel_tol=0.0096, n_start=8, n_step=4, n_max=28, opts=OPTS
         )
     assert res.cutoff == 16 and [n for n, _ in res.history] == [8, 12, 16, 20]
-    gamma2 = dict(res.history)
-    alone = converge_cutoff(lambda n: {"gamma2": gamma2[n]}, rel_tol=0.0096, n_start=8, n_step=4)
-    assert alone.cutoff == 12
     records = [r.getMessage() for r in caplog.records if r.getMessage().startswith("converge_cutoff:")]
     assert len(records) == 4
+    # the same sweep with gamma2 alone registered stops at 12
+    monkeypatch.setattr(analysis, "OBSERVABLES", {"gamma2": OBSERVABLES["gamma2"]})
+    alone = converge_observable(
+        DEFECTS["SiV0"], "gamma2", rel_tol=0.0096, n_start=8, n_step=4, n_max=28, opts=OPTS
+    )
+    assert alone.cutoff == 12 and alone.history == res.history[:3]
     at_16 = dict(f.split("=") for f in records[2].split()[1:])
     assert set(at_16) == {"n", "value", "drift", "tol"} | {
         f"{name}_{kind}" for name in ("p_u", "p_g", "e0") for kind in ("drift", "tol")

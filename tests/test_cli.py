@@ -582,3 +582,28 @@ def test_failed_table1_row_names_the_defect_and_the_stage(tmp_path, capsys, monk
     assert "snv0.conf: SnV0 FAILED in spin-orbit calibration (slope vanished; scan: " in err
     table = (tmp_path / "t1" / "table1.csv").read_text().splitlines()
     assert table[1].startswith("SnV0,FAILED,")
+
+
+UNSETTLED = FAST_OFF.replace(
+    "cutoff = 12",
+    "converge = true\nconverge_rel_tol = 1e-12\n"
+    "converge_n_start = 4\nconverge_n_step = 2\nconverge_n_max = 8",
+)
+
+
+def test_unsettled_sweep_is_a_solver_failure(tmp_path, capsys):
+    # no cutoff from 4 to 8 holds gamma2 to 1e-12, so the real sweep raises
+    # ConvergenceError: solve exits 3, and table1 writes a FAILED row
+    path = write_config(tmp_path, UNSETTLED)
+    assert main(["solve", str(path)]) == 3
+    assert "solver failure: observable did not converge to rel_tol=1e-12 by cutoff 8" in (
+        capsys.readouterr().err
+    )
+    confdir = tmp_path / "configs"
+    confdir.mkdir()
+    (confdir / "snv0.conf").write_text(UNSETTLED.format(out=tmp_path / "t1"))
+    assert main(["table1", str(confdir)]) == 3
+    err = capsys.readouterr().err
+    assert "snv0.conf: SnV0 FAILED in cutoff convergence (observable did not converge" in err
+    table = (tmp_path / "t1" / "table1.csv").read_text().splitlines()
+    assert table[1].startswith("SnV0,FAILED,")

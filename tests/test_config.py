@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinvibronic import parse_config, parse_config_text, serialize_config
+from spinvibronic import analysis, parse_config, parse_config_text, serialize_config
 from spinvibronic.analysis import OBSERVABLES
 from spinvibronic.cli import main
 from spinvibronic.config import (
@@ -162,6 +162,26 @@ def test_misspelled_observable_is_rejected_by_name(tmp_path, capsys):
     path.write_text(text)
     assert main(["solve", str(path)]) == 2
     assert "'gama2'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["-0.01", "0", "nan"])
+def test_nonpositive_converge_rel_tol_is_rejected_before_any_solve(
+    tmp_path, capsys, monkeypatch, value
+):
+    # no drift settles against a tolerance that is not positive, so such a
+    # sweep could only run to converge_n_max and fail
+    text = _bundled_text("snv0").replace("converge_rel_tol = 0.01", f"converge_rel_tol = {value}")
+    with pytest.raises(ConfigError, match="converge_rel_tol must be positive"):
+        parse_config_text(text)
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a config with a nonpositive converge_rel_tol reached the solver")
+
+    monkeypatch.setattr(analysis, "solve_sector", no_solve)
+    path = tmp_path / "snv0.conf"
+    path.write_text(text)
+    assert main(["solve", str(path)]) == 2
+    assert "converge_rel_tol" in capsys.readouterr().err
 
 
 SNV0_CALIBRATE_SOC = "[soc]\nmode = calibrate\ntarget_lambda_eff_mev = 3.15\nratio = 3.5\n"

@@ -9,8 +9,9 @@ from spinvibronic import (
     ConvergenceError,
     SolverError,
     adapted_basis,
+    analysis,
     assemble,
-    converge_cutoff,
+    converge_observable,
     pes_to_couplings,
     soc_operators,
     solve_lowest,
@@ -198,47 +199,70 @@ def test_blocks_reproduce_the_full_spectrum(name, cutoff, m_s):
         assert not v[:lo].any() and not v[hi:].any()
 
 
-def test_converge_cutoff_trivial_case():
-    # cutoff-independent observable converges at the starting cutoff
-    res = converge_cutoff(lambda n: {"e": 87.7}, rel_tol=0.01, n_start=4, n_step=2, n_max=12)
+SWEEP_OPTS = SolverOptions(k=8)
+
+
+def _sweep(monkeypatch, readings, **sweep):
+    """converge_observable with readings as the only registered observables.
+
+    readings maps each name to a function of the solve's cutoff alone, all
+    of order 2; the first is the one swept.  The SiV0 solves at cutoffs 2-12
+    take milliseconds.
+    """
+    table = {name: (2, lambda sol, f=f: f(sol.spec.cutoff)) for name, f in readings.items()}
+    monkeypatch.setattr(analysis, "OBSERVABLES", table)
+    return converge_observable(DEFECTS["SiV0"], next(iter(readings)), opts=SWEEP_OPTS, **sweep)
+
+
+def test_converge_cutoff_trivial_case(monkeypatch):
+    # cutoff-independent observable converges at the starting cutoff, whose
+    # full solve is the one handed back
+    res = _sweep(monkeypatch, {"e": lambda n: 87.7}, rel_tol=0.01, n_start=4, n_step=2, n_max=12)
     assert res.cutoff == 4
     assert res.value == 87.7
     assert len(res.history) == 2
+    assert res.solution.spec.cutoff == 4 and res.solution.result.k == SWEEP_OPTS.k
 
 
-def test_converge_cutoff_failure_carries_history():
+def test_converge_cutoff_failure_carries_history(monkeypatch):
     with pytest.raises(ConvergenceError) as err:
-        converge_cutoff(lambda n: {"n": float(n)}, rel_tol=1e-6, n_start=2, n_step=2, n_max=8)
+        _sweep(monkeypatch, {"n": float}, rel_tol=1e-6, n_start=2, n_step=2, n_max=8)
     assert len(err.value.history) == 4
 
 
 @pytest.mark.parametrize("n_max", [10, 23])
-def test_converge_cutoff_needs_two_cutoffs(n_max):
+def test_converge_cutoff_needs_two_cutoffs(monkeypatch, n_max):
     # below n_start + n_step the sweep could try at most one cutoff and
-    # never compare two; that is rejected before any observable is read
-    def observable(n):
-        raise AssertionError("the sweep read an observable")
+    # never compare two; that is rejected before any solve
+    def solve_sector(*args, **kwargs):
+        raise AssertionError("the sweep solved a sector")
 
+    monkeypatch.setattr(analysis, "solve_sector", solve_sector)
     with pytest.raises(ValueError, match=rf"n_max={n_max}.*n_start=16.*n_step=8"):
-        converge_cutoff(observable, n_start=16, n_step=8, n_max=n_max)
+        _sweep(monkeypatch, {"e": float}, n_start=16, n_step=8, n_max=n_max)
 
 
-def test_converge_cutoff_holds_every_named_value():
-    # the first value is reported, and every value must settle
+def test_converge_cutoff_holds_every_named_value(monkeypatch):
+    # the first value is reported, and every value must settle; a sweep
+    # that settles past n_start solves the reported cutoff in full
     both = {4: {"a": 10.0, "b": 1.0}, 6: {"a": 10.0, "b": 2.0}, 8: {"a": 10.0, "b": 2.001}}
-    res = converge_cutoff(both.__getitem__, rel_tol=0.01, n_start=4, n_step=2, n_max=8)
+    readings = {name: lambda n, name=name: both[n][name] for name in ("a", "b")}
+    res = _sweep(monkeypatch, readings, rel_tol=0.01, n_start=4, n_step=2, n_max=8)
     assert (res.cutoff, res.value, res.history) == (6, 10.0, [(4, 10.0), (6, 10.0), (8, 10.0)])
+    assert res.solution.spec.cutoff == 6 and res.solution.result.k == SWEEP_OPTS.k
     with pytest.raises(ConvergenceError, match=r"unsettled: \['b'\]"):
-        converge_cutoff(both.__getitem__, rel_tol=1e-6, n_start=4, n_step=2, n_max=8)
+        _sweep(monkeypatch, readings, rel_tol=1e-6, n_start=4, n_step=2, n_max=8)
 
 
-def test_converge_cutoff_logs_one_record_per_cutoff(caplog):
-    values = {4: {"e": 100.0}, 6: {"e": 90.0}, 8: {"e": 89.5}}
+def test_converge_cutoff_logs_one_record_per_cutoff(monkeypatch, caplog):
+    values = {4: 100.0, 6: 90.0, 8: 89.5}
     with caplog.at_level(logging.DEBUG, logger="spinvibronic"):
-        res = converge_cutoff(values.__getitem__, rel_tol=0.01, n_start=4, n_step=2, n_max=12)
+        res = _sweep(
+            monkeypatch, {"e": values.__getitem__}, rel_tol=0.01, n_start=4, n_step=2, n_max=12
+        )
     assert res.cutoff == 6
     messages = [r.getMessage() for r in caplog.records if r.name == "spinvibronic"]
-    assert messages == [
+    assert [m for m in messages if m.startswith("converge_cutoff:")] == [
         "converge_cutoff: n=4 value=100 drift=nan tol=nan",
         "converge_cutoff: n=6 value=90 drift=1.000e+01 tol=1.000e+00",
         "converge_cutoff: n=8 value=89.5 drift=5.000e-01 tol=9.000e-01",

@@ -19,6 +19,7 @@ from spinvibronic.hamiltonian import SectorSpec
 from spinvibronic.oscillator import build_operators
 from spinvibronic.symmetry import (
     analyze_states,
+    composition_table_rows,
     electronic_composition,
     mean_displacement,
 )
@@ -103,8 +104,8 @@ def test_accidental_a_pair_resolved(basis6):
     h = assemble(spec)
     states = analyze_states(solve_lowest(h, k=2, blocks=basis6.sector_blocks(0)), basis6)
     assert sorted((s.block, s.irrep) for s in states) == [(2, "A1u"), (3, "A2u")]
-    for s in states:
-        assert s.composition[s.irrep] == pytest.approx(1.0, abs=1e-12)
+    for row in composition_table_rows(states, basis6, 1.0):
+        assert row["p_" + row["irrep"].lower()] == pytest.approx(1.0, abs=1e-12)
     # a solve of the whole matrix, whose block spans all four, is not labelled
     with pytest.raises(ValueError, match="do not nest"):
         analyze_states(solve_lowest(h, k=2), basis6)
@@ -196,10 +197,10 @@ def test_composition_pure_state(basis6):
 
 def test_snv0_lowest_states_mix_a2u_and_eu():
     sol = cached_sector("SnV0", 20)
-    for s in sol.states[:3]:
-        assert abs(s.composition["A2u"] - 0.5) < 0.15
-        assert abs(s.composition["Eu"] - 0.5) < 0.15
-        assert s.composition["A1u"] < 0.1
+    for row in composition_table_rows(sol.states[:3], sol.basis, 1.0):
+        assert abs(row["p_a2u"] - 0.5) < 0.15
+        assert abs(row["p_eu"] - 0.5) < 0.15
+        assert row["p_a1u"] < 0.1
 
 
 def test_composition_sums_to_one_and_rotation_invariant():
@@ -217,8 +218,8 @@ def test_composition_sums_to_one_and_rotation_invariant():
         comp = [electronic_composition(mixed[:, i]) for i in range(2)]
         for k in total:
             assert comp[0][k] + comp[1][k] == pytest.approx(total[k], abs=1e-10)
-    for s in sol.states:
-        assert sum(s.composition.values()) == pytest.approx(1.0, abs=1e-10)
+    for row in composition_table_rows(sol.states, sol.basis, 1.0):
+        assert row["p_a1u"] + row["p_a2u"] + row["p_eu"] == pytest.approx(1.0, abs=1e-10)
 
 
 def test_mean_displacement_reference_states(basis6):
@@ -233,8 +234,8 @@ def test_mean_displacement_reference_states(basis6):
 def test_snv0_displacement_between_branch_minima():
     p = DEFECTS["SnV0"]
     sol = cached_sector("SnV0", 24)
-    length = p.length_scale_angstrom()
-    d_ang = sol.states[0].displacement * length
+    row = composition_table_rows(sol.states, sol.basis, p.length_scale_angstrom())[0]
+    d_ang = row["displacement_angstrom"]
     assert 0.038 < d_ang < 0.154
 
 
