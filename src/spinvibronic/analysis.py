@@ -366,10 +366,13 @@ def calibrate_soc(
     must itself track its states and meet the target to 1e-7 meV.  A tracking
     breakdown (scanned as lambda_eff = nan), a non-positive slope, a step to
     s <= 0, a final solve that misses or 20 steps without convergence raise
-    CalibrationError with the scan.
+    CalibrationError with the scan; a negative or nan target or ratio raises
+    ValueError before any solve.
     """
-    if target_lambda_eff < 0.0:
+    if not target_lambda_eff >= 0.0:  # nan included, as for ratio
         raise ValueError("target splitting must be nonnegative")
+    if not ratio >= 0.0:
+        raise ValueError(f"calibration ratio must be nonnegative (got {ratio})")
     if target_lambda_eff == 0.0:
         # at zero coupling every m_s sector is the reference sector
         return _levels_from_solve(sol, 0.0, 0.0, sol.result)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import configparser
 import logging
+import math
 from dataclasses import MISSING, dataclass, field, fields
 from functools import cache
 from pathlib import Path
@@ -103,12 +104,12 @@ class SocConfig:
             # a key of another mode is unset (None) or keeps its default (ratio)
             if f.name not in keys and value != f.default:
                 raise ConfigError(f"soc mode = {self.mode} takes no {f.name}")
-        if self.mode == SOC_EXPLICIT:
-            for key in keys:
-                if getattr(self, key) < 0:
-                    raise ConfigError(f"{key} must be nonnegative (got {getattr(self, key)})")
         if self.mode == SOC_CALIBRATE and self.ratio <= 0:
             raise ConfigError("calibration ratio must be positive")
+        # the explicit couplings and the calibration target
+        for key in keys:
+            if getattr(self, key) < 0:
+                raise ConfigError(f"{key} must be nonnegative (got {getattr(self, key)})")
 
 
 @dataclass(frozen=True)
@@ -194,14 +195,22 @@ def _build(cls, section):
     """A section's dataclass from its keys.
 
     A field is read when its dataclass gives it no default or when any of its
-    keys is given; a pair field then needs both keys.
+    keys is given; a pair field then needs both keys.  Every float key must
+    be finite, which is checked after the dataclass's own checks, so theirs
+    speak first.
     """
-    kwargs = {}
+    kwargs, floats = {}, []
     for f, keys, read, _ in _schema(cls):
         if f.default is MISSING or any(key in section for key in keys):
             values = tuple(_take(section, key, read) for key in keys)
             kwargs[f.name] = values if len(keys) > 1 else values[0]
-    return cls(**kwargs)
+            if read is float:
+                floats += zip(keys, values)
+    obj = cls(**kwargs)
+    for key, value in floats:
+        if not math.isfinite(value):
+            raise ConfigError(f"{key} must be finite (got {value})")
+    return obj
 
 
 def parse_config(source: str | Path) -> RunConfig:

@@ -97,6 +97,19 @@ class Couplings:
                 "hbar_omega_e or the adiabatic surfaces are unbounded"
             )
 
+    @classmethod
+    def from_branches(
+        cls, f1: float, f2: float, g1: float, g2: float, hbar_omega_e: float
+    ) -> Couplings:
+        """The couplings of branch constants: f_u = (f1 + f2)/2, f_g = (f1 - f2)/2, and g alike."""
+        return cls(
+            f_u=0.5 * (f1 + f2),
+            f_g=0.5 * (f1 - f2),
+            g_u=0.5 * (g1 + g2),
+            g_g=0.5 * (g1 - g2),
+            hbar_omega_e=hbar_omega_e,
+        )
+
     @property
     def f1(self) -> float:
         return self.f_u + self.f_g
@@ -144,13 +157,7 @@ def pes_to_couplings(p: DefectParams) -> Couplings:
     f2, g2 = _branch_constants(p.e_jt[1], p.delta_jt[1], k)
     if p.rho0_angstrom is not None and p.rho0_angstrom[1] < 0:
         f2 = -f2
-    return Couplings(
-        f_u=0.5 * (f1 + f2),
-        f_g=0.5 * (f1 - f2),
-        g_u=0.5 * (g1 + g2),
-        g_g=0.5 * (g1 - g2),
-        hbar_omega_e=k,
-    )
+    return Couplings.from_branches(f1, f2, g1, g2, k)
 
 
 def couplings_to_pes(
@@ -211,14 +218,7 @@ def first_order_couplings(p: DefectParams) -> Couplings:
     c2 = pes_to_couplings(p)
     rho1, rho2 = branch_minima_dimensionless(c2)
     k = p.hbar_omega_e
-    f1, f2 = k * rho1, k * rho2
-    return Couplings(
-        f_u=0.5 * (f1 + f2),
-        f_g=0.5 * (f1 - f2),
-        g_u=0.0,
-        g_g=0.0,
-        hbar_omega_e=k,
-    )
+    return Couplings.from_branches(k * rho1, k * rho2, 0.0, 0.0, k)
 
 
 def couplings_for_order(p: DefectParams, order: int) -> Couplings:

@@ -173,15 +173,7 @@ class PesFitResult:
 
 def _theta_to_couplings(theta: np.ndarray) -> tuple[Couplings, float, float]:
     k, lam, f1, f2, gamma1, gamma2, offset = theta
-    g1, g2 = gamma1 * k, gamma2 * k
-    c = Couplings(
-        f_u=0.5 * (f1 + f2),
-        f_g=0.5 * (f1 - f2),
-        g_u=0.5 * (g1 + g2),
-        g_g=0.5 * (g1 - g2),
-        hbar_omega_e=k,
-    )
-    return c, lam, offset
+    return Couplings.from_branches(f1, f2, gamma1 * k, gamma2 * k, k), lam, offset
 
 
 def _model_grid(theta: np.ndarray, qx_sample: np.ndarray, unit: str, mass_amu: float):

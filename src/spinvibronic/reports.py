@@ -3,9 +3,12 @@
 run_report drives the whole pipeline for a RunConfig: optional cutoff
 convergence, the first- and second-order splittings, quenching factors,
 spin-orbit observables (explicit couplings or calibrated to a target), state
-tables and level-diagram data.  Writers emit deterministic JSON and CSV
-(fixed float formatting, no timestamps), so identical configurations produce
-byte-identical files.
+tables and level-diagram data.  Each order's sector is the cutoff sweep's
+solution of that order or else one solve_sector at the reported cutoff, the
+other order first, so each distinct sector is solved once.  write_all emits
+report.json and then the CSV files of REPORT_CSVS, in deterministic JSON and
+CSV (fixed float formatting, no timestamps), so identical configurations
+produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ from .analysis import (
     SolverOptions,
     calibrate_soc,
     converge_observable,
-    gamma_splitting,
     reduction_factors,
     soc_levels,
     solution_gamma,
@@ -106,24 +108,6 @@ def solver_options(cfg: RunConfig) -> SolverOptions:
     return SolverOptions(k=s.k, tol=s.residual_tol, seed=s.seed)
 
 
-def _resolve_cutoff(cfg: RunConfig, opts: SolverOptions):
-    """(cutoff, history, {swept order: its solution at that cutoff})."""
-    s = cfg.solver
-    if not s.converge:
-        return s.cutoff, [], {}
-    res = converge_observable(
-        cfg.defect,
-        s.converge_observable,
-        rel_tol=s.converge_rel_tol,
-        n_start=s.converge_n_start,
-        n_step=s.converge_n_step,
-        n_max=s.converge_n_max,
-        preset=cfg.model.preset,
-        opts=opts,
-    )
-    return res.cutoff, res.history, {OBSERVABLES[s.converge_observable][0]: res.solution}
-
-
 def _level_rows(sol: SectorSolution, soc: SocLevels | None) -> list[dict]:
     rows = []
     e0_global = float(sol.energies[0])
@@ -145,12 +129,12 @@ def _level_rows(sol: SectorSolution, soc: SocLevels | None) -> list[dict]:
     return rows
 
 
-def _diagram_rows(report: SpectrumReport, sol: SectorSolution, soc: SocLevels | None) -> list[dict]:
+def _diagram_rows(order: int, sol: SectorSolution, soc: SocLevels | None) -> list[dict]:
     """Level-diagram data: the lowest A2u singlet and Eu doublet per stage."""
     rows = []
     e_a2u = sol.lowest("A2u").energy
     e_eu = sol.lowest("Eu").energy
-    stage = f"order{report.order}"
+    stage = f"order{order}"
     rows.append({"stage": stage, "label": "A2u", "m_s": "", "energy_mev": _r(e_a2u)})
     rows.append({"stage": stage, "label": "Eu", "m_s": "", "energy_mev": _r(e_eu)})
     if soc is not None:
@@ -172,22 +156,35 @@ def _diagram_rows(report: SpectrumReport, sol: SectorSolution, soc: SocLevels | 
 def run_report(cfg: RunConfig) -> SpectrumReport:
     """Execute the full analysis pipeline for one configuration."""
     opts = solver_options(cfg)
-    cutoff, history, swept = _resolve_cutoff(cfg, opts)
-    defect = cfg.defect
-    preset = cfg.model.preset
+    s, defect, preset = cfg.solver, cfg.defect, cfg.model.preset
+    cutoff, history, swept = s.cutoff, [], {}
+    if s.converge:
+        res = converge_observable(
+            defect,
+            s.converge_observable,
+            rel_tol=s.converge_rel_tol,
+            n_start=s.converge_n_start,
+            n_step=s.converge_n_step,
+            n_max=s.converge_n_max,
+            preset=preset,
+            opts=opts,
+        )
+        cutoff, history = res.cutoff, res.history
+        swept = {OBSERVABLES[s.converge_observable][0]: res.solution}
+        del res  # swept holds the solution alone, so popping it frees it once read
+
+    def solution(order: int) -> SectorSolution:
+        """The sweep's solution of this order, or one solve_sector at the cutoff."""
+        if order in swept:
+            return swept.pop(order)
+        couplings = couplings_for_order(defect, order)
+        return solve_sector(couplings, defect.lambda_corr, cutoff, preset, opts)
 
     # the other order first, so its solution is freed before the model's own
-    # order is solved; the order the cutoff sweep solved is not solved again.
-    # The model's own order serves gamma, p_u/p_g and spin-orbit
+    # order is solved; the model's own order serves gamma, p_u/p_g and spin-orbit
     order, other = cfg.model.order, 3 - cfg.model.order
-    if other in swept:
-        gammas = {other: solution_gamma(swept.pop(other))}
-    else:
-        gammas = {other: gamma_splitting(defect, other, cutoff, preset, opts)}
-    sol = swept.pop(order, None)
-    if sol is None:
-        couplings = couplings_for_order(defect, order)
-        sol = solve_sector(couplings, defect.lambda_corr, cutoff, preset, opts)
+    gammas = {other: solution_gamma(solution(other))}
+    sol = solution(order)
     gammas[order] = solution_gamma(sol)
     p_u, p_g = reduction_factors(sol)
 
@@ -210,23 +207,15 @@ def run_report(cfg: RunConfig) -> SpectrumReport:
         soc=soc,
         zpl_baseline_ev=defect.zpl_baseline_ev,
         convergence_history=history,
+        levels=_level_rows(sol, soc),
+        composition=composition_table_rows(sol.states, sol.basis, defect.length_scale_angstrom()),
+        level_diagram=_diagram_rows(order, sol, soc),
     )
-    report.levels = _level_rows(sol, soc)
-    report.composition = composition_table_rows(
-        sol.states, sol.basis, defect.length_scale_angstrom()
-    )
-    report.level_diagram = _diagram_rows(report, sol, soc)
     report.validate()
     return report
 
 
 # --- writers ----------------------------------------------------------------
-
-
-def write_report_json(report: SpectrumReport, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def write_csv(path: str | Path, rows: list[dict], columns: list[str], digits: int = 10) -> None:
@@ -246,14 +235,11 @@ def write_csv(path: str | Path, rows: list[dict], columns: list[str], digits: in
             fh.write(",".join(cells) + "\n")
 
 
-def write_levels_csv(report: SpectrumReport, path: str | Path) -> None:
-    write_csv(path, report.levels, ["m_s", "index", "energy_mev", "energy_rel_mev", "label"])
-
-
-def write_composition_csv(report: SpectrumReport, path: str | Path) -> None:
-    write_csv(
-        path,
-        report.composition,
+# each CSV file: the SpectrumReport rows it holds and its columns, in write order
+REPORT_CSVS = {
+    "levels.csv": ("levels", ["m_s", "index", "energy_mev", "energy_rel_mev", "label"]),
+    "composition.csv": (
+        "composition",
         [
             "energy_mev",
             "energy_rel_mev",
@@ -265,11 +251,9 @@ def write_composition_csv(report: SpectrumReport, path: str | Path) -> None:
             "p_a2u",
             "p_eu",
         ],
-    )
-
-
-def write_level_diagram_csv(report: SpectrumReport, path: str | Path) -> None:
-    write_csv(path, report.level_diagram, ["stage", "label", "m_s", "energy_mev"])
+    ),
+    "level_diagram.csv": ("level_diagram", ["stage", "label", "m_s", "energy_mev"]),
+}
 
 
 def write_all(report: SpectrumReport, outdir: str | Path, formats=("json", "csv")) -> list[Path]:
@@ -278,15 +262,13 @@ def write_all(report: SpectrumReport, outdir: str | Path, formats=("json", "csv"
     written = []
     if "json" in formats:
         p = outdir / "report.json"
-        write_report_json(report, p)
+        with open(p, "w", encoding="utf-8", newline="\n") as fh:
+            json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
+            fh.write("\n")
         written.append(p)
     if "csv" in formats:
-        for name, writer in (
-            ("levels.csv", write_levels_csv),
-            ("composition.csv", write_composition_csv),
-            ("level_diagram.csv", write_level_diagram_csv),
-        ):
+        for name, (rows, columns) in REPORT_CSVS.items():
             p = outdir / name
-            writer(report, p)
+            write_csv(p, getattr(report, rows), columns)
             written.append(p)
     return written

@@ -66,7 +66,7 @@ def second_order_shift(defect, cutoff: int, opts: SolverOptions) -> float:
     f2 = math.sqrt(2.0 * defect.e_jt[1] * k)
     if defect.rho0_angstrom is not None and defect.rho0_angstrom[1] < 0:
         f2 = -f2
-    linear = Couplings(f_u=0.5 * (f1 + f2), f_g=0.5 * (f1 - f2), g_u=0.0, g_g=0.0, hbar_omega_e=k)
+    linear = Couplings.from_branches(f1, f2, 0.0, 0.0, k)
     e2 = solve_sector(pes_to_couplings(defect), defect.lambda_corr, cutoff, opts=opts).energies[0]
     e1 = solve_sector(linear, defect.lambda_corr, cutoff, opts=opts).energies[0]
     return float(e2 - e1)

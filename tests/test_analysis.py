@@ -219,6 +219,22 @@ def test_calibrate_respects_ratio():
     assert cal.lambda_u0 == pytest.approx(2.5 * cal.lambda_g0, rel=1e-9)
 
 
+@pytest.mark.parametrize(
+    "target, ratio", [(3.15, -0.5), (3.15, float("nan")), (float("nan"), 1.0)]
+)
+def test_calibrate_rejects_a_negative_or_nan_ratio_or_target_up_front(monkeypatch, target, ratio):
+    # a negative ratio used to start Newton from s = 3.15e12 and report a
+    # tracking breakdown
+    sol = cached_sector("SnV0", 12)
+
+    def no_step(*args, **kwargs):
+        raise AssertionError("calibration took a step")
+
+    monkeypatch.setattr(analysis, "lowest_per_block", no_step)
+    with pytest.raises(ValueError, match="must be nonnegative"):
+        calibrate_soc(sol, target, ratio=ratio, opts=OPTS)
+
+
 def test_calibrate_past_the_old_bracket_march():
     # a geometric bracket march overshoots this target into the region where
     # state tracking breaks down; Newton stays on the tracked branch

@@ -97,6 +97,20 @@ def test_reports_are_byte_identical_with_the_debug_log_on(tmp_path, caplog):
     assert {p.name: p.read_bytes() for p in out.iterdir()} == quiet
 
 
+def test_each_format_writes_only_its_files(tmp_path):
+    report = reports.run_report(parse_config(write_config(tmp_path, FAST_SOLVE)))
+    both = reports.write_all(report, tmp_path / "both")
+    csvs = ["levels.csv", "composition.csv", "level_diagram.csv"]
+    assert [p.name for p in both] == ["report.json"] + csvs
+    for formats, names in ((("json",), ["report.json"]), (("csv",), csvs)):
+        outdir = tmp_path / formats[0]
+        written = reports.write_all(report, outdir, formats)
+        assert [p.name for p in written] == names
+        assert sorted(p.name for p in outdir.iterdir()) == sorted(names)
+        for p in written:
+            assert p.read_bytes() == (tmp_path / "both" / p.name).read_bytes()
+
+
 def test_verbose_flag_traces_to_stderr_and_changes_no_report_byte(tmp_path, capsys):
     cfg = write_config(tmp_path, FAST_CONVERGE_CALIBRATE)
     out = tmp_path / "out"

@@ -184,6 +184,57 @@ def test_nonpositive_converge_rel_tol_is_rejected_before_any_solve(
     assert "converge_rel_tol" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        (
+            "target_lambda_eff_mev = 3.15",
+            "target_lambda_eff_mev = nan",
+            "target_lambda_eff_mev must be finite",
+        ),
+        ("ratio = 3.5", "ratio = nan", "ratio must be finite"),
+        ("k = 10\n", "k = 10\nresidual_tol = nan\n", "residual_tol must be finite"),
+        ("hbar_omega_e_mev = 87.7", "hbar_omega_e_mev = nan", "hbar_omega_e_mev must be finite"),
+        ("lambda_mev = 98.2", "lambda_mev = inf", "lambda_mev must be finite"),
+        ("rho0_2_angstrom = -0.038", "rho0_2_angstrom = nan", "rho0_2_angstrom must be finite"),
+        ("zpl_baseline_ev = 1.833", "zpl_baseline_ev = -inf", "zpl_baseline_ev must be finite"),
+        (
+            "mode = calibrate\ntarget_lambda_eff_mev = 3.15\n",
+            "mode = explicit\nlambda_u0_mev = nan\nlambda_g0_mev = 1\n",
+            "lambda_u0_mev must be finite",
+        ),
+        (
+            "target_lambda_eff_mev = 3.15",
+            "target_lambda_eff_mev = -1",
+            "target_lambda_eff_mev must be nonnegative",
+        ),
+    ],
+    ids=[
+        "target-nan", "ratio-nan", "residual_tol-nan", "hbar_omega_e-nan", "lambda-inf",
+        "rho0_2-nan", "zpl_baseline-minus-inf", "explicit-lambda_u0-nan", "target-negative",
+    ],
+)
+def test_nonfinite_number_or_negative_target_is_rejected_before_any_solve(
+    tmp_path, capsys, monkeypatch, old, new, message
+):
+    text = _bundled_text("snv0")
+    assert old in text
+    text = text.replace(old, new)
+    if "explicit" in new:  # explicit mode takes no ratio
+        text = text.replace("ratio = 3.5\n", "")
+    with pytest.raises(ConfigError, match=message):
+        parse_config_text(text)
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a config with a non-finite number or a negative target was solved")
+
+    monkeypatch.setattr(analysis, "solve_sector", no_solve)
+    path = tmp_path / "snv0.conf"
+    path.write_text(text)
+    assert main(["solve", str(path)]) == 2
+    assert message in capsys.readouterr().err
+
+
 SNV0_CALIBRATE_SOC = "[soc]\nmode = calibrate\ntarget_lambda_eff_mev = 3.15\nratio = 3.5\n"
 
 SNV0_SERIALIZED = f"""[defect]

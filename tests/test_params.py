@@ -84,10 +84,15 @@ def _couplings_in_domain(draw):
     g1, g2 = (draw(st.floats(0.0, 0.49)) * k for _ in range(2))
     f1 = draw(st.floats(0.1, 300.0))
     f2 = draw(st.floats(0.1, 300.0)) * draw(st.sampled_from([-1.0, 1.0]))
-    return Couplings(
-        f_u=0.5 * (f1 + f2), f_g=0.5 * (f1 - f2), g_u=0.5 * (g1 + g2), g_g=0.5 * (g1 - g2),
-        hbar_omega_e=k,
-    )
+    return Couplings.from_branches(f1, f2, g1, g2, k)
+
+
+@settings(max_examples=100, deadline=None)
+@given(c=_couplings_in_domain())
+def test_from_branches_inverts_the_branch_combinations(c):
+    back = Couplings.from_branches(c.f1, c.f2, c.g1, c.g2, c.hbar_omega_e)
+    for name in ("f_u", "f_g", "g_u", "g_g"):
+        assert getattr(back, name) == pytest.approx(getattr(c, name), rel=1e-12, abs=1e-12)
 
 
 @settings(max_examples=200, deadline=None)
