@@ -197,6 +197,38 @@ def gamma_splitting(
     return solution_gamma(solve_sector(couplings, defect.lambda_corr, cutoff, preset, opts))
 
 
+def block_minima_gamma(
+    defect: DefectParams,
+    order: int,
+    cutoff: int,
+    preset: str = PRESET_E_RAISED,
+    opts: SolverOptions = SolverOptions(),
+) -> float:
+    """gamma_splitting from the lowest pair of each declared block alone.
+
+    The blocks are solved cold, one pair each (eigensolver.lowest_per_block),
+    merged, and cut to the lowest opts.k before labelling.  gamma reads only
+    block minima: the lowest state, the lowest Eu and the lowest A2u.  Each
+    ranks no lower among the block minima than among all states, so this
+    fails only where the opts.k-pair solve of gamma_splitting fails, and it
+    equals gamma_splitting to solver tolerance (LAPACK subsets of 1 and k
+    pairs differ in the last bits).  A report takes the order it does not
+    model from here when the cutoff sweep did not solve it: that order gives
+    only its gamma.
+    """
+    couplings = couplings_for_order(defect, order)
+    spec = SectorSpec(
+        couplings=couplings, lambda_corr=defect.lambda_corr, cutoff=cutoff, preset=preset
+    )
+
+    def solve(h0: sp.csr_matrix, blocks: Sequence[tuple[int, int]]) -> EigResult:
+        return lowest_per_block(
+            h0, blocks, [None] * len(blocks), opts.tol, opts.seed, opts.dense_threshold, opts.k
+        )
+
+    return solution_gamma(_labelled(spec, solve))
+
+
 def solution_gamma(sol: SectorSolution) -> float:
     """gamma of an already solved sector; fails loudly unless the lowest state is A-type."""
     lowest = sol.states[0]

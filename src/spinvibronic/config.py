@@ -72,6 +72,10 @@ class SolverConfig:
                 f"unknown converge_observable {self.converge_observable!r}; "
                 f"choose from {sorted(OBSERVABLES)}"
             )
+        # ARPACK's residuals are held to residual_tol: none meets a bound of 0; a
+        # nan falls through to the finiteness check of _build
+        if self.residual_tol <= 0:
+            raise ConfigError(f"residual_tol must be positive (got {self.residual_tol})")
         # a drift is never held to a tolerance that is not positive (nor to nan)
         if not self.converge_rel_tol > 0:
             raise ConfigError(f"converge_rel_tol must be positive (got {self.converge_rel_tol})")

@@ -6,7 +6,7 @@ declares them as ordered, contiguous (start, stop) ranges
 (AdaptedBasis.sector_blocks): four real blocks for an m_s = 0 sector (Eu from
 j = 1 and j = 2, A1u, A2u), three for an m_s = +/-1 sector (j = 1, 2, 0), and
 the J ranges inside the four for the linear model, which also conserves J.
-solve_lowest cuts each range out by a range slice, solves it, and merges the
+solve_lowest cuts each range out of the CSR arrays, solves it, and merges the
 block spectra, so every eigenvector it returns lies in one block, exact
 degeneracies across blocks cannot mix, and the result names the block of
 each pair.  A stored entry outside its row's range raises ValueError rather
@@ -43,7 +43,29 @@ pair, from a start vector where the caller has one) alike:
 
 Residuals ||H v - theta v|| are recomputed from the returned pairs, and the
 iterative path fails loudly rather than return a pair above
-tol * max(1, max |theta|).
+tol * max(1, max |theta|); a tol that is not positive raises ValueError
+before any block is solved.
+
+A merge that keeps the lowest keep pairs of B blocks reads few pairs of
+each: at k = 10 the sectors of all four defects at cutoffs 20 and 36 keep
+[3, 3, 1, 3] of the four m_s = 0 blocks and, at the calibrated spin-orbit
+couplings, [3, 3, 4] of the three m_s = +1 blocks.  ARPACK's
+implicit restarts cost more as k grows (ncv >= 2k + 1), so the pairs rule
+asks a block that the routing rule sends to ARPACK from the seeded start
+for min(k, ceil(keep / B) + 1) pairs (4 for m_s = 0, 5 for m_s = +1 at
+k = 10), with the path still picked at k.  After the merge, the keep
+certificate is checked: a block's uncomputed pairs lie at or above its last
+computed pair, so where that pair was not kept none of them could be, and
+the kept set is the one a solve of every block at k keeps.  Each block whose
+computed pairs were all kept is solved again at k from the same seeded
+start, its twins take that solve, and the spectra are merged again.  On the
+cutoff-36 SnV0 m_s = 0 j = 1 block (dim 937, same host as below), ARPACK from
+the seeded start took 14.0-16.0 ms and 224 matvecs at k = 10, and 11.5-12.4
+ms and 200 matvecs at k = 4.  LAPACK blocks and warm ARPACK blocks are
+still solved at k: the warm pairs of lowest_per_block are one per block
+already, and a smaller LAPACK subset moves the eigenvalue bits of the
+bundled runs' dense blocks, and with them report bytes (the a-split
+a2u_ms_split_mev of SiV0 sits on a rounding edge).
 
 The default dense_threshold of 400 was measured on the blocks themselves
 (PbV0 m_s = +1, k = 10, LAPACK against cold ARPACK, two OpenBLAS threads on
@@ -150,9 +172,13 @@ def _bound(tol: float, vals: np.ndarray) -> float:
 
 def _block_lowest(
     hb: sp.csr_matrix, k: int, tol: float, seed: int, dense_threshold: int,
-    start: np.ndarray | None = None,
+    start: np.ndarray | None = None, cold_k: int | None = None,
 ) -> EigResult:
-    """Lowest min(k, dim) pairs of one block, on the path and start the module's rule picks."""
+    """Lowest min(k, dim) pairs of one block, on the path and start the module's rule picks.
+
+    The path is picked at k; a block it sends to ARPACK from the seeded start
+    is asked for min(k, cold_k) pairs instead, when cold_k is given.
+    """
     nb = hb.shape[0]
     kb = min(k, nb)
     t0, c0 = time.perf_counter(), time.process_time()
@@ -161,6 +187,7 @@ def _block_lowest(
     else:
         if start is None:
             start = np.random.default_rng(seed).standard_normal(nb).astype(hb.dtype)
+            kb = min(kb, cold_k or kb)
         path, (vals, vecs) = "lanczos", _arpack_lowest(hb, kb, tol, start)
     res = _residuals(hb, vals, vecs)
     bound = _bound(tol, vals)
@@ -198,6 +225,21 @@ def _check_blocks(h: sp.csr_matrix, ranges: tuple[tuple[int, int], ...]) -> None
                          f"({lo[at]}, {hi[at]}) of its row")
 
 
+def _block_view(h: sp.csr_matrix, lo: int, hi: int) -> sp.csr_matrix:
+    """h[lo:hi, lo:hi] cut from h's CSR arrays, for rows whose every entry lies in [lo, hi)."""
+    a, b = h.indptr[lo], h.indptr[hi]
+    return sp.csr_matrix(
+        (h.data[a:b], h.indices[a:b] - lo, h.indptr[lo:hi + 1] - a), shape=(hi - lo, hi - lo)
+    )
+
+
+def _merged(parts: list[EigResult], keep: int | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(index into the concatenated block spectra, block, block offsets) of the kept pairs."""
+    kept = np.argsort(np.concatenate([r.eigenvalues for r in parts]), kind="stable")[:keep]
+    offsets = np.cumsum([0] + [r.k for r in parts])
+    return kept, np.searchsorted(offsets, kept, side="right") - 1, offsets
+
+
 def _block_loop(
     h: sp.csr_matrix,
     blocks: Sequence[tuple[int, int]] | None,
@@ -213,16 +255,22 @@ def _block_loop(
     Checks the ranges, solves the lowest k pairs of block b by _block_lowest
     (from starts[b], if given) unless it is an earlier block's twin, and
     merges the block spectra by a stable sort, keeping the lowest keep pairs
-    (all of them for None).
+    (all of them for None).  With keep, a block sent to cold ARPACK is first
+    asked for ceil(keep / blocks) + 1 pairs; each such block whose computed
+    pairs were all kept is solved again at k, and the spectra merged again
+    (the module's pairs rule).
     """
+    if not tol > 0:
+        raise ValueError(f"tol must be positive (got {tol})")
     n = h.shape[0]
     ranges = ((0, n),) if blocks is None else tuple((int(lo), int(hi)) for lo, hi in blocks)
     _check_blocks(h, ranges)
-    parts = []
+    cold_k = None if keep is None else -(-keep // len(ranges)) + 1
+    parts, source = [], []
     # (block number, matrix) of each block solved, by (dim, nnz): only those can be twins
     solved: dict[tuple[int, int], list[tuple[int, sp.csr_matrix]]] = {}
     for b, (lo, hi) in enumerate(ranges):
-        hb = h[lo:hi, lo:hi]
+        hb = _block_view(h, lo, hi)
         t0, c0 = time.perf_counter(), time.process_time()
         candidates = solved.setdefault((hi - lo, hb.nnz), [])
         twin = next((j for j, prev in candidates if _same_csr(prev, hb)), None)
@@ -230,21 +278,33 @@ def _block_loop(
             # the same matrix, entry for entry: a second solve would give the same pairs
             r = parts[twin]
             parts.append(r)
+            source.append(twin)
             _log_block(hb, "reused", r.k, t0, c0, r.residual_norms, _bound(tol, r.eigenvalues),
                        f" reused_from={twin}")
             continue
         candidates.append((b, hb))
+        source.append(b)
         start = None if starts is None else starts[b]
-        parts.append(_block_lowest(hb, k, tol, seed, dense_threshold, start))
-    vals = np.concatenate([r.eigenvalues for r in parts])
-    kept = np.argsort(vals, kind="stable")[:keep]
+        parts.append(_block_lowest(hb, k, tol, seed, dense_threshold, start, cold_k))
+    kept, block, offsets = _merged(parts, keep)
+    # a block asked for fewer than k pairs whose pairs were all kept may hold
+    # more below the cut: solve it (and so its twins) again at k.  Where one
+    # pair of a block was not kept, no pair above it can be, so the kept set is
+    # the one a solve of every block at k keeps
+    counts = np.bincount(block, minlength=len(parts))
+    again = {source[b] for b, ((lo, hi), r) in enumerate(zip(ranges, parts))
+             if r.k < min(k, hi - lo) and counts[b] == r.k}
+    if again:
+        full = {s: _block_lowest(_block_view(h, *ranges[s]), k, tol, seed, dense_threshold)
+                for s in sorted(again)}
+        parts = [full.get(s, r) for s, r in zip(source, parts)]
+        kept, block, offsets = _merged(parts, keep)
     # embed only the kept pairs: the linear model has dozens of blocks
-    offsets = np.cumsum([0] + [r.k for r in parts])
-    block = np.searchsorted(offsets, kept, side="right") - 1
     vecs = np.zeros((n, kept.size), dtype=h.dtype)
     for col, (i, b) in enumerate(zip(kept, block)):
         lo, hi = ranges[b]
         vecs[lo:hi, col] = parts[b].eigenvectors[:, i - offsets[b]]
+    vals = np.concatenate([r.eigenvalues for r in parts])
     res = np.concatenate([r.residual_norms for r in parts])
     return EigResult(vals[kept], vecs, res[kept], ranges, block)
 
@@ -261,13 +321,16 @@ def solve_lowest(
 
     blocks are the (start, stop) ranges of the decoupled blocks of h, in
     order; they must tile h and hold its every stored entry (else
-    ValueError), and None makes h one block.  Each block gives its lowest
-    min(k, dim_b) pairs; the block spectra are merged by a stable sort and
-    the lowest k kept, with the eigenvectors embedded in the full space.
-    The module's routing rule sends each block to LAPACK, or to ARPACK from
-    the seeded start above dense_threshold; dense_threshold = 0 sends every
-    block with k_b < dim_b - 1 to ARPACK.  tol is ARPACK's relative
-    tolerance.  Results are deterministic for a fixed seed.
+    ValueError), and None makes h one block.  The block spectra are merged
+    by a stable sort and the lowest k kept, with the eigenvectors embedded in
+    the full space; the kept set is the one the lowest min(k, dim_b) pairs of
+    every block would give.  The module's routing rule sends each block to
+    LAPACK at k, or to ARPACK from the seeded start above dense_threshold,
+    where the pairs rule first asks it for min(k, ceil(k / blocks) + 1) pairs
+    and the keep certificate solves it again at k where all of them were
+    kept.  dense_threshold = 0 sends every block with k_b < dim_b - 1 to
+    ARPACK.  tol is ARPACK's relative tolerance and must be positive.
+    Results are deterministic for a fixed seed.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -283,6 +346,7 @@ def lowest_per_block(
     tol: float = 1e-10,
     seed: int = 0,
     dense_threshold: int = DENSE_THRESHOLD_DEFAULT,
+    keep: int | None = None,
 ) -> EigResult:
     """The lowest pair of every block of h, ascending, one pair per block.
 
@@ -291,8 +355,9 @@ def lowest_per_block(
     from its start, and any other block as solve_lowest would at k = 1.  The
     range check, the reuse of a block equal to an earlier one (which then
     takes that block's pair, whatever its own start) and the block records
-    are solve_lowest's.
+    are solve_lowest's.  keep cuts the merged pairs to the lowest keep, and
+    only those are embedded in the full space; None keeps all of them.
     """
     if len(starts) != len(blocks):
         raise ValueError(f"{len(starts)} start vectors for {len(blocks)} blocks")
-    return _block_loop(h, blocks, 1, None, tol, seed, dense_threshold, starts)
+    return _block_loop(h, blocks, 1, keep, tol, seed, dense_threshold, starts)

@@ -3,9 +3,12 @@
 run_report drives the whole pipeline for a RunConfig: optional cutoff
 convergence, the first- and second-order splittings, quenching factors,
 spin-orbit observables (explicit couplings or calibrated to a target), state
-tables and level-diagram data.  Each order's sector is the cutoff sweep's
-solution of that order or else one solve_sector at the reported cutoff, the
-other order first, so each distinct sector is solved once.  write_all emits
+tables and level-diagram data.  The model's own order is the cutoff sweep's
+solution of that order or else one solve_sector at the reported cutoff.  The
+other order gives only its gamma: it is read from the sweep's solution of
+that order, or else from the lowest pair of each of its blocks
+(analysis.block_minima_gamma).  So each distinct sector is solved once, and
+only for the pairs the report reads.  write_all emits
 report.json and then the CSV files of REPORT_CSVS, in deterministic JSON and
 CSV (fixed float formatting, no timestamps), so identical configurations
 produce byte-identical files.
@@ -22,6 +25,7 @@ from .analysis import (
     SectorSolution,
     SocLevels,
     SolverOptions,
+    block_minima_gamma,
     calibrate_soc,
     converge_observable,
     reduction_factors,
@@ -173,18 +177,19 @@ def run_report(cfg: RunConfig) -> SpectrumReport:
         swept = {OBSERVABLES[s.converge_observable][0]: res.solution}
         del res  # swept holds the solution alone, so popping it frees it once read
 
-    def solution(order: int) -> SectorSolution:
-        """The sweep's solution of this order, or one solve_sector at the cutoff."""
-        if order in swept:
-            return swept.pop(order)
-        couplings = couplings_for_order(defect, order)
-        return solve_sector(couplings, defect.lambda_corr, cutoff, preset, opts)
-
-    # the other order first, so its solution is freed before the model's own
-    # order is solved; the model's own order serves gamma, p_u/p_g and spin-orbit
+    # the other order gives only its gamma, first, so its solution is freed
+    # before the model's own order is solved; the model's own order serves
+    # gamma, p_u/p_g and spin-orbit
     order, other = cfg.model.order, 3 - cfg.model.order
-    gammas = {other: solution_gamma(solution(other))}
-    sol = solution(order)
+    if other in swept:
+        gammas = {other: solution_gamma(swept.pop(other))}
+    else:
+        gammas = {other: block_minima_gamma(defect, other, cutoff, preset, opts)}
+    if order in swept:
+        sol = swept.pop(order)
+    else:
+        couplings = couplings_for_order(defect, order)
+        sol = solve_sector(couplings, defect.lambda_corr, cutoff, preset, opts)
     gammas[order] = solution_gamma(sol)
     p_u, p_g = reduction_factors(sol)
 

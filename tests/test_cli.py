@@ -192,8 +192,9 @@ def _count_solves(monkeypatch, orders=None):
     """Record solve_sector as (args) or (order, cutoff), and the block solves by matrix dim.
 
     full holds (dim, k) of each solve_lowest call that analysis makes, and
-    pairs the dim of each lowest_per_block call: a swept sector's, or the
-    leading Eu sub-sector's for a calibration step.
+    pairs the dim of each lowest_per_block call: a swept sector's, the
+    report's other order's (block_minima_gamma), or the leading Eu
+    sub-sector's for a calibration step.
     """
     calls, full, pairs = [], [], []
     solve_sector, solve_lowest = analysis.solve_sector, analysis.solve_lowest
@@ -221,14 +222,14 @@ def _count_solves(monkeypatch, orders=None):
 def test_report_solves_its_own_order_once(tmp_path, monkeypatch):
     cfg = parse_config(write_config(tmp_path, FAST_SOLVE))
     assert not cfg.solver.converge
-    calls, _, _ = _count_solves(monkeypatch)
+    calls, _, pairs = _count_solves(monkeypatch)
     report = reports.run_report(cfg)
-    # one solve per order: the model's own order also serves p_u/p_g and spin-orbit
-    assert len(calls) == 2
+    # one solve per order: the model's own order also serves p_u/p_g and
+    # spin-orbit, and the other order gives only its gamma, from one pair per block
+    assert len(calls) == 1 and pairs == [_sector_dim(12)]
     monkeypatch.undo()
     opts = reports.solver_options(cfg)
-    for order, gamma in ((1, report.gamma1), (2, report.gamma2)):
-        assert gamma == analysis.gamma_splitting(cfg.defect, order, 12, opts=opts)
+    _assert_report_gammas(report, cfg, 12, opts)
 
     # a converged, calibrated run: the sweep solves n_start = 12 in full,
     # confirms it at 16 with one pair per block, and hands back its n_start
@@ -246,19 +247,47 @@ def test_report_solves_its_own_order_once(tmp_path, monkeypatch):
     monkeypatch.setattr(reports, "soc_levels", counting_soc)
     report = reports.run_report(cfg)
     assert [n for n, _ in report.convergence_history] == [12, 16] and report.cutoff == 12
-    # n_start of the swept order 2, then the report's order 1, both at cutoff 12
-    assert [args[2] for args in calls] == [12, 12]
-    # the sweep's one call on the cutoff-16 sector, then the calibration's
-    # Newton steps, each on the two Eu blocks of cutoff 12 (121 each) alone
-    assert pairs[0] == _sector_dim(16)
-    assert len(pairs) > 2 and pairs[1:] == [_eu_dim(12)] * (len(pairs) - 1)
+    # n_start of the swept order 2 at cutoff 12; the report's order 1 is no solve_sector
+    assert [args[2] for args in calls] == [12]
+    # the sweep's one call on the cutoff-16 sector, the report's order 1 at
+    # cutoff 12, one pair per block, then the calibration's Newton steps,
+    # each on the two Eu blocks of cutoff 12 (121 each) alone
+    assert pairs[:2] == [_sector_dim(16), _sector_dim(12)]
+    assert len(pairs) > 3 and pairs[2:] == [_eu_dim(12)] * (len(pairs) - 2)
     # the confirming cutoff is never solved at k: every full solve is at cutoff 12
     assert {dim for dim, _ in full} == {_sector_dim(12)}
     assert soc_calls == []
     assert report.soc.lambda_eff == pytest.approx(3.15, abs=1e-5)
     monkeypatch.undo()
-    for order, gamma in ((1, report.gamma1), (2, report.gamma2)):
-        assert gamma == analysis.gamma_splitting(cfg.defect, order, report.cutoff, opts=opts)
+    _assert_report_gammas(report, cfg, report.cutoff, opts)
+
+
+def _assert_report_gammas(report, cfg, cutoff, opts):
+    """The model's own gamma is gamma_splitting's; the other order's is the
+    one-pair-per-block route's, and gamma_splitting's at the report's 10 digits."""
+    own, other = cfg.model.order, 3 - cfg.model.order
+    gammas = {1: report.gamma1, 2: report.gamma2}
+    preset = cfg.model.preset
+    assert gammas[own] == analysis.gamma_splitting(cfg.defect, own, cutoff, preset, opts)
+    assert gammas[other] == analysis.block_minima_gamma(cfg.defect, other, cutoff, preset, opts)
+    oracle = analysis.gamma_splitting(cfg.defect, other, cutoff, preset, opts)
+    assert reports._r(gammas[other]) == reports._r(oracle)
+
+
+@pytest.mark.parametrize("cutoff", [20, 36])
+@pytest.mark.parametrize("name", ["siv0", "gev0", "snv0", "pbv0"])
+def test_other_order_gamma_matches_the_k_pair_oracle(name, cutoff):
+    # the bundled configs at a fixed cutoff, as `solve --cutoff` runs them
+    # (spin-orbit off: it reads only the model's own order)
+    path = Path(spinvibronic.__file__).parent / "data" / "configs" / f"{name}.conf"
+    cfg = parse_config(path)
+    cfg = dataclasses.replace(
+        cfg,
+        solver=dataclasses.replace(cfg.solver, cutoff=cutoff, converge=False),
+        soc=SocConfig(),
+    )
+    report = reports.run_report(cfg)
+    _assert_report_gammas(report, cfg, cutoff, reports.solver_options(cfg))
 
 
 def _bundled_config(tmp_path, name, old, new):

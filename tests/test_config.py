@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinvibronic import analysis, parse_config, parse_config_text, serialize_config
+from spinvibronic import analysis, eigensolver, parse_config, parse_config_text, serialize_config
 from spinvibronic.analysis import OBSERVABLES
 from spinvibronic.cli import main
 from spinvibronic.config import (
@@ -182,6 +182,26 @@ def test_nonpositive_converge_rel_tol_is_rejected_before_any_solve(
     path.write_text(text)
     assert main(["solve", str(path)]) == 2
     assert "converge_rel_tol" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["0", "-1e-10"])
+def test_nonpositive_residual_tol_is_rejected_before_any_solve(
+    tmp_path, capsys, monkeypatch, value
+):
+    # no ARPACK residual meets a bound of tol * max(1, max|theta|) <= 0, so
+    # such a run could only solve its sectors and then fail
+    text = _bundled_text("snv0").replace("k = 10\n", f"k = 10\nresidual_tol = {value}\n")
+    with pytest.raises(ConfigError, match="residual_tol must be positive"):
+        parse_config_text(text)
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a config with a nonpositive residual_tol reached the solver")
+
+    monkeypatch.setattr(eigensolver, "_block_loop", no_solve)
+    path = tmp_path / "snv0.conf"
+    path.write_text(text)
+    assert main(["solve", str(path), "--cutoff", "36"]) == 2
+    assert "residual_tol must be positive" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

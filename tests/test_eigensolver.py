@@ -115,11 +115,14 @@ def test_nonconvergence_raises(monkeypatch):
 def test_residual_above_tol_raises(monkeypatch):
     import scipy.sparse.linalg
 
-    h = snv0_h(10, m_s=1, lam=40.0)  # the first of three blocks fails
+    # the first of three blocks fails; the pairs rule asks it for
+    # ceil(6 / 3) + 1 = 3 pairs, so its last column is column 2
+    h = snv0_h(10, m_s=1, lam=40.0)
 
     def perturbed(a, k, **kwargs):
+        assert k == 3
         vals, vecs = scipy.linalg.eigh(a.toarray(), subset_by_index=[0, k - 1])
-        vecs[:, 0] = vecs[:, 0] + 1e-3 * vecs[:, 5]
+        vecs[:, 0] = vecs[:, 0] + 1e-3 * vecs[:, k - 1]
         return vals, vecs
 
     monkeypatch.setattr(scipy.sparse.linalg, "eigsh", perturbed)
@@ -129,6 +132,22 @@ def test_residual_above_tol_raises(monkeypatch):
     exact = solve_lowest(h, k=6).eigenvalues
     assert res[0] > 1e-3
     assert res[1:].max() < 1e-10 * max(1.0, np.abs(exact).max())
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-10, float("nan")])
+def test_nonpositive_tol_is_rejected_before_any_block_is_solved(monkeypatch, tol):
+    # LAPACK blocks would pass any tol; ARPACK's residual bound would fail
+    # every pair, after the solve
+    h = snv0_h(10, m_s=1, lam=40.0)
+    blocks = adapted_basis(10).sector_blocks(1)
+    seen = _spy(monkeypatch)
+    with pytest.raises(ValueError, match="tol must be positive"):
+        solve_lowest(h, k=6, tol=tol, blocks=blocks)
+    with pytest.raises(ValueError, match="tol must be positive"):
+        solve_lowest(h, k=6, tol=tol, dense_threshold=0, blocks=blocks)
+    with pytest.raises(ValueError, match="tol must be positive"):
+        lowest_per_block(h, blocks, [None] * len(blocks), tol=tol)
+    assert seen == []
 
 
 def test_k_near_dim_goes_dense():
@@ -479,34 +498,75 @@ def test_only_blocks_of_equal_dim_and_nnz_are_compared(monkeypatch, caplog):
     assert reused == twins and sum(t is not None for t in twins) > 0
 
 
-@pytest.mark.parametrize("name", sorted(DEFECTS))
-@pytest.mark.parametrize("cutoff", [8, 16, 28])
-@pytest.mark.parametrize("threshold", [DENSE_THRESHOLD_DEFAULT, 0])
-def test_reused_blocks_equal_separate_block_solves(monkeypatch, name, cutoff, threshold):
-    # each block of the m_s = 0 sector solved on its own, merged as solve_lowest
-    # merges: the reused Eu twin must give the very pairs its own solve gives
-    h, k = sector_h(name, cutoff), 10
-    ranges = adapted_basis(cutoff).sector_blocks(0)
-    parts = [solve_lowest(h[lo:hi, lo:hi], min(k, hi - lo), dense_threshold=threshold)
-             for lo, hi in ranges]
+def _merged_separately(ranges, parts, k):
+    """(block, eigenvalues, eigenvectors, residuals) of separate block solves merged as solve_lowest merges."""
     vals = np.concatenate([p.eigenvalues for p in parts])
     keep = np.argsort(vals, kind="stable")[:k]
     starts = np.cumsum([0] + [p.k for p in parts])
     owner = np.searchsorted(starts, keep, side="right") - 1
-    vecs = np.zeros((h.shape[0], k))
+    vecs = np.zeros((ranges[-1][1], k))
     res = np.zeros(k)
     for col, (i, b) in enumerate(zip(keep, owner)):
         lo, hi = ranges[b]
         vecs[lo:hi, col] = parts[b].eigenvectors[:, i - starts[b]]
         res[col] = parts[b].residual_norms[i - starts[b]]
+    return owner, vals[keep], vecs, res
+
+
+@pytest.mark.parametrize("name", sorted(DEFECTS))
+@pytest.mark.parametrize("cutoff", [8, 16, 28])
+@pytest.mark.parametrize("threshold", [DENSE_THRESHOLD_DEFAULT, 0])
+def test_reused_blocks_equal_separate_block_solves(monkeypatch, name, cutoff, threshold):
+    # each block of the m_s = 0 sector solved on its own, at the count the
+    # block loop asks it for, and merged as solve_lowest merges: the reused Eu
+    # twin must give the very pairs its own solve gives.  A block the loop
+    # sends to cold ARPACK is asked for ceil(k / 4) + 1 pairs, and solved
+    # again at k where all of them were kept
+    h, k = sector_h(name, cutoff), 10
+    ranges = adapted_basis(cutoff).sector_blocks(0)
+    cold = [min(k, hi - lo) < hi - lo - 1 and hi - lo > threshold for lo, hi in ranges]
+    asked = [-(-k // len(ranges)) + 1 if c else min(k, hi - lo) for c, (lo, hi) in zip(cold, ranges)]
+    parts = [solve_lowest(h[lo:hi, lo:hi], n, dense_threshold=threshold)
+             for n, (lo, hi) in zip(asked, ranges)]
+    owner, *_ = _merged_separately(ranges, parts, k)
+    again = [b for b, p in enumerate(parts) if p.k < min(k, ranges[b][1] - ranges[b][0])
+             and np.count_nonzero(owner == b) == p.k]
+    for b in again:
+        lo, hi = ranges[b]
+        parts[b] = solve_lowest(h[lo:hi, lo:hi], k, dense_threshold=threshold)
+    owner, vals, vecs, res = _merged_separately(ranges, parts, k)
 
     seen = _spy(monkeypatch)
     whole = solve_lowest(h, k, dense_threshold=threshold, blocks=ranges)
-    assert len(seen) == len(ranges) - 1
+    # blocks 0 and 1, the Eu twins, are solved again together, once
+    assert len(seen) == len(ranges) - 1 + len({min(b, 1) for b in again})
     assert np.array_equal(whole.block, owner)
-    assert np.array_equal(whole.eigenvalues, vals[keep])
+    assert np.array_equal(whole.eigenvalues, vals)
     assert np.array_equal(whole.eigenvectors, vecs)
     assert np.array_equal(whole.residual_norms, res)
+
+
+def test_cold_arpack_block_whose_pairs_are_all_kept_is_solved_again_at_k(caplog):
+    # SnV0 m_s = 0 at cutoff 20, every block by cold ARPACK at k = 20: each is
+    # first asked for ceil(20 / 4) + 1 = 6 pairs, and all six of the first Eu
+    # block's (and of its twin's) are kept, so it is solved again at k; the
+    # lowest 20 hold seven of its pairs
+    h, k = snv0_h(20), 20
+    blocks = adapted_basis(20).sector_blocks(0)
+    oracle = solve_lowest(h, k, dense_threshold=LAPACK_ONLY, blocks=blocks)
+    with caplog.at_level(logging.DEBUG, logger="spinvibronic"):
+        res = solve_lowest(h, k, dense_threshold=0, blocks=blocks)
+    messages = [r.getMessage() for r in caplog.records if r.name == "spinvibronic"]
+    assert len(messages) == 4 + 1
+    assert "dim=308 dtype=float64 path=lanczos k=6 " in messages[0]
+    assert "dim=308 dtype=float64 path=reused k=6 " in messages[1]
+    assert all("dim=154 dtype=float64 path=lanczos k=6 " in m for m in messages[2:4])
+    assert "dim=308 dtype=float64 path=lanczos k=20 " in messages[4]
+    assert np.count_nonzero(res.block == 0) == 7
+    np.testing.assert_array_equal(res.block, oracle.block)
+    bound = 1e-10 * np.abs(oracle.eigenvalues).max()
+    np.testing.assert_allclose(res.eigenvalues, oracle.eigenvalues, rtol=0, atol=bound)
+    assert np.all(np.abs(np.sum(res.eigenvectors * oracle.eigenvectors, axis=0)) > 1 - 1e-9)
 
 
 def test_block_solves_are_logged(caplog):
@@ -516,12 +576,15 @@ def test_block_solves_are_logged(caplog):
         solve_lowest(h, k=4, blocks=basis.sector_blocks(1))
         solve_lowest(snv0_h(8), k=4, dense_threshold=0, blocks=basis.sector_blocks(0))
     messages = [r.getMessage() for r in caplog.records if r.name == "spinvibronic"]
-    assert len(messages) == 3 + 4
+    assert len(messages) == 3 + 4 + 1
     assert all("dim=60 dtype=float64 path=dense k=4" in m for m in messages[:3])
-    # the m_s = 0 Eu blocks are the same matrix: the second reuses the first
-    assert "dim=60 dtype=float64 path=lanczos k=4" in messages[3]
-    assert "dim=60 dtype=float64 path=reused k=4" in messages[4]
-    assert all("dim=30 dtype=float64 path=lanczos k=4" in m for m in messages[5:])
+    # the m_s = 0 Eu blocks are the same matrix: the second reuses the first.
+    # Each cold ARPACK block is asked for ceil(4 / 4) + 1 = 2 pairs; both of
+    # the first Eu block's are kept, so it is solved again at k = 4
+    assert "dim=60 dtype=float64 path=lanczos k=2" in messages[3]
+    assert "dim=60 dtype=float64 path=reused k=2" in messages[4]
+    assert all("dim=30 dtype=float64 path=lanczos k=2" in m for m in messages[5:7])
+    assert "dim=60 dtype=float64 path=lanczos k=4" in messages[7]
     fields = [dict(item.split("=") for item in m.split(": ", 1)[1].split()) for m in messages]
     for f in fields:
         assert {"seconds", "cpu_seconds", "nnz", "residual_max", "bound"} <= set(f)
