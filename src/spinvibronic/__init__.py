@@ -16,9 +16,9 @@ from .analysis import (
     SolverOptions,
     calibrate_soc,
     converge_observable,
-    gamma_splitting,
     reduction_factors,
     soc_levels,
+    solution_gamma,
     solve_sector,
 )
 from .config import RunConfig, parse_config, parse_config_text, serialize_config

@@ -23,11 +23,14 @@ aborts the analysis rather than reporting a mislabeled level.  So
 calibrate_soc takes its Newton steps on the two Eu blocks alone, by
 eigensolver.lowest_per_block with each block started from its state of the
 step before, and solves the whole sector once, at the calibrated couplings.
-Likewise converge_observable, which walks the cutoffs itself, solves the
-whole sector only at the cutoff it reports, and confirms it at the next
-cutoff with the lowest pair of each block, each started from its state at
-the cutoff before; a sweep that reaches its last cutoff unsettled raises
-ConvergenceError.
+Every observable the reports read from a sector they do not otherwise use
+is a block minimum, so one route, block_minima, solves such a sector as the
+lowest pair of each block, cut to the lowest k: converge_observable, which
+walks the cutoffs itself, solves the whole sector only at the cutoff it
+reports and confirms it at the next cutoff by block_minima, each block
+started from its state at the cutoff before, and a report takes the order
+it does not model from block_minima, cold.  A sweep that reaches its last
+cutoff unsettled raises ConvergenceError.
 """
 
 from __future__ import annotations
@@ -156,77 +159,45 @@ def _labelled(
     )
 
 
-def _lowest_per_block_sector(
-    prev: SectorSolution, cutoff: int, opts: SolverOptions
+def block_minima(
+    spec: SectorSpec, opts: SolverOptions, prev: SectorSolution | None = None
 ) -> SectorSolution:
-    """prev's sector at a higher cutoff, solved as the lowest pair of each declared block.
+    """spec's sector solved as the lowest pair of each declared block, cut to the lowest opts.k.
 
-    Each block starts from the lowest state prev holds in it, embedded
-    exactly by AdaptedBasis.index_in; a block prev holds no state of (a new
-    J range, or one cut by prev's k) starts from the seeded vector.
+    The blocks are solved one pair each (eigensolver.lowest_per_block),
+    merged, and cut to the lowest opts.k before labelling.  With prev, a
+    solve of the same sector at a lower cutoff, each block starts from the
+    lowest state prev holds in it, embedded exactly by AdaptedBasis.index_in.
+    Without prev, and for a block prev holds no state of (a new J range, or
+    one cut by prev's k), a block starts from the seeded vector.
+
+    Every registered observable reads only block minima: the lowest state,
+    the lowest Eu and A2u, and the Eu doublet.  Each ranks no lower among the
+    block minima than among all states, so this fails only where the
+    opts.k-pair solve_sector fails, and it gives the same observables to
+    solver tolerance: over the four defects, orders 1 and 2 and cutoffs 20
+    and 36, gamma differs from solve_sector's by at most 1.8e-12 meV (LAPACK
+    and ARPACK runs for one pair and for several differ in the last bits).
+    That can move a 10-digit report cell on a rounding edge:
+    GeV0's gamma2 at cutoff 36 is 4.399330942499631 here and
+    4.3993309425001 from solve_sector.
     """
-    at = prev.basis.index_in(adapted_basis(cutoff))
-    r = prev.result
 
     def solve(h0: sp.csr_matrix, blocks: Sequence[tuple[int, int]]) -> EigResult:
-        lows = [lo for lo, _ in blocks]
         starts: list[np.ndarray | None] = [None] * len(blocks)
-        for b_prev, i in zip(*np.unique(r.block, return_index=True)):  # lowest pair of each block
-            lo, hi = r.ranges[b_prev]
-            b = int(np.searchsorted(lows, at[lo], side="right")) - 1
-            start = starts[b] = np.zeros(blocks[b][1] - blocks[b][0])
-            start[at[lo:hi] - blocks[b][0]] = r.eigenvectors[lo:hi, i]
-        return lowest_per_block(h0, blocks, starts, opts.tol, opts.seed, opts.dense_threshold)
-
-    return _labelled(replace(prev.spec, cutoff=cutoff), solve)
-
-
-def gamma_splitting(
-    defect: DefectParams,
-    order: int,
-    cutoff: int,
-    preset: str = PRESET_E_RAISED,
-    opts: SolverOptions = SolverOptions(),
-) -> float:
-    """Energy of the lowest Eu doublet above the lowest A2u singlet (meV).
-
-    order = 1 solves the position-preserving linear model, order = 2 the full
-    quadratic one.  Fails loudly if the lowest state is not A-type.
-    """
-    couplings = couplings_for_order(defect, order)
-    return solution_gamma(solve_sector(couplings, defect.lambda_corr, cutoff, preset, opts))
-
-
-def block_minima_gamma(
-    defect: DefectParams,
-    order: int,
-    cutoff: int,
-    preset: str = PRESET_E_RAISED,
-    opts: SolverOptions = SolverOptions(),
-) -> float:
-    """gamma_splitting from the lowest pair of each declared block alone.
-
-    The blocks are solved cold, one pair each (eigensolver.lowest_per_block),
-    merged, and cut to the lowest opts.k before labelling.  gamma reads only
-    block minima: the lowest state, the lowest Eu and the lowest A2u.  Each
-    ranks no lower among the block minima than among all states, so this
-    fails only where the opts.k-pair solve of gamma_splitting fails, and it
-    equals gamma_splitting to solver tolerance (LAPACK subsets of 1 and k
-    pairs differ in the last bits).  A report takes the order it does not
-    model from here when the cutoff sweep did not solve it: that order gives
-    only its gamma.
-    """
-    couplings = couplings_for_order(defect, order)
-    spec = SectorSpec(
-        couplings=couplings, lambda_corr=defect.lambda_corr, cutoff=cutoff, preset=preset
-    )
-
-    def solve(h0: sp.csr_matrix, blocks: Sequence[tuple[int, int]]) -> EigResult:
+        if prev is not None:
+            at = prev.basis.index_in(adapted_basis(spec.cutoff))
+            r, lows = prev.result, [lo for lo, _ in blocks]
+            for b_prev, i in zip(*np.unique(r.block, return_index=True)):  # lowest pair of each block
+                lo, hi = r.ranges[b_prev]
+                b = int(np.searchsorted(lows, at[lo], side="right")) - 1
+                start = starts[b] = np.zeros(blocks[b][1] - blocks[b][0])
+                start[at[lo:hi] - blocks[b][0]] = r.eigenvectors[lo:hi, i]
         return lowest_per_block(
-            h0, blocks, [None] * len(blocks), opts.tol, opts.seed, opts.dense_threshold, opts.k
+            h0, blocks, starts, opts.tol, opts.seed, opts.dense_threshold, opts.k
         )
 
-    return solution_gamma(_labelled(spec, solve))
+    return _labelled(spec, solve)
 
 
 def solution_gamma(sol: SectorSolution) -> float:
@@ -520,11 +491,11 @@ def converge_observable(
     sweep still unsettled at n_max raises ConvergenceError with the history
     of the named value.
     Each of them reads the lowest state of some block alone, so n_start is
-    solved in full (opts.k pairs) and every later cutoff as the lowest pair
-    of each declared block, started from the cutoff before it.  The result
-    carries the full solve at the reported cutoff: n_start's own, or one
-    more solve once the sweep has settled past it.  Only the previous and
-    the current cutoff's solutions are alive during the sweep.
+    solved in full (opts.k pairs) and every later cutoff by block_minima,
+    started from the cutoff before it.  The result carries the full solve
+    at the reported cutoff: n_start's own, or one more solve once the sweep
+    has settled past it.  Only the previous and the current cutoff's
+    solutions are alive during the sweep.
 
     Each cutoff logs one DEBUG record: n, the named value, its drift from
     the cutoff before and the tolerance that drift is held to, then a
@@ -552,7 +523,7 @@ def converge_observable(
         if prev is None:
             sol = solve_sector(couplings, defect.lambda_corr, n, preset, opts)
         else:
-            sol = _lowest_per_block_sector(prev, n, opts)
+            sol = block_minima(replace(prev.spec, cutoff=n), opts, prev)
         values = {other: float(r(sol)) for other, r in reads.items()}
         history.append((n, values[name]))
         drifts = {

@@ -49,37 +49,35 @@ before any block is solved.
 A merge that keeps the lowest keep pairs of B blocks reads few pairs of
 each: at k = 10 the sectors of all four defects at cutoffs 20 and 36 keep
 [3, 3, 1, 3] of the four m_s = 0 blocks and, at the calibrated spin-orbit
-couplings, [3, 3, 4] of the three m_s = +1 blocks.  ARPACK's
-implicit restarts cost more as k grows (ncv >= 2k + 1), so the pairs rule
-asks a block that the routing rule sends to ARPACK from the seeded start
-for min(k, ceil(keep / B) + 1) pairs (4 for m_s = 0, 5 for m_s = +1 at
+couplings, [3, 3, 4] of the three m_s = +1 blocks.  ARPACK's implicit
+restarts cost more as k grows (ncv >= 2k + 1), so the pairs rule asks a
+block that the routing rule sends to ARPACK from the seeded start for
+min(k, ceil(keep / B) + 1) pairs (4 for m_s = 0, 5 for m_s = +1 at
 k = 10), with the path still picked at k.  After the merge, the keep
 certificate is checked: a block's uncomputed pairs lie at or above its last
 computed pair, so where that pair was not kept none of them could be, and
 the kept set is the one a solve of every block at k keeps.  Each block whose
 computed pairs were all kept is solved again at k from the same seeded
-start, its twins take that solve, and the spectra are merged again.  On the
-cutoff-36 SnV0 m_s = 0 j = 1 block (dim 937, same host as below), ARPACK from
-the seeded start took 14.0-16.0 ms and 224 matvecs at k = 10, and 11.5-12.4
-ms and 200 matvecs at k = 4.  LAPACK blocks and warm ARPACK blocks are
-still solved at k: the warm pairs of lowest_per_block are one per block
-already, and a smaller LAPACK subset moves the eigenvalue bits of the
-bundled runs' dense blocks, and with them report bytes (the a-split
-a2u_ms_split_mev of SiV0 sits on a rounding edge).
+start, its twins take that solve, and the spectra are merged again.  LAPACK
+blocks and warm ARPACK blocks are still solved at k: the warm pairs of
+lowest_per_block are one per block already, and a smaller LAPACK subset
+moves the eigenvalue bits of the bundled runs' dense blocks, and with them
+report bytes (the a-split a2u_ms_split_mev of SiV0 sits on a rounding edge).
 
-The default dense_threshold of 400 was measured on the blocks themselves
-(PbV0 m_s = +1, k = 10, LAPACK against cold ARPACK, two OpenBLAS threads on
-a 2-core x86-64 host): 5.3 against 8.2 ms at dim 290, 6.0 against 6.5 ms at
-dim 308 and 20 against 8.6-11.5 ms at dim 580.  So the bundled runs solve
-their cutoff-20 blocks (308 and 154) by LAPACK at k = 10, and the cutoff-36
-large sectors, j blocks of 937-938, by ARPACK.  A warm start pays for far
-more: on one m_s = +1 j block on the same host, LAPACK at k = 10 against a
-warm k = 1 ARPACK solve took 9.3 against 2.5 ms at dim 308, 29 against
-4.4 ms at dim 580 and 74 against 5.3 ms at dim 937.  The cutoff sweep of
-analysis confirms each cutoff by lowest_per_block from the cutoff before,
-so the bundled runs solve their confirming cutoff-28 blocks (580 and 290)
-by warm ARPACK at k = 1; calibrate_soc takes each Newton step the same
-way, on its two Eu blocks, each started from its previous step's vector.
+The two thresholds sit where the paths cross on the sector blocks.
+dense_threshold (default 400) is where LAPACK at k = 10 and ARPACK from
+the seeded start take the same time, so the bundled runs solve their
+cutoff-20 blocks (308 and 154) by LAPACK at k = 10 and the cutoff-36 j
+blocks of 937-938 by ARPACK.  A start vector moves the crossover of a
+k = 1 solve down to WARM_START_MIN_DIM, and above it a warm pair costs a
+fraction of a LAPACK solve at k.  The cutoff sweep of analysis confirms
+each cutoff by lowest_per_block from the cutoff before, so the bundled runs
+solve their confirming cutoff-28 blocks (580 and 290) by warm ARPACK at
+k = 1; calibrate_soc takes each Newton step the same way, on its two Eu
+blocks, each started from its previous step's vector.  The timings behind
+both thresholds and the pairs rule, each from one host, are in CHANGES.md,
+in the entries that begin "Cutoff sweeps confirm with one warm pair per
+block" and "One block-minima route".
 
 Each block logs one DEBUG record (dim, dtype, path, k, wall and CPU seconds,
 nnz, and the largest residual against its bound) to the "spinvibronic"
@@ -99,10 +97,10 @@ import scipy.sparse as sp
 
 DENSE_THRESHOLD_DEFAULT = 400
 
-# a start vector pays for ARPACK at k = 1 only above this block dim: warm ARPACK
-# against LAPACK at k = 1 on the m_s = 0 blocks of SiV0 and PbV0 took 1.5-1.6
-# against 1.5-1.8 ms at dim 204, 1.1-1.4 against 1.6-1.9 ms at dim 217 and 0.7-1.0
-# against 0.05-0.13 ms at dim 30-60 (the J ranges of the linear model)
+# a start vector pays for ARPACK at k = 1 only above this block dim, where warm
+# ARPACK overtakes LAPACK at k = 1; every J range of the linear model (at most
+# 73 states at cutoff 36) stays with LAPACK (timings: CHANGES.md, "Cutoff sweeps
+# confirm with one warm pair per block")
 WARM_START_MIN_DIM = 200
 
 log = logging.getLogger("spinvibronic")

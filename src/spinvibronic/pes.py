@@ -163,12 +163,10 @@ def read_pes_csv(path: str | Path) -> PesCurve:
 @dataclass
 class PesFitResult:
     params: DefectParams
-    couplings: Couplings
     lambda_corr: float
     offset: float
     rms_per_surface: np.ndarray
     cost_history: list[float]
-    jacobian_singular_values: np.ndarray
 
 
 def _theta_to_couplings(theta: np.ndarray) -> tuple[Couplings, float, float]:
@@ -370,10 +368,8 @@ def fit_pes(
     accepted = list(np.minimum.accumulate(cost_history))
     return PesFitResult(
         params=params,
-        couplings=c_fit,
         lambda_corr=lam_fit,
         offset=float(offset),
         rms_per_surface=rms,
         cost_history=accepted,
-        jacobian_singular_values=svals,
     )

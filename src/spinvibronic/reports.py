@@ -6,9 +6,10 @@ spin-orbit observables (explicit couplings or calibrated to a target), state
 tables and level-diagram data.  The model's own order is the cutoff sweep's
 solution of that order or else one solve_sector at the reported cutoff.  The
 other order gives only its gamma: it is read from the sweep's solution of
-that order, or else from the lowest pair of each of its blocks
-(analysis.block_minima_gamma).  So each distinct sector is solved once, and
-only for the pairs the report reads.  write_all emits
+that order, or else from analysis.block_minima, the lowest pair of each of
+its blocks cut to the lowest k, the route the sweep confirms its cutoffs
+by.  So each distinct sector is solved once, and only for the pairs the
+report reads.  write_all emits
 report.json and then the CSV files of REPORT_CSVS, in deterministic JSON and
 CSV (fixed float formatting, no timestamps), so identical configurations
 produce byte-identical files.
@@ -25,7 +26,7 @@ from .analysis import (
     SectorSolution,
     SocLevels,
     SolverOptions,
-    block_minima_gamma,
+    block_minima,
     calibrate_soc,
     converge_observable,
     reduction_factors,
@@ -34,6 +35,7 @@ from .analysis import (
     solve_sector,
 )
 from .config import RunConfig, SOC_CALIBRATE, SOC_EXPLICIT
+from .hamiltonian import SectorSpec
 from .params import couplings_for_order
 from .symmetry import composition_table_rows
 
@@ -184,7 +186,9 @@ def run_report(cfg: RunConfig) -> SpectrumReport:
     if other in swept:
         gammas = {other: solution_gamma(swept.pop(other))}
     else:
-        gammas = {other: block_minima_gamma(defect, other, cutoff, preset, opts)}
+        couplings = couplings_for_order(defect, other)
+        spec = SectorSpec(couplings, defect.lambda_corr, cutoff, preset)
+        gammas = {other: solution_gamma(block_minima(spec, opts))}
     if order in swept:
         sol = swept.pop(order)
     else:

@@ -19,9 +19,11 @@ from spinvibronic import (
     SolverOptions,
     adapted_basis,
     analysis,
+    couplings_for_order,
     op_on_g,
     op_on_u,
     pes_to_couplings,
+    solution_gamma,
     solve_sector,
 )
 from spinvibronic.hamiltonian import E_RAISE, ELEC_DIM, circular_correlation
@@ -72,6 +74,14 @@ def second_order_shift(defect, cutoff: int, opts: SolverOptions) -> float:
     return float(e2 - e1)
 
 
+def gamma_splitting(
+    defect, order: int, cutoff: int, preset: str = PRESET_E_RAISED, opts=SolverOptions()
+) -> float:
+    """gamma of the opts.k-pair solve_sector: the oracle for analysis.block_minima's gamma."""
+    couplings = couplings_for_order(defect, order)
+    return solution_gamma(solve_sector(couplings, defect.lambda_corr, cutoff, preset, opts))
+
+
 # --- sweep oracles: every cutoff solved in full ---------------------------------
 
 
@@ -81,24 +91,26 @@ def converge_observable_full(defect, name, rel_tol, n_start, n_step, n_max, pres
     The oracle for the sweep that confirms each cutoff with one pair per block.
     """
 
-    def solve_in_full(prev, cutoff, opts):
-        s = prev.spec
-        return solve_sector(s.couplings, s.lambda_corr, cutoff, s.preset, opts)
+    def solve_in_full(spec, opts, prev=None):
+        return solve_sector(spec.couplings, spec.lambda_corr, spec.cutoff, spec.preset, opts)
 
-    with mock.patch.object(analysis, "_lowest_per_block_sector", solve_in_full):
+    with mock.patch.object(analysis, "block_minima", solve_in_full):
         return analysis.converge_observable(
             defect, name, rel_tol, n_start, n_step, n_max, preset, opts
         )
 
 
-def lowest_per_block_lapack(h: sp.csr_matrix, ranges) -> EigResult:
-    """The lowest pair of every block, each by LAPACK on the whole dense block, ascending."""
+def lowest_per_block_lapack(h: sp.csr_matrix, ranges, keep: int | None = None) -> EigResult:
+    """The lowest pair of every block, each by LAPACK on the whole dense block, ascending.
+
+    keep cuts the pairs to the lowest keep; None keeps all of them.
+    """
     vals, vecs = np.empty(len(ranges)), np.zeros((h.shape[0], len(ranges)))
     for b, (lo, hi) in enumerate(ranges):
         w, v = scipy.linalg.eigh(h[lo:hi, lo:hi].toarray(), subset_by_index=[0, 0])
         vals[b], vecs[lo:hi, b] = w[0], v[:, 0]
-    order = np.argsort(vals, kind="stable")
-    return EigResult(vals[order], vecs[:, order], np.zeros(len(ranges)), tuple(ranges), order)
+    order = np.argsort(vals, kind="stable")[:keep]
+    return EigResult(vals[order], vecs[:, order], np.zeros(order.size), tuple(ranges), order)
 
 
 # --- product-basis reference: the kron-and-fold assembly ------------------------

@@ -20,7 +20,6 @@ from spinvibronic import (
     assemble,
     calibrate_soc,
     fit_pes,
-    gamma_splitting,
     pes_to_couplings,
     reduction_factors,
     soc_levels,
@@ -39,6 +38,7 @@ from conftest import (
     c2prime_reflection,
     c3_rotation,
     cartesian_basis,
+    gamma_splitting,
     second_order_shift,
     total_reflection,
     total_rotation,

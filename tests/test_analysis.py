@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 
 import numpy as np
@@ -8,7 +9,6 @@ from spinvibronic import (
     SolverOptions,
     calibrate_soc,
     converge_observable,
-    gamma_splitting,
     reduction_factors,
     soc_levels,
     soc_operators,
@@ -24,6 +24,7 @@ from spinvibronic.symmetry import analyze_states
 from conftest import (
     cached_sector,
     converge_observable_full,
+    gamma_splitting,
     lowest_per_block_lapack,
     second_order_shift,
 )
@@ -338,13 +339,16 @@ def test_sweep_past_n_start_matches_the_full_solve_oracle(
 def test_confirming_pairs_match_a_full_lapack_solve(name, order, preset):
     # the bundled sweep: cutoff 20 in full, then cutoff 28 as the lowest pair of
     # each block (the J ranges at order 1), started from the cutoff-20 states
+    # and cut to the lowest k
     p = DEFECTS[name]
-    sol = solve_sector(couplings_for_order(p, order), p.lambda_corr, 20, preset)
-    pairs = analysis._lowest_per_block_sector(sol, 28, SolverOptions())
+    opts = SolverOptions()
+    sol = solve_sector(couplings_for_order(p, order), p.lambda_corr, 20, preset, opts)
+    pairs = analysis.block_minima(dataclasses.replace(sol.spec, cutoff=28), opts, sol)
     r = pairs.result
     assert r.ranges == pairs.basis.sector_blocks(0, linear=order == 1)
-    assert sorted(r.block) == list(range(len(r.ranges)))
-    oracle = lowest_per_block_lapack(pairs.h0, r.ranges)
+    # the lowest k of the block minima, block for block
+    oracle = lowest_per_block_lapack(pairs.h0, r.ranges, keep=opts.k)
+    assert r.k == min(opts.k, len(r.ranges))
     np.testing.assert_allclose(r.eigenvalues, oracle.eigenvalues, rtol=0, atol=1e-9)
     np.testing.assert_array_equal(r.block, oracle.block)
     full = SectorSolution(

@@ -17,10 +17,12 @@ from spinvibronic import adiabatic_surfaces, parse_config, pes_to_couplings, rea
 from spinvibronic import analysis, reports
 from spinvibronic.cli import main
 from spinvibronic.config import ModelConfig, OutputConfig, RunConfig, SocConfig, SolverConfig
-from spinvibronic.hamiltonian import PRESETS
+from spinvibronic.hamiltonian import PRESETS, SectorSpec
 from spinvibronic.defaults import DEFECTS
 from spinvibronic.params import branch_minima_dimensionless, couplings_for_order
 from spinvibronic.pes import PesCurve
+
+from conftest import gamma_splitting
 
 # small fixed cutoff and explicit spin-orbit couplings keep CLI runs fast
 FAST_SOLVE = """
@@ -193,7 +195,7 @@ def _count_solves(monkeypatch, orders=None):
 
     full holds (dim, k) of each solve_lowest call that analysis makes, and
     pairs the dim of each lowest_per_block call: a swept sector's, the
-    report's other order's (block_minima_gamma), or the leading Eu
+    report's other order's (both by analysis.block_minima), or the leading Eu
     sub-sector's for a calibration step.
     """
     calls, full, pairs = [], [], []
@@ -263,26 +265,43 @@ def test_report_solves_its_own_order_once(tmp_path, monkeypatch):
 
 
 def _assert_report_gammas(report, cfg, cutoff, opts):
-    """The model's own gamma is gamma_splitting's; the other order's is the
-    one-pair-per-block route's, and gamma_splitting's at the report's 10 digits."""
+    """The model's own gamma is the k-pair oracle's; the other order's is
+    analysis.block_minima's, within 1e-11 meV of the oracle's, and the
+    oracle's at the report's 10 digits where the other order is 1."""
     own, other = cfg.model.order, 3 - cfg.model.order
     gammas = {1: report.gamma1, 2: report.gamma2}
     preset = cfg.model.preset
-    assert gammas[own] == analysis.gamma_splitting(cfg.defect, own, cutoff, preset, opts)
-    assert gammas[other] == analysis.block_minima_gamma(cfg.defect, other, cutoff, preset, opts)
-    oracle = analysis.gamma_splitting(cfg.defect, other, cutoff, preset, opts)
-    assert reports._r(gammas[other]) == reports._r(oracle)
+    assert gammas[own] == gamma_splitting(cfg.defect, own, cutoff, preset, opts)
+    couplings = couplings_for_order(cfg.defect, other)
+    spec = SectorSpec(couplings, cfg.defect.lambda_corr, cutoff, preset)
+    assert gammas[other] == analysis.solution_gamma(analysis.block_minima(spec, opts))
+    oracle = gamma_splitting(cfg.defect, other, cutoff, preset, opts)
+    assert abs(gammas[other] - oracle) <= 1e-11
+    # the order-2 gamma of GeV0 at cutoff 36 lies on a 10-digit rounding edge,
+    # so the two routes write 4.399330942 and 4.399330943
+    if other == 1:
+        assert reports._r(gammas[other]) == reports._r(oracle)
 
 
-@pytest.mark.parametrize("cutoff", [20, 36])
-@pytest.mark.parametrize("name", ["siv0", "gev0", "snv0", "pbv0"])
-def test_other_order_gamma_matches_the_k_pair_oracle(name, cutoff):
-    # the bundled configs at a fixed cutoff, as `solve --cutoff` runs them
-    # (spin-orbit off: it reads only the model's own order)
+# the bundled configs (order 2) keep their ids; an order-1 model takes its
+# order-2 gamma from cold ARPACK pairs, one per block
+@pytest.mark.parametrize(
+    "name, cutoff, order",
+    [
+        pytest.param(name, cutoff, order, id=f"{name}-{cutoff}" + ("-order1" if order == 1 else ""))
+        for order in (2, 1)
+        for cutoff in (20, 36)
+        for name in ("siv0", "gev0", "snv0", "pbv0")
+    ],
+)
+def test_other_order_gamma_matches_the_k_pair_oracle(name, cutoff, order):
+    # the bundled configs at a fixed cutoff and order, as `solve --order
+    # --cutoff` runs them (spin-orbit off: it reads only the model's own order)
     path = Path(spinvibronic.__file__).parent / "data" / "configs" / f"{name}.conf"
     cfg = parse_config(path)
     cfg = dataclasses.replace(
         cfg,
+        model=dataclasses.replace(cfg.model, order=order),
         solver=dataclasses.replace(cfg.solver, cutoff=cutoff, converge=False),
         soc=SocConfig(),
     )
@@ -320,7 +339,7 @@ def test_sweep_of_the_other_order_is_not_solved_again(tmp_path, monkeypatch):
     assert report.cutoff == 20
     monkeypatch.undo()
     opts = reports.solver_options(cfg)
-    assert report.gamma1 == analysis.gamma_splitting(cfg.defect, 1, 20, opts=opts)
+    assert report.gamma1 == gamma_splitting(cfg.defect, 1, 20, opts=opts)
 
 
 @pytest.mark.parametrize("n_max", [10, 24])
