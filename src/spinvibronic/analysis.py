@@ -22,7 +22,8 @@ state of largest overlap with the m_s = 0 A2u state; an overlap below 0.5
 aborts the analysis rather than reporting a mislabeled level.  So
 calibrate_soc takes its Newton steps on the two Eu blocks alone, by
 eigensolver.lowest_per_block with each block started from its state of the
-step before, and solves the whole sector once, at the calibrated couplings.
+step before, and solves the whole sector once, at the calibrated couplings;
+a zero target takes one Newton step, at zero coupling.
 Every observable the reports read from a sector they do not otherwise use
 is a block minimum, so one route, block_minima, solves such a sector as the
 lowest pair of each block, cut to the lowest k: converge_observable, which
@@ -243,32 +244,6 @@ class SocLevels:
 MIN_TRACKING_OVERLAP = 0.5
 
 
-def _tracked_soc_levels(
-    sol: SectorSolution, doublet: np.ndarray, result: EigResult
-) -> tuple[int, np.ndarray, dict[str, float]]:
-    """(A2u-derived index, Eu-derived pair indices by energy, overlaps) of an m_s = +1 solve.
-
-    The Eu-derived pair is the lowest state of the j = 1 block and of the j = 2
-    block, and the A2u-derived state the j = 0 state closest to sol's lowest A2u.
-    """
-    # the j block of each pair: 0 (j = 1), 1 (j = 2) or 2 (j = 0, A1u and A2u)
-    j = np.minimum(sol.basis.block_at([lo for lo, _ in result.ranges]), 2)[result.block]
-    if not np.isin([0, 1, 2], j).all():
-        raise AnalysisError(f"a j block has no state among the lowest {result.k}; increase k")
-    idx_eu = np.sort([np.argmax(j == 0), np.argmax(j == 1)])
-    j0 = np.flatnonzero(j == 2)
-    w_a2u = np.abs(sol.lowest(LABEL_A2U).coefficients.conj() @ result.eigenvectors[:, j0]) ** 2
-    i_a2u = int(j0[np.argmax(w_a2u)])
-    w_eu = (np.abs(doublet.conj().T @ result.eigenvectors[:, idx_eu]) ** 2).sum(axis=0)
-    overlaps = {"a2u": float(w_a2u.max()), "eu_lower": float(w_eu.min())}
-    if min(overlaps.values()) < MIN_TRACKING_OVERLAP:
-        raise AnalysisError(
-            f"state tracking across spin-orbit switch-on failed: overlaps {overlaps} "
-            f"below {MIN_TRACKING_OVERLAP}; increase k or reduce the coupling"
-        )
-    return i_a2u, idx_eu, overlaps
-
-
 def _levels_from_solve(
     sol: SectorSolution,
     lambda_u0: float,
@@ -276,16 +251,39 @@ def _levels_from_solve(
     r_plus: EigResult,
     e_minus: np.ndarray | None = None,
 ) -> SocLevels:
-    """Observables of an m_s = +1 solve.
+    """Observables of an m_s = +1 solve on the blocks of sol.basis.sector_blocks(1).
 
-    m_s = 0 is the reference solve, and m_s = -1 repeats +1 unless its
-    eigenvalues are given.
+    The Eu-derived pair is the lowest state of the j = 1 block and of the j = 2
+    block, and the A2u-derived state the j = 0 state closest to sol's lowest
+    A2u; each must keep an overlap of MIN_TRACKING_OVERLAP with its m_s = 0
+    state.  m_s = 0 is the reference solve, and m_s = -1 repeats +1 unless its
+    eigenvalues are given.  Logs one DEBUG record with the overlaps.
     """
-    e_a2u_0 = sol.lowest(LABEL_A2U).energy
+    a2u_0 = sol.lowest(LABEL_A2U)
+    e_a2u_0 = a2u_0.energy
     doublet, e_eu_0 = sol.eu_doublet()
-    i_a2u, idx_eu, overlaps = _tracked_soc_levels(sol, doublet, r_plus)
-    e_a2u_soc = float(r_plus.eigenvalues[i_a2u])
+    # the block of each pair: 0 (j = 1), 1 (j = 2) or 2 (j = 0, A1u and A2u)
+    j = r_plus.block
+    if not np.isin([0, 1, 2], j).all():
+        raise AnalysisError(f"a j block has no state among the lowest {r_plus.k}; increase k")
+    idx_eu = np.sort([np.argmax(j == 0), np.argmax(j == 1)])
+    j0 = np.flatnonzero(j == 2)
+    w_a2u = np.abs(a2u_0.coefficients.conj() @ r_plus.eigenvectors[:, j0]) ** 2
+    w_eu = (np.abs(doublet.conj().T @ r_plus.eigenvectors[:, idx_eu]) ** 2).sum(axis=0)
+    overlaps = {"a2u": float(w_a2u.max()), "eu_lower": float(w_eu.min())}
+    e_a2u_soc = float(r_plus.eigenvalues[j0[np.argmax(w_a2u)]])
     e_eu_pair = r_plus.eigenvalues[idx_eu]
+    if log.isEnabledFor(logging.DEBUG):
+        log.debug(
+            "soc_levels: lambda_u0=%.9g lambda_g0=%.9g lambda_eff=%.9g "
+            "overlap_a2u=%.6f overlap_eu_lower=%.6f",
+            lambda_u0, lambda_g0, e_eu_pair[1] - e_eu_pair[0], *overlaps.values(),
+        )
+    if min(overlaps.values()) < MIN_TRACKING_OVERLAP:
+        raise AnalysisError(
+            f"state tracking across spin-orbit switch-on failed: overlaps {overlaps} "
+            f"below {MIN_TRACKING_OVERLAP}; increase k or reduce the coupling"
+        )
 
     sectors = {0: sol.result.eigenvalues.copy(), +1: r_plus.eigenvalues.copy()}
     sectors[-1] = (r_plus.eigenvalues if e_minus is None else e_minus).copy()
@@ -366,7 +364,10 @@ def calibrate_soc(
     must keep an overlap of at least MIN_TRACKING_OVERLAP with its m_s = 0
     partner.  Once lambda_eff is within 1e-7 meV of the target, the whole
     sector is solved once with opts and its levels are returned; that solve
-    must itself track its states and meet the target to 1e-7 meV.  A tracking
+    must itself track its states and meet the target to 1e-7 meV.  A zero
+    target starts at s = 0, where the two Eu blocks are the same matrix (the
+    second is reused, not solved), so its one step reads lambda_eff = 0
+    exactly and the final solve is the zero-coupling sector.  A tracking
     breakdown (scanned as lambda_eff = nan), a non-positive slope, a step to
     s <= 0, a final solve that misses or 20 steps without convergence raise
     CalibrationError with the scan; a negative or nan target or ratio raises
@@ -376,9 +377,6 @@ def calibrate_soc(
         raise ValueError("target splitting must be nonnegative")
     if not ratio >= 0.0:
         raise ValueError(f"calibration ratio must be nonnegative (got {ratio})")
-    if target_lambda_eff == 0.0:
-        # at zero coupling every m_s sector is the reference sector
-        return _levels_from_solve(sol, 0.0, 0.0, sol.result)
     p_u, p_g = reduction_factors(sol)
     s_u, s_g = soc_operators(sol.basis)
     dh_ds = ratio * s_u + s_g

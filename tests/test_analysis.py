@@ -102,6 +102,34 @@ def test_ham_limit_small_coupling():
     assert lev.lambda_eff == pytest.approx(0.1 * (p_u + p_g), rel=0.01)
 
 
+def test_soc_levels_without_a_j_block_among_the_lowest_k_raises():
+    sol = cached_sector("SnV0", 12)
+    with pytest.raises(AnalysisError, match="a j block has no state among the lowest 2"):
+        soc_levels(sol, 30.0, 10.0, SolverOptions(k=2))
+
+
+def test_soc_levels_tracking_breakdown_raises():
+    # strong spin-orbit mixes the m_s = 0 states: overlaps a2u 0.58, eu_lower 0.42
+    sol = cached_sector("SnV0", 12)
+    with pytest.raises(AnalysisError, match="state tracking .* failed") as err:
+        soc_levels(sol, 700.0, 200.0)
+    assert "'eu_lower': 0.42" in str(err.value)
+
+
+def test_soc_levels_logs_one_record_with_the_tracking_overlaps(caplog):
+    sol = cached_sector("SnV0", 12)
+    with caplog.at_level(logging.DEBUG, logger="spinvibronic"):
+        lev = soc_levels(sol, 30.0, 10.0, OPTS)
+    records = [r.getMessage() for r in caplog.records
+               if r.name == "spinvibronic" and r.getMessage().startswith("soc_levels:")]
+    assert len(records) == 1
+    f = dict(item.split("=") for item in records[0].split(": ", 1)[1].split())
+    assert (float(f["lambda_u0"]), float(f["lambda_g0"])) == (30.0, 10.0)
+    assert float(f["lambda_eff"]) == pytest.approx(lev.lambda_eff, rel=1e-8)
+    assert float(f["overlap_a2u"]) == pytest.approx(lev.tracking_overlaps["a2u"], abs=1e-6)
+    assert float(f["overlap_eu_lower"]) == pytest.approx(lev.tracking_overlaps["eu_lower"], abs=1e-6)
+
+
 def test_soc_sector_symmetries():
     sol = cached_sector("SnV0", 12)
     lev = soc_levels(sol, 20.0, 20.0, OPTS, solve_both_sectors=True)
@@ -209,9 +237,33 @@ def test_calibrate_zero_target():
     sol = cached_sector("SnV0", 12)
     cal = calibrate_soc(sol, 0.0, opts=OPTS)
     assert (cal.lambda_u0, cal.lambda_g0) == (0.0, 0.0)
-    assert cal.lambda_eff == pytest.approx(0.0, abs=1e-9)
+    assert cal.lambda_eff == 0.0
     lev = soc_levels(sol, 0.0, 0.0, OPTS)
-    assert cal.gamma2_soc == pytest.approx(lev.gamma2_soc, abs=1e-9)
+    assert cal.gamma2_soc == lev.gamma2_soc
+
+
+@pytest.mark.parametrize("cutoff", [20, 28])
+@pytest.mark.parametrize("name", ["SnV0", "PbV0"])
+def test_calibrate_zero_target_takes_one_warm_newton_step(caplog, name, cutoff):
+    # the Eu blocks (308 at cutoff 20, 580 at 28) go to warm ARPACK from the
+    # m_s = 0 partner; at s = 0 the j = 2 block is the j = 1 block, reused, so
+    # the one step reads lambda_eff = 0 exactly
+    opts = SolverOptions(k=10)
+    sol = cached_sector(name, cutoff, k=10)
+    with caplog.at_level(logging.DEBUG, logger="spinvibronic"):
+        cal = calibrate_soc(sol, 0.0, ratio=3.5, opts=opts)
+    steps = [r.getMessage() for r in caplog.records
+             if r.name == "spinvibronic" and r.getMessage().startswith("calibrate_soc step:")]
+    assert len(steps) == 1 and steps[0].startswith("calibrate_soc step: s=0 lambda_eff=0 ")
+    assert cal.lambda_eff == 0.0
+    lev = soc_levels(sol, 0.0, 0.0, opts)
+    for f in dataclasses.fields(lev):
+        mine, theirs = getattr(cal, f.name), getattr(lev, f.name)
+        if f.name == "sector_energies":
+            assert mine.keys() == theirs.keys()
+            assert all(np.array_equal(mine[m], theirs[m]) for m in mine)
+        else:
+            assert mine == theirs, f.name
 
 
 def test_calibrate_respects_ratio():

@@ -366,6 +366,16 @@ def test_order1_small_spin_orbit_passes_the_triangle_bound(tmp_path, capsys):
     assert report["gamma2_soc_mev"] <= report["gamma1_mev"] + report["lambda_eff_mev"] + 1e-9
 
 
+def test_spin_orbit_tracking_breakdown_is_a_solver_failure(tmp_path, capsys):
+    # explicit couplings strong enough to mix the m_s = 0 states: soc_levels
+    # raises AnalysisError, and solve exits 3
+    text = FAST_SOLVE.replace("lambda_u0_mev = 30.0", "lambda_u0_mev = 700.0").replace(
+        "lambda_g0_mev = 10.0", "lambda_g0_mev = 200.0"
+    )
+    assert main(["solve", str(write_config(tmp_path, text))]) == 3
+    assert "state tracking across spin-orbit switch-on failed" in capsys.readouterr().err
+
+
 def test_solve_soc_off_omits_soc_fields(tmp_path):
     cfg = write_config(tmp_path, FAST_OFF)
     assert main(["solve", str(cfg)]) == 0
