@@ -394,16 +394,18 @@ def calibrate_soc(
         pairs = lowest_per_block(
             h0 + s * dh, blocks, starts, opts.tol, opts.seed, opts.dense_threshold
         )
-        order = np.argsort(pairs.block)  # the j = 1 pair, then the j = 2 pair
-        energy = pairs.eigenvalues[order].tolist()
-        d_energy, overlap = [], []
-        for j, (v, (lo, hi)) in enumerate(zip(pairs.eigenvectors.T[order], blocks)):
+        # ascending: the lower Eu state, then the upper, each from its block j;
+        # contiguous copies of the vectors, as strided views move the dot
+        # products in their last bits
+        energy = pairs.eigenvalues.tolist()
+        d_energy, overlap = [], [0.0, 0.0]
+        for v, j in zip(pairs.eigenvectors.T.copy(), pairs.block):
+            lo, hi = blocks[j]
             starts[j] = v[lo:hi]
             d_energy.append(float(v[lo:hi] @ (dh @ v)[lo:hi]))
-            overlap.append(float(parents[j] @ v[lo:hi]) ** 2)
-        lower, upper = np.argsort(energy)
-        lambda_eff = energy[upper] - energy[lower]
-        slope = d_energy[upper] - d_energy[lower]
+            overlap[j] = float(parents[j] @ v[lo:hi]) ** 2
+        lambda_eff = energy[1] - energy[0]
+        slope = d_energy[1] - d_energy[0]
         if log.isEnabledFor(logging.DEBUG):
             log.debug(
                 "calibrate_soc step: s=%.9g lambda_eff=%.9g slope=%.9g "
@@ -487,7 +489,8 @@ def converge_observable(
     cutoff before to rel_tol, and reports the named one at the cutoff before
     (so the reported value is already converged at the reported cutoff); a
     sweep still unsettled at n_max raises ConvergenceError with the history
-    of the named value.
+    of the named value.  A rel_tol that is not positive, n_step < 1 or a
+    range of fewer than two cutoffs raises ValueError before any solve.
     Each of them reads the lowest state of some block alone, so n_start is
     solved in full (opts.k pairs) and every later cutoff by block_minima,
     started from the cutoff before it.  The result carries the full solve
@@ -502,6 +505,8 @@ def converge_observable(
     """
     if name not in OBSERVABLES:
         raise KeyError(f"unknown observable {name!r}; registered: {sorted(OBSERVABLES)}")
+    if not rel_tol > 0:  # nan included: no drift is held to it
+        raise ValueError(f"rel_tol must be positive (got {rel_tol})")
     if n_step < 1:
         raise ValueError("n_step must be >= 1")
     if n_max < n_start + n_step:

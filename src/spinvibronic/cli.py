@@ -72,7 +72,7 @@ def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
 def cmd_solve(args) -> int:
     cfg = _apply_overrides(parse_config(args.config), args)
     report = run_report(cfg)
-    written = write_all(report, cfg.output.directory, cfg.output.formats)
+    written = write_all(report, cfg.output.directory)
     for p in written:
         print(p)
     print(

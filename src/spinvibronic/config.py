@@ -8,12 +8,12 @@ sections and keys are errors; retired keys are ignored with a warning.
 
 The section dataclasses are the schema.  Each [model], [solver], [soc] and
 [output] key is a field of ModelConfig, SolverConfig, SocConfig or
-OutputConfig; the field's type is the key's cast (int, float, bool words,
-str, or a comma list) and its default the key's default.  Each [defect] key
-is a DefectParams field, or one branch of a pair field, under its own name
-or the one DEFECT_KEYS gives it; SOC_MODE_KEYS names the keys each [soc]
-mode takes.  parse_config_text and serialize_config both walk the same
-fields, so each key is stated once.
+OutputConfig; the field's type is the key's cast (int, float, bool words or
+str) and its default the key's default.  Each [defect] key is a DefectParams
+field, or one branch of a pair field, under its own name or the one
+DEFECT_KEYS gives it; SOC_MODE_KEYS names the keys each [soc] mode takes.
+parse_config_text and serialize_config both walk the same fields, so each
+key is stated once.
 """
 
 from __future__ import annotations
@@ -119,12 +119,6 @@ class SocConfig:
 @dataclass(frozen=True)
 class OutputConfig:
     directory: str = "out"
-    formats: tuple[str, ...] = ("json", "csv")
-
-    def __post_init__(self):
-        for f in self.formats:
-            if f not in ("json", "csv"):
-                raise ConfigError(f"unknown output format {f!r}")
 
 
 @dataclass(frozen=True)
@@ -150,7 +144,7 @@ DEFECT_KEYS = {
 SECTIONS = get_type_hints(RunConfig)
 
 # keys that older files may still carry; they are ignored with a warning
-RETIRED_KEYS = {("solver", "dense_threshold"), ("solver", "cluster_tol_mev")}
+RETIRED_KEYS = {("solver", "dense_threshold"), ("solver", "cluster_tol_mev"), ("output", "formats")}
 
 log = logging.getLogger(__name__)
 
@@ -162,8 +156,6 @@ def _codec(hint):
         return lambda raw: states[raw.lower()], lambda v: str(v).lower()
     if hint is int or hint is str:
         return hint, str
-    if hint == tuple[str, ...]:
-        return lambda raw: tuple(w.strip() for w in raw.split(",") if w.strip()), ",".join
     return float, "{:.12g}".format
 
 

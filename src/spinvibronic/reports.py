@@ -9,10 +9,9 @@ other order gives only its gamma: it is read from the sweep's solution of
 that order, or else from analysis.block_minima, the lowest pair of each of
 its blocks cut to the lowest k, the route the sweep confirms its cutoffs
 by.  So each distinct sector is solved once, and only for the pairs the
-report reads.  write_all emits
-report.json and then the CSV files of REPORT_CSVS, in deterministic JSON and
-CSV (fixed float formatting, no timestamps), so identical configurations
-produce byte-identical files.
+report reads.  write_all emits report.json and then every CSV file of
+REPORT_CSVS, in deterministic JSON and CSV (fixed float formatting, no
+timestamps), so identical configurations produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -104,9 +103,9 @@ class SpectrumReport:
         return out
 
 
-def _r(x: float | None, digits: int = 10) -> float | None:
-    """Round for stable serialization at the reported precision."""
-    return None if x is None else float(f"{x:.{digits}g}")
+def _r(x: float | None) -> float | None:
+    """Round for stable serialization at the reported 10 significant digits."""
+    return None if x is None else float(f"{x:.10g}")
 
 
 def solver_options(cfg: RunConfig) -> SolverOptions:
@@ -265,19 +264,16 @@ REPORT_CSVS = {
 }
 
 
-def write_all(report: SpectrumReport, outdir: str | Path, formats=("json", "csv")) -> list[Path]:
+def write_all(report: SpectrumReport, outdir: str | Path) -> list[Path]:
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    written = []
-    if "json" in formats:
-        p = outdir / "report.json"
-        with open(p, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+    p = outdir / "report.json"
+    with open(p, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    written = [p]
+    for name, (rows, columns) in REPORT_CSVS.items():
+        p = outdir / name
+        write_csv(p, getattr(report, rows), columns)
         written.append(p)
-    if "csv" in formats:
-        for name, (rows, columns) in REPORT_CSVS.items():
-            p = outdir / name
-            write_csv(p, getattr(report, rows), columns)
-            written.append(p)
     return written

@@ -409,3 +409,22 @@ def test_confirming_pairs_match_a_full_lapack_solve(name, order, preset):
     assert reduction_factors(pairs) == pytest.approx(reduction_factors(full), rel=0, abs=1e-9)
     for read in (r for o, r in OBSERVABLES.values() if o == order):
         assert read(pairs) == pytest.approx(read(full), rel=0, abs=1e-9)
+
+
+@pytest.mark.parametrize("cutoff", [20, 36])
+@pytest.mark.parametrize("name", sorted(DEFECTS))
+def test_linear_a1u_a2u_pair_comes_from_twin_j_blocks(caplog, name, cutoff):
+    # in the linear model the A2u state's J block is an exact twin of the A1u
+    # state's and is reused, not solved, so the pair's energies are bit-equal
+    # and the stable block merge keeps A1u first.  Solved on the four symmetry
+    # blocks instead, the pair differs in its last bits and its order moves
+    p = DEFECTS[name]
+    with caplog.at_level(logging.DEBUG, logger="spinvibronic"):
+        sol = solve_sector(couplings_for_order(p, 1), p.lambda_corr, cutoff)
+    assert [s.irrep for s in sol.states[5:7]] == ["A1u", "A2u"]
+    assert sol.energies[5] == sol.energies[6]
+    records = [m for m in caplog.messages if m.startswith("solve_lowest block:")]
+    assert len(records) == len(sol.result.ranges) == len(sol.basis.sector_blocks(0, linear=True))
+    a1u, a2u = sol.result.block[5:7]
+    assert " path=reused " not in records[a1u]
+    assert " path=reused " in records[a2u] and records[a2u].endswith(f" reused_from={a1u}")

@@ -99,18 +99,19 @@ def test_reports_are_byte_identical_with_the_debug_log_on(tmp_path, caplog):
     assert {p.name: p.read_bytes() for p in out.iterdir()} == quiet
 
 
-def test_each_format_writes_only_its_files(tmp_path):
-    report = reports.run_report(parse_config(write_config(tmp_path, FAST_SOLVE)))
-    both = reports.write_all(report, tmp_path / "both")
-    csvs = ["levels.csv", "composition.csv", "level_diagram.csv"]
-    assert [p.name for p in both] == ["report.json"] + csvs
-    for formats, names in ((("json",), ["report.json"]), (("csv",), csvs)):
-        outdir = tmp_path / formats[0]
-        written = reports.write_all(report, outdir, formats)
-        assert [p.name for p in written] == names
-        assert sorted(p.name for p in outdir.iterdir()) == sorted(names)
-        for p in written:
-            assert p.read_bytes() == (tmp_path / "both" / p.name).read_bytes()
+def test_retired_formats_key_warns_once_and_every_file_is_written(tmp_path, caplog, capsys):
+    files = ["report.json", *reports.REPORT_CSVS]
+    for value in ("json", "csv", "xml"):
+        cfg = write_config(tmp_path, FAST_SOLVE + f"formats = {value}\n", f"{value}.conf", value)
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="spinvibronic"):
+            assert main(["solve", str(cfg)]) == 0
+        assert [r.getMessage() for r in caplog.records] == [
+            "config key 'formats' in [output] is retired and ignored"
+        ]
+        out = tmp_path / value
+        assert capsys.readouterr().out.splitlines()[:-1] == [str(out / name) for name in files]
+        assert sorted(p.name for p in out.iterdir()) == sorted(files)
 
 
 def test_verbose_flag_traces_to_stderr_and_changes_no_report_byte(tmp_path, capsys):

@@ -289,7 +289,6 @@ converge_n_max = 56
 {SNV0_CALIBRATE_SOC}
 [output]
 directory = out
-formats = json,csv
 """
 
 
@@ -391,7 +390,6 @@ _configs = st.builds(
     st.builds(
         OutputConfig,
         directory=st.from_regex(r"[A-Za-z0-9_./-]{1,20}", fullmatch=True),
-        formats=st.sampled_from([("json",), ("csv",), ("json", "csv"), ("csv", "json")]),
     ),
 )
 

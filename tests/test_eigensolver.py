@@ -261,6 +261,20 @@ def test_converge_cutoff_needs_two_cutoffs(monkeypatch, n_max):
         _sweep(monkeypatch, {"e": float}, n_start=16, n_step=8, n_max=n_max)
 
 
+@pytest.mark.parametrize("rel_tol", [0.0, -0.01, float("nan")])
+def test_converge_cutoff_rejects_a_tolerance_it_cannot_meet(monkeypatch, rel_tol):
+    # no drift settles against a tolerance that is not positive, so the sweep
+    # could only solve every cutoff to n_max and fail; that is rejected
+    # before any solve, as SolverConfig rejects such a converge_rel_tol
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the sweep solved a sector")
+
+    monkeypatch.setattr(analysis, "solve_sector", no_solve)
+    monkeypatch.setattr(analysis, "block_minima", no_solve)
+    with pytest.raises(ValueError, match=f"rel_tol must be positive \\(got {rel_tol}\\)"):
+        converge_observable(DEFECTS["SnV0"], "gamma2", rel_tol=rel_tol)
+
+
 def test_converge_cutoff_holds_every_named_value(monkeypatch):
     # the first value is reported, and every value must settle; a sweep
     # that settles past n_start solves the reported cutoff in full
