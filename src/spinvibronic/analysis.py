@@ -29,9 +29,10 @@ is a block minimum, so one route, block_minima, solves such a sector as the
 lowest pair of each block, cut to the lowest k: converge_observable, which
 walks the cutoffs itself, solves the whole sector only at the cutoff it
 reports and confirms it at the next cutoff by block_minima, each block
-started from its state at the cutoff before, and a report takes the order
-it does not model from block_minima, cold.  A sweep that reaches its last
-cutoff unsettled raises ConvergenceError.
+started from its state at the cutoff before.  A report sweeps the gamma of
+the order it models and takes the other order's gamma from block_minima,
+cold.  A sweep that reaches its last cutoff unsettled raises
+ConvergenceError.
 """
 
 from __future__ import annotations

@@ -9,7 +9,8 @@ sections and keys are errors; retired keys are ignored with a warning.
 The section dataclasses are the schema.  Each [model], [solver], [soc] and
 [output] key is a field of ModelConfig, SolverConfig, SocConfig or
 OutputConfig; the field's type is the key's cast (int, float, bool words or
-str) and its default the key's default.  Each [defect] key is a DefectParams
+str) and its default the key's default, and the dataclass rejects a bad
+value by its key at parse time.  Each [defect] key is a DefectParams
 field, or one branch of a pair field, under its own name or the one
 DEFECT_KEYS gives it; SOC_MODE_KEYS names the keys each [soc] mode takes.
 parse_config_text and serialize_config both walk the same fields, so each
@@ -26,7 +27,6 @@ from functools import cache
 from pathlib import Path
 from typing import get_type_hints
 
-from .analysis import OBSERVABLES
 from .hamiltonian import PRESETS, PRESET_E_RAISED
 from .params import DefectParams, ParameterError
 
@@ -58,20 +58,19 @@ class SolverConfig:
     residual_tol: float = 1e-10
     seed: int = 0
     converge: bool = False
-    converge_observable: str = "gamma2"
     converge_rel_tol: float = 0.01
     converge_n_start: int = 16
     converge_n_step: int = 8
     converge_n_max: int = 56
 
     def __post_init__(self):
-        if self.cutoff < 0 or self.k < 1:
-            raise ConfigError("cutoff must be >= 0 and k >= 1")
-        if self.converge_observable not in OBSERVABLES:
-            raise ConfigError(
-                f"unknown converge_observable {self.converge_observable!r}; "
-                f"choose from {sorted(OBSERVABLES)}"
-            )
+        # a sweep compares two cutoffs at least; its range is checked whether
+        # or not converge is on
+        least = {"cutoff": 0, "k": 1, "converge_n_start": 0, "converge_n_step": 1,
+                 "converge_n_max": self.converge_n_start + self.converge_n_step}
+        for key, low in least.items():
+            if getattr(self, key) < low:
+                raise ConfigError(f"{key}={getattr(self, key)} must be >= {low}")
         # ARPACK's residuals are held to residual_tol: none meets a bound of 0; a
         # nan falls through to the finiteness check of _build
         if self.residual_tol <= 0:
@@ -144,7 +143,8 @@ DEFECT_KEYS = {
 SECTIONS = get_type_hints(RunConfig)
 
 # keys that older files may still carry; they are ignored with a warning
-RETIRED_KEYS = {("solver", "dense_threshold"), ("solver", "cluster_tol_mev"), ("output", "formats")}
+RETIRED_KEYS = {("solver", "dense_threshold"), ("solver", "cluster_tol_mev"),
+                ("solver", "converge_observable"), ("output", "formats")}
 
 log = logging.getLogger(__name__)
 

@@ -64,24 +64,27 @@ lowest_per_block are one per block already, and a smaller LAPACK subset
 moves the eigenvalue bits of the bundled runs' dense blocks, and with them
 report bytes (the a-split a2u_ms_split_mev of SiV0 sits on a rounding edge).
 
-The two thresholds sit where the paths cross on the sector blocks.
-dense_threshold (default 400) is where LAPACK at k = 10 and ARPACK from
-the seeded start take the same time, so the bundled runs solve their
-cutoff-20 blocks (308 and 154) by LAPACK at k = 10 and the cutoff-36 j
-blocks of 937-938 by ARPACK.  A start vector moves the crossover of a
-k = 1 solve down to WARM_START_MIN_DIM, and above it a warm pair costs a
-fraction of a LAPACK solve at k.  The cutoff sweep of analysis confirms
-each cutoff by lowest_per_block from the cutoff before, so the bundled runs
-solve their confirming cutoff-28 blocks (580 and 290) by warm ARPACK at
-k = 1; calibrate_soc takes each Newton step the same way, on its two Eu
-blocks, each started from its previous step's vector.  The timings behind
-both thresholds and the pairs rule, each from one host, are in CHANGES.md,
-in the entries that begin "Cutoff sweeps confirm with one warm pair per
-block" and "One block-minima route".
+dense_threshold (default 400) was the crossover of LAPACK and cold ARPACK
+at k = 10.  Cold ARPACK at the pairs rule's 4-5 pairs is faster from dim
+308 up, but routing the cutoff-20 j blocks (308) to ARPACK moves the
+eigenvalue bits of every bundled cutoff-20 report and the printed a-split
+a2u_ms_split_mev of SiV0 (a rounding edge), so 400 stays: the bundled runs
+solve their cutoff-20 blocks (308 and 154) by LAPACK at k = 10 and the
+cutoff-36 j blocks of 937-938 by ARPACK.  A start vector moves the
+crossover of a k = 1 solve down to WARM_START_MIN_DIM, and above it a warm
+pair costs a fraction of a LAPACK solve at k.  The cutoff sweep of analysis
+confirms each cutoff by lowest_per_block from the cutoff before, so the
+bundled runs solve their confirming cutoff-28 blocks (580 and 290) by warm
+ARPACK at k = 1; calibrate_soc takes each Newton step the same way, on its
+two Eu blocks, each started from its previous step's vector.  The timings
+behind both thresholds and the pairs rule, each from one host, are in
+CHANGES.md, in the entries that begin "Cutoff sweeps confirm with one warm
+pair per block" and "One block-minima route".
 
 Each block logs one DEBUG record (dim, dtype, path, k, wall and CPU seconds,
 nnz, and the largest residual against its bound) to the "spinvibronic"
-logger; a reused block says path=reused and names the block it copied.
+logger; an ARPACK block adds matvecs, the count of products h @ x eigsh
+took, and a reused block says path=reused and names the block it copied.
 """
 
 from __future__ import annotations
@@ -139,21 +142,30 @@ def _dense_lowest(h: sp.csr_matrix, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _arpack_lowest(
     h: sp.csr_matrix, k: int, tol: float, v0: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """The lowest k pairs by ARPACK, ascending, and the number of products h @ x it took."""
+    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
+
+    matvecs = 0
+
+    def matvec(x: np.ndarray) -> np.ndarray:
+        nonlocal matvecs
+        matvecs += 1
+        return h @ x
 
     try:
-        vals, vecs = eigsh(h, k, which="SA", v0=v0, tol=tol)
+        op = LinearOperator(h.shape, matvec, dtype=h.dtype)
+        vals, vecs = eigsh(op, k, which="SA", v0=v0, tol=tol)
     except ArpackNoConvergence as exc:
         raise SolverError(
             f"ARPACK did not reach tol={tol:g}: {len(exc.eigenvalues)} of {k} pairs converged",
             residuals=_residuals(h, exc.eigenvalues.real, exc.eigenvectors),
         ) from exc
     order = np.argsort(vals)
-    return vals[order].real, vecs[:, order]
+    return vals[order].real, vecs[:, order], matvecs
 
 
-def _log_block(h, path: str, k: int, t0: float, c0: float, res, bound: float, note: str = ""):
+def _log_block(h, path: str, k: int, t0: float, c0: float, res, bound: float, note: str):
     """One DEBUG record per block, timed from (t0, c0); note is appended as is."""
     if log.isEnabledFor(logging.DEBUG):
         log.debug(
@@ -181,15 +193,16 @@ def _block_lowest(
     kb = min(k, nb)
     t0, c0 = time.perf_counter(), time.process_time()
     if kb >= nb - 1 or nb <= (dense_threshold if start is None else WARM_START_MIN_DIM):
-        path, (vals, vecs) = "dense", _dense_lowest(hb, kb)
+        path, note, (vals, vecs) = "dense", "", _dense_lowest(hb, kb)
     else:
         if start is None:
             start = np.random.default_rng(seed).standard_normal(nb).astype(hb.dtype)
             kb = min(kb, cold_k or kb)
-        path, (vals, vecs) = "lanczos", _arpack_lowest(hb, kb, tol, start)
+        vals, vecs, matvecs = _arpack_lowest(hb, kb, tol, start)
+        path, note = "lanczos", f" matvecs={matvecs}"
     res = _residuals(hb, vals, vecs)
     bound = _bound(tol, vals)
-    _log_block(hb, path, kb, t0, c0, res, bound)
+    _log_block(hb, path, kb, t0, c0, res, bound, note)
     if path == "lanczos" and np.any(res > bound):
         raise SolverError(
             f"ARPACK residuals exceed tol * max(1, max|theta|) = {bound:.2e} "

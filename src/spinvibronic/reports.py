@@ -3,15 +3,15 @@
 run_report drives the whole pipeline for a RunConfig: optional cutoff
 convergence, the first- and second-order splittings, quenching factors,
 spin-orbit observables (explicit couplings or calibrated to a target), state
-tables and level-diagram data.  The model's own order is the cutoff sweep's
-solution of that order or else one solve_sector at the reported cutoff.  The
-other order gives only its gamma: it is read from the sweep's solution of
-that order, or else from analysis.block_minima, the lowest pair of each of
-its blocks cut to the lowest k, the route the sweep confirms its cutoffs
-by.  So each distinct sector is solved once, and only for the pairs the
-report reads.  write_all emits report.json and then every CSV file of
-REPORT_CSVS, in deterministic JSON and CSV (fixed float formatting, no
-timestamps), so identical configurations produce byte-identical files.
+tables and level-diagram data.  The cutoff sweep converges the gamma of the
+model's own order, and that order is the sweep's solution or else one
+solve_sector at the reported cutoff.  The other order gives only its gamma,
+from analysis.block_minima: the lowest pair of each of its blocks cut to
+the lowest k, the route the sweep confirms its cutoffs by.  So each
+distinct sector is solved once, and only for the pairs the report reads.
+write_all emits report.json and then every CSV file of REPORT_CSVS, in
+deterministic JSON and CSV (fixed float formatting, no timestamps), so
+identical configurations produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .analysis import (
-    OBSERVABLES,
     SectorSolution,
     SocLevels,
     SolverOptions,
@@ -162,35 +161,20 @@ def run_report(cfg: RunConfig) -> SpectrumReport:
     """Execute the full analysis pipeline for one configuration."""
     opts = solver_options(cfg)
     s, defect, preset = cfg.solver, cfg.defect, cfg.model.preset
-    cutoff, history, swept = s.cutoff, [], {}
+    order, other = cfg.model.order, 3 - cfg.model.order
+    cutoff, history, sol = s.cutoff, [], None
     if s.converge:
         res = converge_observable(
-            defect,
-            s.converge_observable,
-            rel_tol=s.converge_rel_tol,
-            n_start=s.converge_n_start,
-            n_step=s.converge_n_step,
-            n_max=s.converge_n_max,
-            preset=preset,
-            opts=opts,
+            defect, f"gamma{order}", rel_tol=s.converge_rel_tol, n_start=s.converge_n_start,
+            n_step=s.converge_n_step, n_max=s.converge_n_max, preset=preset, opts=opts
         )
-        cutoff, history = res.cutoff, res.history
-        swept = {OBSERVABLES[s.converge_observable][0]: res.solution}
-        del res  # swept holds the solution alone, so popping it frees it once read
+        cutoff, history, sol = res.cutoff, res.history, res.solution
 
-    # the other order gives only its gamma, first, so its solution is freed
-    # before the model's own order is solved; the model's own order serves
+    # the other order gives only its gamma; the model's own order serves
     # gamma, p_u/p_g and spin-orbit
-    order, other = cfg.model.order, 3 - cfg.model.order
-    if other in swept:
-        gammas = {other: solution_gamma(swept.pop(other))}
-    else:
-        couplings = couplings_for_order(defect, other)
-        spec = SectorSpec(couplings, defect.lambda_corr, cutoff, preset)
-        gammas = {other: solution_gamma(block_minima(spec, opts))}
-    if order in swept:
-        sol = swept.pop(order)
-    else:
+    spec = SectorSpec(couplings_for_order(defect, other), defect.lambda_corr, cutoff, preset)
+    gammas = {other: solution_gamma(block_minima(spec, opts))}
+    if sol is None:
         couplings = couplings_for_order(defect, order)
         sol = solve_sector(couplings, defect.lambda_corr, cutoff, preset, opts)
     gammas[order] = solution_gamma(sol)

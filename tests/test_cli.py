@@ -319,28 +319,47 @@ def _bundled_config(tmp_path, name, old, new):
     return out
 
 
-def test_sweep_of_the_other_order_is_not_solved_again(tmp_path, monkeypatch):
-    # a gamma1 sweep on the order-2 SnV0 model solves the linear model in
-    # full at cutoff 20, confirms it at 28 with the lowest pair of each J
-    # range, and settles at 20; the report reads the linear gamma from the
-    # cutoff-20 solution and solves only the quadratic model at cutoff 20
-    path = _bundled_config(
-        tmp_path, "snv0", "converge_observable = gamma2", "converge_observable = gamma1"
-    )
-    cfg = parse_config(path)
+def test_order1_sweep_converges_the_linear_gamma(tmp_path, capsys, caplog, monkeypatch):
+    # --order 1 on the order-2 SnV0 config sweeps the gamma of the model it
+    # reports: its trace and history are gamma1's, and it settles at cutoff 20.
+    # A converge_observable line left in the config is retired: one warning,
+    # and the same report bytes
+    warning = "config key 'converge_observable' in [solver] is retired and ignored"
+    written = []
+    runs = (("plain", "", []), ("retired", "converge_observable = gamma2\n", [warning]))
+    for name, extra, warnings in runs:
+        outdir = tmp_path / name
+        outdir.mkdir()
+        path = _bundled_config(outdir, "snv0", "converge = true\n", f"converge = true\n{extra}")
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="spinvibronic.config"):
+            assert main(["-v", "solve", str(path), "--order", "1"]) == 0
+        assert [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING] == warnings
+        err = capsys.readouterr().err.splitlines()
+        sweep = [line.split(" drift=")[0] for line in err if "converge_cutoff: n=" in line]
+        assert sweep == [f"converge_cutoff: n={n} value=9.16249981" for n in (20, 28)]
+        report = json.loads((outdir / "report.json").read_text())
+        assert report["order"] == 1 and report["cutoff"] == 20
+        assert report["convergence_history"] == [[20, 9.162499813], [28, 9.162499809]]
+        files = ["report.json", *reports.REPORT_CSVS]
+        written.append([(outdir / f).read_bytes() for f in files])
+    assert written[0] == written[1]
+
+    # the linear model is solved in full at cutoff 20 and confirmed at 28 with
+    # the lowest pair of each J range, which is never solved at k = 10; the
+    # quadratic model gives only its gamma at cutoff 20, from one pair per block
+    cfg = parse_config(tmp_path / "plain" / "snv0.conf")
+    cfg = dataclasses.replace(cfg, model=dataclasses.replace(cfg.model, order=1))
     orders = {couplings_for_order(cfg.defect, o): o for o in (1, 2)}
     calls, full, pairs = _count_solves(monkeypatch, orders)
     report = reports.run_report(cfg)
-    assert calls == [(1, 20), (2, 20)]
-    # the sweep's one call on the cutoff-28 sector, then the calibration's Newton steps
-    assert pairs[0] == _sector_dim(28)
-    assert len(pairs) > 2 and pairs[1:] == [_eu_dim(20)] * (len(pairs) - 1)
-    # the confirming cutoff is never solved at k = 10
-    assert cfg.solver.k == 10 and _sector_dim(28) not in {dim for dim, _ in full}
-    assert report.cutoff == 20
+    assert calls == [(1, 20)] and report.cutoff == 20
+    # then the calibration's Newton steps, on the two Eu blocks of cutoff 20
+    assert pairs[:2] == [_sector_dim(28), _sector_dim(20)]
+    assert len(pairs) > 3 and pairs[2:] == [_eu_dim(20)] * (len(pairs) - 2)
+    assert _sector_dim(28) not in {dim for dim, _ in full}
     monkeypatch.undo()
-    opts = reports.solver_options(cfg)
-    assert report.gamma1 == gamma_splitting(cfg.defect, 1, 20, opts=opts)
+    _assert_report_gammas(report, cfg, 20, reports.solver_options(cfg))
 
 
 @pytest.mark.parametrize("n_max", [10, 24])

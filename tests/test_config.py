@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinvibronic import analysis, eigensolver, parse_config, parse_config_text, serialize_config
-from spinvibronic.analysis import OBSERVABLES
 from spinvibronic.cli import main
 from spinvibronic.config import (
     ConfigError,
@@ -145,23 +144,45 @@ def test_misspelled_section_is_rejected_by_name(tmp_path, capsys):
 
 def test_retired_key_warns_and_is_ignored(caplog):
     text = _bundled_text("snv0")
-    for line in ("dense_threshold = 1500", "cluster_tol_mev = 1e-6"):
+    lines = ("dense_threshold = 1500", "cluster_tol_mev = 1e-6", "converge_observable = gamma1")
+    for line in lines:
         old = text.replace("k = 10\n", f"k = 10\n{line}\n")
+        caplog.clear()
         with caplog.at_level(logging.WARNING, logger="spinvibronic"):
             assert parse_config_text(old) == parse_config_text(text)
-        assert line.split()[0] in caplog.text
+        assert [r.getMessage() for r in caplog.records] == [
+            f"config key {line.split()[0]!r} in [solver] is retired and ignored"
+        ]
 
 
-def test_misspelled_observable_is_rejected_by_name(tmp_path, capsys):
-    text = _bundled_text("siv0")
-    assert "converge_observable = gamma2" in text
-    text = text.replace("converge_observable = gamma2", "converge_observable = gama2")
-    with pytest.raises(ConfigError, match="'gama2'"):
+# each invalid sweep range, with converge on and off: the key it names
+@pytest.mark.parametrize("converge", ["true", "false"])
+@pytest.mark.parametrize(
+    "old, new, key",
+    [
+        ("converge_n_start = 20", "converge_n_start = -8", "converge_n_start=-8 must be >= 0"),
+        ("converge_n_step = 8", "converge_n_step = 0", "converge_n_step=0 must be >= 1"),
+        ("converge_n_max = 56", "converge_n_max = 24", "converge_n_max=24 must be >= 28"),
+    ],
+    ids=["n_start", "n_step", "n_max"],
+)
+def test_invalid_sweep_range_is_rejected_by_key_at_parse_time(
+    tmp_path, capsys, monkeypatch, converge, old, new, key
+):
+    text = _bundled_text("snv0").replace(old, new)
+    text = text.replace("converge = true", f"converge = {converge}")
+    with pytest.raises(ConfigError, match=key):
         parse_config_text(text)
-    path = tmp_path / "siv0.conf"
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a config with an invalid sweep range reached the solver")
+
+    monkeypatch.setattr(analysis, "solve_sector", no_solve)
+    path = tmp_path / "snv0.conf"
     path.write_text(text)
     assert main(["solve", str(path)]) == 2
-    assert "'gama2'" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "configuration error" in err and key in err
 
 
 @pytest.mark.parametrize("value", ["-0.01", "0", "nan"])
@@ -280,7 +301,6 @@ k = 10
 residual_tol = 1e-10
 seed = 0
 converge = true
-converge_observable = gamma2
 converge_rel_tol = 0.01
 converge_n_start = 20
 converge_n_step = 8
@@ -363,6 +383,11 @@ _soc_keys = st.one_of(
     st.fixed_dictionaries({"mode": st.just("calibrate"), "target_lambda_eff_mev": _decimal}),
 )
 
+# valid sweep ranges only, two cutoffs at least: n_max >= n_start + n_step
+_sweep_ranges = st.tuples(st.integers(0, 40), st.integers(1, 16), st.integers(0, 24)).map(
+    lambda r: dict(converge_n_start=r[0], converge_n_step=r[1], converge_n_max=sum(r))
+)
+
 _configs = st.builds(
     lambda name, omega, lam, model, solver, output: RunConfig(
         defect=dataclasses.replace(DEFECTS[name], hbar_omega_e=omega, lambda_corr=lam),
@@ -375,17 +400,14 @@ _configs = st.builds(
     _decimal,
     st.builds(ModelConfig, preset=st.sampled_from(PRESETS), order=st.sampled_from([1, 2])),
     st.builds(
-        SolverConfig,
+        lambda sweep, **keys: SolverConfig(**keys, **sweep),
+        _sweep_ranges,
         cutoff=st.integers(0, 60),
         k=st.integers(1, 40),
         residual_tol=st.sampled_from([1e-8, 1e-10, 1e-12]),
         seed=st.integers(0, 2**31),
         converge=st.booleans(),
-        converge_observable=st.sampled_from(sorted(OBSERVABLES)),
         converge_rel_tol=_decimal,
-        converge_n_start=st.integers(0, 40),
-        converge_n_step=st.integers(1, 16),
-        converge_n_max=st.integers(0, 80),
     ),
     st.builds(
         OutputConfig,

@@ -55,6 +55,11 @@ def snv0_h(cutoff, m_s=0, lam=0.0):
     return sector_h("SnV0", cutoff, m_s, lam)
 
 
+def _dense(a):
+    """The matrix of the operator that eigsh is handed, as a dense array."""
+    return a @ np.eye(a.shape[1])
+
+
 def test_diagonal_matrix():
     h = sp.csr_matrix(np.diag(np.arange(1.0, 101.0)))
     res = solve_lowest(h, k=3, dense_threshold=0)
@@ -100,8 +105,8 @@ def test_nonconvergence_raises(monkeypatch):
     h = snv0_h(10, m_s=1, lam=40.0)  # the first of three blocks fails
 
     def no_convergence(a, k, **kwargs):
-        # partial pairs of the matrix eigsh receives
-        vals, vecs = scipy.linalg.eigh(a.toarray())
+        # partial pairs of the operator eigsh receives
+        vals, vecs = scipy.linalg.eigh(_dense(a))
         raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", vals[:2], vecs[:, :2])
 
     monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
@@ -121,7 +126,7 @@ def test_residual_above_tol_raises(monkeypatch):
 
     def perturbed(a, k, **kwargs):
         assert k == 3
-        vals, vecs = scipy.linalg.eigh(a.toarray(), subset_by_index=[0, k - 1])
+        vals, vecs = scipy.linalg.eigh(_dense(a), subset_by_index=[0, k - 1])
         vecs[:, 0] = vecs[:, 0] + 1e-3 * vecs[:, k - 1]
         return vals, vecs
 
@@ -356,6 +361,49 @@ def test_arpack_matches_lapack_oracle_ms_plus_one(name, cutoff):
         # same eigenspaces: each ARPACK vector lies in the span of its LAPACK partner
         overlap = np.abs(dense.eigenvectors.conj().T @ res.eigenvectors) ** 2
         assert np.allclose(overlap.sum(axis=0), 1.0, atol=1e-8)
+
+
+@pytest.mark.parametrize("name", ["SnV0", "PbV0", "SiV0"])
+def test_arpack_records_count_the_products_and_keep_plain_eigsh_bits(monkeypatch, caplog, name):
+    # the cutoff-36 j = 1 block of the m_s = 0 sector (dim 937): cold ARPACK at
+    # k = 4 from the seeded start, then warm at k = 1 from its own lowest vector
+    # perturbed; each record's matvecs is the count of a wrapper round the
+    # operator eigsh is handed, and the pairs are a plain eigsh's on the matrix
+    import scipy.sparse.linalg
+
+    _, lo, hi = adapted_basis(36).blocks[0]
+    hb = sector_h(name, 36)[lo:hi, lo:hi]
+    eigsh, counts = scipy.sparse.linalg.eigsh, []
+
+    def counting(a, *args, **kwargs):
+        calls = []
+
+        def matvec(x):
+            calls.append(1)
+            return a.matvec(x)
+
+        op = scipy.sparse.linalg.LinearOperator(a.shape, matvec=matvec, dtype=a.dtype)
+        out = eigsh(op, *args, **kwargs)
+        counts.append(len(calls))
+        return out
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", counting)
+    with caplog.at_level(logging.DEBUG, logger="spinvibronic"):
+        cold = solve_lowest(hb, k=4, dense_threshold=0)
+        start = cold.eigenvectors[:, 0] + 1e-3 * cold.eigenvectors[:, 1]
+        warm = lowest_per_block(hb, [(0, hb.shape[0])], [start])
+    messages = [r.getMessage() for r in caplog.records if r.name == "spinvibronic"]
+    assert "dim=937 dtype=float64 path=lanczos k=4 " in messages[0]
+    assert "dim=937 dtype=float64 path=lanczos k=1 " in messages[1]
+    assert [int(m.rsplit(" matvecs=", 1)[1]) for m in messages] == counts
+    assert min(counts) > 1
+    monkeypatch.undo()
+    v0 = np.random.default_rng(0).standard_normal(hb.shape[0])
+    for res, k, v in ((cold, 4, v0), (warm, 1, start)):
+        vals, vecs = eigsh(hb, k, which="SA", v0=v, tol=1e-10)
+        order = np.argsort(vals)
+        np.testing.assert_array_equal(res.eigenvalues, vals[order])
+        np.testing.assert_array_equal(res.eigenvectors, vecs[:, order])
 
 
 def _spy(monkeypatch):
@@ -683,7 +731,7 @@ def test_lowest_per_block_residual_above_tol_raises(monkeypatch):
     assert h.shape[0] > WARM_START_MIN_DIM
 
     def perturbed(a, k, **kwargs):
-        vals, vecs = scipy.linalg.eigh(a.toarray(), subset_by_index=[0, 1])
+        vals, vecs = scipy.linalg.eigh(_dense(a), subset_by_index=[0, 1])
         return vals[:1], vecs[:, :1] + 1e-3 * vecs[:, 1:]
 
     monkeypatch.setattr(scipy.sparse.linalg, "eigsh", perturbed)
