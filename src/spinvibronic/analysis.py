@@ -26,13 +26,13 @@ step before, and solves the whole sector once, at the calibrated couplings;
 a zero target takes one Newton step, at zero coupling.
 Every observable the reports read from a sector they do not otherwise use
 is a block minimum, so one route, block_minima, solves such a sector as the
-lowest pair of each block, cut to the lowest k: converge_observable, which
-walks the cutoffs itself, solves the whole sector only at the cutoff it
-reports and confirms it at the next cutoff by block_minima, each block
-started from its state at the cutoff before.  A report sweeps the gamma of
-the order it models and takes the other order's gamma from block_minima,
-cold.  A sweep that reaches its last cutoff unsettled raises
-ConvergenceError.
+lowest pair of each block, cut to the lowest k.  converge_observable holds
+every OBSERVABLES entry (gamma, p_u, p_g and e0) of the order it sweeps; it
+solves the whole sector only at the cutoff it reports and confirms it at
+the next cutoff by block_minima, each block started from its state at the
+cutoff before.  A report sweeps the order it models and takes the other
+order's gamma from block_minima, cold.  A sweep that reaches its last
+cutoff unsettled raises ConvergenceError.
 """
 
 from __future__ import annotations
@@ -444,38 +444,36 @@ def calibrate_soc(
     raise CalibrationError(f"no convergence to {target_lambda_eff:g} meV in 20 Newton steps", scan)
 
 
-# registered report quantities for the cutoff sweep: the
-# electron-phonon order of the sector each one is read from, and the reader
-OBSERVABLES: dict[str, tuple[int, Callable[[SectorSolution], float]]] = {
-    "gamma1": (1, solution_gamma),
-    "gamma2": (2, solution_gamma),
-    "p_u": (2, lambda sol: reduction_factors(sol)[0]),
-    "p_g": (2, lambda sol: reduction_factors(sol)[1]),
-    "e0": (2, lambda sol: float(sol.energies[0])),
+# the report quantities a cutoff sweep holds, each read from the sector of the
+# order swept; gamma leads, as the reported value of each trace record
+OBSERVABLES: dict[str, Callable[[SectorSolution], float]] = {
+    "gamma": solution_gamma,
+    "p_u": lambda sol: reduction_factors(sol)[0],
+    "p_g": lambda sol: reduction_factors(sol)[1],
+    "e0": lambda sol: float(sol.energies[0]),
 }
 
 
 class ConvergenceError(RuntimeError):
-    """Cutoff sweep hit n_max before the observable settled."""
+    """Cutoff sweep hit n_max before every observable settled."""
 
-    def __init__(self, message: str, history: list[tuple[int, float]]):
+    def __init__(self, message: str, history: list[tuple[int, dict[str, float]]]):
         super().__init__(message)
         self.history = history
 
 
 @dataclass
 class ConvergenceResult:
-    """The reported value and cutoff, the (cutoff, value) history, and the full solve at the cutoff."""
+    """The reported cutoff, each cutoff's observables, and the full solve at the cutoff."""
 
-    value: float
     cutoff: int
-    history: list[tuple[int, float]]
+    history: list[tuple[int, dict[str, float]]]
     solution: SectorSolution
 
 
 def converge_observable(
     defect: DefectParams,
-    name: str,
+    order: int,
     rel_tol: float = 0.01,
     n_start: int = 16,
     n_step: int = 8,
@@ -483,29 +481,30 @@ def converge_observable(
     preset: str = PRESET_E_RAISED,
     opts: SolverOptions = SolverOptions(),
 ) -> ConvergenceResult:
-    """Raise the cutoff from n_start in steps of n_step until a registered observable settles.
+    """Raise the cutoff from n_start in steps of n_step until every observable settles.
 
-    The sweep stops at the first cutoff where every registered observable of
-    the same order (gamma2, p_u, p_g and e0 at order 2) agrees with the
-    cutoff before to rel_tol, and reports the named one at the cutoff before
-    (so the reported value is already converged at the reported cutoff); a
-    sweep still unsettled at n_max raises ConvergenceError with the history
-    of the named value.  A rel_tol that is not positive, n_step < 1 or a
-    range of fewer than two cutoffs raises ValueError before any solve.
-    Each of them reads the lowest state of some block alone, so n_start is
-    solved in full (opts.k pairs) and every later cutoff by block_minima,
-    started from the cutoff before it.  The result carries the full solve
-    at the reported cutoff: n_start's own, or one more solve once the sweep
-    has settled past it.  Only the previous and the current cutoff's
-    solutions are alive during the sweep.
+    Every OBSERVABLES entry (gamma, p_u, p_g and e0) is read from the sector
+    of the given electron-phonon order.  The sweep stops at the first cutoff
+    where each one agrees with the cutoff before, and reports the cutoff
+    before (so every value is already converged at the reported cutoff); a
+    sweep still unsettled at n_max raises ConvergenceError with the history.
+    Each drift is held to rel_tol times the larger magnitude of its two
+    values, but e0, an energy with no zero of its own, is held in meV: to
+    rel_tol * max(|gamma|, |gamma before|) at the same two cutoffs.  A
+    rel_tol that is not positive, n_step < 1 or a range of fewer than two
+    cutoffs raises ValueError before any solve.  Each observable reads the
+    lowest state of some block alone, so n_start is solved in full (opts.k
+    pairs) and every later cutoff by block_minima, started from the cutoff
+    before it.  The result carries the full solve at the reported cutoff:
+    n_start's own, or one more solve once the sweep has settled past it.
+    Only the previous and the current cutoff's solutions are alive during
+    the sweep.
 
-    Each cutoff logs one DEBUG record: n, the named value, its drift from
-    the cutoff before and the tolerance that drift is held to, then a
-    name_drift and name_tol pair for every further observable; the first
-    cutoff has no drift or tolerance yet and logs them as nan.
+    Each cutoff logs one DEBUG record: n, the first observable's value, its
+    drift from the cutoff before and the tolerance that drift is held to,
+    then a name_drift and name_tol pair for every further observable; the
+    first cutoff has no drift or tolerance yet and logs them as nan.
     """
-    if name not in OBSERVABLES:
-        raise KeyError(f"unknown observable {name!r}; registered: {sorted(OBSERVABLES)}")
     if not rel_tol > 0:  # nan included: no drift is held to it
         raise ValueError(f"rel_tol must be positive (got {rel_tol})")
     if n_step < 1:
@@ -515,11 +514,8 @@ def converge_observable(
             f"a cutoff sweep needs two cutoffs: n_max={n_max} is below "
             f"n_start={n_start} + n_step={n_step}"
         )
-    order, read = OBSERVABLES[name]
-    # the named observable first: it is reported, and its drift leads the record
-    reads = {name: read} | {other: r for other, (o, r) in OBSERVABLES.items() if o == order}
     couplings = couplings_for_order(defect, order)
-    history: list[tuple[int, float]] = []
+    history: list[tuple[int, dict[str, float]]] = []
     prev: SectorSolution | None = None
     before: dict[str, float] = {}
     nan = float("nan")
@@ -528,33 +524,33 @@ def converge_observable(
             sol = solve_sector(couplings, defect.lambda_corr, n, preset, opts)
         else:
             sol = block_minima(replace(prev.spec, cutoff=n), opts, prev)
-        values = {other: float(r(sol)) for other, r in reads.items()}
-        history.append((n, values[name]))
-        drifts = {
-            other: (abs(x - before[other]), rel_tol * max(abs(x), abs(before[other]), 1e-300))
-            if before
-            else (nan, nan)
-            for other, x in values.items()
-        }
+        values = {name: float(read(sol)) for name, read in OBSERVABLES.items()}
+        history.append((n, values))
+        drifts = dict.fromkeys(values, (nan, nan))
+        if before:
+            for name, x in values.items():
+                ref = "gamma" if name == "e0" else name  # e0 is held in meV, as gamma is
+                tol = rel_tol * max(abs(values[ref]), abs(before[ref]), 1e-300)
+                drifts[name] = (abs(x - before[name]), tol)
         if log.isEnabledFor(logging.DEBUG):
             (drift, tol), *_ = drifts.values()
             extra = "".join(
-                f" {other}_drift={d:.3e} {other}_tol={t:.3e}"
-                for other, (d, t) in list(drifts.items())[1:]
+                f" {name}_drift={d:.3e} {name}_tol={t:.3e}"
+                for name, (d, t) in list(drifts.items())[1:]
             )
             log.debug(
                 "converge_cutoff: n=%d value=%.9g drift=%.3e tol=%.3e%s",
-                n, values[name], drift, tol, extra,
+                n, next(iter(values.values())), drift, tol, extra,
             )
         # a nan drift is never settled, so the first cutoff never stops the sweep
-        unsettled = [other for other, (d, t) in drifts.items() if not d <= t]
+        unsettled = [name for name, (d, t) in drifts.items() if not d <= t]
         if not unsettled:
-            cutoff, value = history[-2]
+            cutoff = history[-2][0]
             if cutoff == n_start:
-                return ConvergenceResult(value, cutoff, history, prev)
+                return ConvergenceResult(cutoff, history, prev)
             del prev, sol  # the sweep's solves go before the full one is made
             solution = solve_sector(couplings, defect.lambda_corr, cutoff, preset, opts)
-            return ConvergenceResult(value, cutoff, history, solution)
+            return ConvergenceResult(cutoff, history, solution)
         prev, before = sol, values
     raise ConvergenceError(
         f"observable did not converge to rel_tol={rel_tol:g} by cutoff {n_max} "

@@ -165,10 +165,11 @@ def run_report(cfg: RunConfig) -> SpectrumReport:
     cutoff, history, sol = s.cutoff, [], None
     if s.converge:
         res = converge_observable(
-            defect, f"gamma{order}", rel_tol=s.converge_rel_tol, n_start=s.converge_n_start,
+            defect, order, rel_tol=s.converge_rel_tol, n_start=s.converge_n_start,
             n_step=s.converge_n_step, n_max=s.converge_n_max, preset=preset, opts=opts
         )
-        cutoff, history, sol = res.cutoff, res.history, res.solution
+        cutoff, sol = res.cutoff, res.solution
+        history = [(n, values["gamma"]) for n, values in res.history]
 
     # the other order gives only its gamma; the model's own order serves
     # gamma, p_u/p_g and spin-orbit

@@ -85,7 +85,7 @@ def gamma_splitting(
 # --- sweep oracles: every cutoff solved in full ---------------------------------
 
 
-def converge_observable_full(defect, name, rel_tol, n_start, n_step, n_max, preset, opts):
+def converge_observable_full(defect, order, rel_tol, n_start, n_step, n_max, preset, opts):
     """converge_observable with a full solve (opts.k pairs) at every cutoff.
 
     The oracle for the sweep that confirms each cutoff with one pair per block.
@@ -96,7 +96,7 @@ def converge_observable_full(defect, name, rel_tol, n_start, n_step, n_max, pres
 
     with mock.patch.object(analysis, "block_minima", solve_in_full):
         return analysis.converge_observable(
-            defect, name, rel_tol, n_start, n_step, n_max, preset, opts
+            defect, order, rel_tol, n_start, n_step, n_max, preset, opts
         )
 
 

@@ -27,7 +27,7 @@ from spinvibronic import (
     solve_lowest,
     solve_sector,
 )
-from spinvibronic.analysis import converge_observable
+from spinvibronic.analysis import converge_observable, solution_gamma
 from spinvibronic.defaults import DEFECTS, LAMBDA_EFF_TARGETS_MEV
 from spinvibronic.hamiltonian import PRESET_A_SPLIT, PRESET_E_RAISED, SectorSpec, adapted_basis
 from spinvibronic.params import branch_minima_dimensionless
@@ -70,15 +70,12 @@ def converged_gamma(name: str):
     """Convergence-driver result for gamma2 plus gamma1 at the same cutoff."""
     p = DEFECTS[name]
     t0 = time.time()
-    res = converge_observable(
-        p, "gamma2", rel_tol=0.01, n_start=20, n_step=8, n_max=56, opts=OPTS
-    )
+    res = converge_observable(p, 2, rel_tol=0.01, n_start=20, n_step=8, n_max=56, opts=OPTS)
     g1 = gamma_splitting(p, 1, res.cutoff, opts=OPTS)
     return {
         "cutoff": res.cutoff,
-        "gamma2": res.value,
+        "gamma2": solution_gamma(res.solution),
         "gamma1": g1,
-        "history": res.history,
         "seconds": time.time() - t0,
     }
 
@@ -108,9 +105,9 @@ def calibrated_levels(name: str, cutoff: int = 32):
 def gamma1_for_preset(preset: str) -> float:
     p = DEFECTS["SiV0"]
     res = converge_observable(
-        p, "gamma1", rel_tol=0.01, n_start=20, n_step=8, n_max=56, preset=preset, opts=OPTS
+        p, 1, rel_tol=0.01, n_start=20, n_step=8, n_max=56, preset=preset, opts=OPTS
     )
-    return res.value
+    return solution_gamma(res.solution)
 
 
 def test_criterion_1_default_preset_reproduces_siv0():

@@ -3,6 +3,8 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinvibronic import (
     AnalysisError,
@@ -15,9 +17,10 @@ from spinvibronic import (
     solve_sector,
 )
 from spinvibronic import analysis
-from spinvibronic.analysis import OBSERVABLES, CalibrationError, SectorSolution
+from spinvibronic.analysis import OBSERVABLES, CalibrationError, SectorSolution, solution_gamma
 from spinvibronic.defaults import DEFECTS
-from spinvibronic.hamiltonian import PRESETS
+from spinvibronic.eigensolver import _bound
+from spinvibronic.hamiltonian import PRESETS, SectorSpec, adapted_basis
 from spinvibronic.params import Couplings, DefectParams, couplings_for_order, pes_to_couplings
 from spinvibronic.symmetry import analyze_states
 
@@ -64,7 +67,7 @@ def test_reduction_factors_snv0_quenched():
 
 
 def test_reduction_factors_are_computed_once_per_solution(monkeypatch):
-    # a gamma2 sweep reads p_u and p_g at every cutoff, and the report reads
+    # a sweep reads p_u and p_g at every cutoff, and the report reads
     # them again from the reported solution: one doublet projection serves all
     p = DEFECTS["SnV0"]
     sol = solve_sector(pes_to_couplings(p), p.lambda_corr, cutoff=8, opts=OPTS)
@@ -73,7 +76,7 @@ def test_reduction_factors_are_computed_once_per_solution(monkeypatch):
     monkeypatch.setattr(
         analysis.SectorSolution, "eu_doublet", lambda self: calls.append(1) or eu_doublet(self)
     )
-    read = [OBSERVABLES[name][1](sol) for name in ("p_u", "p_g")]
+    read = [OBSERVABLES[name](sol) for name in ("p_u", "p_g")]
     assert reduction_factors(sol) == tuple(read)
     assert len(calls) == 1
 
@@ -322,31 +325,38 @@ def test_gamma_label_mismatch_raises():
 
 
 def test_converge_observable_gamma():
+    # gamma2 settles from cutoff 12, but e0 moves by 0.097 meV from 12 to 18,
+    # above gamma2's 0.035 meV tolerance, so the sweep reports cutoff 18
     res = converge_observable(
-        DEFECTS["SiV0"], "gamma2", rel_tol=0.01, n_start=12, n_step=6, n_max=36, opts=OPTS
+        DEFECTS["SiV0"], 2, rel_tol=0.01, n_start=12, n_step=6, n_max=36, opts=OPTS
     )
-    assert res.cutoff == 12
-    assert res.value == pytest.approx(3.43, abs=0.15)
-    assert "gamma1" in OBSERVABLES and "p_u" in OBSERVABLES
+    assert res.cutoff == 18 and [n for n, _ in res.history] == [12, 18, 24]
+    gamma = solution_gamma(res.solution)
+    assert gamma == pytest.approx(res.history[1][1]["gamma"], rel=0, abs=1e-9)
+    assert gamma == pytest.approx(3.43, abs=0.15)
+    assert list(OBSERVABLES) == ["gamma", "p_u", "p_g", "e0"]
 
 
 def test_converge_observable_waits_for_every_observable_of_its_order(caplog, monkeypatch):
     # SiV0 from cutoff 8 in steps of 4: between cutoffs 12 and 16, gamma2, p_u
     # and e0 move by 0.81%, 0.94% and 0.06%, and p_g by 0.97%, so a 0.96%
-    # tolerance holds the sweep to cutoff 16 where gamma2 alone stops at 12
+    # tolerance holds the sweep to cutoff 16 where gamma2 alone stops at 12.
+    # e0 is held in meV, to the tolerance of gamma2 (0.033 meV at cutoff 16),
+    # so its 0.096 meV drift there is unsettled too
     with caplog.at_level(logging.DEBUG, logger="spinvibronic"):
         res = converge_observable(
-            DEFECTS["SiV0"], "gamma2", rel_tol=0.0096, n_start=8, n_step=4, n_max=28, opts=OPTS
+            DEFECTS["SiV0"], 2, rel_tol=0.0096, n_start=8, n_step=4, n_max=28, opts=OPTS
         )
     assert res.cutoff == 16 and [n for n, _ in res.history] == [8, 12, 16, 20]
     records = [r.getMessage() for r in caplog.records if r.getMessage().startswith("converge_cutoff:")]
     assert len(records) == 4
-    # the same sweep with gamma2 alone registered stops at 12
-    monkeypatch.setattr(analysis, "OBSERVABLES", {"gamma2": OBSERVABLES["gamma2"]})
+    # the same sweep with gamma alone registered stops at 12
+    monkeypatch.setattr(analysis, "OBSERVABLES", {"gamma": OBSERVABLES["gamma"]})
     alone = converge_observable(
-        DEFECTS["SiV0"], "gamma2", rel_tol=0.0096, n_start=8, n_step=4, n_max=28, opts=OPTS
+        DEFECTS["SiV0"], 2, rel_tol=0.0096, n_start=8, n_step=4, n_max=28, opts=OPTS
     )
-    assert alone.cutoff == 12 and alone.history == res.history[:3]
+    assert alone.cutoff == 12
+    assert alone.history == [(n, {"gamma": v["gamma"]}) for n, v in res.history[:3]]
     at_16 = dict(f.split("=") for f in records[2].split()[1:])
     assert set(at_16) == {"n", "value", "drift", "tol"} | {
         f"{name}_{kind}" for name in ("p_u", "p_g", "e0") for kind in ("drift", "tol")
@@ -355,29 +365,27 @@ def test_converge_observable_waits_for_every_observable_of_its_order(caplog, mon
         name for name in ("", "p_u_", "p_g_", "e0_")
         if float(at_16[name + "drift"]) > float(at_16[name + "tol"])
     ]
-    assert unsettled == ["p_g_"]
+    assert unsettled == ["p_g_", "e0_"]
 
 
 @pytest.mark.parametrize(
-    "name, observable, sweep, cutoffs, reported",
+    "name, order, sweep, cutoffs, reported",
     [
-        ("SiV0", "gamma2", dict(rel_tol=0.0096, n_start=8, n_step=4, n_max=28), [8, 12, 16, 20], 16),
-        ("SnV0", "gamma1", dict(rel_tol=0.004, n_start=4, n_step=4, n_max=28), [4, 8, 12, 16], 12),
+        ("SiV0", 2, dict(rel_tol=0.0096, n_start=8, n_step=4, n_max=28), [8, 12, 16, 20], 16),
+        ("SnV0", 1, dict(rel_tol=0.004, n_start=4, n_step=4, n_max=28), [4, 8, 12, 16], 12),
     ],
+    # each id names the gamma the sweep reports
+    ids=["SiV0-gamma2-sweep0-cutoffs0-16", "SnV0-gamma1-sweep1-cutoffs1-12"],
 )
-def test_sweep_past_n_start_matches_the_full_solve_oracle(
-    name, observable, sweep, cutoffs, reported
-):
+def test_sweep_past_n_start_matches_the_full_solve_oracle(name, order, sweep, cutoffs, reported):
     # every cutoff after n_start is solved as one warm pair per block, and the
     # reported one in full once more at the end
-    res = converge_observable(DEFECTS[name], observable, opts=OPTS, **sweep)
-    want = converge_observable_full(
-        DEFECTS[name], observable, preset="e-raised", opts=OPTS, **sweep
-    )
+    res = converge_observable(DEFECTS[name], order, opts=OPTS, **sweep)
+    want = converge_observable_full(DEFECTS[name], order, preset="e-raised", opts=OPTS, **sweep)
     assert [n for n, _ in res.history] == [n for n, _ in want.history] == cutoffs
     assert res.cutoff == want.cutoff == reported
-    assert [v for _, v in res.history] == pytest.approx([v for _, v in want.history], rel=1e-11)
-    assert res.value == pytest.approx(want.value, rel=1e-11)
+    for (_, got), (_, full) in zip(res.history, want.history):
+        assert got == pytest.approx(full, rel=1e-11)
     assert res.solution.spec == want.solution.spec
     np.testing.assert_array_equal(res.solution.energies, want.solution.energies)
     np.testing.assert_array_equal(
@@ -407,8 +415,39 @@ def test_confirming_pairs_match_a_full_lapack_solve(name, order, preset):
         pairs.spec, oracle, analyze_states(oracle, pairs.basis), pairs.basis, pairs.h0
     )
     assert reduction_factors(pairs) == pytest.approx(reduction_factors(full), rel=0, abs=1e-9)
-    for read in (r for o, r in OBSERVABLES.values() if o == order):
+    for read in OBSERVABLES.values():
         assert read(pairs) == pytest.approx(read(full), rel=0, abs=1e-9)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    f=st.tuples(*[st.floats(-200.0, 200.0)] * 2),
+    g=st.tuples(*[st.floats(-0.24, 0.24)] * 2),
+    lambda_corr=st.floats(0.0, 150.0),
+    preset=st.sampled_from(PRESETS),
+    order=st.sampled_from([1, 2]),
+    n=st.integers(4, 12),
+)
+def test_block_minima_do_not_rise_with_the_cutoff(f, g, lambda_corr, preset, order, n):
+    # Hylleraas-Undheim-MacDonald (MacDonald, Phys. Rev. 43, 830 (1933)): the
+    # states of cutoff n embed exactly in cutoff n + 4 (index_in), so each
+    # block of n is a principal submatrix of a block of n + 4, whose lowest
+    # eigenvalue lies at or below the smaller one's.  The confirming solve of
+    # the sweep, started from the states at n, must find it.  g is drawn in
+    # units of hbar_omega_e, and is zero for the linear model
+    c = Couplings(f[0], f[1], *(80.0 * x * (order == 2) for x in g), 80.0)
+    # every block keeps its minimum: k is the number of blocks at n + 4
+    k = len(adapted_basis(n + 4).sector_blocks(0, linear=c.g_u == c.g_g == 0.0))
+    opts = SolverOptions(k=k)
+    prev = analysis.block_minima(SectorSpec(c, lambda_corr, n, preset), opts)
+    sol = analysis.block_minima(SectorSpec(c, lambda_corr, n + 4, preset), opts, prev)
+    lows = [lo for lo, _ in sol.result.ranges]
+    at = prev.basis.index_in(sol.basis)
+    assert prev.result.k == len(prev.result.ranges) and sol.result.k == len(lows)
+    for b_prev, e_prev in zip(prev.result.block, prev.energies):
+        b = int(np.searchsorted(lows, at[prev.result.ranges[b_prev][0]], side="right")) - 1
+        e = sol.energies[np.flatnonzero(sol.result.block == b)[0]]
+        assert e <= e_prev + _bound(opts.tol, np.array([e, e_prev]))
 
 
 @pytest.mark.parametrize("cutoff", [20, 36])

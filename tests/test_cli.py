@@ -320,8 +320,9 @@ def _bundled_config(tmp_path, name, old, new):
 
 
 def test_order1_sweep_converges_the_linear_gamma(tmp_path, capsys, caplog, monkeypatch):
-    # --order 1 on the order-2 SnV0 config sweeps the gamma of the model it
-    # reports: its trace and history are gamma1's, and it settles at cutoff 20.
+    # --order 1 on the order-2 SnV0 config sweeps the model it reports: its
+    # trace and history are gamma1's, each record holds the linear model's
+    # p_u, p_g and e0 too, and it settles at cutoff 20.
     # A converge_observable line left in the config is retired: one warning,
     # and the same report bytes
     warning = "config key 'converge_observable' in [solver] is retired and ignored"
@@ -336,8 +337,12 @@ def test_order1_sweep_converges_the_linear_gamma(tmp_path, capsys, caplog, monke
             assert main(["-v", "solve", str(path), "--order", "1"]) == 0
         assert [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING] == warnings
         err = capsys.readouterr().err.splitlines()
-        sweep = [line.split(" drift=")[0] for line in err if "converge_cutoff: n=" in line]
-        assert sweep == [f"converge_cutoff: n={n} value=9.16249981" for n in (20, 28)]
+        records = [line for line in err if "converge_cutoff: n=" in line]
+        assert [line.split(" drift=")[0] for line in records] == [
+            f"converge_cutoff: n={n} value=9.16249981" for n in (20, 28)
+        ]
+        for line in records:
+            assert all(f" {name}_drift=" in line for name in ("p_u", "p_g", "e0"))
         report = json.loads((outdir / "report.json").read_text())
         assert report["order"] == 1 and report["cutoff"] == 20
         assert report["convergence_history"] == [[20, 9.162499813], [28, 9.162499809]]

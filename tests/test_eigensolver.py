@@ -229,13 +229,13 @@ SWEEP_OPTS = SolverOptions(k=8)
 def _sweep(monkeypatch, readings, **sweep):
     """converge_observable with readings as the only registered observables.
 
-    readings maps each name to a function of the solve's cutoff alone, all
-    of order 2; the first is the one swept.  The SiV0 solves at cutoffs 2-12
+    readings maps each name to a function of the solve's cutoff alone; the
+    first leads each trace record.  The order-2 SiV0 solves at cutoffs 2-12
     take milliseconds.
     """
-    table = {name: (2, lambda sol, f=f: f(sol.spec.cutoff)) for name, f in readings.items()}
+    table = {name: lambda sol, f=f: f(sol.spec.cutoff) for name, f in readings.items()}
     monkeypatch.setattr(analysis, "OBSERVABLES", table)
-    return converge_observable(DEFECTS["SiV0"], next(iter(readings)), opts=SWEEP_OPTS, **sweep)
+    return converge_observable(DEFECTS["SiV0"], 2, opts=SWEEP_OPTS, **sweep)
 
 
 def test_converge_cutoff_trivial_case(monkeypatch):
@@ -243,8 +243,7 @@ def test_converge_cutoff_trivial_case(monkeypatch):
     # full solve is the one handed back
     res = _sweep(monkeypatch, {"e": lambda n: 87.7}, rel_tol=0.01, n_start=4, n_step=2, n_max=12)
     assert res.cutoff == 4
-    assert res.value == 87.7
-    assert len(res.history) == 2
+    assert res.history == [(4, {"e": 87.7}), (6, {"e": 87.7})]
     assert res.solution.spec.cutoff == 4 and res.solution.result.k == SWEEP_OPTS.k
 
 
@@ -277,19 +276,34 @@ def test_converge_cutoff_rejects_a_tolerance_it_cannot_meet(monkeypatch, rel_tol
     monkeypatch.setattr(analysis, "solve_sector", no_solve)
     monkeypatch.setattr(analysis, "block_minima", no_solve)
     with pytest.raises(ValueError, match=f"rel_tol must be positive \\(got {rel_tol}\\)"):
-        converge_observable(DEFECTS["SnV0"], "gamma2", rel_tol=rel_tol)
+        converge_observable(DEFECTS["SnV0"], 2, rel_tol=rel_tol)
 
 
 def test_converge_cutoff_holds_every_named_value(monkeypatch):
-    # the first value is reported, and every value must settle; a sweep
-    # that settles past n_start solves the reported cutoff in full
+    # every value must settle; a sweep that settles past n_start solves the
+    # reported cutoff in full
     both = {4: {"a": 10.0, "b": 1.0}, 6: {"a": 10.0, "b": 2.0}, 8: {"a": 10.0, "b": 2.001}}
     readings = {name: lambda n, name=name: both[n][name] for name in ("a", "b")}
     res = _sweep(monkeypatch, readings, rel_tol=0.01, n_start=4, n_step=2, n_max=8)
-    assert (res.cutoff, res.value, res.history) == (6, 10.0, [(4, 10.0), (6, 10.0), (8, 10.0)])
+    assert (res.cutoff, res.history) == (6, list(both.items()))
     assert res.solution.spec.cutoff == 6 and res.solution.result.k == SWEEP_OPTS.k
     with pytest.raises(ConvergenceError, match=r"unsettled: \['b'\]"):
         _sweep(monkeypatch, readings, rel_tol=1e-6, n_start=4, n_step=2, n_max=8)
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e3])
+def test_converge_cutoff_holds_e0_in_mev(monkeypatch, offset):
+    # an energy has no zero of its own: e0's drift is held to gamma's
+    # tolerance at the same two cutoffs (0.1 meV here), so moving every e0 by
+    # 1e3 meV, which would loosen a tolerance relative to e0 a hundredfold,
+    # moves no verdict
+    e0 = {4: 0.0, 6: 0.5, 8: 0.55, 10: 1.0}
+    readings = {"gamma": lambda n: 10.0, "e0": lambda n: e0[n] + offset}
+    res = _sweep(monkeypatch, readings, rel_tol=0.01, n_start=4, n_step=2, n_max=10)
+    assert res.cutoff == 6
+    e0.update({8: 1.0, 10: 1.5})
+    with pytest.raises(ConvergenceError, match=r"unsettled: \['e0'\]"):
+        _sweep(monkeypatch, readings, rel_tol=0.01, n_start=4, n_step=2, n_max=10)
 
 
 def test_converge_cutoff_logs_one_record_per_cutoff(monkeypatch, caplog):
@@ -319,10 +333,10 @@ def test_comparative_convergence_histories():
     errors = {}
     for name in ("SiV0", "PbV0"):
         res = converge_observable(
-            DEFECTS[name], "e0", rel_tol=1e-7, n_start=8, n_step=4, n_max=44, opts=opts
+            DEFECTS[name], 2, rel_tol=1e-7, n_start=8, n_step=4, n_max=44, opts=opts
         )
-        history = dict(res.history)
-        errors[name] = abs(history[8] - res.value)
+        e0 = {n: values["e0"] for n, values in res.history}
+        errors[name] = abs(e0[8] - e0[res.cutoff])
         print(f"{name}: converged at N={res.cutoff}; history {res.history}")
     assert DEFECTS["SiV0"].coupling_strength > DEFECTS["PbV0"].coupling_strength
     assert errors["SiV0"] > errors["PbV0"]
