@@ -22,8 +22,8 @@ state of largest overlap with the m_s = 0 A2u state; an overlap below 0.5
 aborts the analysis rather than reporting a mislabeled level.  So
 calibrate_soc takes its Newton steps on the two Eu blocks alone, by
 eigensolver.lowest_per_block with each block started from its state of the
-step before, and solves the whole sector once, at the calibrated couplings;
-a zero target takes one Newton step, at zero coupling.
+step before, and reads its levels from soc_levels at the calibrated
+couplings; a zero target takes one Newton step, at zero coupling.
 Every observable the reports read from a sector they do not otherwise use
 is a block minimum, so one route, block_minima, solves such a sector as the
 lowest pair of each block, cut to the lowest k.  converge_observable holds
@@ -176,13 +176,9 @@ def block_minima(
     Every registered observable reads only block minima: the lowest state,
     the lowest Eu and A2u, and the Eu doublet.  Each ranks no lower among the
     block minima than among all states, so this fails only where the
-    opts.k-pair solve_sector fails, and it gives the same observables to
-    solver tolerance: over the four defects, orders 1 and 2 and cutoffs 20
-    and 36, gamma differs from solve_sector's by at most 1.8e-12 meV (LAPACK
-    and ARPACK runs for one pair and for several differ in the last bits).
-    That can move a 10-digit report cell on a rounding edge:
-    GeV0's gamma2 at cutoff 36 is 4.399330942499631 here and
-    4.3993309425001 from solve_sector.
+    opts.k-pair solve_sector fails.  Each eigenvalue is one double whatever
+    the route (eigensolver), so over the four defects, orders 1 and 2 and
+    cutoffs 20 and 36, gamma equals solve_sector's bit for bit.
     """
 
     def solve(h0: sp.csr_matrix, blocks: Sequence[tuple[int, int]]) -> EigResult:
@@ -245,21 +241,34 @@ class SocLevels:
 MIN_TRACKING_OVERLAP = 0.5
 
 
-def _levels_from_solve(
+def soc_levels(
     sol: SectorSolution,
     lambda_u0: float,
     lambda_g0: float,
-    r_plus: EigResult,
-    e_minus: np.ndarray | None = None,
+    opts: SolverOptions = SolverOptions(),
+    solve_both_sectors: bool = False,
 ) -> SocLevels:
-    """Observables of an m_s = +1 solve on the blocks of sol.basis.sector_blocks(1).
+    """Spin-orbit observables from non-perturbative m_s = +/-1 solves.
 
-    The Eu-derived pair is the lowest state of the j = 1 block and of the j = 2
-    block, and the A2u-derived state the j = 0 state closest to sol's lowest
-    A2u; each must keep an overlap of MIN_TRACKING_OVERLAP with its m_s = 0
-    state.  m_s = 0 is the reference solve, and m_s = -1 repeats +1 unless its
-    eigenvalues are given.  Logs one DEBUG record with the overlaps.
+    The m_s = 0 sector is unaffected by the longitudinal spin-orbit term (its
+    Hamiltonian is identical to the zero-coupling one), so the m_s = 0 levels
+    are taken from the reference solve.  m_s = -1 is the same real matrix as
+    +1 (SectorSolution.soc_sector), so its levels are those of the +1 solve;
+    solve_both_sectors solves it again all the same.  In the +1 solve, on the
+    blocks of sol.basis.sector_blocks(1), the Eu-derived pair is the lowest
+    state of the j = 1 block and of the j = 2 block, and the A2u-derived state
+    the j = 0 state closest to sol's lowest A2u; each must keep an overlap of
+    MIN_TRACKING_OVERLAP with its m_s = 0 state, else AnalysisError.  Logs
+    one DEBUG record with the overlaps.  Bare splittings must be nonnegative.
     """
+    if lambda_u0 < 0.0 or lambda_g0 < 0.0:
+        raise ValueError(
+            f"bare spin-orbit splittings must be nonnegative (got {lambda_u0}, {lambda_g0})"
+        )
+    h_soc = sol.soc_sector(lambda_u0, lambda_g0)
+    blocks = sol.basis.sector_blocks(1)
+    r_plus = opts.solve(h_soc, blocks)
+    e_minus = opts.solve(h_soc, blocks).eigenvalues if solve_both_sectors else r_plus.eigenvalues
     a2u_0 = sol.lowest(LABEL_A2U)
     e_a2u_0 = a2u_0.energy
     doublet, e_eu_0 = sol.eu_doublet()
@@ -286,9 +295,6 @@ def _levels_from_solve(
             f"below {MIN_TRACKING_OVERLAP}; increase k or reduce the coupling"
         )
 
-    sectors = {0: sol.result.eigenvalues.copy(), +1: r_plus.eigenvalues.copy()}
-    sectors[-1] = (r_plus.eigenvalues if e_minus is None else e_minus).copy()
-
     e_eu_lowest_soc = min(float(e_eu_pair[0]), e_eu_0)  # m_s = 0 Eu stays at e_eu_0
     e_a2u_lowest_soc = min(e_a2u_soc, e_a2u_0)
     return SocLevels(
@@ -302,38 +308,10 @@ def _levels_from_solve(
         e_a2u_soc=e_a2u_soc,
         e_eu_lower_soc=float(e_eu_pair[0]),
         e_eu_upper_soc=float(e_eu_pair[1]),
-        sector_energies=sectors,
+        sector_energies={0: sol.result.eigenvalues.copy(), +1: r_plus.eigenvalues.copy(),
+                         -1: e_minus.copy()},
         tracking_overlaps=overlaps,
     )
-
-
-def soc_levels(
-    sol: SectorSolution,
-    lambda_u0: float,
-    lambda_g0: float,
-    opts: SolverOptions = SolverOptions(),
-    solve_both_sectors: bool = False,
-) -> SocLevels:
-    """Spin-orbit observables from non-perturbative m_s = +/-1 solves.
-
-    The m_s = 0 sector is unaffected by the longitudinal spin-orbit term (its
-    Hamiltonian is identical to the zero-coupling one), so the m_s = 0 levels
-    are taken from the reference solve.  m_s = -1 is the same real matrix as
-    +1 (SectorSolution.soc_sector), so its levels are those of the +1 solve;
-    solve_both_sectors solves it again all the same.  Bare splittings must be
-    nonnegative.
-    """
-    if lambda_u0 < 0.0 or lambda_g0 < 0.0:
-        raise ValueError(
-            f"bare spin-orbit splittings must be nonnegative (got {lambda_u0}, {lambda_g0})"
-        )
-    h_soc = sol.soc_sector(lambda_u0, lambda_g0)
-    blocks = sol.basis.sector_blocks(1)
-    r_plus = opts.solve(h_soc, blocks)
-    e_minus = None
-    if solve_both_sectors:
-        e_minus = opts.solve(h_soc, blocks).eigenvalues
-    return _levels_from_solve(sol, lambda_u0, lambda_g0, r_plus, e_minus)
 
 
 class CalibrationError(RuntimeError):
@@ -363,16 +341,16 @@ def calibrate_soc(
     d lambda_eff / ds the Hellmann-Feynman difference <Eu+| dH/ds |Eu+> -
     <Eu-| dH/ds |Eu-> (Feynman, Phys. Rev. 56, 340 (1939)).  Each block state
     must keep an overlap of at least MIN_TRACKING_OVERLAP with its m_s = 0
-    partner.  Once lambda_eff is within 1e-7 meV of the target, the whole
-    sector is solved once with opts and its levels are returned; that solve
-    must itself track its states and meet the target to 1e-7 meV.  A zero
-    target starts at s = 0, where the two Eu blocks are the same matrix (the
-    second is reused, not solved), so its one step reads lambda_eff = 0
-    exactly and the final solve is the zero-coupling sector.  A tracking
-    breakdown (scanned as lambda_eff = nan), a non-positive slope, a step to
-    s <= 0, a final solve that misses or 20 steps without convergence raise
-    CalibrationError with the scan; a negative or nan target or ratio raises
-    ValueError before any solve.
+    partner.  Once lambda_eff is within 1e-7 meV of the target, the levels
+    are soc_levels(sol, ratio * s, s, opts), which must track their states
+    and meet the target to 1e-7 meV too.  A zero target starts at s = 0,
+    where the two Eu blocks are the same matrix (the second is reused, not
+    solved), so its one step reads lambda_eff = 0 exactly and its levels are
+    those of the zero-coupling sector.  A tracking breakdown (scanned as
+    lambda_eff = nan), a non-positive slope, a step to s <= 0, final levels
+    that fail or miss, or 20 steps without convergence raise CalibrationError
+    with the scan; a negative or nan target or ratio raises ValueError before
+    any solve.
     """
     if not target_lambda_eff >= 0.0:  # nan included, as for ratio
         raise ValueError("target splitting must be nonnegative")
@@ -380,12 +358,11 @@ def calibrate_soc(
         raise ValueError(f"calibration ratio must be nonnegative (got {ratio})")
     p_u, p_g = reduction_factors(sol)
     s_u, s_g = soc_operators(sol.basis)
-    dh_ds = ratio * s_u + s_g
     doublet, _ = sol.eu_doublet()
     # the j = 1 and j = 2 blocks lead the m_s = +1 sector: each step solves them alone
     blocks = sol.basis.sector_blocks(1)[:2]
     hi2 = blocks[1][1]
-    h0, dh = sol.h0[:hi2, :hi2], dh_ds[:hi2, :hi2]
+    h0, dh = sol.h0[:hi2, :hi2], ratio * s_u[:hi2, :hi2] + s_g[:hi2, :hi2]
     parents = [doublet[lo:hi, j] for j, (lo, hi) in enumerate(blocks)]
     starts = list(parents)
 
@@ -424,8 +401,7 @@ def calibrate_soc(
         miss = lambda_eff - target_lambda_eff
         if abs(miss) < 1e-7:
             try:
-                final = opts.solve(sol.h0 + s * dh_ds, sol.basis.sector_blocks(1))
-                levels = _levels_from_solve(sol, ratio * s, s, final)
+                levels = soc_levels(sol, ratio * s, s, opts)
             except AnalysisError as exc:
                 raise CalibrationError(f"final solve at s={s:g} meV: {exc}", scan)
             if not abs(levels.lambda_eff - target_lambda_eff) < 1e-7:

@@ -41,45 +41,48 @@ pair, from a start vector where the caller has one) alike:
 - any other block goes to ARPACK from a seeded random vector (so results
   are reproducible) above dense_threshold, and to LAPACK otherwise.
 
-Residuals ||H v - theta v|| are recomputed from the returned pairs, and the
-iterative path fails loudly rather than return a pair above
-tol * max(1, max |theta|); a tol that is not positive raises ValueError
-before any block is solved.
+Every eigenvalue is the Rayleigh quotient v^H H v / v^H v of its vector,
+summed in long double and rounded once to float64 (_rayleigh), whatever the
+path.  Its error is second order in the residual (Parlett, The Symmetric
+Eigenvalue Problem, SIAM 1998, ch. 4), so the path, k, start, BLAS kernel
+and thread count move no eigenvalue bit short of a rounding boundary: on
+the m_s = 0 and +1 blocks of the four defects at cutoffs 20 and 36, the
+LAPACK and ARPACK quotients differ by at most 2.2e-16 meV (0.07 ulp) before
+rounding and are bit-equal after it.  That needs an x86-64 long double (a
+64-bit mantissa) or a wider one; where numpy's is narrower
+(LONGDOUBLE_NMANT < 63) every solve raises SolverError.  The residuals
+||H v - theta v|| use those theta, and the iterative path fails loudly
+rather than return a pair above tol * max(1, max |theta|); a tol that is
+not positive raises ValueError before any block is solved.
 
 A merge that keeps the lowest keep pairs of B blocks reads few pairs of
 each: at k = 10 the sectors of all four defects at cutoffs 20 and 36 keep
 [3, 3, 1, 3] of the four m_s = 0 blocks and, at the calibrated spin-orbit
-couplings, [3, 3, 4] of the three m_s = +1 blocks.  ARPACK's implicit
-restarts cost more as k grows (ncv >= 2k + 1), so the pairs rule asks a
-block that the routing rule sends to ARPACK from the seeded start for
-min(k, ceil(keep / B) + 1) pairs (4 for m_s = 0, 5 for m_s = +1 at
-k = 10), with the path still picked at k.  After the merge, the keep
-certificate is checked: a block's uncomputed pairs lie at or above its last
-computed pair, so where that pair was not kept none of them could be, and
-the kept set is the one a solve of every block at k keeps.  Each block whose
-computed pairs were all kept is solved again at k from the same seeded
-start, its twins take that solve, and the spectra are merged again.  LAPACK
-blocks and warm ARPACK blocks are still solved at k: the warm pairs of
-lowest_per_block are one per block already, and a smaller LAPACK subset
-moves the eigenvalue bits of the bundled runs' dense blocks, and with them
-report bytes (the a-split a2u_ms_split_mev of SiV0 sits on a rounding edge).
+couplings, [3, 3, 4] of the three m_s = +1 blocks.  So the pairs rule asks
+every block without a start for min(k, ceil(keep / B) + 1) pairs (4 for
+m_s = 0, 5 for m_s = +1 at k = 10), by LAPACK or ARPACK, with the path
+still picked at k; ARPACK's implicit restarts cost more as k grows (ncv >=
+2k + 1).  After the merge, the keep certificate is checked: a block's
+uncomputed pairs lie at or above its last computed pair, so where that pair
+was not kept none of them could be, and the kept set is the one a solve of
+every block at k keeps.  Each block whose computed pairs were all kept is
+solved again at k from the same seeded start, its twins take that solve,
+and the spectra are merged again.
 
-dense_threshold (default 400) was the crossover of LAPACK and cold ARPACK
-at k = 10.  Cold ARPACK at the pairs rule's 4-5 pairs is faster from dim
-308 up, but routing the cutoff-20 j blocks (308) to ARPACK moves the
-eigenvalue bits of every bundled cutoff-20 report and the printed a-split
-a2u_ms_split_mev of SiV0 (a rounding edge), so 400 stays: the bundled runs
-solve their cutoff-20 blocks (308 and 154) by LAPACK at k = 10 and the
-cutoff-36 j blocks of 937-938 by ARPACK.  A start vector moves the
-crossover of a k = 1 solve down to WARM_START_MIN_DIM, and above it a warm
-pair costs a fraction of a LAPACK solve at k.  The cutoff sweep of analysis
-confirms each cutoff by lowest_per_block from the cutoff before, so the
-bundled runs solve their confirming cutoff-28 blocks (580 and 290) by warm
-ARPACK at k = 1; calibrate_soc takes each Newton step the same way, on its
-two Eu blocks, each started from its previous step's vector.  The timings
-behind both thresholds and the pairs rule, each from one host, are in
-CHANGES.md, in the entries that begin "Cutoff sweeps confirm with one warm
-pair per block" and "One block-minima route".
+dense_threshold (default 400) sends a block without a start to ARPACK above
+it.  It is no longer the measured crossover: cold ARPACK at 4-5 pairs is
+faster from dim 308 up (CHANGES.md), and a retune waits for a measured
+change.  The bundled runs solve their cutoff-20 blocks (308 and 154) by
+LAPACK and the cutoff-36 j blocks of 937-938 by ARPACK.  A start vector
+moves the crossover of a k = 1 solve down to WARM_START_MIN_DIM, and above
+it a warm pair costs a fraction of a LAPACK solve at k.  The cutoff sweep
+of analysis confirms each cutoff by lowest_per_block from the cutoff
+before, so the bundled runs solve their confirming cutoff-28 blocks (580
+and 290) by warm ARPACK at k = 1; calibrate_soc takes each Newton step the
+same way, on its two Eu blocks, each started from its previous step's
+vector.  The timings behind both thresholds and the pairs rule, each from
+one host, are in CHANGES.md, in the entries that begin "Cutoff sweeps
+confirm with one warm pair per block" and "One block-minima route".
 
 Each block logs one DEBUG record (dim, dtype, path, k, wall and CPU seconds,
 nnz, and the largest residual against its bound) to the "spinvibronic"
@@ -105,6 +108,9 @@ DENSE_THRESHOLD_DEFAULT = 400
 # 73 states at cutoff 36) stays with LAPACK (timings: CHANGES.md, "Cutoff sweeps
 # confirm with one warm pair per block")
 WARM_START_MIN_DIM = 200
+
+# _rayleigh needs a long double of 63 mantissa bits (x86-64) or more
+LONGDOUBLE_NMANT = np.finfo(np.longdouble).nmant
 
 log = logging.getLogger("spinvibronic")
 
@@ -136,14 +142,21 @@ def _residuals(h: sp.csr_matrix, vals: np.ndarray, vecs: np.ndarray) -> np.ndarr
     return np.linalg.norm(h @ vecs - vecs * vals, axis=0)
 
 
-def _dense_lowest(h: sp.csr_matrix, k: int) -> tuple[np.ndarray, np.ndarray]:
-    return scipy.linalg.eigh(h.toarray(), subset_by_index=[0, k - 1])
+def _rayleigh(h: sp.csr_matrix, vecs: np.ndarray) -> np.ndarray:
+    """v^H h v / v^H v of each column v, summed in long double and rounded once to float64."""
+    if LONGDOUBLE_NMANT < 63:
+        raise SolverError(f"eigenvalues need a long double of 63 mantissa bits or more; "
+                          f"numpy's long double has {LONGDOUBLE_NMANT}")
+    wide = np.clongdouble if h.dtype.kind == "c" else np.longdouble
+    v = vecs.astype(wide)
+    vh = v.conj()
+    return ((vh * (h.astype(wide) @ v)).sum(axis=0).real / (vh * v).sum(axis=0).real).astype(float)
 
 
 def _arpack_lowest(
     h: sp.csr_matrix, k: int, tol: float, v0: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """The lowest k pairs by ARPACK, ascending, and the number of products h @ x it took."""
+) -> tuple[np.ndarray, int]:
+    """The lowest k eigenvectors by ARPACK, ascending, and the number of products h @ x it took."""
     from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
     matvecs = 0
@@ -161,8 +174,7 @@ def _arpack_lowest(
             f"ARPACK did not reach tol={tol:g}: {len(exc.eigenvalues)} of {k} pairs converged",
             residuals=_residuals(h, exc.eigenvalues.real, exc.eigenvectors),
         ) from exc
-    order = np.argsort(vals)
-    return vals[order].real, vecs[:, order], matvecs
+    return vecs[:, np.argsort(vals)], matvecs
 
 
 def _log_block(h, path: str, k: int, t0: float, c0: float, res, bound: float, note: str):
@@ -186,20 +198,25 @@ def _block_lowest(
 ) -> EigResult:
     """Lowest min(k, dim) pairs of one block, on the path and start the module's rule picks.
 
-    The path is picked at k; a block it sends to ARPACK from the seeded start
-    is asked for min(k, cold_k) pairs instead, when cold_k is given.
+    The path is picked at k; a block without a start is asked for
+    min(k, cold_k) pairs instead, when cold_k is given.  Each eigenvalue is
+    the Rayleigh quotient of its vector (_rayleigh), whatever the path.
     """
     nb = hb.shape[0]
     kb = min(k, nb)
     t0, c0 = time.perf_counter(), time.process_time()
-    if kb >= nb - 1 or nb <= (dense_threshold if start is None else WARM_START_MIN_DIM):
-        path, note, (vals, vecs) = "dense", "", _dense_lowest(hb, kb)
+    dense = kb >= nb - 1 or nb <= (dense_threshold if start is None else WARM_START_MIN_DIM)
+    if start is None:
+        kb = min(kb, cold_k or kb)
+    if dense:
+        path, note = "dense", ""
+        vecs = scipy.linalg.eigh(hb.toarray(), subset_by_index=[0, kb - 1])[1]
     else:
         if start is None:
             start = np.random.default_rng(seed).standard_normal(nb).astype(hb.dtype)
-            kb = min(kb, cold_k or kb)
-        vals, vecs, matvecs = _arpack_lowest(hb, kb, tol, start)
+        vecs, matvecs = _arpack_lowest(hb, kb, tol, start)
         path, note = "lanczos", f" matvecs={matvecs}"
+    vals = _rayleigh(hb, vecs)
     res = _residuals(hb, vals, vecs)
     bound = _bound(tol, vals)
     _log_block(hb, path, kb, t0, c0, res, bound, note)
@@ -266,7 +283,7 @@ def _block_loop(
     Checks the ranges, solves the lowest k pairs of block b by _block_lowest
     (from starts[b], if given) unless it is an earlier block's twin, and
     merges the block spectra by a stable sort, keeping the lowest keep pairs
-    (all of them for None).  With keep, a block sent to cold ARPACK is first
+    (all of them for None).  With keep, a block without a start is first
     asked for ceil(keep / blocks) + 1 pairs; each such block whose computed
     pairs were all kept is solved again at k, and the spectra merged again
     (the module's pairs rule).
@@ -336,11 +353,10 @@ def solve_lowest(
     by a stable sort and the lowest k kept, with the eigenvectors embedded in
     the full space; the kept set is the one the lowest min(k, dim_b) pairs of
     every block would give.  The module's routing rule sends each block to
-    LAPACK at k, or to ARPACK from the seeded start above dense_threshold,
-    where the pairs rule first asks it for min(k, ceil(k / blocks) + 1) pairs
-    and the keep certificate solves it again at k where all of them were
-    kept.  dense_threshold = 0 sends every block with k_b < dim_b - 1 to
-    ARPACK.  tol is ARPACK's relative tolerance and must be positive.
+    LAPACK, or to ARPACK from the seeded start above dense_threshold; the
+    pairs rule first asks it for min(k, ceil(k / blocks) + 1) pairs, and the
+    keep certificate solves it again at k where all of them were kept.
+    dense_threshold = 0 sends every block with k_b < dim_b - 1 to ARPACK.  tol is ARPACK's relative tolerance and must be positive.
     Results are deterministic for a fixed seed.
     """
     if k < 1:

@@ -75,8 +75,9 @@ class PesCurve:
     """Sampled or generated adiabatic surfaces along a 1D cut.
 
     energies has one row per grid point and four columns (meV); entries may
-    be NaN for surfaces missing from external data.  Energies are referenced
-    to the lowest electronic level at Q = 0.
+    be NaN for surfaces missing from external data, but never infinite, and
+    every qx must be finite (else ValueError, naming the sample).  Energies
+    are referenced to the lowest electronic level at Q = 0.
     """
 
     qx: np.ndarray
@@ -88,6 +89,12 @@ class PesCurve:
         self.energies = np.asarray(self.energies, dtype=float)
         if self.energies.shape != (self.qx.size, 4):
             raise ValueError("energies must have shape (len(qx), 4)")
+        bad = ~np.isfinite(self.qx) | np.isinf(self.energies).any(axis=1)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValueError(f"sample {i} (qx={self.qx[i]:g}, energies "
+                             f"{self.energies[i].tolist()}): qx must be finite, and each "
+                             "energy finite or NaN (missing)")
         if self.qx_unit not in (QX_UNIT_DIMENSIONLESS, QX_UNIT_ANGSTROM):
             raise ValueError(f"unknown qx unit {self.qx_unit!r}")
 
@@ -104,8 +111,6 @@ def adiabatic_surfaces(
     changes sign.  Energies are referenced to the lowest level at Q = 0.
     """
     qx_grid = np.asarray(qx_grid, dtype=float)
-    if not np.all(np.isfinite(qx_grid)):
-        raise ValueError("grid must be finite")
     # Q = 0 rides along as the last point and sets the reference
     u, root, levels = _cut_levels(c, lambda_corr, preset, np.append(qx_grid, 0.0))
     if lambda_corr == 0.0:

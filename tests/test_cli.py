@@ -236,7 +236,8 @@ def test_report_solves_its_own_order_once(tmp_path, monkeypatch):
 
     # a converged, calibrated run: the sweep solves n_start = 12 in full,
     # confirms it at 16 with one pair per block, and hands back its n_start
-    # solution; calibration hands back its last spin-orbit solve
+    # solution; calibration reads its levels from one soc_levels call at the
+    # calibrated couplings
     cfg = parse_config(write_config(tmp_path, FAST_CONVERGE_CALIBRATE, name="conv.conf"))
     calls, full, pairs = _count_solves(monkeypatch)
     soc_calls = []
@@ -259,7 +260,7 @@ def test_report_solves_its_own_order_once(tmp_path, monkeypatch):
     assert len(pairs) > 3 and pairs[2:] == [_eu_dim(12)] * (len(pairs) - 2)
     # the confirming cutoff is never solved at k: every full solve is at cutoff 12
     assert {dim for dim, _ in full} == {_sector_dim(12)}
-    assert soc_calls == []
+    assert [args[1:3] for args in soc_calls] == [(report.soc.lambda_u0, report.soc.lambda_g0)]
     assert report.soc.lambda_eff == pytest.approx(3.15, abs=1e-5)
     monkeypatch.undo()
     _assert_report_gammas(report, cfg, report.cutoff, opts)
@@ -267,8 +268,7 @@ def test_report_solves_its_own_order_once(tmp_path, monkeypatch):
 
 def _assert_report_gammas(report, cfg, cutoff, opts):
     """The model's own gamma is the k-pair oracle's; the other order's is
-    analysis.block_minima's, within 1e-11 meV of the oracle's, and the
-    oracle's at the report's 10 digits where the other order is 1."""
+    analysis.block_minima's, and the oracle's too, bit for bit."""
     own, other = cfg.model.order, 3 - cfg.model.order
     gammas = {1: report.gamma1, 2: report.gamma2}
     preset = cfg.model.preset
@@ -276,12 +276,7 @@ def _assert_report_gammas(report, cfg, cutoff, opts):
     couplings = couplings_for_order(cfg.defect, other)
     spec = SectorSpec(couplings, cfg.defect.lambda_corr, cutoff, preset)
     assert gammas[other] == analysis.solution_gamma(analysis.block_minima(spec, opts))
-    oracle = gamma_splitting(cfg.defect, other, cutoff, preset, opts)
-    assert abs(gammas[other] - oracle) <= 1e-11
-    # the order-2 gamma of GeV0 at cutoff 36 lies on a 10-digit rounding edge,
-    # so the two routes write 4.399330942 and 4.399330943
-    if other == 1:
-        assert reports._r(gammas[other]) == reports._r(oracle)
+    assert gammas[other] == gamma_splitting(cfg.defect, other, cutoff, preset, opts)
 
 
 # the bundled configs (order 2) keep their ids; an order-1 model takes its

@@ -16,6 +16,7 @@ from spinvibronic import (
     soc_operators,
     solve_lowest,
 )
+import spinvibronic.eigensolver as eig
 from spinvibronic.defaults import DEFECTS
 from spinvibronic.analysis import SolverOptions, solve_sector
 from spinvibronic.eigensolver import (
@@ -382,7 +383,8 @@ def test_arpack_records_count_the_products_and_keep_plain_eigsh_bits(monkeypatch
     # the cutoff-36 j = 1 block of the m_s = 0 sector (dim 937): cold ARPACK at
     # k = 4 from the seeded start, then warm at k = 1 from its own lowest vector
     # perturbed; each record's matvecs is the count of a wrapper round the
-    # operator eigsh is handed, and the pairs are a plain eigsh's on the matrix
+    # operator eigsh is handed, the vectors are a plain eigsh's on the matrix
+    # and the eigenvalues their Rayleigh quotients
     import scipy.sparse.linalg
 
     _, lo, hi = adapted_basis(36).blocks[0]
@@ -415,9 +417,31 @@ def test_arpack_records_count_the_products_and_keep_plain_eigsh_bits(monkeypatch
     v0 = np.random.default_rng(0).standard_normal(hb.shape[0])
     for res, k, v in ((cold, 4, v0), (warm, 1, start)):
         vals, vecs = eigsh(hb, k, which="SA", v0=v, tol=1e-10)
-        order = np.argsort(vals)
-        np.testing.assert_array_equal(res.eigenvalues, vals[order])
-        np.testing.assert_array_equal(res.eigenvectors, vecs[:, order])
+        vecs = vecs[:, np.argsort(vals)]
+        np.testing.assert_array_equal(res.eigenvectors, vecs)
+        np.testing.assert_array_equal(res.eigenvalues, eig._rayleigh(hb, vecs))
+
+
+@pytest.mark.parametrize("cutoff", [20, 36])
+@pytest.mark.parametrize("name", sorted(DEFECTS))
+def test_lapack_and_arpack_give_the_same_eigenvalue_bits(name, cutoff):
+    # every block of the m_s = 0 and m_s = +1 sectors by LAPACK, and then by
+    # cold ARPACK: each eigenvalue is the Rayleigh quotient of its vector,
+    # rounded once, so the two routes agree bit for bit
+    blocks = adapted_basis(cutoff).sector_blocks
+    for m_s in (0, 1):
+        h = sector_h(name, cutoff, m_s, lam=40.0)
+        dense = solve_lowest(h, 10, dense_threshold=LAPACK_ONLY, blocks=blocks(m_s))
+        arpack = solve_lowest(h, 10, dense_threshold=0, blocks=blocks(m_s))
+        np.testing.assert_array_equal(arpack.block, dense.block)
+        np.testing.assert_array_equal(arpack.eigenvalues, dense.eigenvalues)
+
+
+def test_a_long_double_no_wider_than_a_double_raises(monkeypatch):
+    # the Rayleigh quotient would round twice and keep route-dependent bits
+    monkeypatch.setattr(eig, "LONGDOUBLE_NMANT", 52)
+    with pytest.raises(SolverError, match="long double has 52"):
+        solve_lowest(snv0_h(4), k=2)
 
 
 def _spy(monkeypatch):
@@ -547,8 +571,6 @@ def test_blocks_one_ulp_apart_are_both_solved(monkeypatch):
 
 def test_only_blocks_of_equal_dim_and_nnz_are_compared(monkeypatch, caplog):
     # the J ranges of the linear model: dozens of blocks, most of distinct dim or nnz
-    import spinvibronic.eigensolver as eig
-
     p = DEFECTS["SnV0"]
     spec = SectorSpec(couplings=couplings_for_order(p, 1), lambda_corr=p.lambda_corr, cutoff=16)
     h, blocks = assemble(spec), adapted_basis(16).sector_blocks(0, linear=True)
@@ -569,9 +591,11 @@ def test_only_blocks_of_equal_dim_and_nnz_are_compared(monkeypatch, caplog):
     assert compared and all(a == b for a, b in compared)
     assert len(compared) < len(blocks) * (len(blocks) - 1) // 4
     messages = [r.getMessage() for r in caplog.records if r.name == "spinvibronic"]
+    # one record per block, then one per block solved again at k
     reused = [int(m.rsplit("reused_from=", 1)[1]) if "reused_from=" in m else None
-              for m in messages]
+              for m in messages[:len(blocks)]]
     assert reused == twins and sum(t is not None for t in twins) > 0
+    assert all(" k=10 " in m for m in messages[len(blocks):])
 
 
 def _merged_separately(ranges, parts, k):
@@ -595,13 +619,12 @@ def _merged_separately(ranges, parts, k):
 def test_reused_blocks_equal_separate_block_solves(monkeypatch, name, cutoff, threshold):
     # each block of the m_s = 0 sector solved on its own, at the count the
     # block loop asks it for, and merged as solve_lowest merges: the reused Eu
-    # twin must give the very pairs its own solve gives.  A block the loop
-    # sends to cold ARPACK is asked for ceil(k / 4) + 1 pairs, and solved
+    # twin must give the very pairs its own solve gives.  Every block, by
+    # LAPACK or cold ARPACK, is asked for ceil(k / 4) + 1 pairs, and solved
     # again at k where all of them were kept
     h, k = sector_h(name, cutoff), 10
     ranges = adapted_basis(cutoff).sector_blocks(0)
-    cold = [min(k, hi - lo) < hi - lo - 1 and hi - lo > threshold for lo, hi in ranges]
-    asked = [-(-k // len(ranges)) + 1 if c else min(k, hi - lo) for c, (lo, hi) in zip(cold, ranges)]
+    asked = [min(-(-k // len(ranges)) + 1, hi - lo) for lo, hi in ranges]
     parts = [solve_lowest(h[lo:hi, lo:hi], n, dense_threshold=threshold)
              for n, (lo, hi) in zip(asked, ranges)]
     owner, *_ = _merged_separately(ranges, parts, k)
@@ -653,7 +676,9 @@ def test_block_solves_are_logged(caplog):
         solve_lowest(snv0_h(8), k=4, dense_threshold=0, blocks=basis.sector_blocks(0))
     messages = [r.getMessage() for r in caplog.records if r.name == "spinvibronic"]
     assert len(messages) == 3 + 4 + 1
-    assert all("dim=60 dtype=float64 path=dense k=4" in m for m in messages[:3])
+    # each LAPACK block of the m_s = +1 sector is asked for ceil(4 / 3) + 1 = 3
+    # pairs, and none keeps all three
+    assert all("dim=60 dtype=float64 path=dense k=3" in m for m in messages[:3])
     # the m_s = 0 Eu blocks are the same matrix: the second reuses the first.
     # Each cold ARPACK block is asked for ceil(4 / 4) + 1 = 2 pairs; both of
     # the first Eu block's are kept, so it is solved again at k = 4
@@ -723,8 +748,6 @@ def test_lowest_per_block_routes_records_and_reuses_each_block(caplog):
 
 def test_lowest_per_block_sends_a_started_dim_2_block_to_lapack(monkeypatch, caplog):
     # ARPACK cannot serve k = 1 at dim 2, whatever the start and the dim bounds
-    import spinvibronic.eigensolver as eig
-
     monkeypatch.setattr(eig, "WARM_START_MIN_DIM", 0)
     h = sp.csr_matrix(np.array([[1.0, 0.5], [0.5, 2.0]]))
     seen = _spy(monkeypatch)
@@ -770,8 +793,6 @@ def test_ranges_that_do_not_tile_the_matrix_are_rejected(blocks):
 
 def test_block_records_cost_nothing_when_debug_is_off(monkeypatch, caplog):
     # the record's arguments are not even formatted unless DEBUG is enabled
-    import spinvibronic.eigensolver as eig
-
     calls = []
     monkeypatch.setattr(eig.log, "debug", lambda *a, **k: calls.append(a))
     with caplog.at_level(logging.INFO, logger="spinvibronic"):

@@ -1,4 +1,5 @@
 import logging
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -146,6 +147,22 @@ def test_csv_round_trip(tmp_path):
         b"-0.5,0.333333333333,2.5,,1e-13\n"
         b"0,0,-0,98.2,1234567.89123\n"
     )
+
+
+@pytest.mark.parametrize(
+    "row, shown",
+    [("nan,1,2,3,4", "qx=nan"), ("-inf,1,2,3,4", "qx=-inf"), ("0.5,1,2,inf,4", "inf, 4.0]")],
+)
+def test_csv_rejects_a_non_finite_qx_or_an_infinite_energy(tmp_path, row, shown):
+    # an empty or NaN cell marks a missing surface; anything else not finite
+    # is rejected on reading, naming its sample, and never reaches a fit
+    head = "# qx_unit=dimensionless\nqx,e1_mev,e2_mev,e3_mev,e4_mev\n0,1,2,3,4\n"
+    path = tmp_path / "scan.csv"
+    path.write_text(head + "1,,nan,3,4\n")
+    assert np.isnan(read_pes_csv(path).energies[1, :2]).all()
+    path.write_text(head + row + "\n1,,nan,3,4\n")
+    with pytest.raises(ValueError, match=rf"sample 1 \(.*{re.escape(shown)}.*qx must be finite"):
+        read_pes_csv(path)
 
 
 def test_csv_requires_unit_header(tmp_path):
