@@ -69,7 +69,6 @@ class AnalysisError(RuntimeError):
 @dataclass(frozen=True)
 class SolverOptions:
     k: int = 10
-    tol: float = 1e-10
     seed: int = 0
     dense_threshold: int = DENSE_THRESHOLD_DEFAULT
 
@@ -77,7 +76,6 @@ class SolverOptions:
         return solve_lowest(
             h,
             k=self.k,
-            tol=self.tol,
             seed=self.seed,
             dense_threshold=self.dense_threshold,
             blocks=blocks,
@@ -191,9 +189,7 @@ def block_minima(
                 b = int(np.searchsorted(lows, at[lo], side="right")) - 1
                 start = starts[b] = np.zeros(blocks[b][1] - blocks[b][0])
                 start[at[lo:hi] - blocks[b][0]] = r.eigenvectors[lo:hi, i]
-        return lowest_per_block(
-            h0, blocks, starts, opts.tol, opts.seed, opts.dense_threshold, opts.k
-        )
+        return lowest_per_block(h0, blocks, starts, opts.seed, opts.dense_threshold, opts.k)
 
     return _labelled(spec, solve)
 
@@ -369,9 +365,7 @@ def calibrate_soc(
     scan: list[tuple[float, float]] = []
     s = target_lambda_eff / max(ratio * p_u + p_g, 1e-12)
     for _ in range(20):
-        pairs = lowest_per_block(
-            h0 + s * dh, blocks, starts, opts.tol, opts.seed, opts.dense_threshold
-        )
+        pairs = lowest_per_block(h0 + s * dh, blocks, starts)
         # ascending: the lower Eu state, then the upper, each from its block j;
         # contiguous copies of the vectors, as strided views move the dot
         # products in their last bits

@@ -87,6 +87,13 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
+def finite(raw: str) -> float:
+    """argparse type of --qmin and --qmax; a non-finite end is an "invalid finite value"."""
+    if not np.isfinite(value := float(raw)):
+        raise ValueError(raw)
+    return value
+
+
 def cmd_surfaces(args) -> int:
     cfg = _apply_overrides(parse_config(args.config), args)
     c = pes_to_couplings(cfg.defect)
@@ -223,8 +230,8 @@ def build_parser() -> argparse.ArgumentParser:
     # cutoff, no order
     p = sub.add_parser("surfaces", parents=[output], help="emit analytic adiabatic surfaces")
     p.add_argument("config")
-    p.add_argument("--qmin", type=float, default=-3.0)
-    p.add_argument("--qmax", type=float, default=3.5)
+    p.add_argument("--qmin", type=finite, default=-3.0)
+    p.add_argument("--qmax", type=finite, default=3.5)
     p.add_argument("--points", type=int, default=261)
     p.set_defaults(func=cmd_surfaces, cutoff=None, order=None)
     return parser

@@ -55,7 +55,6 @@ class ModelConfig:
 class SolverConfig:
     cutoff: int = 36
     k: int = 10
-    residual_tol: float = 1e-10
     seed: int = 0
     converge: bool = False
     converge_rel_tol: float = 0.01
@@ -71,10 +70,6 @@ class SolverConfig:
         for key, low in least.items():
             if getattr(self, key) < low:
                 raise ConfigError(f"{key}={getattr(self, key)} must be >= {low}")
-        # ARPACK's residuals are held to residual_tol: none meets a bound of 0; a
-        # nan falls through to the finiteness check of _build
-        if self.residual_tol <= 0:
-            raise ConfigError(f"residual_tol must be positive (got {self.residual_tol})")
         # a drift is never held to a tolerance that is not positive (nor to nan)
         if not self.converge_rel_tol > 0:
             raise ConfigError(f"converge_rel_tol must be positive (got {self.converge_rel_tol})")
@@ -144,7 +139,8 @@ SECTIONS = get_type_hints(RunConfig)
 
 # keys that older files may still carry; they are ignored with a warning
 RETIRED_KEYS = {("solver", "dense_threshold"), ("solver", "cluster_tol_mev"),
-                ("solver", "converge_observable"), ("output", "formats")}
+                ("solver", "converge_observable"), ("solver", "residual_tol"),
+                ("output", "formats")}
 
 log = logging.getLogger(__name__)
 

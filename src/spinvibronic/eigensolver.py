@@ -17,7 +17,7 @@ those of a block already solved in the same call is not solved again: it
 takes that block's eigenvalues, eigenvectors and residuals, embedded in its
 own index range.  Both solves would be deterministic on the same input, so
 no result changes; lowest_per_block reuses a twin whatever start it was
-given, since any start leads ARPACK to the same lowest pair within tol.
+given, since any start leads ARPACK to one lowest pair within RESIDUAL_TOL.
 Reuse is decided by exact equality alone, with no tolerance and no
 knowledge of where the matrix came from; only blocks of the same dim and
 nnz are compared entry by entry.  It finds the two m_s = 0 Eu blocks (the
@@ -52,8 +52,8 @@ rounding and are bit-equal after it.  That needs an x86-64 long double (a
 64-bit mantissa) or a wider one; where numpy's is narrower
 (LONGDOUBLE_NMANT < 63) every solve raises SolverError.  The residuals
 ||H v - theta v|| use those theta, and the iterative path fails loudly
-rather than return a pair above tol * max(1, max |theta|); a tol that is
-not positive raises ValueError before any block is solved.
+rather than return a pair above RESIDUAL_TOL * max(1, max |theta|), the
+bound ARPACK's own tolerance also reads.
 
 A merge that keeps the lowest keep pairs of B blocks reads few pairs of
 each: at k = 10 the sectors of all four defects at cutoffs 20 and 36 keep
@@ -109,6 +109,12 @@ DENSE_THRESHOLD_DEFAULT = 400
 # confirm with one warm pair per block")
 WARM_START_MIN_DIM = 200
 
+# ARPACK's relative tolerance, and the bound RESIDUAL_TOL * max(1, max|theta|) on
+# every ARPACK residual.  Rayleigh-quotient eigenvalues move with its square, so
+# no printed value reads it; it stays put because the cold dim-469 minima of the
+# order-1 cutoff-36 solves already end at 71-86% of the bound (CHANGES.md)
+RESIDUAL_TOL = 1e-10
+
 # _rayleigh needs a long double of 63 mantissa bits (x86-64) or more
 LONGDOUBLE_NMANT = np.finfo(np.longdouble).nmant
 
@@ -153,9 +159,7 @@ def _rayleigh(h: sp.csr_matrix, vecs: np.ndarray) -> np.ndarray:
     return ((vh * (h.astype(wide) @ v)).sum(axis=0).real / (vh * v).sum(axis=0).real).astype(float)
 
 
-def _arpack_lowest(
-    h: sp.csr_matrix, k: int, tol: float, v0: np.ndarray
-) -> tuple[np.ndarray, int]:
+def _arpack_lowest(h: sp.csr_matrix, k: int, v0: np.ndarray) -> tuple[np.ndarray, int]:
     """The lowest k eigenvectors by ARPACK, ascending, and the number of products h @ x it took."""
     from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
@@ -168,10 +172,10 @@ def _arpack_lowest(
 
     try:
         op = LinearOperator(h.shape, matvec, dtype=h.dtype)
-        vals, vecs = eigsh(op, k, which="SA", v0=v0, tol=tol)
+        vals, vecs = eigsh(op, k, which="SA", v0=v0, tol=RESIDUAL_TOL)
     except ArpackNoConvergence as exc:
         raise SolverError(
-            f"ARPACK did not reach tol={tol:g}: {len(exc.eigenvalues)} of {k} pairs converged",
+            f"ARPACK did not reach RESIDUAL_TOL: {len(exc.eigenvalues)} of {k} pairs converged",
             residuals=_residuals(h, exc.eigenvalues.real, exc.eigenvectors),
         ) from exc
     return vecs[:, np.argsort(vals)], matvecs
@@ -188,12 +192,12 @@ def _log_block(h, path: str, k: int, t0: float, c0: float, res, bound: float, no
         )
 
 
-def _bound(tol: float, vals: np.ndarray) -> float:
-    return tol * max(1.0, float(np.abs(vals).max()))
+def _bound(vals: np.ndarray) -> float:
+    return RESIDUAL_TOL * max(1.0, float(np.abs(vals).max()))
 
 
 def _block_lowest(
-    hb: sp.csr_matrix, k: int, tol: float, seed: int, dense_threshold: int,
+    hb: sp.csr_matrix, k: int, seed: int, dense_threshold: int,
     start: np.ndarray | None = None, cold_k: int | None = None,
 ) -> EigResult:
     """Lowest min(k, dim) pairs of one block, on the path and start the module's rule picks.
@@ -214,15 +218,15 @@ def _block_lowest(
     else:
         if start is None:
             start = np.random.default_rng(seed).standard_normal(nb).astype(hb.dtype)
-        vecs, matvecs = _arpack_lowest(hb, kb, tol, start)
+        vecs, matvecs = _arpack_lowest(hb, kb, start)
         path, note = "lanczos", f" matvecs={matvecs}"
     vals = _rayleigh(hb, vecs)
     res = _residuals(hb, vals, vecs)
-    bound = _bound(tol, vals)
+    bound = _bound(vals)
     _log_block(hb, path, kb, t0, c0, res, bound, note)
     if path == "lanczos" and np.any(res > bound):
         raise SolverError(
-            f"ARPACK residuals exceed tol * max(1, max|theta|) = {bound:.2e} "
+            f"ARPACK residuals exceed RESIDUAL_TOL * max(1, max|theta|) = {bound:.2e} "
             f"(residuals {np.array2string(res, precision=2)})",
             residuals=res,
         )
@@ -273,7 +277,6 @@ def _block_loop(
     blocks: Sequence[tuple[int, int]] | None,
     k: int,
     keep: int | None,
-    tol: float,
     seed: int,
     dense_threshold: int,
     starts: Sequence[np.ndarray | None] | None = None,
@@ -288,8 +291,6 @@ def _block_loop(
     pairs were all kept is solved again at k, and the spectra merged again
     (the module's pairs rule).
     """
-    if not tol > 0:
-        raise ValueError(f"tol must be positive (got {tol})")
     n = h.shape[0]
     ranges = ((0, n),) if blocks is None else tuple((int(lo), int(hi)) for lo, hi in blocks)
     _check_blocks(h, ranges)
@@ -307,13 +308,13 @@ def _block_loop(
             r = parts[twin]
             parts.append(r)
             source.append(twin)
-            _log_block(hb, "reused", r.k, t0, c0, r.residual_norms, _bound(tol, r.eigenvalues),
+            _log_block(hb, "reused", r.k, t0, c0, r.residual_norms, _bound(r.eigenvalues),
                        f" reused_from={twin}")
             continue
         candidates.append((b, hb))
         source.append(b)
         start = None if starts is None else starts[b]
-        parts.append(_block_lowest(hb, k, tol, seed, dense_threshold, start, cold_k))
+        parts.append(_block_lowest(hb, k, seed, dense_threshold, start, cold_k))
     kept, block, offsets = _merged(parts, keep)
     # a block asked for fewer than k pairs whose pairs were all kept may hold
     # more below the cut: solve it (and so its twins) again at k.  Where one
@@ -323,7 +324,7 @@ def _block_loop(
     again = {source[b] for b, ((lo, hi), r) in enumerate(zip(ranges, parts))
              if r.k < min(k, hi - lo) and counts[b] == r.k}
     if again:
-        full = {s: _block_lowest(_block_view(h, *ranges[s]), k, tol, seed, dense_threshold)
+        full = {s: _block_lowest(_block_view(h, *ranges[s]), k, seed, dense_threshold)
                 for s in sorted(again)}
         parts = [full.get(s, r) for s, r in zip(source, parts)]
         kept, block, offsets = _merged(parts, keep)
@@ -340,7 +341,6 @@ def _block_loop(
 def solve_lowest(
     h: sp.csr_matrix,
     k: int,
-    tol: float = 1e-10,
     seed: int = 0,
     dense_threshold: int = DENSE_THRESHOLD_DEFAULT,
     blocks: Sequence[tuple[int, int]] | None = None,
@@ -356,21 +356,20 @@ def solve_lowest(
     LAPACK, or to ARPACK from the seeded start above dense_threshold; the
     pairs rule first asks it for min(k, ceil(k / blocks) + 1) pairs, and the
     keep certificate solves it again at k where all of them were kept.
-    dense_threshold = 0 sends every block with k_b < dim_b - 1 to ARPACK.  tol is ARPACK's relative tolerance and must be positive.
+    dense_threshold = 0 sends every block with k_b < dim_b - 1 to ARPACK.
     Results are deterministic for a fixed seed.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if k > h.shape[0]:
         raise ValueError(f"k={k} exceeds matrix dimension {h.shape[0]}")
-    return _block_loop(h, blocks, k, k, tol, seed, dense_threshold)
+    return _block_loop(h, blocks, k, k, seed, dense_threshold)
 
 
 def lowest_per_block(
     h: sp.csr_matrix,
     blocks: Sequence[tuple[int, int]],
     starts: Sequence[np.ndarray | None],
-    tol: float = 1e-10,
     seed: int = 0,
     dense_threshold: int = DENSE_THRESHOLD_DEFAULT,
     keep: int | None = None,
@@ -387,4 +386,4 @@ def lowest_per_block(
     """
     if len(starts) != len(blocks):
         raise ValueError(f"{len(starts)} start vectors for {len(blocks)} blocks")
-    return _block_loop(h, blocks, 1, keep, tol, seed, dense_threshold, starts)
+    return _block_loop(h, blocks, 1, keep, seed, dense_threshold, starts)

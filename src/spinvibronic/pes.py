@@ -110,7 +110,9 @@ def adiabatic_surfaces(
     follows the signed u_b, so the two surfaces of a branch cross where u_b
     changes sign.  Energies are referenced to the lowest level at Q = 0.
     """
-    qx_grid = np.asarray(qx_grid, dtype=float)
+    # a grid is a curve whose energies are all missing: PesCurve's rule rejects
+    # a non-finite qx, naming its sample, before any arithmetic
+    qx_grid = PesCurve(qx_grid, np.full((np.size(qx_grid), 4), np.nan)).qx
     # Q = 0 rides along as the last point and sets the reference
     u, root, levels = _cut_levels(c, lambda_corr, preset, np.append(qx_grid, 0.0))
     if lambda_corr == 0.0:

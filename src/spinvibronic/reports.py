@@ -109,7 +109,7 @@ def _r(x: float | None) -> float | None:
 
 def solver_options(cfg: RunConfig) -> SolverOptions:
     s = cfg.solver
-    return SolverOptions(k=s.k, tol=s.residual_tol, seed=s.seed)
+    return SolverOptions(k=s.k, seed=s.seed)
 
 
 def _level_rows(sol: SectorSolution, soc: SocLevels | None) -> list[dict]:

@@ -451,7 +451,7 @@ def test_block_minima_do_not_rise_with_the_cutoff(f, g, lambda_corr, preset, ord
     for b_prev, e_prev in zip(prev.result.block, prev.energies):
         b = int(np.searchsorted(lows, at[prev.result.ranges[b_prev][0]], side="right")) - 1
         e = sol.energies[np.flatnonzero(sol.result.block == b)[0]]
-        assert e <= e_prev + _bound(opts.tol, np.array([e, e_prev]))
+        assert e <= e_prev + _bound(np.array([e, e_prev]))
 
 
 @pytest.mark.parametrize("cutoff", [20, 36])

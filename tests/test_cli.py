@@ -455,6 +455,20 @@ def test_surfaces_command(tmp_path):
     assert np.allclose(np.sort(curve.energies[i0]), [0.0, 0.0, 98.2, 98.2], atol=1e-6)
 
 
+def test_surfaces_rejects_a_non_finite_grid_end_by_its_flag(tmp_path):
+    # linspace would spread --qmax inf into a grid of nan, with numpy's
+    # RuntimeWarnings on stderr; the flag is checked as it is parsed instead
+    cfg = write_config(tmp_path, FAST_OFF)
+    env = dict(os.environ, PYTHONPATH=str(Path(spinvibronic.__file__).parents[1]))
+    run = subprocess.run(
+        [sys.executable, "-m", "spinvibronic.cli", "surfaces", str(cfg), "--qmax", "inf"],
+        env=env, capture_output=True, text=True,
+    )
+    assert run.returncode == 2
+    assert "--qmax" in run.stderr and "RuntimeWarning" not in run.stderr
+    assert not (tmp_path / "out").exists()
+
+
 def test_surfaces_rejects_cutoff_and_order_which_fit_keeps(tmp_path):
     # the surfaces are classical and of the full quadratic model, so --order
     # and --cutoff would change nothing there; fit writes both into fitted.conf

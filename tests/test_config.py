@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinvibronic import analysis, eigensolver, parse_config, parse_config_text, serialize_config
+from spinvibronic import analysis, parse_config, parse_config_text, serialize_config
 from spinvibronic.cli import main
 from spinvibronic.config import (
     ConfigError,
@@ -144,7 +144,8 @@ def test_misspelled_section_is_rejected_by_name(tmp_path, capsys):
 
 def test_retired_key_warns_and_is_ignored(caplog):
     text = _bundled_text("snv0")
-    lines = ("dense_threshold = 1500", "cluster_tol_mev = 1e-6", "converge_observable = gamma1")
+    lines = ("dense_threshold = 1500", "cluster_tol_mev = 1e-6", "converge_observable = gamma1",
+             "residual_tol = 1e-8", "residual_tol = 0", "residual_tol = nan")
     for line in lines:
         old = text.replace("k = 10\n", f"k = 10\n{line}\n")
         caplog.clear()
@@ -205,24 +206,24 @@ def test_nonpositive_converge_rel_tol_is_rejected_before_any_solve(
     assert "converge_rel_tol" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("value", ["0", "-1e-10"])
-def test_nonpositive_residual_tol_is_rejected_before_any_solve(
-    tmp_path, capsys, monkeypatch, value
-):
-    # no ARPACK residual meets a bound of tol * max(1, max|theta|) <= 0, so
-    # such a run could only solve its sectors and then fail
-    text = _bundled_text("snv0").replace("k = 10\n", f"k = 10\nresidual_tol = {value}\n")
-    with pytest.raises(ConfigError, match="residual_tol must be positive"):
-        parse_config_text(text)
-
-    def no_solve(*args, **kwargs):
-        raise AssertionError("a config with a nonpositive residual_tol reached the solver")
-
-    monkeypatch.setattr(eigensolver, "_block_loop", no_solve)
-    path = tmp_path / "snv0.conf"
-    path.write_text(text)
-    assert main(["solve", str(path), "--cutoff", "36"]) == 2
-    assert "residual_tol must be positive" in capsys.readouterr().err
+@pytest.mark.parametrize("value", ["0", "-1e-10", "1e-8"])
+def test_nonpositive_residual_tol_is_rejected_before_any_solve(tmp_path, caplog, value):
+    # residual_tol is retired, not rejected: every ARPACK residual is held to
+    # eigensolver.RESIDUAL_TOL, so a run that still sets it, to any value,
+    # writes the plain run's bytes, with one warning
+    text = _bundled_text("snv0")
+    written = []
+    for name, extra in (("plain", ""), ("old", f"residual_tol = {value}\n")):
+        path = tmp_path / f"{name}.conf"
+        path.write_text(text.replace("k = 10\n", f"k = 10\n{extra}"))
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="spinvibronic"):
+            assert main(["solve", str(path), "--cutoff", "36", "--out", str(tmp_path / name)]) == 0
+        assert [r.getMessage() for r in caplog.records] == (
+            ["config key 'residual_tol' in [solver] is retired and ignored"] if extra else []
+        )
+        written.append({p.name: p.read_bytes() for p in (tmp_path / name).iterdir()})
+    assert written[0] == written[1]
 
 
 @pytest.mark.parametrize(
@@ -234,7 +235,6 @@ def test_nonpositive_residual_tol_is_rejected_before_any_solve(
             "target_lambda_eff_mev must be finite",
         ),
         ("ratio = 3.5", "ratio = nan", "ratio must be finite"),
-        ("k = 10\n", "k = 10\nresidual_tol = nan\n", "residual_tol must be finite"),
         ("hbar_omega_e_mev = 87.7", "hbar_omega_e_mev = nan", "hbar_omega_e_mev must be finite"),
         ("lambda_mev = 98.2", "lambda_mev = inf", "lambda_mev must be finite"),
         ("rho0_2_angstrom = -0.038", "rho0_2_angstrom = nan", "rho0_2_angstrom must be finite"),
@@ -251,7 +251,7 @@ def test_nonpositive_residual_tol_is_rejected_before_any_solve(
         ),
     ],
     ids=[
-        "target-nan", "ratio-nan", "residual_tol-nan", "hbar_omega_e-nan", "lambda-inf",
+        "target-nan", "ratio-nan", "hbar_omega_e-nan", "lambda-inf",
         "rho0_2-nan", "zpl_baseline-minus-inf", "explicit-lambda_u0-nan", "target-negative",
     ],
 )
@@ -298,7 +298,6 @@ order = 2
 [solver]
 cutoff = 32
 k = 10
-residual_tol = 1e-10
 seed = 0
 converge = true
 converge_rel_tol = 0.01
@@ -404,7 +403,6 @@ _configs = st.builds(
         _sweep_ranges,
         cutoff=st.integers(0, 60),
         k=st.integers(1, 40),
-        residual_tol=st.sampled_from([1e-8, 1e-10, 1e-12]),
         seed=st.integers(0, 2**31),
         converge=st.booleans(),
         converge_rel_tol=_decimal,

@@ -140,22 +140,6 @@ def test_residual_above_tol_raises(monkeypatch):
     assert res[1:].max() < 1e-10 * max(1.0, np.abs(exact).max())
 
 
-@pytest.mark.parametrize("tol", [0.0, -1e-10, float("nan")])
-def test_nonpositive_tol_is_rejected_before_any_block_is_solved(monkeypatch, tol):
-    # LAPACK blocks would pass any tol; ARPACK's residual bound would fail
-    # every pair, after the solve
-    h = snv0_h(10, m_s=1, lam=40.0)
-    blocks = adapted_basis(10).sector_blocks(1)
-    seen = _spy(monkeypatch)
-    with pytest.raises(ValueError, match="tol must be positive"):
-        solve_lowest(h, k=6, tol=tol, blocks=blocks)
-    with pytest.raises(ValueError, match="tol must be positive"):
-        solve_lowest(h, k=6, tol=tol, dense_threshold=0, blocks=blocks)
-    with pytest.raises(ValueError, match="tol must be positive"):
-        lowest_per_block(h, blocks, [None] * len(blocks), tol=tol)
-    assert seen == []
-
-
 def test_k_near_dim_goes_dense():
     # ARPACK cannot return dim - 1 or dim pairs; LAPACK serves them
     h = snv0_h(1)
@@ -416,7 +400,7 @@ def test_arpack_records_count_the_products_and_keep_plain_eigsh_bits(monkeypatch
     monkeypatch.undo()
     v0 = np.random.default_rng(0).standard_normal(hb.shape[0])
     for res, k, v in ((cold, 4, v0), (warm, 1, start)):
-        vals, vecs = eigsh(hb, k, which="SA", v0=v, tol=1e-10)
+        vals, vecs = eigsh(hb, k, which="SA", v0=v, tol=eig.RESIDUAL_TOL)
         vecs = vecs[:, np.argsort(vals)]
         np.testing.assert_array_equal(res.eigenvectors, vecs)
         np.testing.assert_array_equal(res.eigenvalues, eig._rayleigh(hb, vecs))
@@ -707,7 +691,7 @@ def test_lowest_per_block_matches_lapack_on_a_started_eu_block(monkeypatch, capl
     vals, vecs = scipy.linalg.eigh(hb.toarray(), subset_by_index=[0, 0])
     seen = _spy(monkeypatch)
     with caplog.at_level(logging.DEBUG, logger="spinvibronic"):
-        pair = lowest_per_block(hb, [(0, hi - lo)], [v0], tol=1e-10)
+        pair = lowest_per_block(hb, [(0, hi - lo)], [v0])
     assert seen == [("lanczos", np.dtype(np.float64))]
     assert pair.k == 1 and abs(pair.eigenvalues[0] - vals[0]) < 1e-10
     assert abs(vecs[:, 0] @ pair.eigenvectors[:, 0]) ** 2 == pytest.approx(1.0, abs=1e-10)

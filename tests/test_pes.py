@@ -1,5 +1,6 @@
 import logging
 import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -163,6 +164,17 @@ def test_csv_rejects_a_non_finite_qx_or_an_infinite_energy(tmp_path, row, shown)
     path.write_text(head + row + "\n1,,nan,3,4\n")
     with pytest.raises(ValueError, match=rf"sample 1 \(.*{re.escape(shown)}.*qx must be finite"):
         read_pes_csv(path)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_non_finite_grid_value_is_rejected_before_any_arithmetic(bad):
+    # PesCurve's rule names the sample before numpy computes on the grid, so
+    # no RuntimeWarning comes first, even where warnings are errors
+    p = DEFECTS["SiV0"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=rf"sample 1 \(qx={bad:g},.*qx must be finite"):
+            adiabatic_surfaces(pes_to_couplings(p), p.lambda_corr, "e-raised", np.array([0.0, bad]))
 
 
 def test_csv_requires_unit_header(tmp_path):
